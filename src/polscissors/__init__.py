@@ -69,6 +69,7 @@ from .preparations import (
     analytic_named,
     prepare_bell,
     prepare_hybrid,
+    prepare_hybrid_and_bell,
     prepare_named,
     required_cutoff,
 )

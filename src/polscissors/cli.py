@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification/spot failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import analytics
@@ -89,9 +90,13 @@ def _parse_descriptor(text: str) -> tuple[str, dict]:
             if not key or not value:
                 raise ConfigError(f"bad descriptor item {item!r}")
             try:
-                kwargs[key.strip()] = float(value)
+                number = float(value)
             except ValueError:
                 kwargs[key.strip()] = value.strip()
+                continue
+            if not math.isfinite(number):
+                raise ConfigError(f"descriptor value {item!r} is not finite")
+            kwargs[key.strip()] = number
     return name.strip(), kwargs
 
 

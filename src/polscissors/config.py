@@ -9,6 +9,7 @@ CLI flags override file values.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 AXIS_NAMES = ("delta", "t", "gamma_abs", "phi", "t0")
@@ -39,6 +40,10 @@ class AxisSpec:
             raise ConfigError(f"axis name {self.name!r} not one of {AXIS_NAMES}")
         if self.steps < 2:
             raise ConfigError("axis needs at least 2 steps")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(
+                f"axis {self.name!r} bounds {self.start} and {self.stop} must be finite"
+            )
 
     def values(self) -> list[float]:
         span = self.stop - self.start
@@ -97,9 +102,15 @@ class ExperimentConfig:
                     f"omega with {self.omega_n} arms needs {self.omega_n - 2} split "
                     "transmissivities in omega_split_ts"
                 )
+        for name in ("phi", "t0", "delta", "t", "gamma_abs", "repetition_rate", "tail_bound"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} = {value} is not finite")
+        if not all(math.isfinite(t) for t in self.omega_split_ts):
+            raise ConfigError(f"omega_split_ts {self.omega_split_ts} must all be finite")
         axis_names = {self.axis1.name, self.axis2.name}
         for name in self._needed_parameters():
-            if name not in axis_names and self._fixed_value(name) is None:
+            if name not in axis_names and getattr(self, name) is None:
                 raise ConfigError(
                     f"parameter {name!r} is neither an axis nor fixed in [experiment]"
                 )
@@ -116,11 +127,6 @@ class ExperimentConfig:
         if self._uses("pqs2"):
             names.append("gamma_abs")
         return tuple(names)
-
-    def _fixed_value(self, name: str) -> float | None:
-        if name in ("phi", "t0"):
-            return getattr(self, name)
-        return getattr(self, name)
 
     def cell_parameters(self, v1: float, v2: float) -> dict[str, float]:
         """Fixed parameters overridden by the two axis values for one grid cell."""

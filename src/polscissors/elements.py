@@ -100,6 +100,11 @@ def _bs_pair_terms(p: int, q: int, t: float) -> list[tuple[int, int, float]]:
     return out
 
 
+def _kept_pair_terms(p: int, q: int, t: float, cutoff: int) -> list[tuple[int, int, float]]:
+    """The terms of ``_bs_pair_terms`` whose two output occupations fit the cutoff."""
+    return [(na, nb, w) for na, nb, w in _bs_pair_terms(p, q, t) if na <= cutoff and nb <= cutoff]
+
+
 def apply_bs(state: PureState, spec: BeamSplitterSpec) -> PureState:
     """General beam splitter on two spatial modes, polarizations independent.
 
@@ -110,30 +115,26 @@ def apply_bs(state: PureState, spec: BeamSplitterSpec) -> PureState:
     _check_mode(state, spec.mode_b)
     a, b, t = spec.mode_a, spec.mode_b, spec.t
     cutoff = state.cutoff
-    cache: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
-
-    def pair_terms(p: int, q: int) -> list[tuple[int, int, float]]:
-        try:
-            return cache[(p, q)]
-        except KeyError:
-            r = _bs_pair_terms(p, q, t)
-            cache[(p, q)] = r
-            return r
+    # (p, q) -> expansion terms whose outputs both fit the cutoff, built once per call
+    kept_terms: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
 
     amps: dict[OccKey, complex] = {}
     for key, amp in state.amplitudes.items():
         (pah, pav), (pbh, pbv) = key[a], key[b]
-        for nah, nbh, wh in pair_terms(pah, pbh):
-            if nah > cutoff or nbh > cutoff:
-                continue
-            for nav, nbv, wv in pair_terms(pav, pbv):
-                if nav > cutoff or nbv > cutoff:
-                    continue
-                new = list(key)
+        terms_h = kept_terms.get((pah, pbh))
+        if terms_h is None:
+            terms_h = kept_terms[(pah, pbh)] = _kept_pair_terms(pah, pbh, t, cutoff)
+        terms_v = kept_terms.get((pav, pbv))
+        if terms_v is None:
+            terms_v = kept_terms[(pav, pbv)] = _kept_pair_terms(pav, pbv, t, cutoff)
+        new = list(key)
+        for nah, nbh, wh in terms_h:
+            amp_h = amp * wh
+            for nav, nbv, wv in terms_v:
                 new[a] = (nah, nav)
                 new[b] = (nbh, nbv)
                 nk = tuple(new)
-                amps[nk] = amps.get(nk, 0.0 + 0.0j) + amp * wh * wv
+                amps[nk] = amps.get(nk, 0.0 + 0.0j) + amp_h * wv
     return _raw_state(state.mode_count, cutoff, amps, state.tol)
 
 
@@ -199,14 +200,19 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
     cutoff = state.cutoff
     ms, mi = spec.mode_s, spec.mode_i
     abs_g = abs(g)
-    one_minus = 1.0 - abs_g * abs_g
+    g2 = abs_g * abs_g
+    one_minus = 1.0 - g2
     mig = -1j * g
     tol = state.tol
 
-    # precompute powers of (-i gamma) once per application
+    # precompute, once per application, the powers of (-i gamma) and the rows
+    # binom_rows[n][k] = sqrt(C(n + k, n)) for k = 0..cutoff - n
     pows = [1.0 + 0.0j]
     for _ in range(2 * cutoff):
         pows.append(pows[-1] * mig)
+    binom_rows = [
+        [_sqrt_binom(n + k, n) for k in range(cutoff - n + 1)] for n in range(cutoff + 1)
+    ]
 
     # Each (input key, k, l) hits a distinct output key (the idle occupation
     # pins k and l, which pin the input), so plain stores suffice.  Term
@@ -223,22 +229,23 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
             )
         in_norm += amp.real * amp.real + amp.imag * amp.imag
         n, m = key[ms]
+        row_n, row_m = binom_rows[n], binom_rows[m]
         base = amp * one_minus ** ((n + m + 2) / 2.0)
         new = list(key)
         for k in range(cutoff - n + 1):
-            ck = base * pows[k] * _sqrt_binom(n + k, n)
+            ck = base * pows[k] * row_n[k]
             stored_any = False
             for l in range(cutoff - m + 1):
-                w = ck * pows[l] * _sqrt_binom(m + l, m)
+                w = ck * pows[l] * row_m[l]
                 mag = abs(w)
                 if mag >= tol:
                     stored_any = True
                     new[ms] = (n + k, m + l)
                     new[mi] = (l, k)
                     amps[tuple(new)] = w
-                elif abs_g * abs_g * (m + l + 1) < (l + 1):
+                elif g2 * (m + l + 1) < (l + 1):
                     break
-            if not stored_any and abs_g * abs_g * (n + k + 1) < (k + 1):
+            if not stored_any and g2 * (n + k + 1) < (k + 1):
                 break
     out = PureState(state.mode_count, cutoff, amps, tol)
     deficit = in_norm - out.norm_squared()

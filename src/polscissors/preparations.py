@@ -68,6 +68,45 @@ def _hybrid_target(alpha: float, phi: float, cutoff: int, tail_bound: float) -> 
     return scale(combined, 1.0 / math.sqrt(2.0))
 
 
+def _first_stage(
+    method: str,
+    delta: float,
+    phi: float,
+    t0: float,
+    knob: float,
+    cutoff: int | None,
+    tail_bound: float,
+) -> tuple[SourceParams, PQS1 | PQS2, ScissorsResult]:
+    """Build the two-arm source and truncate its second arm (shared by both families)."""
+    if cutoff is None:
+        cutoff = required_cutoff(delta, t0, tail_bound)
+    params = SourceParams(delta=delta, phi=phi, t0=t0, cutoff=cutoff)
+    source = xi_direct(params, tail_bound)
+    scissors = _knob(method, knob)
+    return params, scissors, apply_scissors(source, 1, scissors)
+
+
+def _hybrid_finish(params: SourceParams, first: ScissorsResult, tail_bound: float) -> PrepResult:
+    """Feed-forward pi phase on the photon qubit, then the plus-branch fidelity."""
+    if first.canonical_state is None:
+        return PrepResult(first.total_probability, 0.0, None)
+    state = apply_pol_phase(first.canonical_state, 1, V, math.pi)
+    target = _hybrid_target(params.alpha, params.phi, params.cutoff, tail_bound)
+    return PrepResult(first.total_probability, fidelity(state, target), state)
+
+
+def _bell_finish(params: SourceParams, scissors: PQS1 | PQS2, first: ScissorsResult) -> PrepResult:
+    """Truncate the first arm of the stage-one state down to the photon pair."""
+    if first.canonical_state is None:
+        return PrepResult(0.0, 0.0, None)
+    second = apply_scissors(first.canonical_state, 0, scissors)
+    total = first.total_probability * second.total_probability
+    if second.canonical_state is None:
+        return PrepResult(total, 0.0, None)
+    target = _photon_pair_target(params.phi, params.cutoff)
+    return PrepResult(total, fidelity(second.canonical_state, target), second.canonical_state)
+
+
 def prepare_hybrid(
     method: str,
     delta: float,
@@ -83,16 +122,8 @@ def prepare_hybrid(
     feed-forward pi phase on the photon qubit before comparing against the
     plus-branch target.
     """
-    if cutoff is None:
-        cutoff = required_cutoff(delta, t0, tail_bound)
-    params = SourceParams(delta=delta, phi=phi, t0=t0, cutoff=cutoff)
-    source = xi_direct(params, tail_bound)
-    result = apply_scissors(source, 1, _knob(method, knob))
-    if result.canonical_state is None:
-        return PrepResult(result.total_probability, 0.0, None)
-    state = apply_pol_phase(result.canonical_state, 1, V, math.pi)
-    target = _hybrid_target(params.alpha, phi, cutoff, tail_bound)
-    return PrepResult(result.total_probability, fidelity(state, target), state)
+    params, _, first = _first_stage(method, delta, phi, t0, knob, cutoff, tail_bound)
+    return _hybrid_finish(params, first, tail_bound)
 
 
 def prepare_bell(
@@ -105,19 +136,26 @@ def prepare_bell(
     tail_bound: float = 1e-12,
 ) -> PrepResult:
     """Truncate both arms down to the polarization Bell pair."""
-    if cutoff is None:
-        cutoff = required_cutoff(delta, t0, tail_bound)
-    params = SourceParams(delta=delta, phi=phi, t0=t0, cutoff=cutoff)
-    source = xi_direct(params, tail_bound)
-    first = apply_scissors(source, 1, _knob(method, knob))
-    if first.canonical_state is None:
-        return PrepResult(0.0, 0.0, None)
-    second = apply_scissors(first.canonical_state, 0, _knob(method, knob))
-    total = first.total_probability * second.total_probability
-    if second.canonical_state is None:
-        return PrepResult(total, 0.0, None)
-    target = _photon_pair_target(phi, cutoff)
-    return PrepResult(total, fidelity(second.canonical_state, target), second.canonical_state)
+    params, scissors, first = _first_stage(method, delta, phi, t0, knob, cutoff, tail_bound)
+    return _bell_finish(params, scissors, first)
+
+
+def prepare_hybrid_and_bell(
+    method: str,
+    delta: float,
+    phi: float,
+    t0: float,
+    knob: float,
+    cutoff: int | None = None,
+    tail_bound: float = 1e-12,
+) -> tuple[PrepResult, PrepResult]:
+    """Both pipelines of one method from a single first-arm truncation.
+
+    Returns the same ``(prepare_hybrid(...), prepare_bell(...))`` values as
+    the two separate calls, with the source built and truncated once.
+    """
+    params, scissors, first = _first_stage(method, delta, phi, t0, knob, cutoff, tail_bound)
+    return _hybrid_finish(params, first, tail_bound), _bell_finish(params, scissors, first)
 
 
 def prepare_named(

@@ -52,6 +52,9 @@ class SourceParams:
     cutoff: int = 16
 
     def __post_init__(self) -> None:
+        for name in ("delta", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise FockError(f"{name} = {getattr(self, name)} is not finite")
         if self.delta < 0:
             raise FockError("delta must be nonnegative")
         if not 0.0 <= self.t0 <= 1.0:

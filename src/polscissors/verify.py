@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import analytics
 from .fock import H, fidelity, make_state, min_cutoff, normalize
-from .preparations import prepare_bell, prepare_hybrid
+from .preparations import prepare_bell, prepare_hybrid, prepare_hybrid_and_bell
 from .scissors import pqs1_apply, pqs2_apply, qs_apply
 from .sources import DegenerateStateError, coherent
 
@@ -102,6 +102,43 @@ def _ideal_photon_sector(coeffs, cutoff: int):
     )
 
 
+def _check_pipelines(
+    stats: dict[str, CheckStat],
+    tag: str,
+    method: str,
+    delta: float,
+    phi: float,
+    t0: float,
+    knob: float,
+    tail_bound: float,
+) -> None:
+    """Record the hybrid and Bell checks of one method from one shared first stage.
+
+    A degenerate source skips both checks with the same reason; a degenerate
+    closed form skips only its own check.  The prepared states go out of scope
+    on return, before the next method builds its source.
+    """
+    skippable = (DegenerateStateError, analytics.DegenerateParameterError)
+    try:
+        nums = prepare_hybrid_and_bell(method, delta, phi, t0, knob, tail_bound=tail_bound)
+    except skippable as exc:
+        for family in ("hybrid", "bell"):
+            stats[f"{family}-{method}"].skipped.append(f"{tag}: {exc}")
+        return
+    closed_forms = (analytics.pf_hybrid, analytics.pf_bell)
+    for family, num, closed_form in zip(("hybrid", "bell"), nums, closed_forms):
+        name = f"{family}-{method}"
+        try:
+            ana = closed_form(method, delta, phi, t0, knob)
+        except skippable as exc:
+            stats[name].skipped.append(f"{tag}: {exc}")
+            continue
+        stats[name].record(
+            abs(num.probability - ana.probability),
+            abs(num.fidelity - ana.fidelity),
+        )
+
+
 def run_verify(
     seed: int,
     samples: int,
@@ -160,24 +197,8 @@ def run_verify(
         )
 
         # named preparations, full pipelines
-        for name, runner, method, knob in (
-            ("hybrid-pqs1", prepare_hybrid, "pqs1", t),
-            ("hybrid-pqs2", prepare_hybrid, "pqs2", gamma),
-            ("bell-pqs1", prepare_bell, "pqs1", t),
-            ("bell-pqs2", prepare_bell, "pqs2", gamma),
-        ):
-            try:
-                num = runner(method, delta, phi, t0, knob, tail_bound=tail_bound)
-                if name.startswith("hybrid"):
-                    ana = analytics.pf_hybrid(method, delta, phi, t0, knob)
-                else:
-                    ana = analytics.pf_bell(method, delta, phi, t0, knob)
-                stats[name].record(
-                    abs(num.probability - ana.probability),
-                    abs(num.fidelity - ana.fidelity),
-                )
-            except (DegenerateStateError, analytics.DegenerateParameterError) as exc:
-                stats[name].skipped.append(f"{tag}: {exc}")
+        for method, knob in (("pqs1", t), ("pqs2", gamma)):
+            _check_pipelines(stats, tag, method, delta, phi, t0, knob, tail_bound)
 
     checks = tuple(stats[name] for name in CHECK_NAMES)
     passed = all(c.max_dp <= budget and c.max_df <= budget for c in checks)

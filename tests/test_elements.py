@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from polscissors.elements import (
     BeamSplitterSpec,
+    _bs_pair_terms,
     apply_bs,
     apply_hwp,
     apply_pbs,
@@ -19,6 +20,26 @@ from conftest import random_state
 
 def two_mode_ket(occ_a, occ_b, cutoff=4):
     return make_state(2, cutoff, [((tuple(occ_a), tuple(occ_b)), 1.0)])
+
+
+def apply_bs_reference(state, spec):
+    """Plain loop over every expansion term, skipping those past the cutoff."""
+    a, b, cutoff = spec.mode_a, spec.mode_b, state.cutoff
+    amps = {}
+    for key, amp in state.amplitudes.items():
+        (pah, pav), (pbh, pbv) = key[a], key[b]
+        for nah, nbh, wh in _bs_pair_terms(pah, pbh, spec.t):
+            if nah > cutoff or nbh > cutoff:
+                continue
+            for nav, nbv, wv in _bs_pair_terms(pav, pbv, spec.t):
+                if nav > cutoff or nbv > cutoff:
+                    continue
+                new = list(key)
+                new[a] = (nah, nav)
+                new[b] = (nbh, nbv)
+                nk = tuple(new)
+                amps[nk] = amps.get(nk, 0.0 + 0.0j) + amp * wh * wv
+    return {k: v for k, v in amps.items() if abs(v) >= state.tol}
 
 
 class TestBeamSplitter:
@@ -92,6 +113,17 @@ class TestBeamSplitter:
         a = apply_bs(apply_hwp(apply_hwp(state, 0), 1), spec)
         b = apply_hwp(apply_hwp(apply_bs(state, spec), 0), 1)
         assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("modes", [(0, 1), (2, 0), (1, 2)])
+    def test_bitwise_equal_to_reference_loop(self, rng, modes):
+        # amplitudes, float rounding and key order all match the plain loop,
+        # including where a cutoff of 3 drops terms
+        for cutoff in (3, 6):
+            state = random_state(rng, 3, cutoff)
+            out = apply_bs(state, BeamSplitterSpec(0.37, *modes))
+            assert repr(list(out.amplitudes.items())) == repr(
+                list(apply_bs_reference(state, BeamSplitterSpec(0.37, *modes)).items())
+            )
 
     def test_bad_spec(self):
         with pytest.raises(FockError):

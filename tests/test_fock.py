@@ -256,6 +256,13 @@ class TestTailWeights:
         assert coherent_tail_weight(2.0 * math.sqrt(2.0), c) <= 1e-12
         assert coherent_tail_weight(2.0 * math.sqrt(2.0), c - 1) > 1e-12
 
+    def test_underflowing_first_term_keeps_the_tail(self):
+        # exp(-900) * 900 underflows, but almost all of Poisson(900) lies past 0
+        assert coherent_tail_weight(30.0, 0) == 1.0
+        c = min_cutoff(30.0)
+        assert c > 30.0**2
+        assert coherent_tail_weight(30.0, c) <= 1e-12 < coherent_tail_weight(30.0, c - 1)
+
 
 class TestPermute:
     def test_swap(self):

@@ -1,10 +1,12 @@
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
+from polscissors import analytics
 from polscissors.config import (
     AxisSpec,
     ConfigError,
@@ -12,6 +14,8 @@ from polscissors.config import (
     parse_config_text,
     reference_grid,
 )
+from polscissors.preparations import prepare_bell, prepare_hybrid
+from polscissors.sources import DegenerateStateError
 from polscissors.sweep import (
     grid_from_csv,
     grid_to_csv,
@@ -19,7 +23,15 @@ from polscissors.sweep import (
     grid_to_matrix,
     run_sweep,
 )
-from polscissors.verify import run_spot, run_verify
+from polscissors.verify import (
+    CHECK_NAMES,
+    DEFAULT_RANGES,
+    CheckStat,
+    VerifyReport,
+    _random_polarized_input,
+    run_spot,
+    run_verify,
+)
 
 BELL_CONFIG = """
 [experiment]
@@ -70,12 +82,20 @@ class TestConfig:
             ("name = t", "name = q"),
             ("steps = 2", "steps = 1"),
             ("name = t\n", "name = gamma_abs\n"),
+            ("phi = 0.0", "phi = nan"),
+            ("t0 = 0.5", "t0 = 0.5\ndelta = inf"),
+            ("repetition_rate = 6.4e6", "repetition_rate = -inf"),
         ],
     )
     def test_invalid_configs_rejected(self, mutation):
         bad = BELL_CONFIG.replace(*mutation)
         with pytest.raises(ConfigError):
             parse_config_text(bad)
+
+    @pytest.mark.parametrize("start,stop", [(0.1, math.inf), (math.nan, 1.0)])
+    def test_non_finite_axis_rejected(self, start, stop):
+        with pytest.raises(ConfigError):
+            AxisSpec("delta", start, stop, 3)
 
     def test_missing_parameter_rejected(self):
         bad = BELL_CONFIG.replace("name = t", "name = phi")
@@ -204,10 +224,64 @@ class TestVerify:
             samples=1,
             ranges={"delta": (0.0, 0.0), "phi": (math.pi, math.pi)},
         )
-        hybrid = next(c for c in report.checks if c.name == "hybrid-pqs1")
-        assert hybrid.samples == 0
-        assert len(hybrid.skipped) == 1
+        # the shared source is degenerate, so both families skip with its reason
+        named = [c for c in report.checks if c.name.startswith(("hybrid-", "bell-"))]
+        assert [c.name for c in named] == ["hybrid-pqs1", "hybrid-pqs2", "bell-pqs1", "bell-pqs2"]
+        reasons = {reason for c in named for reason in c.skipped}
+        assert all(c.samples == 0 and len(c.skipped) == 1 for c in named)
+        assert len(reasons) == 1 and "vanishing norm" in reasons.pop()
         assert report.passed  # skips are reported, not failures
+
+    def test_closed_form_skip_stays_in_its_family(self, monkeypatch):
+        def degenerate(*args):
+            raise analytics.DegenerateParameterError("forced")
+
+        monkeypatch.setattr(analytics, "pf_hybrid", degenerate)
+        checks = {c.name: c for c in run_verify(seed=3, samples=1).checks}
+        for method in ("pqs1", "pqs2"):
+            hybrid, bell = checks[f"hybrid-{method}"], checks[f"bell-{method}"]
+            assert hybrid.samples == 0 and hybrid.skipped[0].endswith(": forced")
+            assert bell.samples == 1 and not bell.skipped
+
+    @pytest.mark.parametrize(
+        "seed,ranges",
+        [(2, None), (7, None), (5, {"delta": (0.0, 0.0), "phi": (math.pi, math.pi)})],
+    )
+    def test_lines_match_separate_pipelines(self, seed, ranges):
+        # reference: each named check runs its own pipeline from a fresh source
+        samples = 2
+        report = run_verify(seed=seed, samples=samples, ranges=ranges)
+        spans = {**DEFAULT_RANGES, **(ranges or {})}
+        rng = random.Random(seed)
+        named = {name: CheckStat(name) for name in CHECK_NAMES[3:]}
+        for index in range(samples):
+            delta = rng.uniform(*spans["delta"])
+            t = rng.uniform(*spans["t"])
+            gamma = rng.uniform(*spans["gamma_abs"])
+            phi = rng.uniform(*spans["phi"])
+            t0 = rng.uniform(*spans["t0"])
+            _random_polarized_input(rng, 8)  # keep the draws in step with run_verify
+            tag = f"sample {index}: delta={delta:.3f} phi={phi:.3f} t0={t0:.3f}"
+            for name, runner, method, knob in (
+                ("hybrid-pqs1", prepare_hybrid, "pqs1", t),
+                ("hybrid-pqs2", prepare_hybrid, "pqs2", gamma),
+                ("bell-pqs1", prepare_bell, "pqs1", t),
+                ("bell-pqs2", prepare_bell, "pqs2", gamma),
+            ):
+                try:
+                    num = runner(method, delta, phi, t0, knob)
+                    closed = analytics.pf_hybrid if name.startswith("hybrid") else analytics.pf_bell
+                    ana = closed(method, delta, phi, t0, knob)
+                    named[name].record(
+                        abs(num.probability - ana.probability),
+                        abs(num.fidelity - ana.fidelity),
+                    )
+                except (DegenerateStateError, analytics.DegenerateParameterError) as exc:
+                    named[name].skipped.append(f"{tag}: {exc}")
+        checks = report.checks[:3] + tuple(named.values())
+        passed = all(max(c.max_dp, c.max_df) <= report.budget for c in checks)
+        expected = VerifyReport(seed, samples, report.budget, checks, passed)
+        assert report.lines() == expected.lines()
 
 
 class TestSpot:
@@ -247,6 +321,11 @@ class TestCli:
         config.write_text(BELL_CONFIG.replace("bell-pqs1", "bogus"))
         self.run_cli("sweep", "--config", str(config), expect=2)
 
+    def test_sweep_non_finite_value_exit_2(self, tmp_path):
+        config = tmp_path / "exp.ini"
+        config.write_text(BELL_CONFIG.replace("phi = 0.0", "phi = nan"))
+        self.run_cli("sweep", "--config", str(config), expect=2)
+
     def test_sweep_infeasible_exit_3(self, tmp_path):
         config = tmp_path / "exp.ini"
         config.write_text(BELL_CONFIG.replace("stop = 1.0", "stop = 9.0"))
@@ -283,6 +362,7 @@ class TestCli:
     def test_state_bad_descriptor_exit_2(self):
         self.run_cli("state", "--prep", "warp:delta=1", expect=2)
         self.run_cli("state", "--prep", "xi:phi=0", expect=2)
+        self.run_cli("state", "--prep", "xi:delta=nan", expect=2)
 
     def test_spot_pass(self):
         proc = self.run_cli("spot", "--point", "bell-pqs1", expect=0)

@@ -9,6 +9,7 @@ from polscissors.preparations import (
     analytic_named,
     prepare_bell,
     prepare_hybrid,
+    prepare_hybrid_and_bell,
     prepare_named,
     required_cutoff,
 )
@@ -33,6 +34,20 @@ def test_pipelines_match_closed_forms(name, delta, phi, t0, t, g):
     ana = analytic_named(name, delta, phi, t0, knob)
     assert num.probability == pytest.approx(ana.probability, abs=1e-10)
     assert num.fidelity == pytest.approx(ana.fidelity, abs=1e-10)
+
+
+def _bits(result):
+    amplitudes = None if result.state is None else list(result.state.amplitudes.items())
+    return repr((result.probability, result.fidelity, amplitudes))
+
+
+@pytest.mark.parametrize("delta", [0.8, 1.4, 2.0])
+@pytest.mark.parametrize("method,knob", [("pqs1", 0.9), ("pqs2", 0.07)])
+def test_shared_first_stage_matches_separate_pipelines(method, knob, delta):
+    phi, t0 = 0.7, 0.45
+    hybrid, bell = prepare_hybrid_and_bell(method, delta, phi, t0, knob)
+    assert _bits(hybrid) == _bits(prepare_hybrid(method, delta, phi, t0, knob))
+    assert _bits(bell) == _bits(prepare_bell(method, delta, phi, t0, knob))
 
 
 def test_hybrid_reference_point_values():

@@ -58,6 +58,10 @@ class TestCoherent:
         with pytest.raises(CutoffError):
             coherent(2.0, "H", 10)
 
+    def test_large_amplitude_at_tiny_cutoff_rejected(self):
+        with pytest.raises(CutoffError):
+            coherent(30.0, "H", 1)
+
 
 class TestCat:
     def test_even_parity_at_zero_phase(self):
@@ -121,6 +125,14 @@ class TestXi:
     def test_degenerate(self):
         with pytest.raises(DegenerateStateError):
             xi_direct(SourceParams(0.0, math.pi, 0.5, (), 4))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("delta", math.nan), ("delta", math.inf), ("phi", math.nan), ("phi", -math.inf)],
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(FockError):
+            SourceParams(**{"delta": 1.0, "phi": 0.0, field: value})
 
     def test_zero_amplitude_nondegenerate_phase(self):
         state = xi_direct(SourceParams(0.0, 0.0, 0.5, (), 4))

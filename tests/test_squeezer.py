@@ -6,6 +6,7 @@ import pytest
 from polscissors.elements import (
     CutoffOverflowError,
     SqueezerSpec,
+    _sqrt_binom,
     apply_squeezer_exact,
     apply_squeezer_series,
     gamma_from_xi,
@@ -19,6 +20,8 @@ from polscissors.fock import (
     vacuum,
 )
 
+from conftest import random_state
+
 CUT = 8
 
 
@@ -29,6 +32,35 @@ def signal_ket(n, m, cutoff=CUT):
 
 def k_factor(gamma_abs, n):
     return (1 - gamma_abs**2) ** ((n + 2) / 2)
+
+
+def squeezer_reference(state, spec):
+    """The exact kernel's double sum with each binomial factor looked up in place."""
+    cutoff, ms, mi, tol = state.cutoff, spec.mode_s, spec.mode_i, state.tol
+    abs_g = abs(spec.gamma)
+    pows = [1.0 + 0.0j]
+    for _ in range(2 * cutoff):
+        pows.append(pows[-1] * (-1j * spec.gamma))
+    amps = {}
+    for key, amp in state.amplitudes.items():
+        n, m = key[ms]
+        base = amp * (1.0 - abs_g * abs_g) ** ((n + m + 2) / 2.0)
+        new = list(key)
+        for k in range(cutoff - n + 1):
+            ck = base * pows[k] * _sqrt_binom(n + k, n)
+            stored_any = False
+            for l in range(cutoff - m + 1):
+                w = ck * pows[l] * _sqrt_binom(m + l, m)
+                if abs(w) >= tol:
+                    stored_any = True
+                    new[ms] = (n + k, m + l)
+                    new[mi] = (l, k)
+                    amps[tuple(new)] = w
+                elif abs_g * abs_g * (m + l + 1) < (l + 1):
+                    break
+            if not stored_any and abs_g * abs_g * (n + k + 1) < (k + 1):
+                break
+    return amps
 
 
 class TestExactKernel:
@@ -84,6 +116,17 @@ class TestExactKernel:
                 (sh, sv), (ih, iv) = key
                 assert sh - iv == n
                 assert sv - ih == m
+
+    @pytest.mark.parametrize("gamma", [0.07, 0.3j, 0.6 + 0.2j])
+    def test_bitwise_equal_to_reference_loop(self, rng, gamma):
+        # amplitudes, float rounding and key order all match the in-place lookups
+        signal = random_state(rng, 1, 10, max_photons=3)
+        state = tensor(tensor(vacuum(1, 10), signal), vacuum(1, 10))
+        spec = SqueezerSpec(gamma, 1, 2)
+        out = apply_squeezer_exact(state, spec)
+        assert repr(list(out.amplitudes.items())) == repr(
+            list(squeezer_reference(state, spec).items())
+        )
 
     def test_requires_vacuum_idle(self):
         bad = make_state(2, CUT, [(((1, 0), (0, 1)), 1.0)])
