@@ -29,18 +29,15 @@ from .fock import (
 )
 from .elements import (
     BeamSplitterSpec,
-    CutoffOverflowError,
     SqueezerSpec,
     apply_bs,
     apply_hwp,
     apply_pbs,
     apply_pol_phase,
     apply_squeezer_exact,
-    apply_squeezer_series,
     gamma_from_xi,
 )
 from .sources import (
-    DegenerateStateError,
     SourceParams,
     cat,
     coherent,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 
 class DegenerateParameterError(ValueError):
-    """A normalization denominator vanished (e.g. zero amplitude with phase pi)."""
+    """A normalization or heralding probability vanished (e.g. zero amplitude, phase pi)."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def pf_qs(c0_sq: float, c1_sq: float, t: float) -> AnalyticPF:
         raise ValueError("squared magnitudes must be nonnegative")
     p = (1.0 - t) * c0_sq + t * c1_sq
     if p <= 0.0:
-        raise ValueError("zero heralding probability")
+        raise DegenerateParameterError("zero heralding probability")
     return AnalyticPF(p, t * c1_sq / p)
 
 
@@ -121,7 +121,7 @@ def pf_pqs1(
     single = (1.0 - t) * t * (c10_sq + c01_sq)
     p = single + (1.0 - t) ** 2 * c00_sq + t * t * c11_sq
     if p <= 0.0:
-        raise ValueError("zero heralding probability")
+        raise DegenerateParameterError("zero heralding probability")
     return AnalyticPF(p, single / p)
 
 
@@ -133,7 +133,7 @@ def pf_pqs2(
     single = (c10_sq + c01_sq) * k_n(gamma_abs, 1) ** 2 * g2
     p = single + c11_sq * k_n(gamma_abs, 2) ** 2 + c00_sq * k_n(gamma_abs, 0) ** 2 * g2 * g2
     if p <= 0.0:
-        raise ValueError("zero heralding probability")
+        raise DegenerateParameterError("zero heralding probability")
     return AnalyticPF(p, single / p)
 
 
@@ -201,7 +201,7 @@ def pf_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> An
         spill = k_n(knob, 0) ** 2 * g2 * g2 * f0a_sq
     p = keep * (w1 * w1 + w0 * w0) + spill * (2.0 * w1 * w1 + vac_weight * w0 * w0)
     if p <= 0.0:
-        raise ValueError("zero heralding probability")
+        raise DegenerateParameterError("zero heralding probability")
     return AnalyticPF(p, keep * w1 * w1 / p)
 
 

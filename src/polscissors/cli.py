@@ -14,12 +14,11 @@ import argparse
 import math
 import sys
 
-from . import analytics
-from .config import ConfigError, load_config, reference_grid
+from .analytics import DegenerateParameterError
+from .config import ConfigError, check_domain, load_config, reference_grid
 from .fock import CutoffError, dump_lines, min_cutoff
-from .preparations import prepare_named, required_cutoff
+from .preparations import PIPELINES, PREPARATIONS, prepare_named
 from .sources import (
-    DegenerateStateError,
     SourceParams,
     cat,
     coherent,
@@ -51,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config", help="config file path")
     group.add_argument(
         "--reference",
-        choices=("hybrid-pqs1", "hybrid-pqs2", "bell-pqs1", "bell-pqs2"),
+        choices=PREPARATIONS,
         help="use the built-in reference grid for this preparation",
     )
     p_sweep.add_argument("--out", help="output file (default: stdout)")
@@ -117,6 +116,8 @@ def _descriptor_state(name: str, kw: dict):
     delta = kw.pop("delta")
     phi = kw.pop("phi", 0.0)
     t0 = kw.pop("t0", 0.5)
+    check_domain("delta", delta)
+    check_domain("t0", t0)
     split_keys = sorted(
         (k for k in kw if k.startswith("t") and k[1:].isdigit()),
         key=lambda k: int(k[1:]),
@@ -134,8 +135,10 @@ def _descriptor_state(name: str, kw: dict):
             builder = lambda_state if name == "lambda" else lambda_circuit
             return builder(params, n, tail)
         return target_omega(n, int(kw.pop("j")), params, tail)
-    if name in ("hybrid-pqs1", "hybrid-pqs2", "bell-pqs1", "bell-pqs2"):
-        knob = kw.pop("t") if name.endswith("pqs1") else kw.pop("gamma_abs")
+    if name in PIPELINES:
+        knob_axis = PIPELINES[name].knob_axis
+        knob = kw.pop(knob_axis)
+        check_domain(knob_axis, knob)
         cutoff = kw.pop("cutoff", None)
         result = prepare_named(
             name, delta, phi, t0, knob,
@@ -197,10 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     except CutoffError as exc:
         sys.stderr.write(f"numeric infeasibility: {exc}\n")
         return EXIT_CUTOFF
-    except DegenerateStateError as exc:
-        sys.stderr.write(f"configuration error: degenerate state ({exc})\n")
-        return EXIT_CONFIG
-    except analytics.DegenerateParameterError as exc:
+    except DegenerateParameterError as exc:
         sys.stderr.write(f"configuration error: degenerate parameters ({exc})\n")
         return EXIT_CONFIG
     raise AssertionError("unreachable")

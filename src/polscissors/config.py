@@ -12,9 +12,11 @@ import configparser
 import math
 from dataclasses import dataclass
 
+from .preparations import KNOB_AXES, PIPELINES, PREPARATIONS
+
 AXIS_NAMES = ("delta", "t", "gamma_abs", "phi", "t0")
 BACKENDS = ("analytic", "numeric", "both")
-PREPARATION_NAMES = ("hybrid-pqs1", "hybrid-pqs2", "bell-pqs1", "bell-pqs2", "omega")
+PREPARATION_NAMES = PREPARATIONS + ("omega",)
 
 # Reference grids for the desk-scale surface checks.  The knob ranges are a
 # reconstruction calibrated so that every quoted order-of-magnitude claim
@@ -26,6 +28,24 @@ REFERENCE_GRID_GAMMA = (0.03, 0.07, 25)
 
 class ConfigError(ValueError):
     """Bad configuration file or option combination (CLI exit code 2)."""
+
+
+# Physical range of each bounded parameter; phi is unbounded.
+_DOMAINS = {
+    "delta": ("[0, inf)", lambda v: v >= 0.0),
+    "t0": ("[0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "t": ("(0, 1)", lambda v: 0.0 < v < 1.0),
+    "gamma_abs": ("[0, 1)", lambda v: 0.0 <= v < 1.0),
+    "omega_split_ts": ("[0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+
+
+def check_domain(name: str, value: float) -> None:
+    """Raise ``ConfigError`` if ``value`` lies outside the physical range of ``name``."""
+    if name in _DOMAINS:
+        interval, inside = _DOMAINS[name]
+        if not isinstance(value, (int, float)) or not inside(value):
+            raise ConfigError(f"{name} = {value} outside {interval}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +99,8 @@ class ExperimentConfig:
         if self.axis1.name == self.axis2.name:
             raise ConfigError("the two axes must sweep different parameters")
         for axis in (self.axis1, self.axis2):
-            if axis.name == "t" and not self._uses("pqs1"):
-                raise ConfigError("axis 't' needs a pqs1-based preparation")
-            if axis.name == "gamma_abs" and not self._uses("pqs2"):
-                raise ConfigError("axis 'gamma_abs' needs a pqs2-based preparation")
+            if axis.name in KNOB_AXES.values() and axis.name not in self._needed_parameters():
+                raise ConfigError(f"axis {axis.name!r} is no knob of {self.preparation}")
         if self.preparation == "omega":
             if self.backend != "numeric":
                 raise ConfigError(
@@ -92,10 +110,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     "omega preparation needs omega_n, omega_j and omega_scissors"
                 )
+            if self.omega_n < 2 or not 1 <= self.omega_j <= self.omega_n:
+                raise ConfigError(
+                    f"omega needs omega_n >= 2 and 1 <= omega_j <= omega_n, "
+                    f"got {self.omega_n} and {self.omega_j}"
+                )
             if len(self.omega_scissors) != self.omega_j:
                 raise ConfigError("omega_scissors needs one method per truncated arm")
             for m in self.omega_scissors:
-                if m not in ("pqs1", "pqs2"):
+                if m not in KNOB_AXES:
                     raise ConfigError(f"unknown scissors method {m!r}")
             if len(self.omega_split_ts) != self.omega_n - 2:
                 raise ConfigError(
@@ -108,6 +131,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} = {value} is not finite")
         if not all(math.isfinite(t) for t in self.omega_split_ts):
             raise ConfigError(f"omega_split_ts {self.omega_split_ts} must all be finite")
+        bounded = [(name, getattr(self, name)) for name in ("delta", "t0", "t", "gamma_abs")]
+        bounded += [("omega_split_ts", t) for t in self.omega_split_ts]
+        bounded += [(a.name, v) for a in (self.axis1, self.axis2) for v in (a.start, a.stop)]
+        for name, value in bounded:
+            if value is not None:
+                check_domain(name, value)
         axis_names = {self.axis1.name, self.axis2.name}
         for name in self._needed_parameters():
             if name not in axis_names and getattr(self, name) is None:
@@ -115,18 +144,13 @@ class ExperimentConfig:
                     f"parameter {name!r} is neither an axis nor fixed in [experiment]"
                 )
 
-    def _uses(self, method: str) -> bool:
-        if self.preparation == "omega":
-            return method in self.omega_scissors
-        return self.preparation.endswith(method)
-
     def _needed_parameters(self) -> tuple[str, ...]:
-        names = ["delta"]
-        if self._uses("pqs1"):
-            names.append("t")
-        if self._uses("pqs2"):
-            names.append("gamma_abs")
-        return tuple(names)
+        """delta plus the knob axis of every scissors method the preparation runs."""
+        if self.preparation == "omega":
+            methods = self.omega_scissors
+        else:
+            methods = (PIPELINES[self.preparation].method,)
+        return ("delta",) + tuple(axis for m, axis in KNOB_AXES.items() if m in methods)
 
     def cell_parameters(self, v1: float, v2: float) -> dict[str, float]:
         """Fixed parameters overridden by the two axis values for one grid cell."""
@@ -228,17 +252,14 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> Experimen
 
 def reference_grid(preparation: str, backend: str = "analytic") -> ExperimentConfig:
     """Desk-scale reference sweep for a named hybrid/bell preparation."""
-    if preparation not in ("hybrid-pqs1", "hybrid-pqs2", "bell-pqs1", "bell-pqs2"):
+    if preparation not in PIPELINES:
         raise ConfigError(f"no reference grid for {preparation!r}")
-    knob = (
-        AxisSpec("t", *REFERENCE_GRID_T)
-        if preparation.endswith("pqs1")
-        else AxisSpec("gamma_abs", *REFERENCE_GRID_GAMMA)
-    )
+    knob = PIPELINES[preparation].knob_axis
+    knob_grid = {"t": REFERENCE_GRID_T, "gamma_abs": REFERENCE_GRID_GAMMA}[knob]
     return ExperimentConfig(
         preparation=preparation,
         axis1=AxisSpec("delta", *REFERENCE_GRID_DELTA),
-        axis2=knob,
+        axis2=AxisSpec(knob, *knob_grid),
         backend=backend,
     )
 

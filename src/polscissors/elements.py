@@ -11,8 +11,8 @@ Conventions, fixed once and used everywhere:
   occupations of the two ports swap).
 * Half-wave plate at 45 degrees: exchanges the H and V occupations of a mode.
 * Type-II two-mode squeezer: pair creation across (signal H, idle V) and
-  (signal V, idle H); exact kernel below plus a low-order series oracle built
-  directly from ladder operators.
+  (signal V, idle H); exact kernel below.  The tests check it against a
+  low-order series oracle built directly from ladder operators.
 """
 
 from __future__ import annotations
@@ -25,21 +25,14 @@ from functools import lru_cache
 
 from .fock import (
     H,
-    CutoffError,
     FockError,
     OccKey,
     PureState,
     V,
     _raw_state,
-    add,
-    scale,
 )
 
 log = logging.getLogger(__name__)
-
-
-class CutoffOverflowError(CutoffError):
-    """A ladder-operator application would exceed the cutoff (never dropped silently)."""
 
 
 @dataclass(frozen=True)
@@ -251,70 +244,6 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
     deficit = in_norm - out.norm_squared()
     if deficit > 1e-9:
         log.debug("squeezer truncation dropped %.3e of squared norm", deficit)
-    return out
-
-
-def _ladder(
-    state: PureState, mode: int, pol: str, raise_op: bool
-) -> PureState:
-    """Apply a single creation or annihilation operator to (mode, pol)."""
-    idx = 0 if pol == H else 1
-    cutoff = state.cutoff
-    amps: dict[OccKey, complex] = {}
-    for key, amp in state.amplitudes.items():
-        n = key[mode][idx]
-        if raise_op:
-            if n + 1 > cutoff:
-                raise CutoffOverflowError(
-                    f"creation on mode {mode} pol {pol} exceeds cutoff {cutoff}"
-                )
-            factor = math.sqrt(n + 1)
-            n_new = n + 1
-        else:
-            if n == 0:
-                continue
-            factor = math.sqrt(n)
-            n_new = n - 1
-        new = list(key)
-        occ = list(key[mode])
-        occ[idx] = n_new
-        new[mode] = tuple(occ)
-        nk = tuple(new)
-        amps[nk] = amps.get(nk, 0.0 + 0.0j) + amp * factor
-    return _raw_state(state.mode_count, cutoff, amps, state.tol)
-
-
-def _pair_generator(state: PureState, xi: complex, mode_s: int, mode_i: int) -> PureState:
-    """One application of xi K+ - conj(xi) K with K = a_sH a_iV + a_sV a_iH."""
-    up1 = _ladder(_ladder(state, mode_s, H, True), mode_i, V, True)
-    up2 = _ladder(_ladder(state, mode_s, V, True), mode_i, H, True)
-    dn1 = _ladder(_ladder(state, mode_s, H, False), mode_i, V, False)
-    dn2 = _ladder(_ladder(state, mode_s, V, False), mode_i, H, False)
-    raised = scale(add(up1, up2), xi)
-    lowered = scale(add(dn1, dn2), -xi.conjugate())
-    return add(raised, lowered)
-
-
-def apply_squeezer_series(
-    state: PureState, xi: complex, mode_s: int, mode_i: int, order: int
-) -> PureState:
-    """Taylor expansion of the squeezer unitary, for oracle use at small |xi|.
-
-    Creation overflow past the cutoff raises instead of silently dropping, so
-    callers must leave enough headroom (input photons + order per mode).
-    """
-    if order < 1 or order > 4:
-        raise FockError("series order must be between 1 and 4")
-    _check_mode(state, mode_s)
-    _check_mode(state, mode_i)
-    if mode_s == mode_i:
-        raise FockError("squeezer needs distinct signal and idle modes")
-    xi = complex(xi)
-    out = state
-    term = state
-    for p in range(1, order + 1):
-        term = scale(_pair_generator(term, xi, mode_s, mode_i), 1.0 / p)
-        out = add(out, term)
     return out
 
 

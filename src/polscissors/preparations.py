@@ -20,7 +20,30 @@ from .elements import apply_pol_phase
 from .scissors import PQS1, PQS2, ScissorsResult, apply_scissors, prepare_omega
 from .sources import SourceParams, coherent, xi_direct
 
-PREPARATIONS = ("hybrid-pqs1", "hybrid-pqs2", "bell-pqs1", "bell-pqs2")
+# Sweep axis of each scissors method's knob: pqs1 transmissivity, pqs2 squeezing |gamma|.
+KNOB_AXES = {"pqs1": "t", "pqs2": "gamma_abs"}
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """A named preparation: its scissors method, and whether it truncates both arms."""
+
+    method: str
+    bell: bool
+
+    @property
+    def knob_axis(self) -> str:
+        return KNOB_AXES[self.method]
+
+
+# The one place preparation names are decided; every other layer reads this table.
+PIPELINES = {
+    "hybrid-pqs1": Pipeline("pqs1", bell=False),
+    "hybrid-pqs2": Pipeline("pqs2", bell=False),
+    "bell-pqs1": Pipeline("pqs1", bell=True),
+    "bell-pqs2": Pipeline("pqs2", bell=True),
+}
+PREPARATIONS = tuple(PIPELINES)
 
 
 @dataclass(frozen=True)
@@ -168,21 +191,21 @@ def prepare_named(
     tail_bound: float = 1e-12,
 ) -> PrepResult:
     """Dispatch on a pipeline name like ``bell-pqs1``."""
-    if name not in PREPARATIONS:
+    if name not in PIPELINES:
         raise ValueError(f"unknown preparation {name!r}")
-    family, method = name.split("-")
-    runner = prepare_hybrid if family == "hybrid" else prepare_bell
-    return runner(method, delta, phi, t0, knob, cutoff, tail_bound)
+    pipeline = PIPELINES[name]
+    runner = prepare_bell if pipeline.bell else prepare_hybrid
+    return runner(pipeline.method, delta, phi, t0, knob, cutoff, tail_bound)
 
 
 def analytic_named(name: str, delta: float, phi: float, t0: float, knob: float) -> analytics.AnalyticPF:
     """Closed-form probability and fidelity for a named pipeline."""
-    if name not in PREPARATIONS:
+    if name not in PIPELINES:
         raise ValueError(f"unknown preparation {name!r}")
-    family, method = name.split("-")
-    if family == "hybrid":
-        return analytics.pf_hybrid(method, delta, phi, t0, knob)
-    return analytics.pf_bell(method, delta, phi, t0, knob)
+    pipeline = PIPELINES[name]
+    # looked up at call time, so a patched or traced closed form is the one used
+    closed_form = analytics.pf_bell if pipeline.bell else analytics.pf_hybrid
+    return closed_form(pipeline.method, delta, phi, t0, knob)
 
 
 def prepare_omega_pipeline(
@@ -201,7 +224,5 @@ def prepare_omega_pipeline(
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
     params = SourceParams(delta=delta, phi=phi, t0=t0, split_ts=split_ts, cutoff=cutoff)
-    stages = tuple(
-        _knob(m, knobs["t"] if m == "pqs1" else knobs["gamma_abs"]) for m in methods
-    )
+    stages = tuple(_knob(m, knobs[KNOB_AXES[m]]) for m in methods)
     return prepare_omega(params, n, j, stages)

@@ -32,10 +32,6 @@ from .elements import BeamSplitterSpec, apply_bs, apply_hwp, apply_pbs
 DEFAULT_TAIL_BOUND = 1e-12
 
 
-class DegenerateStateError(FockError):
-    """Construction would divide by a vanishing normalization."""
-
-
 @dataclass(frozen=True)
 class SourceParams:
     """Knobs of the entangled-source family.
@@ -105,10 +101,7 @@ def cat(
     tail_bound: float = DEFAULT_TAIL_BOUND,
 ) -> PureState:
     """Normalized superposition of |delta_pol> and exp(i phi)|-delta_pol>."""
-    try:
-        norm = analytics.cat_norm(delta, phi)
-    except analytics.DegenerateParameterError as exc:
-        raise DegenerateStateError(str(exc)) from None
+    norm = analytics.cat_norm(delta, phi)
     plus = coherent(delta, pol, cutoff, tail_bound)
     minus = coherent(-delta, pol, cutoff, tail_bound)
     return scale(add(plus, scale(minus, cmath.exp(1j * phi))), norm)
@@ -153,10 +146,7 @@ def _two_branch(
 
 def xi_direct(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:
     """Two-arm entangled coherent source built from its closed form."""
-    try:
-        norm = analytics.n0(params.delta, params.phi, params.t0)
-    except analytics.DegenerateParameterError as exc:
-        raise DegenerateStateError(str(exc)) from None
+    norm = analytics.n0(params.delta, params.phi, params.t0)
     return _two_branch(
         (params.alpha, params.beta), params.phi, params.cutoff, norm, tail_bound
     )
@@ -194,10 +184,7 @@ def lambda_state(
 ) -> PureState:
     """n-arm entangled coherent source from its closed form."""
     gammas = split_amplitudes(params, n)
-    try:
-        norm = analytics.m_n(gammas, params.phi)
-    except analytics.DegenerateParameterError as exc:
-        raise DegenerateStateError(str(exc)) from None
+    norm = analytics.m_n(gammas, params.phi)
     return _two_branch(gammas, params.phi, params.cutoff, norm, tail_bound)
 
 

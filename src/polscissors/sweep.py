@@ -13,15 +13,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import analytics
-from .config import ConfigError, ExperimentConfig, config_echo
+from .config import ExperimentConfig, config_echo
 from .fock import CutoffError
 from .preparations import (
+    PIPELINES,
     analytic_named,
     prepare_named,
     prepare_omega_pipeline,
     required_cutoff,
 )
-from .sources import DegenerateStateError
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -67,7 +67,7 @@ def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float) -> tuple:
                 config.omega_n,
                 config.omega_j,
                 config.omega_scissors,
-                {k: params.get(k) for k in ("t", "gamma_abs")},
+                params,
                 cutoff=_checked_cutoff(config, delta, t0),
                 tail_bound=config.tail_bound,
             )
@@ -75,7 +75,7 @@ def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float) -> tuple:
             p_ref = result.total_probability
             err = (None, None)
         else:
-            knob = params["t"] if config.preparation.endswith("pqs1") else params["gamma_abs"]
+            knob = params[PIPELINES[config.preparation].knob_axis]
             ana = num = None
             if config.backend in ("analytic", "both"):
                 ana = analytic_named(config.preparation, delta, phi, t0, knob)
@@ -101,9 +101,7 @@ def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float) -> tuple:
             )
             if config.backend == "both":
                 values += list(err)
-    except (DegenerateStateError, analytics.DegenerateParameterError, ValueError) as exc:
-        if isinstance(exc, (ConfigError, CutoffError)):
-            raise
+    except analytics.DegenerateParameterError:
         total = len(_cell_columns(config))
         values += [math.nan] * (total - 1 - len(values))
         values.append(STATUS_DEGENERATE)

@@ -15,9 +15,15 @@ from dataclasses import dataclass, field
 
 from . import analytics
 from .fock import H, fidelity, make_state, min_cutoff, normalize
-from .preparations import prepare_bell, prepare_hybrid, prepare_hybrid_and_bell
+from .preparations import (
+    PIPELINES,
+    PREPARATIONS,
+    analytic_named,
+    prepare_hybrid_and_bell,
+    prepare_named,
+)
 from .scissors import pqs1_apply, pqs2_apply, qs_apply
-from .sources import DegenerateStateError, coherent
+from .sources import coherent
 
 DEFAULT_BUDGET = 1e-8
 DEFAULT_RANGES = {
@@ -28,15 +34,7 @@ DEFAULT_RANGES = {
     "t0": (0.1, 0.9),
 }
 
-CHECK_NAMES = (
-    "qs",
-    "pqs1-random",
-    "pqs2-random",
-    "hybrid-pqs1",
-    "hybrid-pqs2",
-    "bell-pqs1",
-    "bell-pqs2",
-)
+CHECK_NAMES = ("qs", "pqs1-random", "pqs2-random") + PREPARATIONS
 
 
 @dataclass
@@ -118,19 +116,18 @@ def _check_pipelines(
     closed form skips only its own check.  The prepared states go out of scope
     on return, before the next method builds its source.
     """
-    skippable = (DegenerateStateError, analytics.DegenerateParameterError)
+    names = [name for name, pipeline in PIPELINES.items() if pipeline.method == method]
     try:
-        nums = prepare_hybrid_and_bell(method, delta, phi, t0, knob, tail_bound=tail_bound)
-    except skippable as exc:
-        for family in ("hybrid", "bell"):
-            stats[f"{family}-{method}"].skipped.append(f"{tag}: {exc}")
+        hybrid, bell = prepare_hybrid_and_bell(method, delta, phi, t0, knob, tail_bound=tail_bound)
+    except analytics.DegenerateParameterError as exc:
+        for name in names:
+            stats[name].skipped.append(f"{tag}: {exc}")
         return
-    closed_forms = (analytics.pf_hybrid, analytics.pf_bell)
-    for family, num, closed_form in zip(("hybrid", "bell"), nums, closed_forms):
-        name = f"{family}-{method}"
+    for name in names:
+        num = bell if PIPELINES[name].bell else hybrid
         try:
-            ana = closed_form(method, delta, phi, t0, knob)
-        except skippable as exc:
+            ana = analytic_named(name, delta, phi, t0, knob)
+        except analytics.DegenerateParameterError as exc:
             stats[name].skipped.append(f"{tag}: {exc}")
             continue
         stats[name].record(
@@ -174,7 +171,7 @@ def run_verify(
             stats["qs"].record(
                 abs(sim.total_probability - ana.probability), abs(sim_f - ana.fidelity)
             )
-        except DegenerateStateError as exc:
+        except analytics.DegenerateParameterError as exc:
             stats["qs"].skipped.append(f"{tag}: {exc}")
 
         # polarized scissors on a random two-photon-sector input
@@ -257,14 +254,8 @@ def run_spot(name: str) -> tuple[list[str], bool]:
     if name not in SPOT_POINTS:
         raise ValueError(f"unknown spot point {name!r}; have {sorted(SPOT_POINTS)}")
     pt = SPOT_POINTS[name]
-    method = pt.preparation.split("-")[1]
-    ana = (
-        analytics.pf_bell(method, pt.delta, pt.phi, pt.t0, pt.knob)
-        if pt.preparation.startswith("bell")
-        else analytics.pf_hybrid(method, pt.delta, pt.phi, pt.t0, pt.knob)
-    )
-    runner = prepare_bell if pt.preparation.startswith("bell") else prepare_hybrid
-    num = runner(method, pt.delta, pt.phi, pt.t0, pt.knob)
+    ana = analytic_named(pt.preparation, pt.delta, pt.phi, pt.t0, pt.knob)
+    num = prepare_named(pt.preparation, pt.delta, pt.phi, pt.t0, pt.knob)
     rate = analytics.count_rate(ana.probability, pt.repetition_rate)
 
     def within(value: float, expect: float) -> bool:

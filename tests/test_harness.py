@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from polscissors import analytics
+from polscissors import analytics, sweep
+from polscissors.analytics import DegenerateParameterError as DegenerateStateError
 from polscissors.config import (
     AxisSpec,
     ConfigError,
@@ -14,8 +15,7 @@ from polscissors.config import (
     parse_config_text,
     reference_grid,
 )
-from polscissors.preparations import prepare_bell, prepare_hybrid
-from polscissors.sources import DegenerateStateError
+from polscissors.preparations import PIPELINES, PREPARATIONS, prepare_bell, prepare_hybrid
 from polscissors.sweep import (
     grid_from_csv,
     grid_to_csv,
@@ -85,6 +85,22 @@ class TestConfig:
             ("phi = 0.0", "phi = nan"),
             ("t0 = 0.5", "t0 = 0.5\ndelta = inf"),
             ("repetition_rate = 6.4e6", "repetition_rate = -inf"),
+            ("start = 0.6", "start = -0.6"),
+            ("t0 = 0.5", "t0 = 0.5\ndelta = -1"),
+            ("t0 = 0.5", "t0 = 1.5"),
+            ("stop = 0.98", "stop = 1.5"),
+            ("start = 0.9", "start = 0.0"),
+            ("t0 = 0.5", "t0 = 0.5\ngamma_abs = 1.2"),
+            (
+                "preparation = bell-pqs1\nbackend = both",
+                "preparation = omega\nbackend = numeric\nomega_n = 2\nomega_j = 3\n"
+                "omega_scissors = pqs1,pqs1,pqs1",
+            ),
+            (
+                "preparation = bell-pqs1\nbackend = both",
+                "preparation = omega\nbackend = numeric\nomega_n = 3\nomega_j = 1\n"
+                "omega_scissors = pqs1\nomega_split_ts = 1.5",
+            ),
         ],
     )
     def test_invalid_configs_rejected(self, mutation):
@@ -119,9 +135,10 @@ class TestConfig:
         assert parse_config_text(ok).preparation == "omega"
 
     def test_reference_grids(self):
-        for name in ("hybrid-pqs1", "hybrid-pqs2", "bell-pqs1", "bell-pqs2"):
+        for name in PREPARATIONS:
             config = reference_grid(name)
             assert config.axis1.name == "delta"
+            assert config.axis2.name == PIPELINES[name].knob_axis
         with pytest.raises(ConfigError):
             reference_grid("omega")
 
@@ -177,6 +194,16 @@ class TestSweep:
         statuses = {row[-1] for row in grid.rows}
         assert "degenerate" in statuses
         assert "ok" in statuses
+
+    def test_internal_error_is_not_a_degenerate_row(self, monkeypatch):
+        from polscissors.fock import FockError
+
+        def broken(*args, **kwargs):
+            raise FockError("simulator bug")
+
+        monkeypatch.setattr(sweep, "prepare_named", broken)
+        with pytest.raises(FockError, match="simulator bug"):
+            run_sweep(parse_config_text(BELL_CONFIG, {"backend": "numeric"}))
 
     def test_matrix_and_json_formats(self):
         grid = run_sweep(parse_config_text(BELL_CONFIG, {"backend": "analytic"}))
@@ -326,6 +353,12 @@ class TestCli:
         config.write_text(BELL_CONFIG.replace("phi = 0.0", "phi = nan"))
         self.run_cli("sweep", "--config", str(config), expect=2)
 
+    def test_sweep_out_of_domain_exit_2(self, tmp_path):
+        config = tmp_path / "exp.ini"
+        config.write_text(BELL_CONFIG.replace("start = 0.6", "start = -1.0"))
+        proc = self.run_cli("sweep", "--config", str(config), expect=2)
+        assert "delta = -1.0 outside" in proc.stderr
+
     def test_sweep_infeasible_exit_3(self, tmp_path):
         config = tmp_path / "exp.ini"
         config.write_text(BELL_CONFIG.replace("stop = 1.0", "stop = 9.0"))
@@ -363,6 +396,10 @@ class TestCli:
         self.run_cli("state", "--prep", "warp:delta=1", expect=2)
         self.run_cli("state", "--prep", "xi:phi=0", expect=2)
         self.run_cli("state", "--prep", "xi:delta=nan", expect=2)
+        self.run_cli("state", "--prep", "bell-pqs1:delta=0.8,t=1.5", expect=2)
+        self.run_cli("state", "--prep", "hybrid-pqs2:delta=0.8,gamma_abs=1.5", expect=2)
+        self.run_cli("state", "--prep", "xi:delta=-1", expect=2)
+        self.run_cli("state", "--prep", "xi:delta=abc", expect=2)
 
     def test_spot_pass(self):
         proc = self.run_cli("spot", "--point", "bell-pqs1", expect=0)

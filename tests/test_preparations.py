@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +98,19 @@ def test_unknown_preparation_rejected():
         prepare_named("bell-pqs3", 1.0, 0.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         analytic_named("qs", 1.0, 0.0, 0.5, 0.5)
+
+
+def test_preparation_vocabulary_lives_in_preparations():
+    # every other module reads PIPELINES; none re-decides names from strings
+    banned = re.compile(
+        r'endswith\("pqs|startswith\("bell"|split\("-"\)|DegenerateStateError'
+        r'|"(?:hybrid|bell)-pqs[12]"\s*,\s*"(?:hybrid|bell)-pqs[12]"'
+    )
+    package = Path(analytics.__file__).parent
+    hits = [
+        f"{path.name}: {match.group()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "preparations.py"
+        for match in banned.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []

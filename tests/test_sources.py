@@ -4,9 +4,9 @@ import math
 import pytest
 
 from polscissors import analytics
+from polscissors.analytics import DegenerateParameterError as DegenerateStateError
 from polscissors.fock import CutoffError, FockError, fidelity, min_cutoff
 from polscissors.sources import (
-    DegenerateStateError,
     SourceParams,
     cat,
     coherent,
