@@ -104,6 +104,7 @@ def _descriptor_state(name: str, kw: dict):
     if pol not in ("H", "V"):
         raise ConfigError(f"pol must be H or V, got {pol!r}")
     tail = kw.pop("tail_bound", 1e-12)
+    check_domain("tail_bound", tail)
     if name == "coherent":
         gamma = kw.pop("gamma")
         cutoff = int(kw.pop("cutoff", max(1, min_cutoff(abs(gamma), tail))))
@@ -118,23 +119,34 @@ def _descriptor_state(name: str, kw: dict):
     t0 = kw.pop("t0", 0.5)
     check_domain("delta", delta)
     check_domain("t0", t0)
-    split_keys = sorted(
-        (k for k in kw if k.startswith("t") and k[1:].isdigit()),
-        key=lambda k: int(k[1:]),
-    )
-    split_ts = tuple(kw.pop(k) for k in split_keys)
     if name in ("xi", "xi-circuit", "lambda", "lambda-circuit", "target-omega"):
+        split_keys = sorted(
+            (k for k in kw if k.startswith("t") and k[1:].isdigit()),
+            key=lambda k: int(k[1:]),
+        )
+        split_ts = tuple(kw.pop(k) for k in split_keys)
+        for t in split_ts:
+            check_domain("omega_split_ts", t)
         cutoff = int(kw.pop("cutoff", max(1, min_cutoff(delta * 2.0**0.5, tail))))
         params = SourceParams(delta, phi, t0, split_ts, cutoff)
+        n = 2 if name in ("xi", "xi-circuit") else int(kw.pop("n", 2 + len(split_ts)))
+        if n < 2:
+            raise ConfigError(f"n = {n} arms, need n >= 2")
+        if len(split_ts) != n - 2:
+            raise ConfigError(
+                f"{n} arms need {n - 2} split transmissivities t1.., got {len(split_ts)}"
+            )
         if name == "xi":
             return xi_direct(params, tail)
         if name == "xi-circuit":
             return xi_circuit(params, tail)
-        n = int(kw.pop("n", 2 + len(split_ts)))
         if name in ("lambda", "lambda-circuit"):
             builder = lambda_state if name == "lambda" else lambda_circuit
             return builder(params, n, tail)
-        return target_omega(n, int(kw.pop("j")), params, tail)
+        j = int(kw.pop("j"))
+        if not 1 <= j <= n:
+            raise ConfigError(f"j = {j} outside 1..{n}")
+        return target_omega(n, j, params, tail)
     if name in PIPELINES:
         knob_axis = PIPELINES[name].knob_axis
         knob = kw.pop(knob_axis)

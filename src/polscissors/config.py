@@ -37,6 +37,8 @@ _DOMAINS = {
     "t": ("(0, 1)", lambda v: 0.0 < v < 1.0),
     "gamma_abs": ("[0, 1)", lambda v: 0.0 <= v < 1.0),
     "omega_split_ts": ("[0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "tail_bound": ("(0, 1)", lambda v: 0.0 < v < 1.0),
+    "max_cutoff": ("[1, inf)", lambda v: v >= 1),
 }
 
 
@@ -131,7 +133,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} = {value} is not finite")
         if not all(math.isfinite(t) for t in self.omega_split_ts):
             raise ConfigError(f"omega_split_ts {self.omega_split_ts} must all be finite")
-        bounded = [(name, getattr(self, name)) for name in ("delta", "t0", "t", "gamma_abs")]
+        bounded = [
+            (name, getattr(self, name))
+            for name in ("delta", "t0", "t", "gamma_abs", "tail_bound", "max_cutoff")
+        ]
         bounded += [("omega_split_ts", t) for t in self.omega_split_ts]
         bounded += [(a.name, v) for a in (self.axis1, self.axis2) for v in (a.start, a.stop)]
         for name, value in bounded:

@@ -67,9 +67,6 @@ class PureState:
         """Keys in the canonical order: lexicographic over (mode, n_h, n_v)."""
         return sorted(self.amplitudes)
 
-    def is_vacuum_key(self, key: OccKey) -> bool:
-        return all(nh == 0 and nv == 0 for nh, nv in key)
-
 
 def _validate_key(key: OccKey, mode_count: int, cutoff: int) -> OccKey:
     key = tuple((int(nh), int(nv)) for nh, nv in key)

@@ -10,15 +10,12 @@ within the verification budget.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 from . import analytics
-from .fock import PureState, V, add, fidelity, make_state, min_cutoff, scale, tensor
-from .elements import apply_pol_phase
-from .scissors import PQS1, PQS2, ScissorsResult, apply_scissors, prepare_omega
-from .sources import SourceParams, coherent, xi_direct
+from .fock import PureState, min_cutoff
+from .scissors import PQS1, PQS2, ScissorsResult, prepare_omega, truncation_chain
+from .sources import SourceParams
 
 # Sweep axis of each scissors method's knob: pqs1 transmissivity, pqs2 squeezing |gamma|.
 KNOB_AXES = {"pqs1": "t", "pqs2": "gamma_abs"}
@@ -67,31 +64,8 @@ def _knob(method: str, value: float) -> PQS1 | PQS2:
     raise ValueError(f"unknown scissors method {method!r}")
 
 
-def _photon_pair_target(phi: float, cutoff: int) -> PureState:
-    phase = cmath.exp(1j * phi)
-    return make_state(
-        2,
-        cutoff,
-        [((((1, 0), (1, 0))), 1.0 / math.sqrt(2.0)),
-         ((((0, 1), (0, 1))), phase / math.sqrt(2.0))],
-    )
-
-
-def _hybrid_target(alpha: float, phi: float, cutoff: int, tail_bound: float) -> PureState:
-    """Coherent arm in mode 0, photon qubit in mode 1, plus-branch phase."""
-    branch_h = tensor(
-        coherent(alpha, "H", cutoff, tail_bound),
-        make_state(1, cutoff, [((((1, 0)),), 1.0)]),
-    )
-    branch_v = tensor(
-        coherent(-alpha, "V", cutoff, tail_bound),
-        make_state(1, cutoff, [((((0, 1)),), 1.0)]),
-    )
-    combined = add(branch_h, scale(branch_v, cmath.exp(1j * phi)))
-    return scale(combined, 1.0 / math.sqrt(2.0))
-
-
-def _first_stage(
+def _two_arm_chain(
+    arms: tuple[int, ...],
     method: str,
     delta: float,
     phi: float,
@@ -99,35 +73,16 @@ def _first_stage(
     knob: float,
     cutoff: int | None,
     tail_bound: float,
-) -> tuple[SourceParams, PQS1 | PQS2, ScissorsResult]:
-    """Build the two-arm source and truncate its second arm (shared by both families)."""
+) -> tuple[PrepResult, ...]:
+    """Truncate ``arms`` of the two-arm source with one method; one result per stage run."""
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
     params = SourceParams(delta=delta, phi=phi, t0=t0, cutoff=cutoff)
-    source = xi_direct(params, tail_bound)
-    scissors = _knob(method, knob)
-    return params, scissors, apply_scissors(source, 1, scissors)
-
-
-def _hybrid_finish(params: SourceParams, first: ScissorsResult, tail_bound: float) -> PrepResult:
-    """Feed-forward pi phase on the photon qubit, then the plus-branch fidelity."""
-    if first.canonical_state is None:
-        return PrepResult(first.total_probability, 0.0, None)
-    state = apply_pol_phase(first.canonical_state, 1, V, math.pi)
-    target = _hybrid_target(params.alpha, params.phi, params.cutoff, tail_bound)
-    return PrepResult(first.total_probability, fidelity(state, target), state)
-
-
-def _bell_finish(params: SourceParams, scissors: PQS1 | PQS2, first: ScissorsResult) -> PrepResult:
-    """Truncate the first arm of the stage-one state down to the photon pair."""
-    if first.canonical_state is None:
-        return PrepResult(0.0, 0.0, None)
-    second = apply_scissors(first.canonical_state, 0, scissors)
-    total = first.total_probability * second.total_probability
-    if second.canonical_state is None:
-        return PrepResult(total, 0.0, None)
-    target = _photon_pair_target(params.phi, params.cutoff)
-    return PrepResult(total, fidelity(second.canonical_state, target), second.canonical_state)
+    scissors = (_knob(method, knob),) * len(arms)
+    return tuple(
+        PrepResult(s.total_probability, s.target_fidelity or 0.0, s.canonical_state)
+        for s in truncation_chain(params, 2, arms, scissors, tail_bound)
+    )
 
 
 def prepare_hybrid(
@@ -145,8 +100,7 @@ def prepare_hybrid(
     feed-forward pi phase on the photon qubit before comparing against the
     plus-branch target.
     """
-    params, _, first = _first_stage(method, delta, phi, t0, knob, cutoff, tail_bound)
-    return _hybrid_finish(params, first, tail_bound)
+    return _two_arm_chain((1,), method, delta, phi, t0, knob, cutoff, tail_bound)[-1]
 
 
 def prepare_bell(
@@ -159,8 +113,7 @@ def prepare_bell(
     tail_bound: float = 1e-12,
 ) -> PrepResult:
     """Truncate both arms down to the polarization Bell pair."""
-    params, scissors, first = _first_stage(method, delta, phi, t0, knob, cutoff, tail_bound)
-    return _bell_finish(params, scissors, first)
+    return _two_arm_chain((1, 0), method, delta, phi, t0, knob, cutoff, tail_bound)[-1]
 
 
 def prepare_hybrid_and_bell(
@@ -172,13 +125,14 @@ def prepare_hybrid_and_bell(
     cutoff: int | None = None,
     tail_bound: float = 1e-12,
 ) -> tuple[PrepResult, PrepResult]:
-    """Both pipelines of one method from a single first-arm truncation.
+    """Both pipelines of one method from a single truncation chain.
 
     Returns the same ``(prepare_hybrid(...), prepare_bell(...))`` values as
-    the two separate calls, with the source built and truncated once.
+    the two separate calls: the chain over the second, then the first arm is
+    read after its first stage and after its last.
     """
-    params, scissors, first = _first_stage(method, delta, phi, t0, knob, cutoff, tail_bound)
-    return _hybrid_finish(params, first, tail_bound), _bell_finish(params, scissors, first)
+    stages = _two_arm_chain((1, 0), method, delta, phi, t0, knob, cutoff, tail_bound)
+    return stages[0], stages[-1]
 
 
 def prepare_named(
@@ -225,4 +179,4 @@ def prepare_omega_pipeline(
         cutoff = required_cutoff(delta, t0, tail_bound)
     params = SourceParams(delta=delta, phi=phi, t0=t0, split_ts=split_ts, cutoff=cutoff)
     stages = tuple(_knob(m, knobs[KNOB_AXES[m]]) for m in methods)
-    return prepare_omega(params, n, j, stages)
+    return prepare_omega(params, n, j, stages, tail_bound)

@@ -109,6 +109,13 @@ def _single_photon_occ(pol: str) -> Occupation:
     return (1, 0) if pol == H else (0, 1)
 
 
+def _kept_mode_back(state: PureState, mode: int) -> PureState:
+    """Move the kept output, appended as the last mode, back to position ``mode``."""
+    order = list(range(state.mode_count - 1))
+    order.insert(mode, state.mode_count - 1)
+    return permute_modes(state, order)
+
+
 def _qs_branches(
     state: PureState, mode: int, pol: str, t: float
 ) -> list[tuple[HeraldPattern, float, PureState | None]]:
@@ -131,14 +138,9 @@ def _qs_branches(
 
     single = _single_photon_occ(pol)
     vac: Occupation = (0, 0)
-    perm = list(range(n))
-    perm[mode] = n - 1
-    for i in range(mode + 1, n):
-        perm[i] = i - 1
 
     branches = []
     for d1, d2, flip in ((single, vac, False), (vac, single, True)):
-        label = f"{pol}:D1={d1[0]},{d1[1]} D2={d2[0]},{d2[1]}"
         pattern = HeraldPattern(
             detections=((f"{pol}:D1", d1), (f"{pol}:D2", d2)),
             corrections=(pol,) if flip else (),
@@ -147,7 +149,7 @@ def _qs_branches(
         if outcome.state is None:
             branches.append((pattern, outcome.probability, None))
             continue
-        kept = permute_modes(outcome.state, perm)
+        kept = _kept_mode_back(outcome.state, mode)
         if flip:
             kept = apply_pol_phase(kept, mode, pol, math.pi)
         branches.append(
@@ -262,11 +264,7 @@ def pqs2_apply(state: PureState, mode: int, gamma: complex) -> ScissorsResult:
     if outcome.state is None:
         return ScissorsResult((HeraldedOutcome(pattern, outcome.probability, None),),
                               outcome.probability, None, 1.0)
-    perm = list(range(n))
-    perm[mode] = n - 1
-    for i in range(mode + 1, n):
-        perm[i] = i - 1
-    kept = permute_modes(outcome.state, perm)
+    kept = _kept_mode_back(outcome.state, mode)
     return ScissorsResult(
         outcomes=(HeraldedOutcome(pattern, outcome.probability, kept),),
         total_probability=outcome.probability,
@@ -283,41 +281,54 @@ def apply_scissors(state: PureState, mode: int, knob: PQS1 | PQS2) -> ScissorsRe
     raise FockError(f"unknown scissors knob {knob!r}")
 
 
+def truncation_chain(
+    params: sources.SourceParams,
+    n: int,
+    arms: tuple[int, ...],
+    scissors: tuple[PQS1 | PQS2, ...],
+    tail_bound: float = sources.DEFAULT_TAIL_BOUND,
+) -> tuple[ScissorsResult, ...]:
+    """Truncate ``arms`` of the n-arm source in order; one scored result per stage run.
+
+    Scissors are applied sequentially with renormalization between stages, so
+    a stage's total probability is the product of the stage probabilities so
+    far and its pattern agreement the worst so far; the chain stops at the
+    first stage that heralds nothing.  Each truncation flips the heralded
+    branch sign once; after an odd count the residual sign is removed by a
+    feed-forward pi phase on the first truncated arm, and the stage is scored
+    against the plus-branch ``sources.heralded_target``.  The next stage runs
+    on the state before that correction.
+    """
+    if len(scissors) != len(arms):
+        raise FockError(f"need one scissors choice per truncated arm ({len(arms)})")
+    current = sources.lambda_state(params, n, tail_bound)
+    total = agreement = 1.0
+    stages = []
+    for count, (mode, knob) in enumerate(zip(arms, scissors), 1):
+        result = apply_scissors(current, mode, knob)
+        total *= result.total_probability
+        agreement = min(agreement, result.pattern_agreement)
+        current = result.canonical_state
+        if current is None:
+            stages.append(ScissorsResult((), total, None, agreement))
+            break
+        state = apply_pol_phase(current, arms[0], V, math.pi) if count % 2 else current
+        target = sources.heralded_target(params, n, arms[:count], tail_bound)
+        stages.append(ScissorsResult((), total, state, agreement, fidelity(state, target)))
+    return tuple(stages)
+
+
 def prepare_omega(
     params: sources.SourceParams,
     n: int,
     j: int,
     scissors: tuple[PQS1 | PQS2, ...],
+    tail_bound: float = sources.DEFAULT_TAIL_BOUND,
 ) -> ScissorsResult:
-    """Truncate arms 1..j of the n-arm source and compare to the hybrid target.
+    """Truncate arms 0..j-1 of the n-arm source and compare to the hybrid target.
 
-    Scissors are applied sequentially with renormalization between stages, so
-    the total probability is the product of the stage probabilities.  Each
-    truncation flips the heralded branch sign once; for odd j the residual
-    sign is removed by a feed-forward pi phase on the first photon qubit, after
-    which the canonical state is compared against the plus-branch target.
+    This is the last stage of ``truncation_chain`` over those arms.
     """
     if not 1 <= j <= n:
         raise FockError(f"j = {j} outside 1..{n}")
-    if len(scissors) != j:
-        raise FockError(f"need one scissors choice per truncated arm ({j})")
-    current = sources.lambda_state(params, n)
-    total = 1.0
-    agreement = 1.0
-    for mode, knob in enumerate(scissors):
-        result = apply_scissors(current, mode, knob)
-        total *= result.total_probability
-        agreement = min(agreement, result.pattern_agreement)
-        if result.canonical_state is None:
-            return ScissorsResult((), total, None, agreement, None)
-        current = result.canonical_state
-    if j % 2 == 1:
-        current = apply_pol_phase(current, 0, V, math.pi)
-    target = sources.target_omega(n, j, params)
-    return ScissorsResult(
-        outcomes=(),
-        total_probability=total,
-        canonical_state=current,
-        pattern_agreement=agreement,
-        target_fidelity=fidelity(current, target),
-    )
+    return truncation_chain(params, n, tuple(range(j)), scissors, tail_bound)[-1]

@@ -9,6 +9,7 @@ merge, final split).  The two must agree to high fidelity; tests enforce it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,31 +126,41 @@ def split_amplitudes(params: SourceParams, n: int) -> tuple[float, ...]:
     return tuple(amps)
 
 
-def _branch(gammas: tuple[float, ...], pol: str, cutoff: int, tail_bound: float) -> PureState:
-    out = coherent(gammas[0], pol, cutoff, tail_bound)
-    for g in gammas[1:]:
-        out = tensor(out, coherent(g, pol, cutoff, tail_bound))
-    return out
+def _photon(pol: str, cutoff: int) -> PureState:
+    occ = (1, 0) if pol == H else (0, 1)
+    return make_state(1, cutoff, [((occ,), 1.0)])
 
 
 def _two_branch(
-    gammas: tuple[float, ...],
-    phi: float,
-    cutoff: int,
+    params: SourceParams,
+    n: int,
+    photon_arms: tuple[int, ...],
     norm: float,
     tail_bound: float,
 ) -> PureState:
-    branch_h = _branch(gammas, H, cutoff, tail_bound)
-    branch_v = _branch(tuple(-g for g in gammas), V, cutoff, tail_bound)
-    return scale(add(branch_h, scale(branch_v, cmath.exp(1j * phi))), norm)
+    """``norm (|H branch> + e^(i phi) |V branch>)`` over the n arms of the source.
+
+    Each branch holds a single photon on ``photon_arms`` and the split
+    coherent amplitudes on the other arms, negated in the V branch.
+    """
+    gammas = split_amplitudes(params, n)
+
+    def branch(pol: str, sign: float) -> PureState:
+        factors = [
+            _photon(pol, params.cutoff)
+            if k in photon_arms
+            else coherent(sign * g, pol, params.cutoff, tail_bound)
+            for k, g in enumerate(gammas)
+        ]
+        return functools.reduce(tensor, factors)
+
+    combined = add(branch(H, 1.0), scale(branch(V, -1.0), cmath.exp(1j * params.phi)))
+    return scale(combined, norm)
 
 
 def xi_direct(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:
     """Two-arm entangled coherent source built from its closed form."""
-    norm = analytics.n0(params.delta, params.phi, params.t0)
-    return _two_branch(
-        (params.alpha, params.beta), params.phi, params.cutoff, norm, tail_bound
-    )
+    return lambda_state(params, 2, tail_bound)
 
 
 def xi_circuit(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:
@@ -183,9 +194,8 @@ def lambda_state(
     params: SourceParams, n: int, tail_bound: float = DEFAULT_TAIL_BOUND
 ) -> PureState:
     """n-arm entangled coherent source from its closed form."""
-    gammas = split_amplitudes(params, n)
-    norm = analytics.m_n(gammas, params.phi)
-    return _two_branch(gammas, params.phi, params.cutoff, norm, tail_bound)
+    norm = analytics.m_n(split_amplitudes(params, n), params.phi)
+    return _two_branch(params, n, (), norm, tail_bound)
 
 
 def lambda_circuit(
@@ -207,33 +217,24 @@ def lambda_circuit(
     return work
 
 
-def _photon(pol: str, cutoff: int) -> PureState:
-    occ = (1, 0) if pol == H else (0, 1)
-    return make_state(1, cutoff, [((occ,), 1.0)])
+def heralded_target(
+    params: SourceParams,
+    n: int,
+    arms: tuple[int, ...],
+    tail_bound: float = DEFAULT_TAIL_BOUND,
+) -> PureState:
+    """Target after truncating ``arms``: photon qubits there, coherent amplitudes on the rest.
+
+    The single-photon factors make the two branches orthogonal, so the
+    ``1/sqrt(2)`` normalization is exact for any nonempty ``arms``.
+    """
+    return _two_branch(params, n, arms, 1.0 / math.sqrt(2.0), tail_bound)
 
 
 def target_omega(
     n: int, j: int, params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND
 ) -> PureState:
-    """Target after truncating arms 1..j: photon qubits on j arms, coherent rest.
-
-    Equals ``(|1_H>^j |a_H...> + e^(i phi) |1_V>^j |-a_V...>) / sqrt(2)``; the
-    single-photon factors make the branches orthogonal, so the state is
-    normalized exactly for any j >= 1.
-    """
+    """Target after truncating arms 0..j-1 (see ``heralded_target``)."""
     if not 1 <= j <= n:
         raise FockError(f"j = {j} outside 1..{n}")
-    gammas = split_amplitudes(params, n)
-    cutoff = params.cutoff
-
-    def branch(pol: str, sign: float) -> PureState:
-        out = _photon(pol, cutoff)
-        for k in range(1, n):
-            if k < j:
-                out = tensor(out, _photon(pol, cutoff))
-            else:
-                out = tensor(out, coherent(sign * gammas[k], pol, cutoff, tail_bound))
-        return out
-
-    combined = add(branch(H, 1.0), scale(branch(V, -1.0), cmath.exp(1j * params.phi)))
-    return scale(combined, 1.0 / math.sqrt(2.0))
+    return heralded_target(params, n, tuple(range(j)), tail_bound)

@@ -101,6 +101,8 @@ class TestConfig:
                 "preparation = omega\nbackend = numeric\nomega_n = 3\nomega_j = 1\n"
                 "omega_scissors = pqs1\nomega_split_ts = 1.5",
             ),
+            ("t0 = 0.5", "t0 = 0.5\ntail_bound = -1"),
+            ("t0 = 0.5", "t0 = 0.5\nmax_cutoff = 0"),
         ],
     )
     def test_invalid_configs_rejected(self, mutation):
@@ -204,6 +206,16 @@ class TestSweep:
         monkeypatch.setattr(sweep, "prepare_named", broken)
         with pytest.raises(FockError, match="simulator bug"):
             run_sweep(parse_config_text(BELL_CONFIG, {"backend": "numeric"}))
+
+    def test_omega_sweep_honours_tail_bound(self):
+        # the configured bound picks the cutoff; the source and target must use it too
+        text = BELL_CONFIG.replace(
+            "preparation = bell-pqs1\nbackend = both\nphi = 0.0",
+            "preparation = omega\nbackend = numeric\nphi = 0.7\ntail_bound = 1e-6\n"
+            "omega_n = 2\nomega_j = 2\nomega_scissors = pqs1,pqs1",
+        )
+        grid = run_sweep(parse_config_text(text))
+        assert {row[-1] for row in grid.rows} == {"ok"}
 
     def test_matrix_and_json_formats(self):
         grid = run_sweep(parse_config_text(BELL_CONFIG, {"backend": "analytic"}))
@@ -400,6 +412,9 @@ class TestCli:
         self.run_cli("state", "--prep", "hybrid-pqs2:delta=0.8,gamma_abs=1.5", expect=2)
         self.run_cli("state", "--prep", "xi:delta=-1", expect=2)
         self.run_cli("state", "--prep", "xi:delta=abc", expect=2)
+        self.run_cli("state", "--prep", "target-omega:delta=1,j=5", expect=2)
+        self.run_cli("state", "--prep", "lambda:delta=1,t1=1.5,n=3", expect=2)
+        self.run_cli("state", "--prep", "lambda:delta=1,n=0", expect=2)
 
     def test_spot_pass(self):
         proc = self.run_cli("spot", "--point", "bell-pqs1", expect=0)
