@@ -26,7 +26,15 @@ def f_n(gamma: float, n: int) -> float:
     """Coherent-state Fock amplitude exp(-gamma^2/2) gamma^n / sqrt(n!)."""
     if n < 0:
         raise ValueError("photon number must be nonnegative")
-    return math.exp(-gamma * gamma / 2.0) * gamma**n / math.sqrt(math.factorial(n))
+    try:
+        return math.exp(-gamma * gamma / 2.0) * gamma**n / math.sqrt(math.factorial(n))
+    except OverflowError:
+        # n! (n >= 171) or gamma**n left the float range: go through log space
+        if gamma == 0.0:
+            return 0.0
+        sign = -1.0 if gamma < 0.0 and n % 2 else 1.0
+        log_mag = -gamma * gamma / 2.0 + n * math.log(abs(gamma)) - math.lgamma(n + 1) / 2.0
+        return sign * math.exp(log_mag)
 
 
 def alpha_beta(delta: float, t0: float) -> tuple[float, float]:

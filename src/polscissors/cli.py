@@ -37,6 +37,16 @@ EXIT_CONFIG = 2
 EXIT_CUTOFF = 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polscissors",
@@ -56,7 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="output file (default: stdout)")
     p_sweep.add_argument("--format", choices=("csv", "matrix", "json"), default="csv")
     p_sweep.add_argument("--backend", choices=("analytic", "numeric", "both"))
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes for the numeric cells, one cell per task "
+        "(analytic sweeps always run in-process)",
+    )
 
     p_verify = sub.add_parser("verify", help="cross-validate simulation vs closed forms")
     p_verify.add_argument("--seed", type=int, required=True)
@@ -99,6 +115,14 @@ def _parse_descriptor(text: str) -> tuple[str, dict]:
     return name.strip(), kwargs
 
 
+def _pop_int(kw: dict, key: str, *default: int) -> int:
+    """Pop an integer descriptor value: ``n=2.5`` or ``n=abc`` is a ``ConfigError``."""
+    value = kw.pop(key, *default)
+    if isinstance(value, str) or value != int(value):
+        raise ConfigError(f"descriptor value {key} = {value!r} is not an integer")
+    return int(value)
+
+
 def _descriptor_state(name: str, kw: dict):
     pol = str(kw.pop("pol", "H")).upper()
     if pol not in ("H", "V"):
@@ -107,11 +131,11 @@ def _descriptor_state(name: str, kw: dict):
     check_domain("tail_bound", tail)
     if name == "coherent":
         gamma = kw.pop("gamma")
-        cutoff = int(kw.pop("cutoff", max(1, min_cutoff(abs(gamma), tail))))
+        cutoff = _pop_int(kw, "cutoff", max(1, min_cutoff(abs(gamma), tail)))
         return coherent(gamma, pol, cutoff, tail)
     if name == "cat":
         delta, phi = kw.pop("delta"), kw.pop("phi", 0.0)
-        cutoff = int(kw.pop("cutoff", max(1, min_cutoff(abs(delta), tail))))
+        cutoff = _pop_int(kw, "cutoff", max(1, min_cutoff(abs(delta), tail)))
         return cat(delta, phi, pol, cutoff, tail)
 
     delta = kw.pop("delta")
@@ -127,9 +151,9 @@ def _descriptor_state(name: str, kw: dict):
         split_ts = tuple(kw.pop(k) for k in split_keys)
         for t in split_ts:
             check_domain("omega_split_ts", t)
-        cutoff = int(kw.pop("cutoff", max(1, min_cutoff(delta * 2.0**0.5, tail))))
+        cutoff = _pop_int(kw, "cutoff", max(1, min_cutoff(delta * 2.0**0.5, tail)))
         params = SourceParams(delta, phi, t0, split_ts, cutoff)
-        n = 2 if name in ("xi", "xi-circuit") else int(kw.pop("n", 2 + len(split_ts)))
+        n = 2 if name in ("xi", "xi-circuit") else _pop_int(kw, "n", 2 + len(split_ts))
         if n < 2:
             raise ConfigError(f"n = {n} arms, need n >= 2")
         if len(split_ts) != n - 2:
@@ -143,7 +167,7 @@ def _descriptor_state(name: str, kw: dict):
         if name in ("lambda", "lambda-circuit"):
             builder = lambda_state if name == "lambda" else lambda_circuit
             return builder(params, n, tail)
-        j = int(kw.pop("j"))
+        j = _pop_int(kw, "j")
         if not 1 <= j <= n:
             raise ConfigError(f"j = {j} outside 1..{n}")
         return target_omega(n, j, params, tail)
@@ -151,10 +175,9 @@ def _descriptor_state(name: str, kw: dict):
         knob_axis = PIPELINES[name].knob_axis
         knob = kw.pop(knob_axis)
         check_domain(knob_axis, knob)
-        cutoff = kw.pop("cutoff", None)
         result = prepare_named(
             name, delta, phi, t0, knob,
-            cutoff=int(cutoff) if cutoff is not None else None,
+            cutoff=_pop_int(kw, "cutoff") if "cutoff" in kw else None,
             tail_bound=tail,
         )
         if result.state is None:
@@ -191,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
                 config = load_config(args.config, {"backend": args.backend})
             else:
                 config = reference_grid(args.reference, args.backend or "analytic")
-            grid = run_sweep(config, jobs=max(1, args.jobs))
+            grid = run_sweep(config, jobs=args.jobs)
             writer = {"csv": grid_to_csv, "matrix": grid_to_matrix, "json": grid_to_json}
             _write(writer[args.format](grid), args.out)
             return EXIT_OK

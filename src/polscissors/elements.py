@@ -213,14 +213,12 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
     # |gamma| sqrt((n+k+1)/(k+1)) falls below one, so the loops stop at the
     # compaction tolerance instead of grinding to the cutoff.
     amps: dict[OccKey, complex] = {}
-    in_norm = 0.0
     for key, amp in state.amplitudes.items():
         if key[mi] != (0, 0):
             raise FockError(
                 "squeezer kernel requires the idle mode in vacuum; "
                 f"found occupation {key[mi]} on mode {mi}"
             )
-        in_norm += amp.real * amp.real + amp.imag * amp.imag
         n, m = key[ms]
         row_n, row_m = binom_rows[n], binom_rows[m]
         base = amp * one_minus ** ((n + m + 2) / 2.0)
@@ -241,9 +239,10 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
             if not stored_any and g2 * (n + k + 1) < (k + 1):
                 break
     out = PureState(state.mode_count, cutoff, amps, tol)
-    deficit = in_norm - out.norm_squared()
-    if deficit > 1e-9:
-        log.debug("squeezer truncation dropped %.3e of squared norm", deficit)
+    if log.isEnabledFor(logging.DEBUG):
+        deficit = state.norm_squared() - out.norm_squared()
+        if deficit > 1e-9:
+            log.debug("squeezer truncation dropped %.3e of squared norm", deficit)
     return out
 
 

@@ -1,8 +1,11 @@
 """Parameter sweeps over preparation pipelines, with deterministic output.
 
-Grid cells are independent pure computations; with ``jobs > 1`` they run in a
-process pool and are merged back by cell index, so concurrent and serial runs
-produce byte-identical output.
+Grid cells are independent pure computations. With ``jobs > 1`` the cells of a
+numeric sweep (``backend`` numeric or both) run in a process pool, one cell per
+task, so the workers share the expensive large-delta cells whatever the axis
+order; results are merged back by cell index, so concurrent and serial runs
+produce byte-identical output.  Analytic-only sweeps always run in-process:
+there a pool costs many times the work.
 """
 
 from __future__ import annotations
@@ -36,11 +39,16 @@ class SweepGrid:
     max_abs_err_f: float | None
 
 
+def _runs_numeric(config: ExperimentConfig) -> bool:
+    """Whether the sweep runs the simulator (the omega preparation always does)."""
+    return config.backend in ("numeric", "both")
+
+
 def _cell_columns(config: ExperimentConfig) -> tuple[str, ...]:
     cols = [config.axis1.name, config.axis2.name]
     if config.backend in ("analytic", "both"):
         cols += ["P_analytic", "F_analytic"]
-    if config.backend in ("numeric", "both"):
+    if _runs_numeric(config):
         cols += ["P_numeric", "F_numeric"]
     if config.backend == "both":
         cols += ["abs_err_P", "abs_err_F"]
@@ -81,7 +89,7 @@ def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float) -> tuple:
                 ana = analytic_named(config.preparation, delta, phi, t0, knob)
                 values += [ana.probability, ana.fidelity]
                 p_ref = ana.probability
-            if config.backend in ("numeric", "both"):
+            if _runs_numeric(config):
                 num = prepare_named(
                     config.preparation,
                     delta,
@@ -128,7 +136,8 @@ def _cell_worker(args: tuple) -> tuple:
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
     """Fill the grid; deterministic for a given config regardless of ``jobs``."""
-    if config.backend in ("numeric", "both") or config.preparation == "omega":
+    numeric = _runs_numeric(config)
+    if numeric:
         # fail fast on an infeasible cutoff before burning through cells
         deltas = [config.delta] if config.delta is not None else []
         t0s = [config.t0]
@@ -145,9 +154,11 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
         for v1 in config.axis1.values()
         for v2 in config.axis2.values()
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(_cell_worker, cells, chunksize=8))
+    # numeric cells cost several times more at large delta: one cell per task
+    workers = min(jobs, len(cells)) if numeric else 1
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = tuple(pool.map(_cell_worker, cells))
     else:
         rows = tuple(_cell_worker(c) for c in cells)
     columns = _cell_columns(config)

@@ -36,6 +36,22 @@ class TestElementaryPieces:
         for n in range(6):
             assert f_n(-1.3, n) == pytest.approx((-1) ** n * f_n(1.3, n), abs=1e-14)
 
+    def test_f_n_unchanged_where_the_direct_formula_fits(self):
+        for gamma in (-9.3, -1.7, -0.2, 0.0, 0.3, 1.4, 2.8, 8.9):
+            for n in range(171):
+                direct = math.exp(-gamma * gamma / 2.0) * gamma**n / math.sqrt(math.factorial(n))
+                assert f_n(gamma, n).hex() == direct.hex()
+
+    def test_f_n_past_the_float_range(self):
+        # n! leaves the float range at n = 171 and 30.0**n at n = 209
+        for gamma in (12.0, -30.0):
+            norm = sum(f_n(gamma, n) ** 2 for n in range(2000))
+            assert norm == pytest.approx(1.0, abs=1e-12)
+        ratio = f_n(30.0, 171) / f_n(30.0, 170)
+        assert ratio == pytest.approx(30.0 / math.sqrt(171), rel=1e-12)
+        assert f_n(-30.0, 901) == -f_n(30.0, 901) < 0.0
+        assert f_n(0.0, 200) == 0.0
+
     def test_alpha_beta(self):
         assert alpha_beta(1.0, 0.5) == (pytest.approx(1.0), pytest.approx(1.0))
         a, b = alpha_beta(1.7, 1.0)

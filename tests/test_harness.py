@@ -54,6 +54,44 @@ stop = 0.98
 steps = 2
 """
 
+HYBRID_PQS2_CONFIG = (
+    BELL_CONFIG.replace("bell-pqs1", "hybrid-pqs2")
+    .replace("name = t", "name = gamma_abs")
+    .replace("start = 0.9\nstop = 0.98", "start = 0.03\nstop = 0.07")
+)
+
+OMEGA_CONFIG = BELL_CONFIG.replace(
+    "preparation = bell-pqs1\nbackend = both",
+    "preparation = omega\nbackend = numeric\n"
+    "gamma_abs = 0.05\nomega_n = 2\nomega_j = 2\nomega_scissors = pqs1,pqs2",
+)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the sweep's process pool by an in-process recorder; returns the pools made."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.maps = []
+            made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            items = list(iterable)
+            self.maps.append((len(items), chunksize))
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    return made
+
 
 class TestConfig:
     def test_parse_round_trip(self):
@@ -170,11 +208,34 @@ class TestSweep:
         b = grid_to_csv(run_sweep(config))
         assert a == b
 
-    def test_parallel_equals_serial(self):
-        config = parse_config_text(BELL_CONFIG)
+    @pytest.mark.parametrize(
+        "text",
+        [BELL_CONFIG, HYBRID_PQS2_CONFIG, OMEGA_CONFIG],
+        ids=["bell-pqs1", "hybrid-pqs2", "omega"],
+    )
+    def test_parallel_equals_serial(self, text):
+        config = parse_config_text(text)
         serial = grid_to_csv(run_sweep(config, jobs=1))
         parallel = grid_to_csv(run_sweep(config, jobs=2))
         assert serial == parallel
+
+    def test_numeric_cells_go_to_the_pool_one_per_task(self, pools):
+        config = parse_config_text(BELL_CONFIG, {"backend": "numeric"})
+        grid = run_sweep(config, jobs=2)
+        assert [(p.max_workers, p.maps) for p in pools] == [(2, [(6, 1)])]
+        assert grid_to_csv(grid) == grid_to_csv(run_sweep(config))
+
+    def test_pool_has_no_more_workers_than_cells(self, pools):
+        run_sweep(parse_config_text(BELL_CONFIG), jobs=64)
+        assert [p.max_workers for p in pools] == [6]
+
+    @pytest.mark.parametrize(
+        "backend,jobs", [("analytic", 2), ("analytic", 64), ("both", 1)]
+    )
+    def test_in_process_without_a_pool(self, pools, backend, jobs):
+        grid = run_sweep(parse_config_text(BELL_CONFIG, {"backend": backend}), jobs=jobs)
+        assert pools == []
+        assert {row[-1] for row in grid.rows} == {"ok"}
 
     def test_csv_round_trip(self):
         grid = run_sweep(parse_config_text(BELL_CONFIG))
@@ -415,6 +476,25 @@ class TestCli:
         self.run_cli("state", "--prep", "target-omega:delta=1,j=5", expect=2)
         self.run_cli("state", "--prep", "lambda:delta=1,t1=1.5,n=3", expect=2)
         self.run_cli("state", "--prep", "lambda:delta=1,n=0", expect=2)
+        self.run_cli("state", "--prep", "lambda:delta=1,n=abc", expect=2)
+        self.run_cli("state", "--prep", "xi:delta=1,cutoff=abc", expect=2)
+        self.run_cli("state", "--prep", "lambda:delta=1,n=2.5", expect=2)
+        self.run_cli("state", "--prep", "target-omega:delta=1,j=1.5", expect=2)
+        self.run_cli("state", "--prep", "coherent:gamma=1,cutoff=4.5", expect=2)
+
+    @pytest.mark.parametrize("prep", ["coherent:gamma=30", "cat:delta=30,phi=0.3"])
+    def test_state_past_the_float_range_of_n_factorial(self, prep):
+        # the cutoff passes n = 170, beyond which n! does not fit a float
+        proc = self.run_cli("state", "--prep", prep, "--min-amplitude", "0", expect=0)
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert max(int(key.split(",")[0][4:]) for key, _, _ in rows) > 170
+        norm = sum(float(re) ** 2 + float(im) ** 2 for _, re, im in rows)
+        assert norm == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_exit_2(self, jobs):
+        proc = self.run_cli("sweep", "--reference", "bell-pqs1", "--jobs", jobs, expect=2)
+        assert "--jobs" in proc.stderr
 
     def test_spot_pass(self):
         proc = self.run_cli("spot", "--point", "bell-pqs1", expect=0)

@@ -1,4 +1,5 @@
 import cmath
+import logging
 import math
 
 import pytest
@@ -126,6 +127,13 @@ class TestExactKernel:
         assert repr(list(out.amplitudes.items())) == repr(
             list(squeezer_reference(state, spec).items())
         )
+
+    def test_truncation_logged_at_debug_level(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="polscissors.elements"):
+            out = apply_squeezer_exact(signal_ket(0, 0), SqueezerSpec(0.9, 0, 1))
+        deficit = 1.0 - out.norm_squared()
+        assert deficit > 1e-9
+        assert caplog.messages == [f"squeezer truncation dropped {deficit:.3e} of squared norm"]
 
     def test_requires_vacuum_idle(self):
         bad = make_state(2, CUT, [(((1, 0), (0, 1)), 1.0)])
