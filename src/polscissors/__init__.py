@@ -35,7 +35,6 @@ from .elements import (
     apply_pbs,
     apply_pol_phase,
     apply_squeezer_exact,
-    gamma_from_xi,
 )
 from .sources import (
     SourceParams,

@@ -17,7 +17,7 @@ import sys
 from .analytics import DegenerateParameterError
 from .config import ConfigError, check_domain, load_config, reference_grid
 from .fock import CutoffError, dump_lines, min_cutoff
-from .preparations import PIPELINES, PREPARATIONS, prepare_named
+from .preparations import KNOB_AXES, PIPELINES, PREPARATIONS, prepare_named
 from .sources import (
     SourceParams,
     cat,
@@ -123,7 +123,14 @@ def _pop_int(kw: dict, key: str, *default: int) -> int:
     return int(value)
 
 
+# Descriptor keys that take a real number; ``phi=abc`` is a ``ConfigError``.
+_REAL_KEYS = ("gamma", "delta", "phi", "t0", *KNOB_AXES.values())
+
+
 def _descriptor_state(name: str, kw: dict):
+    for key in _REAL_KEYS:
+        if isinstance(kw.get(key), str):
+            raise ConfigError(f"descriptor value {key} = {kw[key]!r} is not a number")
     pol = str(kw.pop("pol", "H")).upper()
     if pol not in ("H", "V"):
         raise ConfigError(f"pol must be H or V, got {pol!r}")

@@ -27,6 +27,7 @@ from .fock import (
     H,
     FockError,
     OccKey,
+    Occupation,
     PureState,
     V,
     _raw_state,
@@ -93,9 +94,18 @@ def _bs_pair_terms(p: int, q: int, t: float) -> list[tuple[int, int, float]]:
     return out
 
 
-def _kept_pair_terms(p: int, q: int, t: float, cutoff: int) -> list[tuple[int, int, float]]:
+# Bound on the (p, q, t, cutoff) entries of the pair-term cache.  A 100-sample
+# verify run fills about 1,600 (each sample draws its own t); the bound keeps a
+# longer run from growing without limit.
+PAIR_TERM_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=PAIR_TERM_CACHE_SIZE)
+def _kept_pair_terms(p: int, q: int, t: float, cutoff: int) -> tuple[tuple[int, int, float], ...]:
     """The terms of ``_bs_pair_terms`` whose two output occupations fit the cutoff."""
-    return [(na, nb, w) for na, nb, w in _bs_pair_terms(p, q, t) if na <= cutoff and nb <= cutoff]
+    return tuple(
+        (na, nb, w) for na, nb, w in _bs_pair_terms(p, q, t) if na <= cutoff and nb <= cutoff
+    )
 
 
 def apply_bs(state: PureState, spec: BeamSplitterSpec) -> PureState:
@@ -103,31 +113,41 @@ def apply_bs(state: PureState, spec: BeamSplitterSpec) -> PureState:
 
     Exact on every key whose per-polarization photon total fits the cutoff;
     components pushed past the cutoff are dropped (truncation leakage).
+
+    The output is a pure function of the input: every amplitude is
+    ``amp * w_H`` then times ``w_V``, summed into its output key in input-key
+    order, so the float operations and the key insertion order do not depend
+    on earlier calls.  Single-polarization terms are cached per
+    (p, q, t, cutoff), at most ``PAIR_TERM_CACHE_SIZE`` entries.
     """
     _check_mode(state, spec.mode_a)
     _check_mode(state, spec.mode_b)
     a, b, t = spec.mode_a, spec.mode_b, spec.t
     cutoff = state.cutoff
-    # (p, q) -> expansion terms whose outputs both fit the cutoff, built once per call
-    kept_terms: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
+    # (key[a], key[b]) -> joint H x V rows, built once per call: per kept H
+    # term its weight and, per kept V term, both output occupations and the V weight
+    rows_of: dict[tuple[Occupation, Occupation], list] = {}
 
     amps: dict[OccKey, complex] = {}
+    get = amps.get
     for key, amp in state.amplitudes.items():
-        (pah, pav), (pbh, pbv) = key[a], key[b]
-        terms_h = kept_terms.get((pah, pbh))
-        if terms_h is None:
-            terms_h = kept_terms[(pah, pbh)] = _kept_pair_terms(pah, pbh, t, cutoff)
-        terms_v = kept_terms.get((pav, pbv))
-        if terms_v is None:
-            terms_v = kept_terms[(pav, pbv)] = _kept_pair_terms(pav, pbv, t, cutoff)
+        pair = (key[a], key[b])
+        rows = rows_of.get(pair)
+        if rows is None:
+            (pah, pav), (pbh, pbv) = pair
+            terms_v = _kept_pair_terms(pav, pbv, t, cutoff)
+            rows = rows_of[pair] = [
+                (wh, [((nah, nav), (nbh, nbv), wv) for nav, nbv, wv in terms_v])
+                for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, cutoff)
+            ]
         new = list(key)
-        for nah, nbh, wh in terms_h:
+        for wh, cols in rows:
             amp_h = amp * wh
-            for nav, nbv, wv in terms_v:
-                new[a] = (nah, nav)
-                new[b] = (nbh, nbv)
+            for occ_a, occ_b, wv in cols:
+                new[a] = occ_a
+                new[b] = occ_b
                 nk = tuple(new)
-                amps[nk] = amps.get(nk, 0.0 + 0.0j) + amp_h * wv
+                amps[nk] = get(nk, 0.0 + 0.0j) + amp_h * wv
     return _raw_state(state.mode_count, cutoff, amps, state.tol)
 
 
@@ -206,6 +226,10 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
     binom_rows = [
         [_sqrt_binom(n + k, n) for k in range(cutoff - n + 1)] for n in range(cutoff + 1)
     ]
+    # occ[i][j] = (i, j): the signal and idle occupations, built once per call
+    occ = [[(i, j) for j in range(cutoff + 1)] for i in range(cutoff + 1)]
+    # per signal V count m: (l, (-i gamma)^l, sqrt(C(m + l, m))) for l = 0..cutoff - m
+    l_terms = [list(zip(range(cutoff - m + 1), pows, binom_rows[m])) for m in range(cutoff + 1)]
 
     # Each (input key, k, l) hits a distinct output key (the idle occupation
     # pins k and l, which pin the input), so plain stores suffice.  Term
@@ -220,19 +244,19 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
                 f"found occupation {key[mi]} on mode {mi}"
             )
         n, m = key[ms]
-        row_n, row_m = binom_rows[n], binom_rows[m]
+        row_n, terms_m = binom_rows[n], l_terms[m]
         base = amp * one_minus ** ((n + m + 2) / 2.0)
         new = list(key)
         for k in range(cutoff - n + 1):
             ck = base * pows[k] * row_n[k]
+            signal_row = occ[n + k]
             stored_any = False
-            for l in range(cutoff - m + 1):
-                w = ck * pows[l] * row_m[l]
-                mag = abs(w)
-                if mag >= tol:
+            for l, pow_l, binom_l in terms_m:
+                w = ck * pow_l * binom_l
+                if abs(w) >= tol:
                     stored_any = True
-                    new[ms] = (n + k, m + l)
-                    new[mi] = (l, k)
+                    new[ms] = signal_row[m + l]
+                    new[mi] = occ[l][k]
                     amps[tuple(new)] = w
                 elif g2 * (m + l + 1) < (l + 1):
                     break
@@ -244,17 +268,3 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
         if deficit > 1e-9:
             log.debug("squeezer truncation dropped %.3e of squared norm", deficit)
     return out
-
-
-def gamma_from_xi(xi: complex) -> complex:
-    """Characteristic squeezing parameter of the exact kernel for coupling xi.
-
-    The pair amplitude produced by exp(xi K+ - conj(xi) K) is
-    ``exp(i arg xi) tanh |xi|`` per pair family, and the kernel encodes it as
-    ``-i gamma``; hence gamma = i exp(i arg xi) tanh(|xi|).
-    """
-    xi = complex(xi)
-    r = abs(xi)
-    if r == 0.0:
-        return 0.0 + 0.0j
-    return 1j * (xi / r) * math.tanh(r)

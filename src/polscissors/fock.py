@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 H = "H"
@@ -199,7 +200,9 @@ def project_number(
     """Project the listed modes onto exact polarized occupations.
 
     Measured modes are removed from the conditional state, so its mode count
-    drops by ``len(targets)``.
+    drops by ``len(targets)``.  Matching keys keep their input order, and the
+    probability sums their squared magnitudes in that order, so the result is
+    bitwise that of a plain per-key loop.
     """
     if not targets:
         raise FockError("no projection targets given")
@@ -217,20 +220,16 @@ def project_number(
         return ProjectionOutcome(abs(amp) ** 2, None)
 
     keep = tuple(m for m in range(state.mode_count) if m not in wanted)
-    pairs = tuple(wanted.items())
+    measured = itemgetter(*wanted)
+    expected = tuple(wanted.values()) if len(wanted) > 1 else next(iter(wanted.values()))
+    reduce_key = itemgetter(*keep) if len(keep) > 1 else (lambda key, m=keep[0]: (key[m],))
     amps: dict[OccKey, complex] = {}
     prob = 0.0
     for key, amp in state.amplitudes.items():
-        matched = True
-        for m, occ in pairs:
-            if key[m] != occ:
-                matched = False
-                break
-        if not matched:
+        if measured(key) != expected:
             continue
         prob += amp.real * amp.real + amp.imag * amp.imag
-        reduced = tuple(key[m] for m in keep)
-        amps[reduced] = amp
+        amps[reduce_key(key)] = amp
     if not amps:
         return ProjectionOutcome(prob, None)
     norm = math.sqrt(prob)
@@ -316,25 +315,3 @@ def dump_lines(state: PureState, min_amplitude: float = 0.0) -> list[str]:
             continue
         lines.append(f"{format_key(key)} {amp.real:.17e} {amp.imag:.17e}")
     return lines
-
-
-def parse_dump(lines: Iterable[str], cutoff: int, tol: float = DEFAULT_TOL) -> PureState:
-    """Rebuild a state from its canonical dump."""
-    entries = []
-    mode_count = None
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key_part, re_part, im_part = line.rsplit(" ", 2)
-        key = []
-        for cell in key_part.split(";"):
-            _, occ = cell.split(":")
-            nh, nv = occ.strip("()").split(",")
-            key.append((int(nh), int(nv)))
-        if mode_count is None:
-            mode_count = len(key)
-        entries.append((tuple(key), complex(float(re_part), float(im_part))))
-    if mode_count is None:
-        raise FockError("empty dump")
-    return make_state(mode_count, cutoff, entries, tol)

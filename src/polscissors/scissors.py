@@ -121,6 +121,12 @@ def _qs_branches(
 ) -> list[tuple[HeraldPattern, float, PureState | None]]:
     """Run one scissors module; return corrected unnormalized branch states.
 
+    The ancilla photon and its vacuum partner are split on the
+    ``BeamSplitterSpec(t, 0, 1)`` beam splitter as a two-mode, two-key state,
+    which is tensored onto the input once.  The state the detectors project is
+    bitwise the one of tensoring the ancilla and the vacuum onto the input and
+    splitting them there: same keys, same insertion order, same amplitudes.
+
     The kept output mode is moved back to ``mode``, so branch states have the
     same mode layout as the input.  Probabilities are squared norms of the
     projected components (linear in the input's squared norm).
@@ -131,12 +137,10 @@ def _qs_branches(
         raise FockError(f"mode {mode} out of range")
     n = state.mode_count
     cutoff = state.cutoff
-    ancilla = make_state(1, cutoff, [((_single_photon_occ(pol),), 1.0)])
-    work = tensor(tensor(state, ancilla), vacuum(1, cutoff))
-    work = apply_bs(work, BeamSplitterSpec(t, n, n + 1))
-    work = apply_bs(work, BeamSplitterSpec(0.5, mode, n + 1))
-
     single = _single_photon_occ(pol)
+    channel = apply_bs(make_state(2, cutoff, [((single, (0, 0)), 1.0)]), BeamSplitterSpec(t, 0, 1))
+    work = apply_bs(tensor(state, channel), BeamSplitterSpec(0.5, mode, n + 1))
+
     vac: Occupation = (0, 0)
 
     branches = []

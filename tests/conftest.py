@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from polscissors.fock import make_state, normalize
+from polscissors.fock import FockError, make_state, normalize
 
 
 def random_state(rng: random.Random, mode_count: int, cutoff: int, max_photons: int = 2):
@@ -27,6 +27,28 @@ def random_polarized_coeffs(rng: random.Random, max_photons: int = 2):
     }
     norm = math.sqrt(sum(abs(a) ** 2 for a in coeffs.values()))
     return {k: a / norm for k, a in coeffs.items()}
+
+
+def parse_dump(lines, cutoff: int):
+    """Rebuild a state from its canonical ``fock.dump_lines`` text."""
+    entries = []
+    mode_count = None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key_part, re_part, im_part = line.rsplit(" ", 2)
+        key = []
+        for cell in key_part.split(";"):
+            _, occ = cell.split(":")
+            nh, nv = occ.strip("()").split(",")
+            key.append((int(nh), int(nv)))
+        if mode_count is None:
+            mode_count = len(key)
+        entries.append((tuple(key), complex(float(re_part), float(im_part))))
+    if mode_count is None:
+        raise FockError("empty dump")
+    return make_state(mode_count, cutoff, entries)
 
 
 @pytest.fixture

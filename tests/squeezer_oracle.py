@@ -3,7 +3,8 @@
 Builds the type-II two-mode squeezer unitary exp(xi K+ - conj(xi) K) with
 K = a_sH a_iV + a_sV a_iH as a truncated Taylor series of ladder-operator
 applications.  Only the tests use it: they compare
-``polscissors.elements.apply_squeezer_exact`` against it at small |xi|.
+``polscissors.elements.apply_squeezer_exact`` against it at small |xi|, with
+the kernel's gamma taken from the coupling by ``gamma_from_xi``.
 """
 
 from __future__ import annotations
@@ -80,3 +81,17 @@ def apply_squeezer_series(
         term = scale(_pair_generator(term, xi, mode_s, mode_i), 1.0 / p)
         out = add(out, term)
     return out
+
+
+def gamma_from_xi(xi: complex) -> complex:
+    """Characteristic squeezing parameter of the exact kernel for coupling xi.
+
+    The pair amplitude produced by exp(xi K+ - conj(xi) K) is
+    ``exp(i arg xi) tanh |xi|`` per pair family, and the kernel encodes it as
+    ``-i gamma``; hence gamma = i exp(i arg xi) tanh(|xi|).
+    """
+    xi = complex(xi)
+    r = abs(xi)
+    if r == 0.0:
+        return 0.0 + 0.0j
+    return 1j * (xi / r) * math.tanh(r)

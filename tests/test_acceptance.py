@@ -15,7 +15,6 @@ from polscissors.config import reference_grid
 from polscissors.elements import (
     SqueezerSpec,
     apply_squeezer_exact,
-    gamma_from_xi,
 )
 from polscissors.fock import (
     add,
@@ -33,7 +32,7 @@ from polscissors.sweep import run_sweep
 from polscissors.verify import run_spot, run_verify
 
 from conftest import random_state
-from squeezer_oracle import apply_squeezer_series
+from squeezer_oracle import apply_squeezer_series, gamma_from_xi
 
 
 def report(name: str, ok: bool, detail: str) -> None:

@@ -16,7 +16,6 @@ from polscissors.fock import (
     make_state,
     min_cutoff,
     normalize,
-    parse_dump,
     permute_modes,
     project_number,
     scale,
@@ -25,7 +24,7 @@ from polscissors.fock import (
 )
 from polscissors.sources import coherent
 
-from conftest import random_state
+from conftest import parse_dump, random_state
 
 
 def ket(key, cutoff=4):

@@ -481,6 +481,11 @@ class TestCli:
         self.run_cli("state", "--prep", "lambda:delta=1,n=2.5", expect=2)
         self.run_cli("state", "--prep", "target-omega:delta=1,j=1.5", expect=2)
         self.run_cli("state", "--prep", "coherent:gamma=1,cutoff=4.5", expect=2)
+        self.run_cli("state", "--prep", "coherent:gamma=abc", expect=2)
+        self.run_cli("state", "--prep", "cat:delta=abc", expect=2)
+        self.run_cli("state", "--prep", "cat:delta=1,phi=abc", expect=2)
+        self.run_cli("state", "--prep", "xi:delta=1,phi=abc", expect=2)
+        self.run_cli("state", "--prep", "bell-pqs1:delta=0.8,t=0.9,phi=abc", expect=2)
 
     @pytest.mark.parametrize("prep", ["coherent:gamma=30", "cat:delta=30,phi=0.3"])
     def test_state_past_the_float_range_of_n_factorial(self, prep):

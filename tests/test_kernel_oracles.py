@@ -1,0 +1,196 @@
+"""Bitwise oracles for the heralding kernels.
+
+The scissors module splits its ancilla on a two-mode state and tensors that
+onto the input once, ``project_number`` matches keys with ``itemgetter``, and
+``apply_bs`` caches its pair terms across calls.  Each must leave every state
+a detector projects bit for bit as the plain constructions below build it:
+same keys, same insertion order, same real and imaginary parts (compared with
+``float.hex``, so even the sign of a zero counts).
+"""
+
+import random
+
+import pytest
+
+from polscissors import elements, scissors
+from polscissors.elements import BeamSplitterSpec, apply_bs
+from polscissors.fock import (
+    H,
+    FockError,
+    ProjectionOutcome,
+    PureState,
+    _raw_state,
+    make_state,
+    project_number,
+    tensor,
+    vacuum,
+)
+from polscissors.sources import SourceParams, lambda_state
+
+from conftest import random_state
+from test_elements import apply_bs_reference
+
+
+def hex_items(state):
+    """Every amplitude in insertion order, its parts as exact hex strings."""
+    if state is None:
+        return None
+    return [(key, amp.real.hex(), amp.imag.hex()) for key, amp in state.amplitudes.items()]
+
+
+def project_number_reference(state, targets):
+    """Plain per-key loop: match each measured mode, then drop it from the key."""
+    wanted = {mode: (int(occ[0]), int(occ[1])) for mode, occ in targets}
+    if len(wanted) == state.mode_count:
+        amp = state.amplitude(tuple(wanted[m] for m in range(state.mode_count)))
+        return ProjectionOutcome(abs(amp) ** 2, None)
+    keep = [m for m in range(state.mode_count) if m not in wanted]
+    amps = {}
+    prob = 0.0
+    for key, amp in state.amplitudes.items():
+        if all(key[m] == occ for m, occ in wanted.items()):
+            prob += amp.real * amp.real + amp.imag * amp.imag
+            amps[tuple(key[m] for m in keep)] = amp
+    if not amps:
+        return ProjectionOutcome(prob, None)
+    norm = prob**0.5
+    amps = {k: v / norm for k, v in amps.items()}
+    return ProjectionOutcome(prob, _raw_state(len(keep), state.cutoff, amps, state.tol))
+
+
+def qs_detector_state_reference(state, mode, pol, t):
+    """The four-step module: tensor the ancilla, tensor the vacuum, split both, mix."""
+    n, cutoff = state.mode_count, state.cutoff
+    single = (1, 0) if pol == H else (0, 1)
+    ancilla = make_state(1, cutoff, [((single,), 1.0)])
+    work = tensor(tensor(state, ancilla), vacuum(1, cutoff))
+    work = apply_bs(work, BeamSplitterSpec(t, n, n + 1))
+    return apply_bs(work, BeamSplitterSpec(0.5, mode, n + 1))
+
+
+def signed_zero_state(rng, mode_count, cutoff):
+    """Random state whose parts are often exactly +0.0 or -0.0."""
+    amps = {}
+    for _ in range(4 * mode_count + 4):
+        key = tuple((rng.randint(0, 2), rng.randint(0, 2)) for _ in range(mode_count))
+        parts = [rng.choice((0.0, -0.0, rng.gauss(0, 1))) for _ in range(2)]
+        amps[key] = complex(*parts)
+    amps = {k: a for k, a in amps.items() if abs(a) >= 1e-14} or {key: 1.0 + 0.0j}
+    return PureState(mode_count, cutoff, amps)
+
+
+def input_states():
+    rng = random.Random(7)
+    states = [random_state(rng, m, 5) for m in (1, 2, 3)]
+    states += [signed_zero_state(rng, m, 4) for m in (2, 3)]
+    states.append(lambda_state(SourceParams(0.7, 0.6, 0.4, (0.3,), 10), 3, tail_bound=1e-9))
+    return states
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Record each scissors module's input and the states its detectors project."""
+    modules = []
+    original_branches = scissors._qs_branches
+    original_project = scissors.project_number
+
+    def branches(state, mode, pol, t):
+        modules.append({"args": (state, mode, pol, t), "projected": []})
+        try:
+            return original_branches(state, mode, pol, t)
+        finally:
+            modules[-1]["done"] = True
+
+    def project(state, targets):
+        if modules and "done" not in modules[-1]:
+            modules[-1]["projected"].append((state, targets))
+        return original_project(state, targets)
+
+    monkeypatch.setattr(scissors, "_qs_branches", branches)
+    monkeypatch.setattr(scissors, "project_number", project)
+    return modules
+
+
+class TestScissorsModule:
+    @pytest.mark.parametrize("method", ["qs-H", "qs-V", "pqs1"])
+    def test_detectors_project_the_four_step_state(self, recorded, method):
+        for state in input_states():
+            for mode in range(state.mode_count):
+                if method == "pqs1":
+                    scissors.pqs1_apply(state, mode, 0.83)
+                else:
+                    scissors.qs_apply(state, mode, method[-1], 0.61)
+        assert recorded
+        for module in recorded:
+            reference = hex_items(qs_detector_state_reference(*module["args"]))
+            assert len(module["projected"]) == 2
+            for projected, _ in module["projected"]:
+                assert hex_items(projected) == reference
+
+
+class TestProjectNumber:
+    TARGETS = [
+        [(0, (1, 0))],
+        [(1, (0, 0))],
+        [(2, (1, 1)), (0, (0, 1))],
+        [(1, (0, 0)), (2, (0, 0))],
+        [(0, (0, 0)), (1, (1, 0)), (2, (0, 2))],
+    ]
+
+    @pytest.mark.parametrize("targets", TARGETS)
+    def test_bitwise_equal_to_the_plain_loop(self, targets):
+        rng = random.Random(11)
+        states = [random_state(rng, 3, 3, max_photons=1) for _ in range(4)]
+        states += [signed_zero_state(rng, 3, 3) for _ in range(4)]
+        for state in states:
+            got = project_number(state, targets)
+            ref = project_number_reference(state, targets)
+            assert got.probability.hex() == ref.probability.hex()
+            assert hex_items(got.state) == hex_items(ref.state)
+
+    def test_one_kept_mode_keeps_a_one_mode_key(self):
+        state = random_state(random.Random(3), 2, 2, max_photons=1)
+        for occ in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            got = project_number(state, [(1, occ)])
+            ref = project_number_reference(state, [(1, occ)])
+            assert hex_items(got.state) == hex_items(ref.state)
+            assert all(len(key) == 1 for key in (got.state.amplitudes if got.state else ()))
+
+    def test_bad_targets_still_raise(self):
+        state = random_state(random.Random(4), 2, 2)
+        with pytest.raises(FockError):
+            project_number(state, [(0, (0, 0)), (0, (1, 0))])
+        with pytest.raises(FockError):
+            project_number(state, [(2, (0, 0))])
+
+
+class TestPairTermCache:
+    def test_cache_is_bounded(self):
+        info = elements._kept_pair_terms.cache_info()
+        assert info.maxsize == elements.PAIR_TERM_CACHE_SIZE
+
+    @pytest.mark.parametrize("modes", [(0, 1), (2, 0)])
+    def test_output_does_not_depend_on_earlier_calls(self, modes):
+        # one set of keys at three cutoffs, so the same (p, q) pairs meet
+        # cutoffs that cut different terms, at two t values; in either call
+        # order each output is the uncached plain loop's, bit for bit
+        calls = [
+            (BeamSplitterSpec(t, *modes), random_state(random.Random(5), 3, cutoff))
+            for t in (0.37, 0.5)
+            for cutoff in (2, 4, 6)
+        ]
+        expected = [
+            [(k, v.real.hex(), v.imag.hex()) for k, v in apply_bs_reference(state, spec).items()]
+            for spec, state in calls
+        ]
+        for order in (range(len(calls)), reversed(range(len(calls)))):
+            elements._kept_pair_terms.cache_clear()
+            for i in order:
+                spec, state = calls[i]
+                assert hex_items(apply_bs(state, spec)) == expected[i]
+        # more entries than the cache holds evict the ones these calls need
+        for i in range(elements.PAIR_TERM_CACHE_SIZE + 10):
+            elements._kept_pair_terms(i % 3, 1, 0.001 + i * 1e-5, 4)
+        assert elements._kept_pair_terms.cache_info().currsize == elements.PAIR_TERM_CACHE_SIZE
+        for (spec, state), want in zip(calls, expected):
+            assert hex_items(apply_bs(state, spec)) == want

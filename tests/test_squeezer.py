@@ -8,7 +8,6 @@ from polscissors.elements import (
     SqueezerSpec,
     _sqrt_binom,
     apply_squeezer_exact,
-    gamma_from_xi,
 )
 from polscissors.fock import (
     FockError,
@@ -20,7 +19,7 @@ from polscissors.fock import (
 )
 
 from conftest import random_state
-from squeezer_oracle import CutoffOverflowError, apply_squeezer_series
+from squeezer_oracle import CutoffOverflowError, apply_squeezer_series, gamma_from_xi
 
 CUT = 8
 
