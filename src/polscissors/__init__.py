@@ -50,13 +50,11 @@ from .sources import (
 from .scissors import (
     PQS1,
     PQS2,
-    HeraldPattern,
     HeraldedOutcome,
     ScissorsResult,
     apply_scissors,
     pqs1_apply,
     pqs2_apply,
-    prepare_omega,
     qs_apply,
 )
 from .preparations import (

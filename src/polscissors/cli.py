@@ -15,7 +15,7 @@ import math
 import sys
 
 from .analytics import DegenerateParameterError
-from .config import ConfigError, check_domain, load_config, reference_grid
+from .config import ConfigError, check_domain, load_config, reference_grid, whole_number
 from .fock import CutoffError, dump_lines, min_cutoff
 from .preparations import KNOB_AXES, PIPELINES, PREPARATIONS, prepare_named
 from .sources import (
@@ -117,10 +117,7 @@ def _parse_descriptor(text: str) -> tuple[str, dict]:
 
 def _pop_int(kw: dict, key: str, *default: int) -> int:
     """Pop an integer descriptor value: ``n=2.5`` or ``n=abc`` is a ``ConfigError``."""
-    value = kw.pop(key, *default)
-    if isinstance(value, str) or value != int(value):
-        raise ConfigError(f"descriptor value {key} = {value!r} is not an integer")
-    return int(value)
+    return whole_number(f"descriptor value {key}", kw.pop(key, *default))
 
 
 # Descriptor keys that take a real number; ``phi=abc`` is a ``ConfigError``.

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 
-from .preparations import KNOB_AXES, PIPELINES, PREPARATIONS
+from .preparations import KNOB_AXES, PIPELINES, PREPARATIONS, Pipeline, omega_pipeline
 
 AXIS_NAMES = ("delta", "t", "gamma_abs", "phi", "t0")
 BACKENDS = ("analytic", "numeric", "both")
@@ -39,6 +41,7 @@ _DOMAINS = {
     "omega_split_ts": ("[0, 1]", lambda v: 0.0 <= v <= 1.0),
     "tail_bound": ("(0, 1)", lambda v: 0.0 < v < 1.0),
     "max_cutoff": ("[1, inf)", lambda v: v >= 1),
+    "repetition_rate": ("(0, inf)", lambda v: v > 0.0),
 }
 
 
@@ -48,6 +51,24 @@ def check_domain(name: str, value: float) -> None:
         interval, inside = _DOMAINS[name]
         if not isinstance(value, (int, float)) or not inside(value):
             raise ConfigError(f"{name} = {value} outside {interval}")
+
+
+_LARGEST_WHOLE = Decimal(sys.float_info.max)
+
+
+def whole_number(name: str, value: str | float) -> int:
+    """``value``, text or number, as the integer it denotes exactly.
+
+    ``2.5``, ``abc``, ``nan``, ``inf`` and anything past the float range
+    (``1e400``) raise ``ConfigError``: nothing is truncated or rounded.
+    """
+    try:
+        exact = Decimal(str(value))
+    except InvalidOperation:
+        exact = Decimal("nan")
+    if not (exact.is_finite() and abs(exact) <= _LARGEST_WHOLE and exact == int(exact)):
+        raise ConfigError(f"{name} = {value!r} is not a whole number in the float range")
+    return int(exact)
 
 
 @dataclass(frozen=True)
@@ -100,9 +121,6 @@ class ExperimentConfig:
             raise ConfigError(f"backend {self.backend!r} not one of {BACKENDS}")
         if self.axis1.name == self.axis2.name:
             raise ConfigError("the two axes must sweep different parameters")
-        for axis in (self.axis1, self.axis2):
-            if axis.name in KNOB_AXES.values() and axis.name not in self._needed_parameters():
-                raise ConfigError(f"axis {axis.name!r} is no knob of {self.preparation}")
         if self.preparation == "omega":
             if self.backend != "numeric":
                 raise ConfigError(
@@ -112,31 +130,25 @@ class ExperimentConfig:
                 raise ConfigError(
                     "omega preparation needs omega_n, omega_j and omega_scissors"
                 )
-            if self.omega_n < 2 or not 1 <= self.omega_j <= self.omega_n:
-                raise ConfigError(
-                    f"omega needs omega_n >= 2 and 1 <= omega_j <= omega_n, "
-                    f"got {self.omega_n} and {self.omega_j}"
-                )
-            if len(self.omega_scissors) != self.omega_j:
-                raise ConfigError("omega_scissors needs one method per truncated arm")
-            for m in self.omega_scissors:
-                if m not in KNOB_AXES:
-                    raise ConfigError(f"unknown scissors method {m!r}")
+            try:
+                self.pipeline  # checks n, j and one known method per truncated arm
+            except ValueError as exc:
+                raise ConfigError(f"omega_n, omega_j, omega_scissors: {exc}") from None
             if len(self.omega_split_ts) != self.omega_n - 2:
                 raise ConfigError(
                     f"omega with {self.omega_n} arms needs {self.omega_n - 2} split "
                     "transmissivities in omega_split_ts"
                 )
+        for axis in (self.axis1, self.axis2):
+            if axis.name in KNOB_AXES.values() and axis.name not in self._needed_parameters():
+                raise ConfigError(f"axis {axis.name!r} is no knob of {self.preparation}")
         for name in ("phi", "t0", "delta", "t", "gamma_abs", "repetition_rate", "tail_bound"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} = {value} is not finite")
         if not all(math.isfinite(t) for t in self.omega_split_ts):
             raise ConfigError(f"omega_split_ts {self.omega_split_ts} must all be finite")
-        bounded = [
-            (name, getattr(self, name))
-            for name in ("delta", "t0", "t", "gamma_abs", "tail_bound", "max_cutoff")
-        ]
+        bounded = [(name, getattr(self, name)) for name in _DOMAINS if name != "omega_split_ts"]
         bounded += [("omega_split_ts", t) for t in self.omega_split_ts]
         bounded += [(a.name, v) for a in (self.axis1, self.axis2) for v in (a.start, a.stop)]
         for name, value in bounded:
@@ -149,12 +161,16 @@ class ExperimentConfig:
                     f"parameter {name!r} is neither an axis nor fixed in [experiment]"
                 )
 
+    @property
+    def pipeline(self) -> Pipeline:
+        """The preparation the sweep runs: a named pipeline or the configured omega."""
+        if self.preparation == "omega":
+            return omega_pipeline(self.omega_n, self.omega_j, self.omega_scissors)
+        return PIPELINES[self.preparation]
+
     def _needed_parameters(self) -> tuple[str, ...]:
         """delta plus the knob axis of every scissors method the preparation runs."""
-        if self.preparation == "omega":
-            methods = self.omega_scissors
-        else:
-            methods = (PIPELINES[self.preparation].method,)
+        methods = self.pipeline.methods
         return ("delta",) + tuple(axis for m, axis in KNOB_AXES.items() if m in methods)
 
     def cell_parameters(self, v1: float, v2: float) -> dict[str, float]:
@@ -186,7 +202,8 @@ def _axis_from_section(section: configparser.SectionProxy) -> AxisSpec:
 
 
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    # no interpolation: a "%" in a value is text, not a reference
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -206,6 +223,10 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         except ValueError:
             raise ConfigError(f"bad float for {key!r}: {raw!r}") from None
 
+    def iget(key: str) -> int | None:
+        raw = exp.pop(key, None)
+        return None if raw is None or raw == "" else whole_number(key, raw)
+
     preparation = exp.pop("preparation", "").strip()
     backend = exp.pop("backend", "analytic").strip()
     phi = fget("phi")
@@ -215,9 +236,9 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     gamma_abs = fget("gamma_abs")
     repetition_rate = fget("repetition_rate")
     tail_bound = fget("tail_bound")
-    max_cutoff = fget("max_cutoff")
-    omega_n = fget("omega_n")
-    omega_j = fget("omega_j")
+    max_cutoff = iget("max_cutoff")
+    omega_n = iget("omega_n")
+    omega_j = iget("omega_j")
     scissors_raw = exp.pop("omega_scissors", "")
     split_raw = exp.pop("omega_split_ts", "")
     if exp:
@@ -238,9 +259,9 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         gamma_abs=gamma_abs,
         repetition_rate=repetition_rate,
         tail_bound=1e-12 if tail_bound is None else tail_bound,
-        max_cutoff=64 if max_cutoff is None else int(max_cutoff),
-        omega_n=None if omega_n is None else int(omega_n),
-        omega_j=None if omega_j is None else int(omega_j),
+        max_cutoff=64 if max_cutoff is None else max_cutoff,
+        omega_n=omega_n,
+        omega_j=omega_j,
         omega_scissors=tuple(m.strip() for m in scissors_raw.split(",") if m.strip()),
         omega_split_ts=split_ts,
     )

@@ -73,16 +73,9 @@ class PQS2:
 
 
 @dataclass(frozen=True)
-class HeraldPattern:
-    """One accepted detector pattern and the phase correction it triggers."""
-
-    detections: tuple[tuple[str, Occupation], ...]
-    corrections: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class HeraldedOutcome:
-    pattern: HeraldPattern
+    """One accepted detector pattern: its probability and corrected conditional state."""
+
     probability: float
     state: PureState | None
 
@@ -118,7 +111,7 @@ def _kept_mode_back(state: PureState, mode: int) -> PureState:
 
 def _qs_branches(
     state: PureState, mode: int, pol: str, t: float
-) -> list[tuple[HeraldPattern, float, PureState | None]]:
+) -> list[tuple[float, PureState | None]]:
     """Run one scissors module; return corrected unnormalized branch states.
 
     The ancilla photon and its vacuum partner are split on the
@@ -145,20 +138,14 @@ def _qs_branches(
 
     branches = []
     for d1, d2, flip in ((single, vac, False), (vac, single, True)):
-        pattern = HeraldPattern(
-            detections=((f"{pol}:D1", d1), (f"{pol}:D2", d2)),
-            corrections=(pol,) if flip else (),
-        )
         outcome = project_number(work, [(mode, d1), (n + 1, d2)])
         if outcome.state is None:
-            branches.append((pattern, outcome.probability, None))
+            branches.append((outcome.probability, None))
             continue
         kept = _kept_mode_back(outcome.state, mode)
         if flip:
             kept = apply_pol_phase(kept, mode, pol, math.pi)
-        branches.append(
-            (pattern, outcome.probability, scale(kept, math.sqrt(outcome.probability)))
-        )
+        branches.append((outcome.probability, scale(kept, math.sqrt(outcome.probability))))
     return branches
 
 
@@ -170,23 +157,21 @@ def _agreement(states: list[PureState]) -> float:
     return worst
 
 
-def _assemble(
-    branches: list[tuple[HeraldPattern, float, PureState | None]],
-) -> ScissorsResult:
+def _assemble(branches: list[tuple[float, PureState | None]]) -> ScissorsResult:
     outcomes = []
     corrected = []
     canonical = None
     total = 0.0
-    for pattern, prob, unnorm in branches:
+    for prob, unnorm in branches:
         total += prob
         if unnorm is None:
-            outcomes.append(HeraldedOutcome(pattern, prob, None))
+            outcomes.append(HeraldedOutcome(prob, None))
             continue
         state = normalize(unnorm)
         corrected.append(state)
         if canonical is None:
             canonical = state
-        outcomes.append(HeraldedOutcome(pattern, prob, state))
+        outcomes.append(HeraldedOutcome(prob, state))
     return ScissorsResult(
         outcomes=tuple(outcomes),
         total_probability=total,
@@ -215,40 +200,22 @@ def pqs1_apply(state: PureState, mode: int, t: float) -> ScissorsResult:
     work = apply_pbs(work, mode, n)
 
     branches = []
-    for pat_h, prob_h, st_h in _qs_branches(work, mode, H, t):
+    for _, st_h in _qs_branches(work, mode, H, t):
         if st_h is None:
             # both V patterns of a dead H branch are dead too
-            for flip_v in (False, True):
-                branches.append(
-                    (_joint_pattern(pat_h, flip_v), 0.0, None)
-                )
+            branches += [(0.0, None)] * 2
             continue
-        for pat_v, prob_v, st_v in _qs_branches(st_h, n, V, t):
-            pattern = HeraldPattern(
-                detections=pat_h.detections + pat_v.detections,
-                corrections=pat_h.corrections + pat_v.corrections,
-            )
+        for prob_v, st_v in _qs_branches(st_h, n, V, t):
             if st_v is None:
-                branches.append((pattern, prob_v, None))
+                branches.append((prob_v, None))
                 continue
             merged = apply_pbs(st_v, mode, n)
             final = project_number(merged, [(n, (0, 0))])
             if final.state is None:
-                branches.append((pattern, 0.0, None))
+                branches.append((0.0, None))
                 continue
-            branches.append(
-                (pattern, final.probability, scale(final.state, math.sqrt(final.probability)))
-            )
+            branches.append((final.probability, scale(final.state, math.sqrt(final.probability))))
     return _assemble(branches)
-
-
-def _joint_pattern(pat_h: HeraldPattern, flip_v: bool) -> HeraldPattern:
-    single = _single_photon_occ(V)
-    d1, d2 = ((0, 0), single) if flip_v else (single, (0, 0))
-    return HeraldPattern(
-        detections=pat_h.detections + ((f"{V}:D1", d1), (f"{V}:D2", d2)),
-        corrections=pat_h.corrections + ((V,) if flip_v else ()),
-    )
 
 
 def pqs2_apply(state: PureState, mode: int, gamma: complex) -> ScissorsResult:
@@ -264,16 +231,9 @@ def pqs2_apply(state: PureState, mode: int, gamma: complex) -> ScissorsResult:
     work = tensor(state, vacuum(1, state.cutoff))
     work = apply_squeezer_exact(work, SqueezerSpec(gamma, mode, n))
     outcome = project_number(work, [(mode, (1, 1))])
-    pattern = HeraldPattern(detections=(("D1", (1, 0)), ("D2", (0, 1))), corrections=())
-    if outcome.state is None:
-        return ScissorsResult((HeraldedOutcome(pattern, outcome.probability, None),),
-                              outcome.probability, None, 1.0)
-    kept = _kept_mode_back(outcome.state, mode)
+    kept = None if outcome.state is None else _kept_mode_back(outcome.state, mode)
     return ScissorsResult(
-        outcomes=(HeraldedOutcome(pattern, outcome.probability, kept),),
-        total_probability=outcome.probability,
-        canonical_state=kept,
-        pattern_agreement=1.0,
+        (HeraldedOutcome(outcome.probability, kept),), outcome.probability, kept, 1.0
     )
 
 
@@ -320,19 +280,3 @@ def truncation_chain(
         target = sources.heralded_target(params, n, arms[:count], tail_bound)
         stages.append(ScissorsResult((), total, state, agreement, fidelity(state, target)))
     return tuple(stages)
-
-
-def prepare_omega(
-    params: sources.SourceParams,
-    n: int,
-    j: int,
-    scissors: tuple[PQS1 | PQS2, ...],
-    tail_bound: float = sources.DEFAULT_TAIL_BOUND,
-) -> ScissorsResult:
-    """Truncate arms 0..j-1 of the n-arm source and compare to the hybrid target.
-
-    This is the last stage of ``truncation_chain`` over those arms.
-    """
-    if not 1 <= j <= n:
-        raise FockError(f"j = {j} outside 1..{n}")
-    return truncation_chain(params, n, tuple(range(j)), scissors, tail_bound)[-1]

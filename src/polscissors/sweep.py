@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from . import analytics
 from .config import ExperimentConfig, config_echo
 from .fock import CutoffError
-from .preparations import (
-    PIPELINES,
-    analytic_named,
-    prepare_named,
-    prepare_omega_pipeline,
-    required_cutoff,
-)
+from .preparations import analytic_named, prepare_stages, required_cutoff
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -63,59 +57,29 @@ def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float) -> tuple:
     delta = params["delta"]
     phi = params.get("phi", 0.0)
     t0 = params.get("t0", 0.5)
+    pipeline = config.pipeline
     values: list = [v1, v2]
-    p_ref: float | None = None
     try:
-        if config.preparation == "omega":
-            result = prepare_omega_pipeline(
-                delta,
-                phi,
-                t0,
-                config.omega_split_ts,
-                config.omega_n,
-                config.omega_j,
-                config.omega_scissors,
-                params,
-                cutoff=_checked_cutoff(config, delta, t0),
-                tail_bound=config.tail_bound,
-            )
-            values += [result.total_probability, result.target_fidelity or 0.0]
-            p_ref = result.total_probability
-            err = (None, None)
-        else:
-            knob = params[PIPELINES[config.preparation].knob_axis]
-            ana = num = None
-            if config.backend in ("analytic", "both"):
-                ana = analytic_named(config.preparation, delta, phi, t0, knob)
-                values += [ana.probability, ana.fidelity]
-                p_ref = ana.probability
-            if _runs_numeric(config):
-                num = prepare_named(
-                    config.preparation,
-                    delta,
-                    phi,
-                    t0,
-                    knob,
-                    cutoff=_checked_cutoff(config, delta, t0),
-                    tail_bound=config.tail_bound,
-                )
-                values += [num.probability, num.fidelity]
-                if p_ref is None:
-                    p_ref = num.probability
-            err = (
-                (abs(num.probability - ana.probability), abs(num.fidelity - ana.fidelity))
-                if config.backend == "both"
-                else (None, None)
-            )
-            if config.backend == "both":
-                values += list(err)
+        if config.backend in ("analytic", "both"):
+            knob = params[pipeline.knob_axis]
+            ana = analytic_named(config.preparation, delta, phi, t0, knob)
+            values += [ana.probability, ana.fidelity]
+        if _runs_numeric(config):
+            num = prepare_stages(
+                pipeline, delta, phi, t0, params, config.omega_split_ts,
+                cutoff=_checked_cutoff(config, delta, t0), tail_bound=config.tail_bound,
+            )[-1]
+            values += [num.probability, num.fidelity]
+        if config.backend == "both":
+            values += [abs(num.probability - ana.probability), abs(num.fidelity - ana.fidelity)]
     except analytics.DegenerateParameterError:
         total = len(_cell_columns(config))
         values += [math.nan] * (total - 1 - len(values))
         values.append(STATUS_DEGENERATE)
         return tuple(values)
     if config.repetition_rate is not None:
-        values.append(analytics.count_rate(p_ref, config.repetition_rate))
+        # the rate follows the first probability column: the closed form when there is one
+        values.append(analytics.count_rate(values[2], config.repetition_rate))
     values.append(STATUS_OK)
     return tuple(values)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from . import analytics
 from .fock import H, fidelity, make_state, min_cutoff, normalize
 from .preparations import (
+    BELL_ARMS,
     PIPELINES,
     PREPARATIONS,
     analytic_named,
@@ -124,7 +125,7 @@ def _check_pipelines(
             stats[name].skipped.append(f"{tag}: {exc}")
         return
     for name in names:
-        num = bell if PIPELINES[name].bell else hybrid
+        num = bell if PIPELINES[name].arms == BELL_ARMS else hybrid
         try:
             ana = analytic_named(name, delta, phi, t0, knob)
         except analytics.DegenerateParameterError as exc:

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from polscissors.fock import FockError, make_state, normalize
+from polscissors.scissors import truncation_chain
+from polscissors.sources import DEFAULT_TAIL_BOUND
 
 
 def random_state(rng: random.Random, mode_count: int, cutoff: int, max_photons: int = 2):
@@ -49,6 +51,13 @@ def parse_dump(lines, cutoff: int):
     if mode_count is None:
         raise FockError("empty dump")
     return make_state(mode_count, cutoff, entries)
+
+
+def prepare_omega(params, n: int, j: int, scissors, tail_bound: float = DEFAULT_TAIL_BOUND):
+    """Truncate arms 0..j-1 of the n-arm source: the last stage of ``truncation_chain``."""
+    if not 1 <= j <= n:
+        raise FockError(f"j = {j} outside 1..{n}")
+    return truncation_chain(params, n, tuple(range(j)), scissors, tail_bound)[-1]
 
 
 @pytest.fixture

@@ -141,6 +141,24 @@ class TestConfig:
             ),
             ("t0 = 0.5", "t0 = 0.5\ntail_bound = -1"),
             ("t0 = 0.5", "t0 = 0.5\nmax_cutoff = 0"),
+            ("t0 = 0.5", "t0 = 0.5\nmax_cutoff = 12.7"),
+            ("t0 = 0.5", "t0 = 0.5\nmax_cutoff = 1e400"),
+            ("repetition_rate = 6.4e6", "repetition_rate = -5"),
+            ("repetition_rate = 6.4e6", "repetition_rate = 0"),
+            *(
+                (
+                    "preparation = bell-pqs1\nbackend = both",
+                    "preparation = omega\nbackend = numeric\n" + omega,
+                )
+                for omega in (
+                    "omega_n = 2.5\nomega_j = 2\nomega_scissors = pqs1,pqs1",
+                    "omega_n = 2\nomega_j = 2.9\nomega_scissors = pqs1,pqs1",
+                    "omega_n = 2\nomega_j = inf\nomega_scissors = pqs1,pqs1",
+                    "omega_n = nan\nomega_j = 2\nomega_scissors = pqs1,pqs1",
+                    "omega_n = 2\nomega_j = 1e400\nomega_scissors = pqs1,pqs1",
+                    "omega_n = 2\nomega_j = 2\nomega_scissors = pqs1,pqs3",
+                )
+            ),
         ],
     )
     def test_invalid_configs_rejected(self, mutation):
@@ -258,15 +276,16 @@ class TestSweep:
         assert "degenerate" in statuses
         assert "ok" in statuses
 
-    def test_internal_error_is_not_a_degenerate_row(self, monkeypatch):
+    @pytest.mark.parametrize("text", [BELL_CONFIG, OMEGA_CONFIG], ids=["bell-pqs1", "omega"])
+    def test_internal_error_is_not_a_degenerate_row(self, monkeypatch, text):
         from polscissors.fock import FockError
 
         def broken(*args, **kwargs):
             raise FockError("simulator bug")
 
-        monkeypatch.setattr(sweep, "prepare_named", broken)
+        monkeypatch.setattr(sweep, "prepare_stages", broken)
         with pytest.raises(FockError, match="simulator bug"):
-            run_sweep(parse_config_text(BELL_CONFIG, {"backend": "numeric"}))
+            run_sweep(parse_config_text(text, {"backend": "numeric"}))
 
     def test_omega_sweep_honours_tail_bound(self):
         # the configured bound picks the cutoff; the source and target must use it too

@@ -114,3 +114,12 @@ def test_preparation_vocabulary_lives_in_preparations():
         for match in banned.finditer(path.read_text(encoding="utf-8"))
     ]
     assert hits == []
+    # omega is one more Pipeline: only config builds it, so only config tells it apart
+    omega = re.compile(r'[=!]=\s*"omega"|"omega"\s*[=!]=')
+    hits = [
+        f"{path.name}: {match.group()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("preparations.py", "config.py")
+        for match in omega.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []

@@ -18,12 +18,11 @@ from polscissors.scissors import (
     apply_scissors,
     pqs1_apply,
     pqs2_apply,
-    prepare_omega,
     qs_apply,
 )
 from polscissors.sources import SourceParams, coherent, xi_direct
 
-from conftest import random_polarized_coeffs, random_state
+from conftest import prepare_omega, random_polarized_coeffs, random_state
 
 
 def ket(key, cutoff=6):
