@@ -48,23 +48,20 @@ from .sources import (
     xi_direct,
 )
 from .scissors import (
-    PQS1,
-    PQS2,
     HeraldedOutcome,
     ScissorsResult,
-    apply_scissors,
     pqs1_apply,
     pqs2_apply,
     qs_apply,
 )
 from .preparations import (
     PREPARATIONS,
+    Pipeline,
     PrepResult,
     analytic_named,
     prepare_bell,
-    prepare_hybrid,
-    prepare_hybrid_and_bell,
     prepare_named,
+    prepare_stages,
     required_cutoff,
 )
 from . import analytics

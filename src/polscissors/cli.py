@@ -120,6 +120,13 @@ def _pop_int(kw: dict, key: str, *default: int) -> int:
     return whole_number(f"descriptor value {key}", kw.pop(key, *default))
 
 
+def _pop_cutoff(kw: dict, *default: int) -> int:
+    """Pop the descriptor ``cutoff``: a whole number in the range of ``max_cutoff``."""
+    cutoff = _pop_int(kw, "cutoff", *default)
+    check_domain("max_cutoff", cutoff)
+    return cutoff
+
+
 # Descriptor keys that take a real number; ``phi=abc`` is a ``ConfigError``.
 _REAL_KEYS = ("gamma", "delta", "phi", "t0", *KNOB_AXES.values())
 
@@ -135,11 +142,11 @@ def _descriptor_state(name: str, kw: dict):
     check_domain("tail_bound", tail)
     if name == "coherent":
         gamma = kw.pop("gamma")
-        cutoff = _pop_int(kw, "cutoff", max(1, min_cutoff(abs(gamma), tail)))
+        cutoff = _pop_cutoff(kw, max(1, min_cutoff(abs(gamma), tail)))
         return coherent(gamma, pol, cutoff, tail)
     if name == "cat":
         delta, phi = kw.pop("delta"), kw.pop("phi", 0.0)
-        cutoff = _pop_int(kw, "cutoff", max(1, min_cutoff(abs(delta), tail)))
+        cutoff = _pop_cutoff(kw, max(1, min_cutoff(abs(delta), tail)))
         return cat(delta, phi, pol, cutoff, tail)
 
     delta = kw.pop("delta")
@@ -155,7 +162,7 @@ def _descriptor_state(name: str, kw: dict):
         split_ts = tuple(kw.pop(k) for k in split_keys)
         for t in split_ts:
             check_domain("omega_split_ts", t)
-        cutoff = _pop_int(kw, "cutoff", max(1, min_cutoff(delta * 2.0**0.5, tail)))
+        cutoff = _pop_cutoff(kw, max(1, min_cutoff(delta * 2.0**0.5, tail)))
         params = SourceParams(delta, phi, t0, split_ts, cutoff)
         n = 2 if name in ("xi", "xi-circuit") else _pop_int(kw, "n", 2 + len(split_ts))
         if n < 2:
@@ -181,7 +188,7 @@ def _descriptor_state(name: str, kw: dict):
         check_domain(knob_axis, knob)
         result = prepare_named(
             name, delta, phi, t0, knob,
-            cutoff=_pop_int(kw, "cutoff") if "cutoff" in kw else None,
+            cutoff=_pop_cutoff(kw) if "cutoff" in kw else None,
             tail_bound=tail,
         )
         if result.state is None:

@@ -279,10 +279,10 @@ def coherent_tail_weight(gamma: float, cutoff: int) -> float:
     n = cutoff + 1
     log_term = -mean + n * math.log(mean) - math.lgamma(n + 1)
     term = math.exp(log_term)
-    if term <= 1e-320 and n <= mean:
-        # The first tail term underflowed below the Poisson mode.  Terms rise
-        # up to the mode, so the kept weight is at most (cutoff + 1) * 1e-320
-        # and the tail rounds to 1.
+    if not term > 1e-320 and n <= mean:
+        # The first tail term underflowed below the Poisson mode, or is nan
+        # because gamma^2 overflowed.  Terms rise up to the mode, so the kept
+        # weight is at most (cutoff + 1) * 1e-320 and the tail rounds to 1.
         return 1.0
     total = 0.0
     while term > total * 1e-18 + 1e-320:

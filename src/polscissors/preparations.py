@@ -10,13 +10,15 @@ two must agree within the verification budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import analytics
-from .fock import PureState, min_cutoff
-from .scissors import PQS1, PQS2, truncation_chain
-from .sources import SourceParams
+from .elements import apply_pol_phase
+from .fock import V, PureState, fidelity, min_cutoff
+from .scissors import pqs1_apply, pqs2_apply
+from .sources import SourceParams, heralded_target, lambda_state
 
 # Sweep axis of each scissors method's knob: pqs1 transmissivity, pqs2 squeezing |gamma|.
 KNOB_AXES = {"pqs1": "t", "pqs2": "gamma_abs"}
@@ -37,6 +39,11 @@ class Pipeline:
         for method in self.methods:
             if method not in KNOB_AXES:
                 raise ValueError(f"unknown scissors method {method!r}")
+        if len(self.methods) != len(self.arms):
+            raise ValueError(
+                f"need one scissors method per truncated arm ({len(self.arms)}), "
+                f"got {len(self.methods)}"
+            )
 
     @cached_property
     def method(self) -> str:
@@ -63,8 +70,6 @@ def omega_pipeline(n: int, j: int, methods: tuple[str, ...]) -> Pipeline:
     """The Omega_{n,j} preparation: arms ``0..j-1`` of the n-arm source, one method each."""
     if n < 2 or not 1 <= j <= n:
         raise ValueError(f"omega needs n >= 2 and 1 <= j <= n, got n = {n} and j = {j}")
-    if len(methods) != j:
-        raise ValueError(f"need one scissors method per truncated arm ({j}), got {len(methods)}")
     return Pipeline(tuple(methods), tuple(range(j)), n)
 
 
@@ -81,10 +86,6 @@ def required_cutoff(delta: float, t0: float, tail_bound: float = 1e-12) -> int:
     return max(1, min_cutoff(max(a, b), tail_bound))
 
 
-def _knob(method: str, value: float) -> PQS1 | PQS2:
-    return PQS1(t=value) if method == "pqs1" else PQS2(gamma=complex(value))
-
-
 def prepare_stages(
     pipeline: Pipeline,
     delta: float,
@@ -98,36 +99,39 @@ def prepare_stages(
     """Run ``pipeline`` by full circuit simulation; one result per stage run.
 
     ``knobs`` maps each method's knob axis (``KNOB_AXES``) to its value, so a
-    sweep cell's parameters can be passed as they are.  The last result is
-    the preparation's; the chain stops early at a stage that heralds nothing.
+    sweep cell's parameters can be passed as they are.  The scissors run
+    sequentially with renormalization between stages, so a stage's
+    probability is the product of the stage probabilities so far; the chain
+    stops at the first stage that heralds nothing.  Each truncation flips the
+    heralded branch sign once; after an odd count the residual sign is removed
+    by a feed-forward pi phase on the first truncated arm, and the stage is
+    scored against the plus-branch ``heralded_target``.  The next stage runs
+    on the state before that correction.  The last result is the
+    preparation's.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
     params = SourceParams(delta=delta, phi=phi, t0=t0, split_ts=split_ts, cutoff=cutoff)
-    scissors = tuple(_knob(m, knobs[KNOB_AXES[m]]) for m in pipeline.methods)
-    return tuple(
-        PrepResult(s.total_probability, s.target_fidelity or 0.0, s.canonical_state)
-        for s in truncation_chain(params, pipeline.n, pipeline.arms, scissors, tail_bound)
-    )
-
-
-def prepare_hybrid(
-    method: str,
-    delta: float,
-    phi: float,
-    t0: float,
-    knob: float,
-    cutoff: int | None = None,
-    tail_bound: float = 1e-12,
-) -> PrepResult:
-    """Truncate the second arm of the two-arm source; full circuit simulation.
-
-    The heralded branch sign left by the single truncation is removed by a
-    feed-forward pi phase on the photon qubit before comparing against the
-    plus-branch target.
-    """
-    pipeline, knobs = Pipeline((method,), HYBRID_ARMS), {KNOB_AXES[method]: knob}
-    return prepare_stages(pipeline, delta, phi, t0, knobs, cutoff=cutoff, tail_bound=tail_bound)[-1]
+    arms = pipeline.arms
+    current = lambda_state(params, pipeline.n, tail_bound)
+    probability = 1.0
+    stages = []
+    for count, (mode, method) in enumerate(zip(arms, pipeline.methods), 1):
+        knob = knobs[KNOB_AXES[method]]
+        # looked up at call time, so a patched or traced scissors is the one used
+        if method == "pqs1":
+            result = pqs1_apply(current, mode, knob)
+        else:
+            result = pqs2_apply(current, mode, complex(knob))
+        probability *= result.total_probability
+        current = result.canonical_state
+        if current is None:
+            stages.append(PrepResult(probability, 0.0, None))
+            break
+        state = apply_pol_phase(current, arms[0], V, math.pi) if count % 2 else current
+        target = heralded_target(params, pipeline.n, arms[:count], tail_bound)
+        stages.append(PrepResult(probability, fidelity(state, target), state))
+    return tuple(stages)
 
 
 def prepare_bell(
@@ -144,26 +148,6 @@ def prepare_bell(
     return prepare_stages(pipeline, delta, phi, t0, knobs, cutoff=cutoff, tail_bound=tail_bound)[-1]
 
 
-def prepare_hybrid_and_bell(
-    method: str,
-    delta: float,
-    phi: float,
-    t0: float,
-    knob: float,
-    cutoff: int | None = None,
-    tail_bound: float = 1e-12,
-) -> tuple[PrepResult, PrepResult]:
-    """Both pipelines of one method from a single truncation chain.
-
-    Returns the same ``(prepare_hybrid(...), prepare_bell(...))`` values as
-    the two separate calls: the chain over the second, then the first arm is
-    read after its first stage and after its last.
-    """
-    pipeline, knobs = Pipeline((method, method), BELL_ARMS), {KNOB_AXES[method]: knob}
-    stages = prepare_stages(pipeline, delta, phi, t0, knobs, cutoff=cutoff, tail_bound=tail_bound)
-    return stages[0], stages[-1]
-
-
 def prepare_named(
     name: str,
     delta: float,
@@ -173,12 +157,12 @@ def prepare_named(
     cutoff: int | None = None,
     tail_bound: float = 1e-12,
 ) -> PrepResult:
-    """Dispatch on a pipeline name like ``bell-pqs1``."""
+    """Run the named pipeline, such as ``bell-pqs1``; the preparation's result."""
     if name not in PIPELINES:
         raise ValueError(f"unknown preparation {name!r}")
     pipeline = PIPELINES[name]
-    runner = prepare_bell if pipeline.arms == BELL_ARMS else prepare_hybrid
-    return runner(pipeline.method, delta, phi, t0, knob, cutoff, tail_bound)
+    knobs = {pipeline.knob_axis: knob}
+    return prepare_stages(pipeline, delta, phi, t0, knobs, cutoff=cutoff, tail_bound=tail_bound)[-1]
 
 
 def analytic_named(name: str, delta: float, phi: float, t0: float, knob: float) -> analytics.AnalyticPF:

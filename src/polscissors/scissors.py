@@ -47,29 +47,6 @@ from .elements import (
     apply_pol_phase,
     apply_squeezer_exact,
 )
-from . import sources
-
-
-@dataclass(frozen=True)
-class PQS1:
-    """Linear-optics scissors knob: beam-splitter transmissivity."""
-
-    t: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.t < 1.0:
-            raise FockError(f"degenerate scissors transmissivity t = {self.t}")
-
-
-@dataclass(frozen=True)
-class PQS2:
-    """Squeezer scissors knob: characteristic squeezing parameter."""
-
-    gamma: complex
-
-    def __post_init__(self) -> None:
-        if abs(self.gamma) >= 1.0:
-            raise FockError(f"|gamma| = {abs(self.gamma)} must be < 1")
 
 
 @dataclass(frozen=True)
@@ -87,15 +64,13 @@ class ScissorsResult:
     ``total_probability`` sums the pattern probabilities; ``canonical_state``
     is the shared corrected conditional state (None when nothing is heralded);
     ``pattern_agreement`` is the minimum pairwise fidelity among the corrected
-    pattern states.  ``target_fidelity`` is filled by preparation pipelines
-    that compare against a supplied target.
+    pattern states.
     """
 
     outcomes: tuple[HeraldedOutcome, ...]
     total_probability: float
     canonical_state: PureState | None
     pattern_agreement: float
-    target_fidelity: float | None = None
 
 
 def _single_photon_occ(pol: str) -> Occupation:
@@ -235,48 +210,3 @@ def pqs2_apply(state: PureState, mode: int, gamma: complex) -> ScissorsResult:
     return ScissorsResult(
         (HeraldedOutcome(outcome.probability, kept),), outcome.probability, kept, 1.0
     )
-
-
-def apply_scissors(state: PureState, mode: int, knob: PQS1 | PQS2) -> ScissorsResult:
-    if isinstance(knob, PQS1):
-        return pqs1_apply(state, mode, knob.t)
-    if isinstance(knob, PQS2):
-        return pqs2_apply(state, mode, knob.gamma)
-    raise FockError(f"unknown scissors knob {knob!r}")
-
-
-def truncation_chain(
-    params: sources.SourceParams,
-    n: int,
-    arms: tuple[int, ...],
-    scissors: tuple[PQS1 | PQS2, ...],
-    tail_bound: float = sources.DEFAULT_TAIL_BOUND,
-) -> tuple[ScissorsResult, ...]:
-    """Truncate ``arms`` of the n-arm source in order; one scored result per stage run.
-
-    Scissors are applied sequentially with renormalization between stages, so
-    a stage's total probability is the product of the stage probabilities so
-    far and its pattern agreement the worst so far; the chain stops at the
-    first stage that heralds nothing.  Each truncation flips the heralded
-    branch sign once; after an odd count the residual sign is removed by a
-    feed-forward pi phase on the first truncated arm, and the stage is scored
-    against the plus-branch ``sources.heralded_target``.  The next stage runs
-    on the state before that correction.
-    """
-    if len(scissors) != len(arms):
-        raise FockError(f"need one scissors choice per truncated arm ({len(arms)})")
-    current = sources.lambda_state(params, n, tail_bound)
-    total = agreement = 1.0
-    stages = []
-    for count, (mode, knob) in enumerate(zip(arms, scissors), 1):
-        result = apply_scissors(current, mode, knob)
-        total *= result.total_probability
-        agreement = min(agreement, result.pattern_agreement)
-        current = result.canonical_state
-        if current is None:
-            stages.append(ScissorsResult((), total, None, agreement))
-            break
-        state = apply_pol_phase(current, arms[0], V, math.pi) if count % 2 else current
-        target = sources.heralded_target(params, n, arms[:count], tail_bound)
-        stages.append(ScissorsResult((), total, state, agreement, fidelity(state, target)))
-    return tuple(stages)

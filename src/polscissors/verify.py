@@ -17,11 +17,13 @@ from . import analytics
 from .fock import H, fidelity, make_state, min_cutoff, normalize
 from .preparations import (
     BELL_ARMS,
+    KNOB_AXES,
     PIPELINES,
     PREPARATIONS,
+    Pipeline,
     analytic_named,
-    prepare_hybrid_and_bell,
     prepare_named,
+    prepare_stages,
 )
 from .scissors import pqs1_apply, pqs2_apply, qs_apply
 from .sources import coherent
@@ -111,21 +113,26 @@ def _check_pipelines(
     knob: float,
     tail_bound: float,
 ) -> None:
-    """Record the hybrid and Bell checks of one method from one shared first stage.
+    """Record the hybrid and Bell checks of one method from one Bell chain.
 
-    A degenerate source skips both checks with the same reason; a degenerate
-    closed form skips only its own check.  The prepared states go out of scope
-    on return, before the next method builds its source.
+    The hybrid arms ``(1,)`` are the first stage of the Bell arms ``(1, 0)``,
+    so each check reads the chain's stage at its own arm count.  A degenerate
+    source skips both checks with the same reason; a degenerate closed form
+    skips only its own check.  The prepared states go out of scope on return,
+    before the next method builds its source.
     """
     names = [name for name, pipeline in PIPELINES.items() if pipeline.method == method]
+    bell = Pipeline((method, method), BELL_ARMS)
     try:
-        hybrid, bell = prepare_hybrid_and_bell(method, delta, phi, t0, knob, tail_bound=tail_bound)
+        stages = prepare_stages(
+            bell, delta, phi, t0, {KNOB_AXES[method]: knob}, tail_bound=tail_bound
+        )
     except analytics.DegenerateParameterError as exc:
         for name in names:
             stats[name].skipped.append(f"{tag}: {exc}")
         return
     for name in names:
-        num = bell if PIPELINES[name].arms == BELL_ARMS else hybrid
+        num = stages[: len(PIPELINES[name].arms)][-1]
         try:
             ana = analytic_named(name, delta, phi, t0, knob)
         except analytics.DegenerateParameterError as exc:

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from polscissors.fock import FockError, make_state, normalize
-from polscissors.scissors import truncation_chain
-from polscissors.sources import DEFAULT_TAIL_BOUND
+from polscissors.preparations import HYBRID_ARMS, KNOB_AXES, Pipeline, prepare_stages
 
 
 def random_state(rng: random.Random, mode_count: int, cutoff: int, max_photons: int = 2):
@@ -53,11 +52,23 @@ def parse_dump(lines, cutoff: int):
     return make_state(mode_count, cutoff, entries)
 
 
-def prepare_omega(params, n: int, j: int, scissors, tail_bound: float = DEFAULT_TAIL_BOUND):
-    """Truncate arms 0..j-1 of the n-arm source: the last stage of ``truncation_chain``."""
-    if not 1 <= j <= n:
-        raise FockError(f"j = {j} outside 1..{n}")
-    return truncation_chain(params, n, tuple(range(j)), scissors, tail_bound)[-1]
+def prepare_hybrid(
+    method: str,
+    delta: float,
+    phi: float,
+    t0: float,
+    knob: float,
+    cutoff: int | None = None,
+    tail_bound: float = 1e-12,
+):
+    """Truncate the second arm of the two-arm source; full circuit simulation.
+
+    The heralded branch sign left by the single truncation is removed by a
+    feed-forward pi phase on the photon qubit before comparing against the
+    plus-branch target.
+    """
+    pipeline, knobs = Pipeline((method,), HYBRID_ARMS), {KNOB_AXES[method]: knob}
+    return prepare_stages(pipeline, delta, phi, t0, knobs, cutoff=cutoff, tail_bound=tail_bound)[-1]
 
 
 @pytest.fixture

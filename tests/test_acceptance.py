@@ -25,13 +25,12 @@ from polscissors.fock import (
     scale,
     vacuum,
 )
-from polscissors.preparations import prepare_hybrid
 from polscissors.scissors import pqs1_apply, pqs2_apply, qs_apply
 from polscissors.sources import SourceParams, lambda_circuit, lambda_state, xi_circuit, xi_direct
 from polscissors.sweep import run_sweep
 from polscissors.verify import run_spot, run_verify
 
-from conftest import random_state
+from conftest import prepare_hybrid, random_state
 from squeezer_oracle import apply_squeezer_series, gamma_from_xi
 
 

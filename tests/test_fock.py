@@ -262,6 +262,12 @@ class TestTailWeights:
         assert c > 30.0**2
         assert coherent_tail_weight(30.0, c) <= 1e-12 < coherent_tail_weight(30.0, c - 1)
 
+    def test_overflowing_mean_keeps_the_whole_tail(self):
+        # gamma^2 overflows to inf past gamma ~ 1.34e154: no cutoff keeps the state
+        assert coherent_tail_weight(1e200, 5) == 1.0
+        with pytest.raises(CutoffError):
+            min_cutoff(1e200)
+
 
 class TestPermute:
     def test_swap(self):

@@ -15,7 +15,7 @@ from polscissors.config import (
     parse_config_text,
     reference_grid,
 )
-from polscissors.preparations import PIPELINES, PREPARATIONS, prepare_bell, prepare_hybrid
+from polscissors.preparations import PIPELINES, PREPARATIONS, prepare_bell
 from polscissors.sweep import (
     grid_from_csv,
     grid_to_csv,
@@ -32,6 +32,8 @@ from polscissors.verify import (
     run_spot,
     run_verify,
 )
+
+from conftest import prepare_hybrid
 
 BELL_CONFIG = """
 [experiment]
@@ -456,6 +458,13 @@ class TestCli:
         config.write_text(BELL_CONFIG.replace("stop = 1.0", "stop = 9.0"))
         self.run_cli("sweep", "--config", str(config), expect=3)
 
+    def test_sweep_past_the_float_range_of_gamma_squared_exit_3(self, tmp_path):
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            BELL_CONFIG.replace("start = 0.6", "start = 1e160").replace("stop = 1.0", "stop = 2e160")
+        )
+        self.run_cli("sweep", "--config", str(config), "--backend", "numeric", expect=3)
+
     def test_verify_exit_codes(self):
         proc = self.run_cli("verify", "--seed", "1", "--samples", "2", expect=0)
         assert "PASS" in proc.stdout
@@ -505,6 +514,14 @@ class TestCli:
         self.run_cli("state", "--prep", "cat:delta=1,phi=abc", expect=2)
         self.run_cli("state", "--prep", "xi:delta=1,phi=abc", expect=2)
         self.run_cli("state", "--prep", "bell-pqs1:delta=0.8,t=0.9,phi=abc", expect=2)
+        self.run_cli("state", "--prep", "coherent:gamma=1,cutoff=-3", expect=2)
+        self.run_cli("state", "--prep", "xi:delta=1,cutoff=-1", expect=2)
+        self.run_cli("state", "--prep", "bell-pqs1:delta=0.8,t=0.9,cutoff=-2", expect=2)
+        self.run_cli("state", "--prep", "coherent:gamma=0,cutoff=0", expect=2)
+
+    @pytest.mark.parametrize("prep", ["coherent:gamma=1e200", "cat:delta=1e200", "xi:delta=1e200"])
+    def test_state_past_the_float_range_of_gamma_squared_exit_3(self, prep):
+        self.run_cli("state", "--prep", prep, expect=3)
 
     @pytest.mark.parametrize("prep", ["coherent:gamma=30", "cat:delta=30,phi=0.3"])
     def test_state_past_the_float_range_of_n_factorial(self, prep):

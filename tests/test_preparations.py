@@ -7,16 +7,20 @@ import pytest
 from polscissors import analytics
 from polscissors.fock import fidelity, make_state, min_cutoff
 from polscissors.preparations import (
+    BELL_ARMS,
+    KNOB_AXES,
     PREPARATIONS,
+    Pipeline,
     analytic_named,
     prepare_bell,
-    prepare_hybrid,
-    prepare_hybrid_and_bell,
     prepare_named,
+    prepare_stages,
     required_cutoff,
 )
 from polscissors.scissors import pqs1_apply
 from polscissors.sources import SourceParams, xi_direct
+
+from conftest import prepare_hybrid
 
 POINTS = [
     # (delta, phi, t0, t, gamma_abs)
@@ -47,7 +51,8 @@ def _bits(result):
 @pytest.mark.parametrize("method,knob", [("pqs1", 0.9), ("pqs2", 0.07)])
 def test_shared_first_stage_matches_separate_pipelines(method, knob, delta):
     phi, t0 = 0.7, 0.45
-    hybrid, bell = prepare_hybrid_and_bell(method, delta, phi, t0, knob)
+    chain = Pipeline((method, method), BELL_ARMS)
+    hybrid, bell = prepare_stages(chain, delta, phi, t0, {KNOB_AXES[method]: knob})
     assert _bits(hybrid) == _bits(prepare_hybrid(method, delta, phi, t0, knob))
     assert _bits(bell) == _bits(prepare_bell(method, delta, phi, t0, knob))
 

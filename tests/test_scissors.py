@@ -12,17 +12,11 @@ from polscissors.fock import (
     tensor,
     vacuum,
 )
-from polscissors.scissors import (
-    PQS1,
-    PQS2,
-    apply_scissors,
-    pqs1_apply,
-    pqs2_apply,
-    qs_apply,
-)
+from polscissors.preparations import Pipeline, omega_pipeline, prepare_stages, required_cutoff
+from polscissors.scissors import pqs1_apply, pqs2_apply, qs_apply
 from polscissors.sources import SourceParams, coherent, xi_direct
 
-from conftest import prepare_omega, random_polarized_coeffs, random_state
+from conftest import random_polarized_coeffs, random_state
 
 
 def ket(key, cutoff=6):
@@ -258,40 +252,44 @@ class TestPqs2:
             pqs2_apply(vacuum(1, 4), 0, 1.0)
 
 
+def prepare_omega(n, j, methods, knobs, delta, phi, t0, split_ts, cutoff):
+    """The preparation's result of ``omega_pipeline(n, j, methods)``."""
+    pipeline = omega_pipeline(n, j, methods)
+    return prepare_stages(pipeline, delta, phi, t0, knobs, split_ts, cutoff)[-1]
+
+
 class TestPrepareOmega:
     def test_two_arm_single_truncation_matches_closed_form(self):
         delta, phi, t0, t = 1.0, 0.6, 0.5, 0.7
-        params = SourceParams(delta, phi, t0, (), 18)
-        result = prepare_omega(params, 2, 1, (PQS1(t),))
+        result = prepare_omega(2, 1, ("pqs1",), {"t": t}, delta, phi, t0, (), 18)
         # truncating arm 1 swaps the roles of the two split amplitudes
         pf = analytics.pf_hybrid("pqs1", delta, phi, 1 - t0, t)
-        assert result.total_probability == pytest.approx(pf.probability, abs=1e-10)
-        assert result.target_fidelity == pytest.approx(pf.fidelity, abs=1e-10)
+        assert result.probability == pytest.approx(pf.probability, abs=1e-10)
+        assert result.fidelity == pytest.approx(pf.fidelity, abs=1e-10)
 
     def test_two_arm_double_truncation_matches_closed_form(self):
         delta, phi, t0, t = 0.9, 0.0, 0.5, 0.8
-        params = SourceParams(delta, phi, t0, (), 18)
-        result = prepare_omega(params, 2, 2, (PQS1(t), PQS1(t)))
+        result = prepare_omega(2, 2, ("pqs1", "pqs1"), {"t": t}, delta, phi, t0, (), 18)
         pf = analytics.pf_bell("pqs1", delta, phi, t0, t)
-        assert result.total_probability == pytest.approx(pf.probability, abs=1e-10)
-        assert result.target_fidelity == pytest.approx(pf.fidelity, abs=1e-10)
+        assert result.probability == pytest.approx(pf.probability, abs=1e-10)
+        assert result.fidelity == pytest.approx(pf.fidelity, abs=1e-10)
 
     def test_mixed_scissors_chain(self):
-        params = SourceParams(0.8, 0.3, 0.5, (), 16)
-        result = prepare_omega(params, 2, 2, (PQS1(0.9), PQS2(0.08)))
-        assert 0 < result.total_probability < 1
-        assert result.target_fidelity > 0.8
+        knobs = {"t": 0.9, "gamma_abs": 0.08}
+        result = prepare_omega(2, 2, ("pqs1", "pqs2"), knobs, 0.8, 0.3, 0.5, (), 16)
+        assert 0 < result.probability < 1
+        assert result.fidelity > 0.8
 
     def test_three_arm_ghz_limits(self):
-        params = SourceParams(0.8, 0.0, 0.5, (0.5,), 16)
+        source = (0.8, 0.0, 0.5, (0.5,), 16)
         fids = [
-            prepare_omega(params, 3, 3, (PQS1(t),) * 3).target_fidelity
+            prepare_omega(3, 3, ("pqs1",) * 3, {"t": t}, *source).fidelity
             for t in (0.99, 0.999, 0.9999)
         ]
         assert fids == sorted(fids)
         assert fids[-1] >= 0.999
         fids = [
-            prepare_omega(params, 3, 3, (PQS2(g),) * 3).target_fidelity
+            prepare_omega(3, 3, ("pqs2",) * 3, {"gamma_abs": g}, *source).fidelity
             for g in (0.05, 0.01, 0.003)
         ]
         assert fids == sorted(fids)
@@ -299,25 +297,30 @@ class TestPrepareOmega:
 
     def test_probability_is_product_of_stages(self):
         params = SourceParams(1.0, 0.0, 0.5, (), 18)
-        chain = prepare_omega(params, 2, 2, (PQS1(0.7), PQS1(0.7)))
+        chain = prepare_omega(2, 2, ("pqs1", "pqs1"), {"t": 0.7}, 1.0, 0.0, 0.5, (), 18)
         source = xi_direct(params)
         first = pqs1_apply(source, 0, 0.7)
         second = pqs1_apply(first.canonical_state, 1, 0.7)
-        assert chain.total_probability == pytest.approx(
+        assert chain.probability == pytest.approx(
             first.total_probability * second.total_probability, rel=1e-10
         )
 
     def test_scissors_count_must_match(self):
-        params = SourceParams(1.0, 0.0, 0.5, (), 8)
-        with pytest.raises(FockError):
-            prepare_omega(params, 2, 2, (PQS1(0.5),))
+        with pytest.raises(ValueError):
+            omega_pipeline(2, 2, ("pqs1",))
+        with pytest.raises(ValueError):
+            Pipeline(("pqs1",), (1, 0))
 
 
-def test_apply_scissors_dispatch(rng):
-    state = random_state(rng, 1, 4)
-    r1 = apply_scissors(state, 0, PQS1(0.5))
-    r2 = pqs1_apply(state, 0, 0.5)
-    assert r1.total_probability == pytest.approx(r2.total_probability, abs=1e-15)
-    r3 = apply_scissors(state, 0, PQS2(0.1))
-    r4 = pqs2_apply(state, 0, 0.1)
-    assert r3.total_probability == pytest.approx(r4.total_probability, abs=1e-15)
+def test_prepare_stages_dispatches_each_stage_to_its_method():
+    # the stage loop hands each arm to its own method's scissors, knob and all
+    delta, phi, t0, t, gamma = 1.1, 0.4, 0.45, 0.8, 0.06
+    pipeline = Pipeline(("pqs2", "pqs1"), (1, 0))
+    stages = prepare_stages(pipeline, delta, phi, t0, {"t": t, "gamma_abs": gamma})
+    cutoff = required_cutoff(delta, t0)
+    first = pqs2_apply(xi_direct(SourceParams(delta, phi, t0, (), cutoff)), 1, complex(gamma))
+    second = pqs1_apply(first.canonical_state, 0, t)
+    assert [s.probability for s in stages] == [
+        first.total_probability,
+        first.total_probability * second.total_probability,
+    ]
