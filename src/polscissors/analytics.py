@@ -146,7 +146,6 @@ def pf_pqs2(
 
 
 def _check_method(method: str) -> str:
-    method = method.lower()
     if method not in ("pqs1", "pqs2"):
         raise ValueError(f"unknown scissors method {method!r}")
     return method

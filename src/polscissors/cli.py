@@ -11,13 +11,12 @@ Exit codes: 0 success, 1 verification/spot failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .analytics import DegenerateParameterError
-from .config import ConfigError, check_domain, load_config, reference_grid, whole_number
-from .fock import CutoffError, dump_lines, min_cutoff
-from .preparations import KNOB_AXES, PIPELINES, PREPARATIONS, prepare_named
+from .config import ConfigError, load_config, read_value, reference_grid
+from .fock import DEFAULT_TAIL_BOUND, CutoffError, dump_lines, min_cutoff
+from .preparations import PIPELINES, PREPARATIONS, prepare_named
 from .sources import (
     SourceParams,
     cat,
@@ -96,117 +95,99 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_descriptor(text: str) -> tuple[str, dict]:
+def _parse_descriptor(text: str) -> tuple[str, dict[str, str]]:
+    """The descriptor's name and its values, still as text."""
     name, _, rest = text.partition(":")
-    kwargs: dict = {}
+    kwargs: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
-            key, _, value = item.partition("=")
+            key, _, value = (part.strip() for part in item.partition("="))
             if not key or not value:
                 raise ConfigError(f"bad descriptor item {item!r}")
-            try:
-                number = float(value)
-            except ValueError:
-                kwargs[key.strip()] = value.strip()
-                continue
-            if not math.isfinite(number):
-                raise ConfigError(f"descriptor value {item!r} is not finite")
-            kwargs[key.strip()] = number
+            if key in kwargs:
+                raise ConfigError(f"descriptor key {key!r} given twice")
+            kwargs[key] = value
     return name.strip(), kwargs
 
 
-def _pop_int(kw: dict, key: str, *default: int) -> int:
-    """Pop an integer descriptor value: ``n=2.5`` or ``n=abc`` is a ``ConfigError``."""
-    return whole_number(f"descriptor value {key}", kw.pop(key, *default))
+def _pop(kw: dict[str, str], key: str, *default: float) -> float:
+    """Pop descriptor value ``key``, or the default, read by ``read_value``."""
+    return read_value(key, kw.pop(key, *default))
 
 
-def _pop_cutoff(kw: dict, *default: int) -> int:
-    """Pop the descriptor ``cutoff``: a whole number in the range of ``max_cutoff``."""
-    cutoff = _pop_int(kw, "cutoff", *default)
-    check_domain("max_cutoff", cutoff)
-    return cutoff
+def _descriptor_builder(name: str, kw: dict[str, str]):
+    """Read every value of the descriptor, then return the function that builds its state.
 
-
-# Descriptor keys that take a real number; ``phi=abc`` is a ``ConfigError``.
-_REAL_KEYS = ("gamma", "delta", "phi", "t0", *KNOB_AXES.values())
-
-
-def _descriptor_state(name: str, kw: dict):
-    for key in _REAL_KEYS:
-        if isinstance(kw.get(key), str):
-            raise ConfigError(f"descriptor value {key} = {kw[key]!r} is not a number")
-    pol = str(kw.pop("pol", "H")).upper()
+    A bad or unused value therefore exits 2 before any state is built, even
+    where the state would have no feasible cutoff (exit 3).
+    """
+    pol = kw.pop("pol", "H").upper()
     if pol not in ("H", "V"):
         raise ConfigError(f"pol must be H or V, got {pol!r}")
-    tail = kw.pop("tail_bound", 1e-12)
-    check_domain("tail_bound", tail)
-    if name == "coherent":
-        gamma = kw.pop("gamma")
-        cutoff = _pop_cutoff(kw, max(1, min_cutoff(abs(gamma), tail)))
-        return coherent(gamma, pol, cutoff, tail)
-    if name == "cat":
-        delta, phi = kw.pop("delta"), kw.pop("phi", 0.0)
-        cutoff = _pop_cutoff(kw, max(1, min_cutoff(abs(delta), tail)))
-        return cat(delta, phi, pol, cutoff, tail)
+    tail = _pop(kw, "tail_bound", DEFAULT_TAIL_BOUND)
+    given = _pop(kw, "cutoff") if "cutoff" in kw else None
 
-    delta = kw.pop("delta")
-    phi = kw.pop("phi", 0.0)
-    t0 = kw.pop("t0", 0.5)
-    check_domain("delta", delta)
-    check_domain("t0", t0)
-    if name in ("xi", "xi-circuit", "lambda", "lambda-circuit", "target-omega"):
-        split_keys = sorted(
-            (k for k in kw if k.startswith("t") and k[1:].isdigit()),
-            key=lambda k: int(k[1:]),
-        )
-        split_ts = tuple(kw.pop(k) for k in split_keys)
-        for t in split_ts:
-            check_domain("omega_split_ts", t)
-        cutoff = _pop_cutoff(kw, max(1, min_cutoff(delta * 2.0**0.5, tail)))
-        params = SourceParams(delta, phi, t0, split_ts, cutoff)
-        n = 2 if name in ("xi", "xi-circuit") else _pop_int(kw, "n", 2 + len(split_ts))
-        if n < 2:
-            raise ConfigError(f"n = {n} arms, need n >= 2")
-        if len(split_ts) != n - 2:
-            raise ConfigError(
-                f"{n} arms need {n - 2} split transmissivities t1.., got {len(split_ts)}"
-            )
+    def cutoff(amplitude: float) -> int:
+        # the least cutoff is sought even when one is given: none may exist
+        least = max(1, min_cutoff(amplitude, tail))
+        return least if given is None else given
+
+    if name == "coherent":
+        gamma = _pop(kw, "gamma")  # an amplitude: either sign
+        return lambda: coherent(gamma, pol, cutoff(abs(gamma)), tail)
+    if name == "cat":
+        delta, phi = read_value("cat delta", kw.pop("delta")), _pop(kw, "phi", 0.0)
+        return lambda: cat(delta, phi, pol, cutoff(abs(delta)), tail)
+
+    delta, phi, t0 = _pop(kw, "delta"), _pop(kw, "phi", 0.0), _pop(kw, "t0", 0.5)
+    if name in PIPELINES:
+        knob = _pop(kw, PIPELINES[name].knob_axis)
+
+        def heralded():
+            state = prepare_named(name, delta, phi, t0, knob, cutoff=given, tail_bound=tail).state
+            if state is None:
+                raise ConfigError(f"{name} heralds nothing at these parameters")
+            return state
+
+        return heralded
+    if name not in ("xi", "xi-circuit", "lambda", "lambda-circuit", "target-omega"):
+        raise ConfigError(f"unknown state descriptor {name!r}")
+    split_keys = sorted(
+        (k for k in kw if k.startswith("t") and k[1:].isdigit()),
+        key=lambda k: int(k[1:]),
+    )
+    split_ts = tuple(read_value("omega_split_ts", kw.pop(k)) for k in split_keys)
+    n = 2 if name in ("xi", "xi-circuit") else _pop(kw, "n", 2 + len(split_ts))
+    if len(split_ts) != n - 2:
+        raise ConfigError(f"{n} arms need {n - 2} split transmissivities t1.., got {len(split_ts)}")
+    if name == "target-omega":
+        j = _pop(kw, "j")
+        if not 1 <= j <= n:
+            raise ConfigError(f"j = {j} outside 1..{n}")
+
+    def source():
+        params = SourceParams(delta, phi, t0, split_ts, cutoff(delta * 2.0**0.5))
         if name == "xi":
             return xi_direct(params, tail)
         if name == "xi-circuit":
             return xi_circuit(params, tail)
-        if name in ("lambda", "lambda-circuit"):
-            builder = lambda_state if name == "lambda" else lambda_circuit
-            return builder(params, n, tail)
-        j = _pop_int(kw, "j")
-        if not 1 <= j <= n:
-            raise ConfigError(f"j = {j} outside 1..{n}")
-        return target_omega(n, j, params, tail)
-    if name in PIPELINES:
-        knob_axis = PIPELINES[name].knob_axis
-        knob = kw.pop(knob_axis)
-        check_domain(knob_axis, knob)
-        result = prepare_named(
-            name, delta, phi, t0, knob,
-            cutoff=_pop_cutoff(kw) if "cutoff" in kw else None,
-            tail_bound=tail,
-        )
-        if result.state is None:
-            raise ConfigError(f"{name} heralds nothing at these parameters")
-        return result.state
-    raise ConfigError(f"unknown state descriptor {name!r}")
+        if name == "target-omega":
+            return target_omega(n, j, params, tail)
+        return (lambda_state if name == "lambda" else lambda_circuit)(params, n, tail)
+
+    return source
 
 
 def dump_state(descriptor: str, min_amplitude: float = 1e-10) -> str:
     """Canonical text dump of the state named by a descriptor string."""
     name, kwargs = _parse_descriptor(descriptor)
     try:
-        state = _descriptor_state(name, kwargs)
+        build = _descriptor_builder(name, kwargs)
     except KeyError as exc:
         raise ConfigError(f"descriptor {name!r} missing parameter {exc}") from None
     if kwargs:
         raise ConfigError(f"unused descriptor parameters: {sorted(kwargs)}")
-    return "\n".join(dump_lines(state, min_amplitude)) + "\n"
+    return "\n".join(dump_lines(build(), min_amplitude)) + "\n"
 
 
 def _write(text: str, out: str | None) -> None:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import configparser
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
 
+from .fock import DEFAULT_TAIL_BOUND, MAX_CUTOFF
 from .preparations import KNOB_AXES, PIPELINES, PREPARATIONS, Pipeline, omega_pipeline
 
 AXIS_NAMES = ("delta", "t", "gamma_abs", "phi", "t0")
@@ -32,7 +33,8 @@ class ConfigError(ValueError):
     """Bad configuration file or option combination (CLI exit code 2)."""
 
 
-# Physical range of each bounded parameter; phi is unbounded.
+# Physical range of each bounded parameter; any other parameter, such as phi,
+# takes every finite real.
 _DOMAINS = {
     "delta": ("[0, inf)", lambda v: v >= 0.0),
     "t0": ("[0, 1]", lambda v: 0.0 <= v <= 1.0),
@@ -41,16 +43,20 @@ _DOMAINS = {
     "omega_split_ts": ("[0, 1]", lambda v: 0.0 <= v <= 1.0),
     "tail_bound": ("(0, 1)", lambda v: 0.0 < v < 1.0),
     "max_cutoff": ("[1, inf)", lambda v: v >= 1),
+    "cutoff": (f"[1, {MAX_CUTOFF}]", lambda v: 1 <= v <= MAX_CUTOFF),
+    "n": ("[2, inf)", lambda v: v >= 2),
+    "steps": ("[2, inf)", lambda v: v >= 2),
     "repetition_rate": ("(0, inf)", lambda v: v > 0.0),
 }
+# Parameters that count something; every other parameter is a real number.
+_WHOLE_NUMBERS = ("max_cutoff", "omega_n", "omega_j", "steps", "n", "j", "cutoff")
 
 
 def check_domain(name: str, value: float) -> None:
-    """Raise ``ConfigError`` if ``value`` lies outside the physical range of ``name``."""
-    if name in _DOMAINS:
-        interval, inside = _DOMAINS[name]
-        if not isinstance(value, (int, float)) or not inside(value):
-            raise ConfigError(f"{name} = {value} outside {interval}")
+    """Raise ``ConfigError`` unless ``value`` is finite and in the physical range of ``name``."""
+    interval, inside = _DOMAINS.get(name, ("(-inf, inf)", lambda v: True))
+    if not (math.isfinite(value) and inside(value)):
+        raise ConfigError(f"{name} = {value} outside {interval}")
 
 
 _LARGEST_WHOLE = Decimal(sys.float_info.max)
@@ -71,6 +77,24 @@ def whole_number(name: str, value: str | float) -> int:
     return int(exact)
 
 
+def read_value(name: str, raw: str | float) -> float:
+    """The value of parameter ``name`` given as text or a number, checked.
+
+    A counting parameter must be a whole number (``whole_number``), any other
+    a finite real; either must lie in the domain of ``name``.  Config keys,
+    axis bounds and ``state`` descriptor values are all read here.
+    """
+    if name in _WHOLE_NUMBERS:
+        value = whole_number(name, raw)
+    else:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ConfigError(f"{name} = {raw!r} is not a number") from None
+    check_domain(name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     name: str
@@ -81,16 +105,19 @@ class AxisSpec:
     def __post_init__(self) -> None:
         if self.name not in AXIS_NAMES:
             raise ConfigError(f"axis name {self.name!r} not one of {AXIS_NAMES}")
-        if self.steps < 2:
-            raise ConfigError("axis needs at least 2 steps")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError(
-                f"axis {self.name!r} bounds {self.start} and {self.stop} must be finite"
-            )
+        check_domain("steps", self.steps)
+        check_domain(self.name, self.start)
+        check_domain(self.name, self.stop)
 
     def values(self) -> list[float]:
         span = self.stop - self.start
         return [self.start + span * i / (self.steps - 1) for i in range(self.steps)]
+
+
+# [experiment] keys that hold one number
+_NUMBER_FIELDS = (
+    "phi", "t0", "delta", "t", "gamma_abs", "repetition_rate", "tail_bound", "max_cutoff",
+)
 
 
 @dataclass(frozen=True)
@@ -105,7 +132,7 @@ class ExperimentConfig:
     t: float | None = None
     gamma_abs: float | None = None
     repetition_rate: float | None = None
-    tail_bound: float = 1e-12
+    tail_bound: float = DEFAULT_TAIL_BOUND
     max_cutoff: int = 64
     omega_n: int | None = None
     omega_j: int | None = None
@@ -142,16 +169,9 @@ class ExperimentConfig:
         for axis in (self.axis1, self.axis2):
             if axis.name in KNOB_AXES.values() and axis.name not in self._needed_parameters():
                 raise ConfigError(f"axis {axis.name!r} is no knob of {self.preparation}")
-        for name in ("phi", "t0", "delta", "t", "gamma_abs", "repetition_rate", "tail_bound"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} = {value} is not finite")
-        if not all(math.isfinite(t) for t in self.omega_split_ts):
-            raise ConfigError(f"omega_split_ts {self.omega_split_ts} must all be finite")
-        bounded = [(name, getattr(self, name)) for name in _DOMAINS if name != "omega_split_ts"]
-        bounded += [("omega_split_ts", t) for t in self.omega_split_ts]
-        bounded += [(a.name, v) for a in (self.axis1, self.axis2) for v in (a.start, a.stop)]
-        for name, value in bounded:
+        numbers = [(name, getattr(self, name)) for name in _NUMBER_FIELDS]
+        numbers += [("omega_split_ts", t) for t in self.omega_split_ts]
+        for name, value in numbers:
             if value is not None:
                 check_domain(name, value)
         axis_names = {self.axis1.name, self.axis2.name}
@@ -189,16 +209,11 @@ class ExperimentConfig:
 
 def _axis_from_section(section: configparser.SectionProxy) -> AxisSpec:
     try:
-        return AxisSpec(
-            name=section["name"].strip(),
-            start=float(section["start"]),
-            stop=float(section["stop"]),
-            steps=int(section["steps"]),
-        )
+        name = section["name"].strip()
+        start, stop = read_value(name, section["start"]), read_value(name, section["stop"])
+        return AxisSpec(name, start, stop, read_value("steps", section["steps"]))
     except KeyError as exc:
         raise ConfigError(f"axis section missing key {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad axis value: {exc}") from None
 
 
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -213,57 +228,26 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     exp = dict(parser["experiment"])
     if overrides:
         exp.update({k: v for k, v in overrides.items() if v is not None})
-
-    def fget(key: str) -> float | None:
-        raw = exp.pop(key, None)
-        if raw is None or raw == "":
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"bad float for {key!r}: {raw!r}") from None
-
-    def iget(key: str) -> int | None:
-        raw = exp.pop(key, None)
-        return None if raw is None or raw == "" else whole_number(key, raw)
-
-    preparation = exp.pop("preparation", "").strip()
-    backend = exp.pop("backend", "analytic").strip()
-    phi = fget("phi")
-    t0 = fget("t0")
-    delta = fget("delta")
-    t = fget("t")
-    gamma_abs = fget("gamma_abs")
-    repetition_rate = fget("repetition_rate")
-    tail_bound = fget("tail_bound")
-    max_cutoff = iget("max_cutoff")
-    omega_n = iget("omega_n")
-    omega_j = iget("omega_j")
-    scissors_raw = exp.pop("omega_scissors", "")
-    split_raw = exp.pop("omega_split_ts", "")
-    if exp:
-        raise ConfigError(f"unknown [experiment] keys: {sorted(exp)}")
-    try:
-        split_ts = tuple(float(x) for x in split_raw.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(f"bad omega_split_ts: {split_raw!r}") from None
+    unknown = set(exp) - {f.name for f in fields(ExperimentConfig)} - {"axis1", "axis2"}
+    if unknown:
+        raise ConfigError(f"unknown [experiment] keys: {sorted(unknown)}")
+    # only the keys given reach ExperimentConfig, so its defaults are the only
+    # ones; a missing preparation reads as "" and fails its check
+    values: dict[str, object] = {"preparation": ""}
+    for key, raw in exp.items():
+        items = tuple(x.strip() for x in raw.split(",") if x.strip())
+        if key in ("preparation", "backend"):
+            values[key] = raw.strip()
+        elif key == "omega_scissors":
+            values[key] = items
+        elif key == "omega_split_ts":
+            values[key] = tuple(read_value(key, x) for x in items)
+        elif raw:
+            values[key] = read_value(key, raw)
     return ExperimentConfig(
-        preparation=preparation,
         axis1=_axis_from_section(parser["axis1"]),
         axis2=_axis_from_section(parser["axis2"]),
-        backend=backend,
-        phi=0.0 if phi is None else phi,
-        t0=0.5 if t0 is None else t0,
-        delta=delta,
-        t=t,
-        gamma_abs=gamma_abs,
-        repetition_rate=repetition_rate,
-        tail_bound=1e-12 if tail_bound is None else tail_bound,
-        max_cutoff=64 if max_cutoff is None else max_cutoff,
-        omega_n=omega_n,
-        omega_j=omega_j,
-        omega_scissors=tuple(m.strip() for m in scissors_raw.split(",") if m.strip()),
-        omega_split_ts=split_ts,
+        **values,
     )
 
 

@@ -20,6 +20,10 @@ H = "H"
 V = "V"
 
 DEFAULT_TOL = 1e-14
+# Default truncation budget: the largest coherent tail weight a cutoff may drop.
+DEFAULT_TAIL_BOUND = 1e-12
+# Largest cutoff a state may have: the search limit of ``min_cutoff``.
+MAX_CUTOFF = 4096
 
 Occupation = tuple[int, int]
 OccKey = tuple[Occupation, ...]
@@ -292,12 +296,12 @@ def coherent_tail_weight(gamma: float, cutoff: int) -> float:
     return total
 
 
-def min_cutoff(gamma: float, tail_bound: float = 1e-12) -> int:
+def min_cutoff(gamma: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
     """Smallest cutoff whose coherent tail weight is at or below ``tail_bound``."""
     c = 0
     while coherent_tail_weight(gamma, c) > tail_bound:
         c += 1
-        if c > 4096:
+        if c > MAX_CUTOFF:
             raise CutoffError(f"no feasible cutoff for amplitude {gamma}")
     return c
 

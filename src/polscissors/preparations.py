@@ -16,7 +16,7 @@ from functools import cached_property
 
 from . import analytics
 from .elements import apply_pol_phase
-from .fock import V, PureState, fidelity, min_cutoff
+from .fock import DEFAULT_TAIL_BOUND, V, PureState, fidelity, min_cutoff
 from .scissors import pqs1_apply, pqs2_apply
 from .sources import SourceParams, heralded_target, lambda_state
 
@@ -80,7 +80,7 @@ class PrepResult:
     state: PureState | None
 
 
-def required_cutoff(delta: float, t0: float, tail_bound: float = 1e-12) -> int:
+def required_cutoff(delta: float, t0: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
     """Cutoff so the larger source arm keeps its truncation tail under budget."""
     a, b = analytics.alpha_beta(delta, t0)
     return max(1, min_cutoff(max(a, b), tail_bound))
@@ -94,7 +94,7 @@ def prepare_stages(
     knobs: dict[str, float],
     split_ts: tuple[float, ...] = (),
     cutoff: int | None = None,
-    tail_bound: float = 1e-12,
+    tail_bound: float = DEFAULT_TAIL_BOUND,
 ) -> tuple[PrepResult, ...]:
     """Run ``pipeline`` by full circuit simulation; one result per stage run.
 
@@ -134,18 +134,10 @@ def prepare_stages(
     return tuple(stages)
 
 
-def prepare_bell(
-    method: str,
-    delta: float,
-    phi: float,
-    t0: float,
-    knob: float,
-    cutoff: int | None = None,
-    tail_bound: float = 1e-12,
-) -> PrepResult:
+def prepare_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> PrepResult:
     """Truncate both arms down to the polarization Bell pair."""
     pipeline, knobs = Pipeline((method, method), BELL_ARMS), {KNOB_AXES[method]: knob}
-    return prepare_stages(pipeline, delta, phi, t0, knobs, cutoff=cutoff, tail_bound=tail_bound)[-1]
+    return prepare_stages(pipeline, delta, phi, t0, knobs)[-1]
 
 
 def prepare_named(
@@ -155,7 +147,7 @@ def prepare_named(
     t0: float,
     knob: float,
     cutoff: int | None = None,
-    tail_bound: float = 1e-12,
+    tail_bound: float = DEFAULT_TAIL_BOUND,
 ) -> PrepResult:
     """Run the named pipeline, such as ``bell-pqs1``; the preparation's result."""
     if name not in PIPELINES:

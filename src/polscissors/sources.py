@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import analytics
 from .fock import (
+    DEFAULT_TAIL_BOUND,
     H,
     V,
     CutoffError,
@@ -29,8 +30,6 @@ from .fock import (
     vacuum,
 )
 from .elements import BeamSplitterSpec, apply_bs, apply_hwp, apply_pbs
-
-DEFAULT_TAIL_BOUND = 1e-12
 
 
 @dataclass(frozen=True)

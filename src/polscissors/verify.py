@@ -111,7 +111,6 @@ def _check_pipelines(
     phi: float,
     t0: float,
     knob: float,
-    tail_bound: float,
 ) -> None:
     """Record the hybrid and Bell checks of one method from one Bell chain.
 
@@ -124,9 +123,7 @@ def _check_pipelines(
     names = [name for name, pipeline in PIPELINES.items() if pipeline.method == method]
     bell = Pipeline((method, method), BELL_ARMS)
     try:
-        stages = prepare_stages(
-            bell, delta, phi, t0, {KNOB_AXES[method]: knob}, tail_bound=tail_bound
-        )
+        stages = prepare_stages(bell, delta, phi, t0, {KNOB_AXES[method]: knob})
     except analytics.DegenerateParameterError as exc:
         for name in names:
             stats[name].skipped.append(f"{tag}: {exc}")
@@ -149,7 +146,6 @@ def run_verify(
     samples: int,
     budget: float = DEFAULT_BUDGET,
     ranges: dict[str, tuple[float, float]] | None = None,
-    tail_bound: float = 1e-12,
 ) -> VerifyReport:
     """Cross-validate simulation against closed forms on seeded random tuples."""
     if samples < 1:
@@ -170,8 +166,8 @@ def run_verify(
 
         # single-polarization scissors on a coherent input
         try:
-            cut = max(4, min_cutoff(delta, tail_bound))
-            coh = coherent(delta, H, cut, tail_bound)
+            cut = max(4, min_cutoff(delta))
+            coh = coherent(delta, H, cut)
             sim = qs_apply(coh, 0, H, t)
             ana = analytics.pf_qs(analytics.f_n(delta, 0) ** 2, analytics.f_n(delta, 1) ** 2, t)
             photon = make_state(1, cut, [(((1, 0),), 1.0)])
@@ -203,7 +199,7 @@ def run_verify(
 
         # named preparations, full pipelines
         for method, knob in (("pqs1", t), ("pqs2", gamma)):
-            _check_pipelines(stats, tag, method, delta, phi, t0, knob, tail_bound)
+            _check_pipelines(stats, tag, method, delta, phi, t0, knob)
 
     checks = tuple(stats[name] for name in CHECK_NAMES)
     passed = all(c.max_dp <= budget and c.max_df <= budget for c in checks)

@@ -114,6 +114,10 @@ class TestConfig:
         assert values[-1] == pytest.approx(1.0)
         assert len(values) == 5
 
+    def test_steps_is_read_as_a_whole_number(self):
+        config = parse_config_text(BELL_CONFIG.replace("steps = 3", "steps = 3.0"))
+        assert config.axis1.steps == 3
+
     @pytest.mark.parametrize(
         "mutation",
         [
@@ -121,6 +125,7 @@ class TestConfig:
             ("backend = both", "backend = fast"),
             ("name = t", "name = q"),
             ("steps = 2", "steps = 1"),
+            ("steps = 2", "steps = 2.5"),
             ("name = t\n", "name = gamma_abs\n"),
             ("phi = 0.0", "phi = nan"),
             ("t0 = 0.5", "t0 = 0.5\ndelta = inf"),
@@ -518,6 +523,10 @@ class TestCli:
         self.run_cli("state", "--prep", "xi:delta=1,cutoff=-1", expect=2)
         self.run_cli("state", "--prep", "bell-pqs1:delta=0.8,t=0.9,cutoff=-2", expect=2)
         self.run_cli("state", "--prep", "coherent:gamma=0,cutoff=0", expect=2)
+        self.run_cli("state", "--prep", "coherent:gamma=0.8,cutoff=1e200", expect=2)
+        self.run_cli("state", "--prep", "xi:delta=0.8,cutoff=1e9", expect=2)
+        self.run_cli("state", "--prep", "bell-pqs1:delta=0.8,t=0.9,cutoff=4097", expect=2)
+        self.run_cli("state", "--prep", "xi:delta=1,delta=0.2", expect=2)
 
     @pytest.mark.parametrize("prep", ["coherent:gamma=1e200", "cat:delta=1e200", "xi:delta=1e200"])
     def test_state_past_the_float_range_of_gamma_squared_exit_3(self, prep):

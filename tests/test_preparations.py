@@ -128,3 +128,18 @@ def test_preparation_vocabulary_lives_in_preparations():
         for match in omega.finditer(path.read_text(encoding="utf-8"))
     ]
     assert hits == []
+
+
+def test_typed_values_are_read_in_config_and_the_tail_budget_named_in_fock():
+    # cli hands every descriptor value to config.read_value, which alone parses
+    # numbers and checks domains; fock.DEFAULT_TAIL_BOUND is the one tail budget
+    package = Path(analytics.__file__).parent
+    cli_source = (package / "cli.py").read_text(encoding="utf-8")
+    assert re.findall(r"\b(?:float|whole_number|check_domain)\(", cli_source) == []
+    literal = re.compile(r"\b1(?:\.0*)?e-0*12\b")
+    hits = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "fock.py" and literal.search(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []

@@ -4,7 +4,8 @@ exits 0, 2 or 3 and never raises, and a dumped state has unit squared norm.
 Each example starts from a valid descriptor of one known name, replaces or
 drops some of its keys and may add one more known key, with values from a
 fixed pool: small in-domain numbers, text, zero and negative integers, and,
-for ``gamma`` and ``delta``, amplitudes whose square overflows a float.
+for ``gamma`` and ``delta``, amplitudes whose square overflows a float, and for
+``cutoff``, counts far past the largest cutoff.
 ``tail_bound`` is left at its default: a looser bound drops weight by design,
 so the norm property holds only at the default.
 """
@@ -33,13 +34,13 @@ BASES = {
 KEYS = ["gamma", "delta", "phi", "t0", "t", "gamma_abs", "pol", "cutoff", "n", "j", "t1"]
 # None drops the key
 POOL = [None, "0.3", "1", "2", "V", "abc", "0", "-1", "-3"]
-# amplitudes whose square overflows a float, for the keys that take an amplitude
+# amplitudes whose square overflows a float, and cutoffs far past fock.MAX_CUTOFF
 HUGE = ["2e154", "1e200"]
 
 
 def _value(key, valid):
     """The valid value two times in three, else a value from the pool."""
-    pool = POOL + HUGE if key in ("gamma", "delta") else POOL
+    pool = POOL + HUGE if key in ("gamma", "delta", "cutoff") else POOL
     return st.one_of(st.just(valid), st.just(valid), st.sampled_from(pool))
 
 
