@@ -101,12 +101,13 @@ def _parse_descriptor(text: str) -> tuple[str, dict[str, str]]:
     kwargs: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
-            key, _, value = (part.strip() for part in item.partition("="))
+            key, _, value = item.partition("=")
             if not key or not value:
                 raise ConfigError(f"bad descriptor item {item!r}")
+            key = key.strip()
             if key in kwargs:
                 raise ConfigError(f"descriptor key {key!r} given twice")
-            kwargs[key] = value
+            kwargs[key] = value.strip()
     return name.strip(), kwargs
 
 
@@ -115,79 +116,65 @@ def _pop(kw: dict[str, str], key: str, *default: float) -> float:
     return read_value(key, kw.pop(key, *default))
 
 
-def _descriptor_builder(name: str, kw: dict[str, str]):
-    """Read every value of the descriptor, then return the function that builds its state.
-
-    A bad or unused value therefore exits 2 before any state is built, even
-    where the state would have no feasible cutoff (exit 3).
-    """
+def _descriptor_state(name: str, kw: dict[str, str]):
     pol = kw.pop("pol", "H").upper()
     if pol not in ("H", "V"):
         raise ConfigError(f"pol must be H or V, got {pol!r}")
     tail = _pop(kw, "tail_bound", DEFAULT_TAIL_BOUND)
-    given = _pop(kw, "cutoff") if "cutoff" in kw else None
-
-    def cutoff(amplitude: float) -> int:
-        # the least cutoff is sought even when one is given: none may exist
-        least = max(1, min_cutoff(amplitude, tail))
-        return least if given is None else given
-
     if name == "coherent":
         gamma = _pop(kw, "gamma")  # an amplitude: either sign
-        return lambda: coherent(gamma, pol, cutoff(abs(gamma)), tail)
+        cutoff = _pop(kw, "cutoff", max(1, min_cutoff(abs(gamma), tail)))
+        return coherent(gamma, pol, cutoff, tail)
     if name == "cat":
         delta, phi = read_value("cat delta", kw.pop("delta")), _pop(kw, "phi", 0.0)
-        return lambda: cat(delta, phi, pol, cutoff(abs(delta)), tail)
+        cutoff = _pop(kw, "cutoff", max(1, min_cutoff(abs(delta), tail)))
+        return cat(delta, phi, pol, cutoff, tail)
 
     delta, phi, t0 = _pop(kw, "delta"), _pop(kw, "phi", 0.0), _pop(kw, "t0", 0.5)
-    if name in PIPELINES:
-        knob = _pop(kw, PIPELINES[name].knob_axis)
-
-        def heralded():
-            state = prepare_named(name, delta, phi, t0, knob, cutoff=given, tail_bound=tail).state
-            if state is None:
-                raise ConfigError(f"{name} heralds nothing at these parameters")
-            return state
-
-        return heralded
-    if name not in ("xi", "xi-circuit", "lambda", "lambda-circuit", "target-omega"):
-        raise ConfigError(f"unknown state descriptor {name!r}")
-    split_keys = sorted(
-        (k for k in kw if k.startswith("t") and k[1:].isdigit()),
-        key=lambda k: int(k[1:]),
-    )
-    split_ts = tuple(read_value("omega_split_ts", kw.pop(k)) for k in split_keys)
-    n = 2 if name in ("xi", "xi-circuit") else _pop(kw, "n", 2 + len(split_ts))
-    if len(split_ts) != n - 2:
-        raise ConfigError(f"{n} arms need {n - 2} split transmissivities t1.., got {len(split_ts)}")
-    if name == "target-omega":
-        j = _pop(kw, "j")
-        if not 1 <= j <= n:
-            raise ConfigError(f"j = {j} outside 1..{n}")
-
-    def source():
-        params = SourceParams(delta, phi, t0, split_ts, cutoff(delta * 2.0**0.5))
+    if name in ("xi", "xi-circuit", "lambda", "lambda-circuit", "target-omega"):
+        split_keys = sorted(
+            (k for k in kw if k.startswith("t") and k[1:].isdigit()),
+            key=lambda k: int(k[1:]),
+        )
+        split_ts = tuple(read_value("omega_split_ts", kw.pop(k)) for k in split_keys)
+        cutoff = _pop(kw, "cutoff", max(1, min_cutoff(delta * 2.0**0.5, tail)))
+        params = SourceParams(delta, phi, t0, split_ts, cutoff)
+        n = 2 if name in ("xi", "xi-circuit") else _pop(kw, "n", 2 + len(split_ts))
+        if len(split_ts) != n - 2:
+            raise ConfigError(
+                f"{n} arms need {n - 2} split transmissivities t1.., got {len(split_ts)}"
+            )
         if name == "xi":
             return xi_direct(params, tail)
         if name == "xi-circuit":
             return xi_circuit(params, tail)
-        if name == "target-omega":
-            return target_omega(n, j, params, tail)
-        return (lambda_state if name == "lambda" else lambda_circuit)(params, n, tail)
-
-    return source
+        if name in ("lambda", "lambda-circuit"):
+            builder = lambda_state if name == "lambda" else lambda_circuit
+            return builder(params, n, tail)
+        j = _pop(kw, "j")
+        if not 1 <= j <= n:
+            raise ConfigError(f"j = {j} outside 1..{n}")
+        return target_omega(n, j, params, tail)
+    if name in PIPELINES:
+        knob = _pop(kw, PIPELINES[name].knob_axis)
+        cutoff = _pop(kw, "cutoff") if "cutoff" in kw else None
+        result = prepare_named(name, delta, phi, t0, knob, cutoff=cutoff, tail_bound=tail)
+        if result.state is None:
+            raise ConfigError(f"{name} heralds nothing at these parameters")
+        return result.state
+    raise ConfigError(f"unknown state descriptor {name!r}")
 
 
 def dump_state(descriptor: str, min_amplitude: float = 1e-10) -> str:
     """Canonical text dump of the state named by a descriptor string."""
     name, kwargs = _parse_descriptor(descriptor)
     try:
-        build = _descriptor_builder(name, kwargs)
+        state = _descriptor_state(name, kwargs)
     except KeyError as exc:
         raise ConfigError(f"descriptor {name!r} missing parameter {exc}") from None
     if kwargs:
         raise ConfigError(f"unused descriptor parameters: {sorted(kwargs)}")
-    return "\n".join(dump_lines(build(), min_amplitude)) + "\n"
+    return "\n".join(dump_lines(state, min_amplitude)) + "\n"
 
 
 def _write(text: str, out: str | None) -> None:

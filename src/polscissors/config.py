@@ -50,6 +50,9 @@ _DOMAINS = {
 }
 # Parameters that count something; every other parameter is a real number.
 _WHOLE_NUMBERS = ("max_cutoff", "omega_n", "omega_j", "steps", "n", "j", "cutoff")
+# The counts of a state descriptor are whole once read as a float, so
+# n=3.0000000000000001 is 3; a config count must be whole as written.
+_DESCRIPTOR_COUNTS = ("n", "j", "cutoff")
 
 
 def check_domain(name: str, value: float) -> None:
@@ -84,13 +87,12 @@ def read_value(name: str, raw: str | float) -> float:
     a finite real; either must lie in the domain of ``name``.  Config keys,
     axis bounds and ``state`` descriptor values are all read here.
     """
-    if name in _WHOLE_NUMBERS:
-        value = whole_number(name, raw)
-    else:
+    if name not in _WHOLE_NUMBERS or name in _DESCRIPTOR_COUNTS:
         try:
-            value = float(raw)
+            raw = float(raw)
         except ValueError:
             raise ConfigError(f"{name} = {raw!r} is not a number") from None
+    value = whole_number(name, raw) if name in _WHOLE_NUMBERS else raw
     check_domain(name, value)
     return value
 
@@ -112,12 +114,6 @@ class AxisSpec:
     def values(self) -> list[float]:
         span = self.stop - self.start
         return [self.start + span * i / (self.steps - 1) for i in range(self.steps)]
-
-
-# [experiment] keys that hold one number
-_NUMBER_FIELDS = (
-    "phi", "t0", "delta", "t", "gamma_abs", "repetition_rate", "tail_bound", "max_cutoff",
-)
 
 
 @dataclass(frozen=True)
@@ -169,10 +165,10 @@ class ExperimentConfig:
         for axis in (self.axis1, self.axis2):
             if axis.name in KNOB_AXES.values() and axis.name not in self._needed_parameters():
                 raise ConfigError(f"axis {axis.name!r} is no knob of {self.preparation}")
-        numbers = [(name, getattr(self, name)) for name in _NUMBER_FIELDS]
+        numbers = [(f.name, getattr(self, f.name)) for f in fields(self)]
         numbers += [("omega_split_ts", t) for t in self.omega_split_ts]
         for name, value in numbers:
-            if value is not None:
+            if isinstance(value, (int, float)):
                 check_domain(name, value)
         axis_names = {self.axis1.name, self.axis2.name}
         for name in self._needed_parameters():
@@ -228,7 +224,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     exp = dict(parser["experiment"])
     if overrides:
         exp.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(exp) - {f.name for f in fields(ExperimentConfig)} - {"axis1", "axis2"}
+    unknown = set(exp) - ({f.name for f in fields(ExperimentConfig)} - {"axis1", "axis2"})
     if unknown:
         raise ConfigError(f"unknown [experiment] keys: {sorted(unknown)}")
     # only the keys given reach ExperimentConfig, so its defaults are the only

@@ -126,6 +126,8 @@ class TestConfig:
             ("name = t", "name = q"),
             ("steps = 2", "steps = 1"),
             ("steps = 2", "steps = 2.5"),
+            ("t0 = 0.5", "t0 = 0.5\naxis1 = 1"),
+            ("t0 = 0.5", "t0 = 0.5\naxis2 ="),
             ("name = t\n", "name = gamma_abs\n"),
             ("phi = 0.0", "phi = nan"),
             ("t0 = 0.5", "t0 = 0.5\ndelta = inf"),
