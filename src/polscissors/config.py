@@ -55,11 +55,14 @@ _WHOLE_NUMBERS = ("max_cutoff", "omega_n", "omega_j", "steps", "n", "j", "cutoff
 _DESCRIPTOR_COUNTS = ("n", "j", "cutoff")
 
 
-def check_domain(name: str, value: float) -> None:
-    """Raise ``ConfigError`` unless ``value`` is finite and in the physical range of ``name``."""
+def check_domain(name: str, value: float, shown: str | float | None = None) -> None:
+    """Raise ``ConfigError`` unless ``value`` is finite and in the physical range of ``name``.
+
+    The message shows ``shown``, the value as the user typed it, when given.
+    """
     interval, inside = _DOMAINS.get(name, ("(-inf, inf)", lambda v: True))
     if not (math.isfinite(value) and inside(value)):
-        raise ConfigError(f"{name} = {value} outside {interval}")
+        raise ConfigError(f"{name} = {value if shown is None else shown} outside {interval}")
 
 
 _LARGEST_WHOLE = Decimal(sys.float_info.max)
@@ -87,13 +90,14 @@ def read_value(name: str, raw: str | float) -> float:
     a finite real; either must lie in the domain of ``name``.  Config keys,
     axis bounds and ``state`` descriptor values are all read here.
     """
+    value = raw
     if name not in _WHOLE_NUMBERS or name in _DESCRIPTOR_COUNTS:
         try:
-            raw = float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{name} = {raw!r} is not a number") from None
-    value = whole_number(name, raw) if name in _WHOLE_NUMBERS else raw
-    check_domain(name, value)
+    value = whole_number(name, value) if name in _WHOLE_NUMBERS else value
+    check_domain(name, value, raw)
     return value
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import analytics
 from .elements import apply_pol_phase
 from .fock import DEFAULT_TAIL_BOUND, V, PureState, fidelity, min_cutoff
-from .scissors import pqs1_apply, pqs2_apply
+from .scissors import ScissorsResult, TransferTable, pqs1_apply, pqs2_apply
 from .sources import SourceParams, heralded_target, lambda_state
 
 # Sweep axis of each scissors method's knob: pqs1 transmissivity, pqs2 squeezing |gamma|.
@@ -86,6 +86,11 @@ def required_cutoff(delta: float, t0: float, tail_bound: float = DEFAULT_TAIL_BO
     return max(1, min_cutoff(max(a, b), tail_bound))
 
 
+def _scissors(method: str, knob: float, state: PureState, mode: int) -> ScissorsResult:
+    """The circuit of ``method`` at ``knob``; looked up at call time, so patches and tracers apply."""
+    return pqs1_apply(state, mode, knob) if method == "pqs1" else pqs2_apply(state, mode, complex(knob))
+
+
 def prepare_stages(
     pipeline: Pipeline,
     delta: float,
@@ -96,7 +101,7 @@ def prepare_stages(
     cutoff: int | None = None,
     tail_bound: float = DEFAULT_TAIL_BOUND,
 ) -> tuple[PrepResult, ...]:
-    """Run ``pipeline`` by full circuit simulation; one result per stage run.
+    """Run ``pipeline`` by circuit simulation; one result per stage run.
 
     ``knobs`` maps each method's knob axis (``KNOB_AXES``) to its value, so a
     sweep cell's parameters can be passed as they are.  The scissors run
@@ -107,22 +112,30 @@ def prepare_stages(
     by a feed-forward pi phase on the first truncated arm, and the stage is
     scored against the plus-branch ``heralded_target``.  The next stage runs
     on the state before that correction.  The last result is the
-    preparation's.
+    preparation's.  A stage applies its method's and knob's ``TransferTable``,
+    built by the circuit and shared by the stages of this call.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
     params = SourceParams(delta=delta, phi=phi, t0=t0, split_ts=split_ts, cutoff=cutoff)
+    tables: dict[tuple[str, float], TransferTable] = {}
+
+    def herald(method: str, knob: float, state: PureState, mode: int) -> ScissorsResult:
+        if (method, knob) not in tables:
+            tables[method, knob] = TransferTable(partial(_scissors, method, knob), cutoff)
+        return tables[method, knob].apply(state, mode)
+
+    return _run_stages(pipeline, params, knobs, tail_bound, herald)
+
+
+def _run_stages(pipeline, params, knobs, tail_bound, herald) -> tuple[PrepResult, ...]:
+    """The stage loop of ``prepare_stages``; ``herald(method, knob, state, mode)`` runs a stage."""
     arms = pipeline.arms
     current = lambda_state(params, pipeline.n, tail_bound)
     probability = 1.0
     stages = []
     for count, (mode, method) in enumerate(zip(arms, pipeline.methods), 1):
-        knob = knobs[KNOB_AXES[method]]
-        # looked up at call time, so a patched or traced scissors is the one used
-        if method == "pqs1":
-            result = pqs1_apply(current, mode, knob)
-        else:
-            result = pqs2_apply(current, mode, complex(knob))
+        result = herald(method, knobs[KNOB_AXES[method]], current, mode)
         probability *= result.total_probability
         current = result.canonical_state
         if current is None:
@@ -135,9 +148,10 @@ def prepare_stages(
 
 
 def prepare_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> PrepResult:
-    """Truncate both arms down to the polarization Bell pair."""
+    """Truncate both arms to the Bell pair by expand-then-project: the tables' oracle."""
     pipeline, knobs = Pipeline((method, method), BELL_ARMS), {KNOB_AXES[method]: knob}
-    return prepare_stages(pipeline, delta, phi, t0, knobs)[-1]
+    params = SourceParams(delta, phi, t0, (), required_cutoff(delta, t0))
+    return _run_stages(pipeline, params, knobs, DEFAULT_TAIL_BOUND, _scissors)[-1]
 
 
 def prepare_named(

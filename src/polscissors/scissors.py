@@ -17,19 +17,28 @@ Accepted patterns that differ by a heralded sign are corrected by a
 polarization-conditional pi phase on the kept mode (feed-forward); after the
 correction all patterns agree on one canonical state.  Detector wiring is
 fixed so that a single photon at D1 with vacuum at D2 carries the plus sign.
+
+Each heralded map is linear on its mode, so a ``TransferTable`` whose rows the
+circuit itself builds on a small probe applies it to a joint state in one
+pass.  Running the circuit on the whole state and projecting it
+(expand-then-project) stays the oracle the tables are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .fock import (
     H,
     V,
     FockError,
+    OccKey,
     Occupation,
     PureState,
+    ShapeMismatchError,
+    _raw_state,
     fidelity,
     make_state,
     normalize,
@@ -73,10 +82,6 @@ class ScissorsResult:
     pattern_agreement: float
 
 
-def _single_photon_occ(pol: str) -> Occupation:
-    return (1, 0) if pol == H else (0, 1)
-
-
 def _kept_mode_back(state: PureState, mode: int) -> PureState:
     """Move the kept output, appended as the last mode, back to position ``mode``."""
     order = list(range(state.mode_count - 1))
@@ -104,15 +109,12 @@ def _qs_branches(
     if mode < 0 or mode >= state.mode_count:
         raise FockError(f"mode {mode} out of range")
     n = state.mode_count
-    cutoff = state.cutoff
-    single = _single_photon_occ(pol)
-    channel = apply_bs(make_state(2, cutoff, [((single, (0, 0)), 1.0)]), BeamSplitterSpec(t, 0, 1))
+    single = (1, 0) if pol == H else (0, 1)
+    channel = apply_bs(make_state(2, state.cutoff, [((single, (0, 0)), 1.0)]), BeamSplitterSpec(t, 0, 1))
     work = apply_bs(tensor(state, channel), BeamSplitterSpec(0.5, mode, n + 1))
 
-    vac: Occupation = (0, 0)
-
     branches = []
-    for d1, d2, flip in ((single, vac, False), (vac, single, True)):
+    for d1, d2, flip in ((single, (0, 0), False), ((0, 0), single, True)):
         outcome = project_number(work, [(mode, d1), (n + 1, d2)])
         if outcome.state is None:
             branches.append((outcome.probability, None))
@@ -170,9 +172,7 @@ def pqs1_apply(state: PureState, mode: int, t: float) -> ScissorsResult:
     if mode < 0 or mode >= state.mode_count:
         raise FockError(f"mode {mode} out of range")
     n = state.mode_count
-    cutoff = state.cutoff
-    work = tensor(state, vacuum(1, cutoff))
-    work = apply_pbs(work, mode, n)
+    work = apply_pbs(tensor(state, vacuum(1, state.cutoff)), mode, n)
 
     branches = []
     for _, st_h in _qs_branches(work, mode, H, t):
@@ -210,3 +210,44 @@ def pqs2_apply(state: PureState, mode: int, gamma: complex) -> ScissorsResult:
     return ScissorsResult(
         (HeraldedOutcome(outcome.probability, kept),), outcome.probability, kept, 1.0
     )
+
+
+class TransferTable:
+    """A scissors circuit's heralded map on one mode at one cutoff, row by row.
+
+    Row ``(nh, nv)`` lists, per accepted pattern ``p`` in the circuit's outcome
+    order, the kept occupations and coefficients: ``sqrt(P_p)`` times the
+    outcome state's amplitude.  Missing rows come from one ``circuit(probe, 1)``
+    call: probe mode 0 holds label ``divmod(i, cutoff + 1)``, mode 1 input ``i``.
+    """
+
+    def __init__(self, circuit: Callable[[PureState, int], ScissorsResult], cutoff: int) -> None:
+        self.circuit, self.cutoff, self.patterns = circuit, cutoff, 0
+        self.rows: dict[Occupation, list[tuple[int, Occupation, complex]]] = {}
+
+    def _fill(self, inputs: list[Occupation], tol: float) -> None:
+        side = self.cutoff + 1
+        probe = [((divmod(i, side), occ), 1.0) for i, occ in enumerate(inputs)]
+        result = self.circuit(make_state(2, self.cutoff, probe, tol), 1)
+        self.patterns = len(result.outcomes)
+        rows: list[list[tuple[int, Occupation, complex]]] = [[] for _ in inputs]
+        for p, outcome in enumerate(result.outcomes):
+            amplitudes = {} if outcome.state is None else outcome.state.amplitudes
+            for ((lh, lv), out), amp in amplitudes.items():
+                rows[lh * side + lv].append((p, out, math.sqrt(outcome.probability) * amp))
+        self.rows.update(zip(inputs, rows))
+
+    def apply(self, state: PureState, mode: int) -> ScissorsResult:
+        """The circuit's result on ``state``, from one pass over its keys."""
+        if state.cutoff != self.cutoff or not 0 <= mode < state.mode_count:
+            raise ShapeMismatchError(f"mode {mode} or cutoff {state.cutoff} does not fit the table")
+        missing = dict.fromkeys(k[mode] for k in state.amplitudes if k[mode] not in self.rows)
+        if missing:
+            self._fill(list(missing), state.tol)
+        branches: list[dict[OccKey, complex]] = [{} for _ in range(self.patterns)]
+        for key, amp in state.amplitudes.items():
+            for p, out, coeff in self.rows[key[mode]]:
+                new = key[:mode] + (out,) + key[mode + 1 :]
+                branches[p][new] = branches[p].get(new, 0j) + amp * coeff
+        kept = [_raw_state(state.mode_count, self.cutoff, b, state.tol) if b else None for b in branches]
+        return _assemble([(0.0, None) if k is None else (k.norm_squared(), k) for k in kept])

@@ -15,7 +15,14 @@ from polscissors.config import (
     parse_config_text,
     reference_grid,
 )
-from polscissors.preparations import PIPELINES, PREPARATIONS, prepare_bell
+from polscissors.preparations import (
+    BELL_ARMS,
+    KNOB_AXES,
+    PIPELINES,
+    PREPARATIONS,
+    Pipeline,
+    prepare_stages,
+)
 from polscissors.sweep import (
     grid_from_csv,
     grid_to_csv,
@@ -393,8 +400,8 @@ class TestVerify:
             for name, runner, method, knob in (
                 ("hybrid-pqs1", prepare_hybrid, "pqs1", t),
                 ("hybrid-pqs2", prepare_hybrid, "pqs2", gamma),
-                ("bell-pqs1", prepare_bell, "pqs1", t),
-                ("bell-pqs2", prepare_bell, "pqs2", gamma),
+                ("bell-pqs1", _bell_chain, "pqs1", t),
+                ("bell-pqs2", _bell_chain, "pqs2", gamma),
             ):
                 try:
                     num = runner(method, delta, phi, t0, knob)
@@ -410,6 +417,12 @@ class TestVerify:
         passed = all(max(c.max_dp, c.max_df) <= report.budget for c in checks)
         expected = VerifyReport(seed, samples, report.budget, checks, passed)
         assert report.lines() == expected.lines()
+
+
+def _bell_chain(method, delta, phi, t0, knob):
+    """The Bell pipeline by the route ``run_verify`` takes, the stage loop's tables."""
+    pipeline = Pipeline((method, method), BELL_ARMS)
+    return prepare_stages(pipeline, delta, phi, t0, {KNOB_AXES[method]: knob})[-1]
 
 
 class TestSpot:
@@ -499,6 +512,15 @@ class TestCli:
         a = self.run_cli("state", "--prep", "cat:delta=1,phi=0", expect=0).stdout
         b = self.run_cli("state", "--prep", "cat:delta=1,phi=0", expect=0).stdout
         assert a == b
+
+    def test_domain_error_echoes_the_typed_value(self, tmp_path):
+        # a count is echoed as typed, not as its 201 digits
+        proc = self.run_cli("state", "--prep", "coherent:gamma=0.8,cutoff=1e200", expect=2)
+        assert "cutoff = 1e200 outside [1, 4096]" in proc.stderr
+        config = tmp_path / "exp.ini"
+        config.write_text(BELL_CONFIG.replace("start = 0.6", "start = -1e0"))
+        proc = self.run_cli("sweep", "--config", str(config), expect=2)
+        assert "delta = -1e0 outside" in proc.stderr
 
     def test_state_bad_descriptor_exit_2(self):
         self.run_cli("state", "--prep", "warp:delta=1", expect=2)

@@ -13,7 +13,7 @@ from polscissors.fock import (
     vacuum,
 )
 from polscissors.preparations import Pipeline, omega_pipeline, prepare_stages, required_cutoff
-from polscissors.scissors import pqs1_apply, pqs2_apply, qs_apply
+from polscissors.scissors import TransferTable, pqs1_apply, pqs2_apply, qs_apply
 from polscissors.sources import SourceParams, coherent, xi_direct
 
 from conftest import random_polarized_coeffs, random_state
@@ -318,8 +318,10 @@ def test_prepare_stages_dispatches_each_stage_to_its_method():
     pipeline = Pipeline(("pqs2", "pqs1"), (1, 0))
     stages = prepare_stages(pipeline, delta, phi, t0, {"t": t, "gamma_abs": gamma})
     cutoff = required_cutoff(delta, t0)
-    first = pqs2_apply(xi_direct(SourceParams(delta, phi, t0, (), cutoff)), 1, complex(gamma))
-    second = pqs1_apply(first.canonical_state, 0, t)
+    squeezer = TransferTable(lambda state, mode: pqs2_apply(state, mode, complex(gamma)), cutoff)
+    first = squeezer.apply(xi_direct(SourceParams(delta, phi, t0, (), cutoff)), 1)
+    linear = TransferTable(lambda state, mode: pqs1_apply(state, mode, t), cutoff)
+    second = linear.apply(first.canonical_state, 0)
     assert [s.probability for s in stages] == [
         first.total_probability,
         first.total_probability * second.total_probability,
