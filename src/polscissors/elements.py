@@ -78,15 +78,21 @@ def _bs_pair_terms(p: int, q: int, t: float) -> list[tuple[int, int, float]]:
     """
     st = math.sqrt(t)
     sr = math.sqrt(1.0 - t)
-    terms: dict[int, float] = {}
+    # the powers and the j row, each computed once, with the double loop's
+    # expressions: ci = C(p, i) st^i sr^(p-i), cj = C(q, j) sr^j (-st)^(q-j)
+    top = max(p, q) + 1
+    st_pow = [st**i for i in range(top)]
+    sr_pow = [sr**i for i in range(top)]
+    mst_pow = [(-st) ** i for i in range(top)]
+    cj_row = [math.comb(q, j) * sr_pow[j] * mst_pow[q - j] for j in range(q + 1)]
+    terms = [0.0] * (p + q + 1)
     for i in range(p + 1):
-        ci = math.comb(p, i) * st**i * sr ** (p - i)
-        for j in range(q + 1):
-            cj = math.comb(q, j) * sr**j * (-st) ** (q - j)
-            terms[i + j] = terms.get(i + j, 0.0) + ci * cj
+        ci = math.comb(p, i) * st_pow[i] * sr_pow[p - i]
+        for j, cj in enumerate(cj_row, i):
+            terms[j] += ci * cj
     base = math.sqrt(math.factorial(p) * math.factorial(q))
     out = []
-    for na, c in terms.items():
+    for na, c in enumerate(terms):
         nb = p + q - na
         w = c * math.sqrt(math.factorial(na) * math.factorial(nb)) / base
         if w != 0.0:
@@ -95,8 +101,10 @@ def _bs_pair_terms(p: int, q: int, t: float) -> list[tuple[int, int, float]]:
 
 
 # Bound on the (p, q, t, cutoff) entries of the pair-term cache.  A 100-sample
-# verify run fills about 1,600 (each sample draws its own t); the bound keeps a
-# longer run from growing without limit.
+# verify run fills about 1,600 (each sample draws its own t).  A source circuit
+# at a new t0 or split ratio misses on every pair, so ``_bs_pair_terms`` builds
+# its powers once per call.  The bound keeps a longer run from growing without
+# limit.
 PAIR_TERM_CACHE_SIZE = 4096
 
 

@@ -73,7 +73,8 @@ class ScissorsResult:
     ``total_probability`` sums the pattern probabilities; ``canonical_state``
     is the shared corrected conditional state (None when nothing is heralded);
     ``pattern_agreement`` is the minimum pairwise fidelity among the corrected
-    pattern states.
+    pattern states.  A ``TransferTable`` result lists no ``outcomes``, and its
+    agreement is the one its circuit showed on the probes that built the rows.
     """
 
     outcomes: tuple[HeraldedOutcome, ...]
@@ -219,10 +220,11 @@ class TransferTable:
     order, the kept occupations and coefficients: ``sqrt(P_p)`` times the
     outcome state's amplitude.  Missing rows come from one ``circuit(probe, 1)``
     call: probe mode 0 holds label ``divmod(i, cutoff + 1)``, mode 1 input ``i``.
+    ``agreement`` is the least pattern agreement over those calls.
     """
 
     def __init__(self, circuit: Callable[[PureState, int], ScissorsResult], cutoff: int) -> None:
-        self.circuit, self.cutoff, self.patterns = circuit, cutoff, 0
+        self.circuit, self.cutoff, self.patterns, self.agreement = circuit, cutoff, 0, 1.0
         self.rows: dict[Occupation, list[tuple[int, Occupation, complex]]] = {}
 
     def _fill(self, inputs: list[Occupation], tol: float) -> None:
@@ -230,6 +232,7 @@ class TransferTable:
         probe = [((divmod(i, side), occ), 1.0) for i, occ in enumerate(inputs)]
         result = self.circuit(make_state(2, self.cutoff, probe, tol), 1)
         self.patterns = len(result.outcomes)
+        self.agreement = min(self.agreement, result.pattern_agreement)
         rows: list[list[tuple[int, Occupation, complex]]] = [[] for _ in inputs]
         for p, outcome in enumerate(result.outcomes):
             amplitudes = {} if outcome.state is None else outcome.state.amplitudes
@@ -249,5 +252,12 @@ class TransferTable:
             for p, out, coeff in self.rows[key[mode]]:
                 new = key[:mode] + (out,) + key[mode + 1 :]
                 branches[p][new] = branches[p].get(new, 0j) + amp * coeff
-        kept = [_raw_state(state.mode_count, self.cutoff, b, state.tol) if b else None for b in branches]
-        return _assemble([(0.0, None) if k is None else (k.norm_squared(), k) for k in kept])
+        total, canonical = 0.0, None
+        for branch in branches:
+            if not branch:
+                continue
+            kept = _raw_state(state.mode_count, self.cutoff, branch, state.tol)
+            total += kept.norm_squared()
+            if canonical is None:
+                canonical = normalize(kept)
+        return ScissorsResult((), total, canonical, self.agreement)

@@ -4,22 +4,32 @@ Every entangled source exists in two routes: a direct analytic construction
 from its known Fock decomposition and a circuit construction that runs the
 actual preparation optics (balanced splitter, half-wave plate, polarizing
 merge, final split).  The two must agree to high fidelity; tests enforce it.
+
+The direct route is one pass: each branch multiplies its arms' coherent (or
+single-photon) amplitudes left to right and the two branches are merged and
+scaled in place, with the float operations of the state-by-state
+composition, so the result is that composition's bit for bit.  Both routes
+refuse, with ``CutoffError``, a source whose branch would form more than
+``fock.MAX_SOURCE_PRODUCTS`` amplitude products.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from . import analytics
 from .fock import (
     DEFAULT_TAIL_BOUND,
+    DEFAULT_TOL,
     H,
+    MAX_SOURCE_PRODUCTS,
     V,
     CutoffError,
     FockError,
+    OccKey,
     PureState,
     add,
     coherent_tail_weight,
@@ -130,6 +140,39 @@ def _photon(pol: str, cutoff: int) -> PureState:
     return make_state(1, cutoff, [((occ,), 1.0)])
 
 
+def _check_branch_size(sizes: Iterable[int]) -> None:
+    """Refuse a source whose branch multiplies more than ``MAX_SOURCE_PRODUCTS`` products.
+
+    ``sizes`` are the arms' compacted factor sizes, so their product bounds the
+    keys of one branch before any product is formed.
+    """
+    count = math.prod(sizes)
+    if count > MAX_SOURCE_PRODUCTS:
+        raise CutoffError(
+            f"a source branch needs {count:,} amplitude products, more than "
+            f"{MAX_SOURCE_PRODUCTS:,}; lower delta, the cutoff or the arm count"
+        )
+
+
+def _products(factors: list[list[tuple[OccKey, complex]]]) -> Iterator[tuple[OccKey, complex]]:
+    """Products of one item per factor, multiplied left to right as ``tensor`` does.
+
+    A partial product below ``DEFAULT_TOL`` is dropped with every product it
+    would start, exactly as each ``tensor`` step compacts its output.
+    """
+    items = factors[0]
+    for factor in factors[1:-1]:
+        items = [
+            (ka + kb, v) for ka, va in items for kb, vb in factor if abs(v := va * vb) >= DEFAULT_TOL
+        ]
+    last = factors[-1]
+    for ka, va in items:
+        for kb, vb in last:
+            v = va * vb
+            if abs(v) >= DEFAULT_TOL:
+                yield ka + kb, v
+
+
 def _two_branch(
     params: SourceParams,
     n: int,
@@ -140,21 +183,39 @@ def _two_branch(
     """``norm (|H branch> + e^(i phi) |V branch>)`` over the n arms of the source.
 
     Each branch holds a single photon on ``photon_arms`` and the split
-    coherent amplitudes on the other arms, negated in the V branch.
+    coherent amplitudes on the other arms, negated in the V branch.  One pass
+    does the float operations of ``scale(add(H, scale(V, e^(i phi))), norm)``
+    over tensored factors in their order, so keys, amplitudes and insertion
+    order are theirs bit for bit, without an intermediate state.
     """
     gammas = split_amplitudes(params, n)
+    cutoff = params.cutoff
 
-    def branch(pol: str, sign: float) -> PureState:
-        factors = [
-            _photon(pol, params.cutoff)
+    def factors(pol: str, sign: float) -> list[list[tuple[OccKey, complex]]]:
+        arms = [
+            _photon(pol, cutoff)
             if k in photon_arms
-            else coherent(sign * g, pol, params.cutoff, tail_bound)
+            else coherent(sign * g, pol, cutoff, tail_bound)
             for k, g in enumerate(gammas)
         ]
-        return functools.reduce(tensor, factors)
+        return [list(arm.amplitudes.items()) for arm in arms]
 
-    combined = add(branch(H, 1.0), scale(branch(V, -1.0), cmath.exp(1j * params.phi)))
-    return scale(combined, norm)
+    h_factors = factors(H, 1.0)
+    _check_branch_size(len(f) for f in h_factors)
+    amps = dict(_products(h_factors))
+    get = amps.get
+    phase = cmath.exp(1j * params.phi)
+    for key, v in _products(factors(V, -1.0)):
+        v = v * phase
+        if abs(v) >= DEFAULT_TOL:
+            amps[key] = get(key, 0j) + v
+    out = {}
+    for key, v in amps.items():
+        if abs(v) >= DEFAULT_TOL:
+            v = v * norm
+            if abs(v) >= DEFAULT_TOL:
+                out[key] = v
+    return PureState(n, cutoff, out)
 
 
 def xi_direct(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:
@@ -200,12 +261,15 @@ def lambda_state(
 def lambda_circuit(
     params: SourceParams, n: int, tail_bound: float = DEFAULT_TAIL_BOUND
 ) -> PureState:
-    """n-arm source built by splitting the last arm of the circuit-built two-arm state."""
-    if len(params.split_ts) != n - 2:
-        raise FockError(
-            f"{n} arms need {n - 2} extra split transmissivities, "
-            f"got {len(params.split_ts)}"
-        )
+    """n-arm source built by splitting the last arm of the circuit-built two-arm state.
+
+    Refused before any element runs when the closed form's branch would
+    multiply more than ``MAX_SOURCE_PRODUCTS`` products.
+    """
+    _check_branch_size(
+        len(coherent(g, H, params.cutoff, math.inf).amplitudes)
+        for g in split_amplitudes(params, n)
+    )
     work = xi_circuit(params, tail_bound)
     for t in params.split_ts:
         last = work.mode_count - 1

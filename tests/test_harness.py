@@ -438,12 +438,12 @@ class TestSpot:
 
 
 class TestCli:
-    def run_cli(self, *args, expect: int):
+    def run_cli(self, *args, expect: int, timeout: float = 300):
         proc = subprocess.run(
             [sys.executable, "-m", "polscissors", *args],
             capture_output=True,
             text=True,
-            timeout=300,
+            timeout=timeout,
         )
         assert proc.returncode == expect, proc.stderr + proc.stdout
         return proc
@@ -555,6 +555,24 @@ class TestCli:
     @pytest.mark.parametrize("prep", ["coherent:gamma=1e200", "cat:delta=1e200", "xi:delta=1e200"])
     def test_state_past_the_float_range_of_gamma_squared_exit_3(self, prep):
         self.run_cli("state", "--prep", prep, expect=3)
+
+    @pytest.mark.parametrize("name", ["lambda", "lambda-circuit"])
+    def test_state_oversized_source_exit_3(self, name):
+        # 3.3e9 amplitude products per branch: refused before anything is built
+        splits = ",".join(f"t{i}=0.5" for i in range(1, 7))
+        proc = self.run_cli("state", "--prep", f"{name}:delta=1,n=8,{splits}", expect=3, timeout=30)
+        assert "amplitude products" in proc.stderr
+
+    def test_sweep_oversized_omega_source_exit_3(self, tmp_path):
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            OMEGA_CONFIG.replace("omega_n = 2", "omega_n = 8").replace(
+                "omega_scissors = pqs1,pqs2", "omega_scissors = pqs1,pqs2\nomega_split_ts = "
+                + ",".join(["0.5"] * 6)
+            )
+        )
+        proc = self.run_cli("sweep", "--config", str(config), expect=3, timeout=30)
+        assert "amplitude products" in proc.stderr
 
     @pytest.mark.parametrize("prep", ["coherent:gamma=30", "cat:delta=30,phi=0.3"])
     def test_state_past_the_float_range_of_n_factorial(self, prep):

@@ -1,31 +1,46 @@
-"""Bitwise oracles for the heralding kernels.
+"""Bitwise oracles for the heralding and source kernels.
 
 The scissors module splits its ancilla on a two-mode state and tensors that
-onto the input once, ``project_number`` matches keys with ``itemgetter``, and
-``apply_bs`` caches its pair terms across calls.  Each must leave every state
-a detector projects bit for bit as the plain constructions below build it:
-same keys, same insertion order, same real and imaginary parts (compared with
+onto the input once, ``project_number`` matches keys with ``itemgetter``,
+``apply_bs`` caches its pair terms across calls and builds them from hoisted
+powers, and the entangled sources are built in one pass.  Each must leave
+every state bit for bit as the plain constructions below build it: same keys,
+same insertion order, same real and imaginary parts (compared with
 ``float.hex``, so even the sign of a zero counts).
 """
 
+import cmath
+import functools
+import math
 import random
 
 import pytest
 
-from polscissors import elements, scissors
+from polscissors import analytics, elements, fock, scissors, sources
 from polscissors.elements import BeamSplitterSpec, apply_bs
 from polscissors.fock import (
     H,
+    V,
     FockError,
     ProjectionOutcome,
     PureState,
     _raw_state,
+    add,
     make_state,
+    min_cutoff,
     project_number,
+    scale,
     tensor,
     vacuum,
 )
-from polscissors.sources import SourceParams, lambda_state
+from polscissors.sources import (
+    SourceParams,
+    coherent,
+    heralded_target,
+    lambda_state,
+    split_amplitudes,
+    xi_direct,
+)
 
 from conftest import random_state
 from test_elements import apply_bs_reference
@@ -194,3 +209,106 @@ class TestPairTermCache:
         assert elements._kept_pair_terms.cache_info().currsize == elements.PAIR_TERM_CACHE_SIZE
         for (spec, state), want in zip(calls, expected):
             assert hex_items(apply_bs(state, spec)) == want
+
+
+def bs_pair_terms_reference(p, q, t):
+    """The plain double loop: every power and binomial recomputed per (i, j)."""
+    st = math.sqrt(t)
+    sr = math.sqrt(1.0 - t)
+    terms = {}
+    for i in range(p + 1):
+        ci = math.comb(p, i) * st**i * sr ** (p - i)
+        for j in range(q + 1):
+            cj = math.comb(q, j) * sr**j * (-st) ** (q - j)
+            terms[i + j] = terms.get(i + j, 0.0) + ci * cj
+    base = math.sqrt(math.factorial(p) * math.factorial(q))
+    out = []
+    for na, c in terms.items():
+        nb = p + q - na
+        w = c * math.sqrt(math.factorial(na) * math.factorial(nb)) / base
+        if w != 0.0:
+            out.append((na, nb, w))
+    return out
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 0.5, 0.83, 1.0])
+def test_bs_pair_terms_bitwise_equal_to_the_double_loop(t):
+    for p in range(25):
+        for q in range(25):
+            got = [(na, nb, w.hex()) for na, nb, w in elements._bs_pair_terms(p, q, t)]
+            want = [(na, nb, w.hex()) for na, nb, w in bs_pair_terms_reference(p, q, t)]
+            assert got == want, (p, q)
+
+
+def two_branch_reference(params, n, photon_arms, norm, tail_bound):
+    """``norm (|H> + e^(i phi) |V>)`` composed state by state with tensor, add and scale."""
+    gammas = split_amplitudes(params, n)
+
+    def branch(pol, sign):
+        photon = ((1, 0) if pol == H else (0, 1),)
+        factors = [
+            make_state(1, params.cutoff, [(photon, 1.0)])
+            if k in photon_arms
+            else coherent(sign * g, pol, params.cutoff, tail_bound)
+            for k, g in enumerate(gammas)
+        ]
+        return functools.reduce(tensor, factors)
+
+    combined = add(branch(H, 1.0), scale(branch(V, -1.0), cmath.exp(1j * params.phi)))
+    return scale(combined, norm)
+
+
+def source_grid():
+    """Seeded sources over n <= 4 at the phase and split edges, with their tail budgets.
+
+    The cutoffs run past the feasible one, so products fall below the
+    compaction tolerance; small amplitudes at phi = pi give a normalization
+    far above 1, where a product dropped just below the tolerance would
+    survive the scaling.
+    """
+    rng = random.Random(12)
+    edges = (0.0, 1.0, 0.5)
+    for n in (2, 3, 4):
+        for phi in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
+            for tail_bound in (1e-12, 1e-9):
+                for delta, ts in ((0.05, (rng.uniform(0.2, 0.8),)), (rng.uniform(0.3, 0.9), edges)):
+                    t0 = rng.choice(ts + (rng.random(),))
+                    split_ts = tuple(rng.choice(ts + (rng.random(),)) for _ in range(n - 2))
+                    cutoff = min_cutoff(delta * math.sqrt(2.0), tail_bound) + 10 - 2 * n
+                    yield SourceParams(delta, phi, t0, split_ts, cutoff), n, tail_bound
+
+
+def photon_arm_sets(n):
+    return [(0,), (1,), (1, 0), tuple(range(n))]
+
+
+class TestSources:
+    def test_lambda_state_and_targets_bitwise_equal_to_the_composition(self):
+        cases = 0
+        for params, n, tail_bound in source_grid():
+            norm = analytics.m_n(split_amplitudes(params, n), params.phi)
+            want = two_branch_reference(params, n, (), norm, tail_bound)
+            assert hex_items(lambda_state(params, n, tail_bound)) == hex_items(want)
+            if n == 2:
+                assert hex_items(xi_direct(params, tail_bound)) == hex_items(want)
+            for arms in photon_arm_sets(n):
+                want = two_branch_reference(params, n, arms, 1.0 / math.sqrt(2.0), tail_bound)
+                got = heralded_target(params, n, arms, tail_bound)
+                assert hex_items(got) == hex_items(want), (params, n, arms)
+            cases += 1
+        assert cases == 48
+
+    def test_built_without_tensor_add_or_scale(self, monkeypatch):
+        # the one-pass builder makes no intermediate state; the composition
+        # above must not quietly come back
+        def refuse(*args):
+            raise AssertionError("a source was composed state by state")
+
+        for name in ("tensor", "add", "scale"):
+            monkeypatch.setattr(fock, name, refuse)
+            if hasattr(sources, name):
+                monkeypatch.setattr(sources, name, refuse)
+        params = SourceParams(0.7, 0.4, 0.45, (0.3, 0.6), 12)
+        assert lambda_state(params, 4).amplitudes
+        assert heralded_target(params, 4, (1, 0)).amplitudes
+        assert xi_direct(SourceParams(0.7, 0.4, 0.45, (), 12)).amplitudes

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from polscissors import analytics
+from polscissors import analytics, scissors
 from polscissors.fock import (
     FockError,
+    _raw_state,
     fidelity,
     make_state,
     normalize,
@@ -326,3 +327,49 @@ def test_prepare_stages_dispatches_each_stage_to_its_method():
         first.total_probability,
         first.total_probability * second.total_probability,
     ]
+
+
+def _assembled(table, state, mode):
+    """Every pattern branch built from the table's rows, normalized and compared by ``_assemble``."""
+    branches = [{} for _ in range(table.patterns)]
+    for key, amp in state.amplitudes.items():
+        for p, out, coeff in table.rows[key[mode]]:
+            new = key[:mode] + (out,) + key[mode + 1 :]
+            branches[p][new] = branches[p].get(new, 0j) + amp * coeff
+    kept = [_raw_state(state.mode_count, state.cutoff, b, state.tol) if b else None for b in branches]
+    return scissors._assemble([(0.0, None) if k is None else (k.norm_squared(), k) for k in kept])
+
+
+@pytest.mark.parametrize("method,knob", [("pqs1", 0.83), ("pqs2", 0.07j)])
+def test_table_application_normalizes_one_branch_and_compares_none(method, knob, monkeypatch):
+    # the table's agreement is its circuit's on the probes, not recomputed per application
+    probes = []
+
+    def circuit(state, mode):
+        probes.append((pqs1_apply if method == "pqs1" else pqs2_apply)(state, mode, knob))
+        return probes[-1]
+
+    cutoff = required_cutoff(0.9, 0.45)
+    table = TransferTable(circuit, cutoff)
+    source = xi_direct(SourceParams(0.9, 0.4, 0.45, (), cutoff))
+    table.apply(source, 1)  # fills every row the source needs
+    assert len(probes) == 1 and table.agreement == probes[0].pattern_agreement
+    want = _assembled(table, source, 1)
+    calls = {"normalize": 0}
+
+    def counted(state):
+        calls["normalize"] += 1
+        return normalize(state)
+
+    def refuse(*args):
+        raise AssertionError("a table application compared its pattern states")
+
+    monkeypatch.setattr(scissors, "normalize", counted)
+    monkeypatch.setattr(scissors, "fidelity", refuse)
+    got = table.apply(source, 1)
+    assert calls["normalize"] == 1
+    assert got.total_probability.hex() == want.total_probability.hex()
+    assert [(k, a.real.hex(), a.imag.hex()) for k, a in got.canonical_state.amplitudes.items()] == [
+        (k, a.real.hex(), a.imag.hex()) for k, a in want.canonical_state.amplitudes.items()
+    ]
+    assert got.pattern_agreement == table.agreement >= 1 - 1e-9

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from polscissors import analytics
+from polscissors import analytics, sources
 from polscissors.analytics import DegenerateParameterError as DegenerateStateError
-from polscissors.fock import CutoffError, FockError, fidelity, min_cutoff
+from polscissors.fock import MAX_SOURCE_PRODUCTS, CutoffError, FockError, fidelity, min_cutoff
 from polscissors.sources import (
     SourceParams,
     cat,
@@ -194,6 +194,30 @@ class TestLambda:
     def test_wrong_split_count(self):
         with pytest.raises(FockError):
             lambda_state(SourceParams(1.0, 0.0, 0.5, (), 8), 3)
+
+    def test_oversized_source_refused_before_it_is_built(self, monkeypatch):
+        # eight arms at delta 1 multiply 3.3e9 products per branch; both
+        # routes refuse from the arms' factor sizes alone
+        params = SourceParams(1.0, 0.0, 0.5, (0.5,) * 6, 18)
+
+        def build(*args):
+            raise AssertionError("a circuit ran")
+
+        monkeypatch.setattr(sources, "xi_circuit", build)
+        with pytest.raises(CutoffError, match="3,274,212,240 amplitude products"):
+            lambda_state(params, 8)
+        with pytest.raises(CutoffError, match="3,274,212,240 amplitude products"):
+            lambda_circuit(params, 8)
+
+    def test_size_limit_admits_the_largest_benchmarked_source(self):
+        # four arms at delta 2.0, cutoff 35: 36 * 34 * 27 * 27 products
+        params = SourceParams(2.0, 0.0, 0.5, (0.5, 0.5), 35)
+        sizes = [len(coherent(g, "H", 35).amplitudes) for g in split_amplitudes(params, 4)]
+        assert sizes == [36, 34, 27, 27]
+        assert math.prod(sizes) <= MAX_SOURCE_PRODUCTS
+        sources._check_branch_size(sizes)
+        with pytest.raises(CutoffError):
+            sources._check_branch_size([MAX_SOURCE_PRODUCTS + 1])
 
     def test_permutation_covariance(self):
         # exchanging split amplitudes relabels arms; fidelity via arm swap
