@@ -87,28 +87,23 @@ class XiCoefficients:
 
     c10/c01 multiply the single-photon H/V branches, c00 the vacuum branch
     (whose environment state carries normalization ``l_alpha``); the joint
-    two-photon coefficient c11 vanishes identically for this input.
+    two-photon coefficient vanishes identically for this input.
     """
 
     c10: complex
     c01: complex
     c00: complex
-    c11: complex
-    l_alpha: float
 
 
 def xi_coefficients(delta: float, phi: float, t0: float) -> XiCoefficients:
     """Coefficients for truncating the beta-carrying arm of the entangled input."""
     a, b = alpha_beta(delta, t0)
     norm = n0(delta, phi, t0)
-    la = l_alpha(a, phi)
     phase = complex(math.cos(phi), math.sin(phi))
     return XiCoefficients(
         c10=norm * f_n(b, 1),
         c01=phase * norm * f_n(-b, 1),
-        c00=norm * f_n(b, 0) / la,
-        c11=0.0 + 0.0j,
-        l_alpha=la,
+        c00=norm * f_n(b, 0) / l_alpha(a, phi),
     )
 
 

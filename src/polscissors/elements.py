@@ -13,6 +13,11 @@ Conventions, fixed once and used everywhere:
 * Type-II two-mode squeezer: pair creation across (signal H, idle V) and
   (signal V, idle H); exact kernel below.  The tests check it against a
   low-order series oracle built directly from ladder operators.
+
+The beam splitter and the squeezer take an optional ``herald``: the output
+occupations the photon-number projection that follows accepts on their
+modes.  Given one, they form only those output keys, bit for bit and in the
+order the full expansion holds them, so the projection's result is unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Collection
 
 from .fock import (
     H,
@@ -116,7 +122,11 @@ def _kept_pair_terms(p: int, q: int, t: float, cutoff: int) -> tuple[tuple[int, 
     )
 
 
-def apply_bs(state: PureState, spec: BeamSplitterSpec) -> PureState:
+def apply_bs(
+    state: PureState,
+    spec: BeamSplitterSpec,
+    herald: Collection[tuple[Occupation, Occupation]] | None = None,
+) -> PureState:
     """General beam splitter on two spatial modes, polarizations independent.
 
     Exact on every key whose per-polarization photon total fits the cutoff;
@@ -127,6 +137,10 @@ def apply_bs(state: PureState, spec: BeamSplitterSpec) -> PureState:
     order, so the float operations and the key insertion order do not depend
     on earlier calls.  Single-polarization terms are cached per
     (p, q, t, cutoff), at most ``PAIR_TERM_CACHE_SIZE`` entries.
+
+    ``herald``, when given, lists the ``(occ_a, occ_b)`` output pairs the
+    following projection accepts on the two modes; no other output key is
+    formed.  The kept keys are bitwise those of the full output, in its order.
     """
     _check_mode(state, spec.mode_a)
     _check_mode(state, spec.mode_b)
@@ -135,6 +149,10 @@ def apply_bs(state: PureState, spec: BeamSplitterSpec) -> PureState:
     # (key[a], key[b]) -> joint H x V rows, built once per call: per kept H
     # term its weight and, per kept V term, both output occupations and the V weight
     rows_of: dict[tuple[Occupation, Occupation], list] = {}
+    if herald is not None:
+        # the H and the V output pairs of the accepted patterns
+        herald_h = {(occ_a[0], occ_b[0]) for occ_a, occ_b in herald}
+        herald_v = {(occ_a[1], occ_b[1]) for occ_a, occ_b in herald}
 
     amps: dict[OccKey, complex] = {}
     get = amps.get
@@ -144,10 +162,25 @@ def apply_bs(state: PureState, spec: BeamSplitterSpec) -> PureState:
         if rows is None:
             (pah, pav), (pbh, pbv) = pair
             terms_v = _kept_pair_terms(pav, pbv, t, cutoff)
-            rows = rows_of[pair] = [
-                (wh, [((nah, nav), (nbh, nbv), wv) for nav, nbv, wv in terms_v])
-                for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, cutoff)
-            ]
+            if herald is None:
+                rows = rows_of[pair] = [
+                    (wh, [((nah, nav), (nbh, nbv), wv) for nav, nbv, wv in terms_v])
+                    for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, cutoff)
+                ]
+            else:
+                terms_v = [term for term in terms_v if term[:2] in herald_v]
+                rows = rows_of[pair] = [
+                    (wh, cols)
+                    for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, cutoff)
+                    if (nah, nbh) in herald_h
+                    and (
+                        cols := [
+                            ((nah, nav), (nbh, nbv), wv)
+                            for nav, nbv, wv in terms_v
+                            if ((nah, nav), (nbh, nbv)) in herald
+                        ]
+                    )
+                ]
         new = list(key)
         for wh, cols in rows:
             amp_h = amp * wh
@@ -206,7 +239,19 @@ def _sqrt_binom(n: int, k: int) -> float:
     return math.sqrt(math.comb(n, k))
 
 
-def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
+def _row_stores(ck: complex, terms_m: list, m: int, g2: float, tol: float) -> bool:
+    """Whether the full kernel's l loop stores a term of the row with factor ``ck``."""
+    for l, pow_l, binom_l in terms_m:
+        if abs(ck * pow_l * binom_l) >= tol:
+            return True
+        if g2 * (m + l + 1) < (l + 1):
+            return False
+    return False
+
+
+def apply_squeezer_exact(
+    state: PureState, spec: SqueezerSpec, herald: Occupation | None = None
+) -> PureState:
     """Exact type-II two-mode squeezer with the idle mode starting in vacuum.
 
     Per signal key |n_H, m_V>, the output is a double sum over created pairs:
@@ -214,6 +259,12 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
     with signal (n+k, m+l) and idle (l, k), where
     ``K_n = (1 - |gamma|^2)^((n+2)/2)``.  Sums run until an occupation hits the
     cutoff; the discarded weight (norm deficit) is logged at debug level.
+
+    ``herald``, when given, is the one signal occupation ``(sh, sv)`` the
+    following projection accepts: each key forms at most its term
+    ``k = sh - n``, ``l = sv - m``, and only if the full kernel's stopping
+    rules reach and store it, so the kept keys are bitwise those of the full
+    output, in its order.  No deficit is logged on this path.
     """
     _check_mode(state, spec.mode_s)
     _check_mode(state, spec.mode_i)
@@ -255,6 +306,30 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
         row_n, terms_m = binom_rows[n], l_terms[m]
         base = amp * one_minus ** ((n + m + 2) / 2.0)
         new = list(key)
+        if herald is not None:
+            sh, sv = herald
+            k_last, l_last = sh - n, sv - m
+            if k_last < 0 or l_last < 0 or sh > cutoff or sv > cutoff:
+                continue
+            # rows before k_last: the k loop stops at the first that stores
+            # nothing once the growth ratio is below one
+            for k in range(k_last):
+                ck = base * pows[k] * row_n[k]
+                if g2 * (n + k + 1) < (k + 1) and not _row_stores(ck, terms_m, m, g2, tol):
+                    break
+            else:
+                ck = base * pows[k_last] * row_n[k_last]
+                reached = not any(
+                    abs(ck * pow_l * binom_l) < tol and g2 * (m + l + 1) < (l + 1)
+                    for l, pow_l, binom_l in terms_m[:l_last]
+                )
+                _, pow_l, binom_l = terms_m[l_last]
+                w = ck * pow_l * binom_l
+                if reached and abs(w) >= tol:
+                    new[ms] = occ[sh][sv]
+                    new[mi] = occ[l_last][k_last]
+                    amps[tuple(new)] = w
+            continue
         for k in range(cutoff - n + 1):
             ck = base * pows[k] * row_n[k]
             signal_row = occ[n + k]
@@ -271,7 +346,7 @@ def apply_squeezer_exact(state: PureState, spec: SqueezerSpec) -> PureState:
             if not stored_any and g2 * (n + k + 1) < (k + 1):
                 break
     out = PureState(state.mode_count, cutoff, amps, tol)
-    if log.isEnabledFor(logging.DEBUG):
+    if herald is None and log.isEnabledFor(logging.DEBUG):
         deficit = state.norm_squared() - out.norm_squared()
         if deficit > 1e-9:
             log.debug("squeezer truncation dropped %.3e of squared norm", deficit)

@@ -86,9 +86,13 @@ def required_cutoff(delta: float, t0: float, tail_bound: float = DEFAULT_TAIL_BO
     return max(1, min_cutoff(max(a, b), tail_bound))
 
 
-def _scissors(method: str, knob: float, state: PureState, mode: int) -> ScissorsResult:
+def _scissors(
+    method: str, knob: float, state: PureState, mode: int, *, herald_first: bool = False
+) -> ScissorsResult:
     """The circuit of ``method`` at ``knob``; looked up at call time, so patches and tracers apply."""
-    return pqs1_apply(state, mode, knob) if method == "pqs1" else pqs2_apply(state, mode, complex(knob))
+    if method == "pqs1":
+        return pqs1_apply(state, mode, knob, herald_first=herald_first)
+    return pqs2_apply(state, mode, complex(knob), herald_first=herald_first)
 
 
 def prepare_stages(
@@ -122,7 +126,8 @@ def prepare_stages(
 
     def herald(method: str, knob: float, state: PureState, mode: int) -> ScissorsResult:
         if (method, knob) not in tables:
-            tables[method, knob] = TransferTable(partial(_scissors, method, knob), cutoff)
+            circuit = partial(_scissors, method, knob, herald_first=True)
+            tables[method, knob] = TransferTable(circuit, cutoff)
         return tables[method, knob].apply(state, mode)
 
     return _run_stages(pipeline, params, knobs, tail_bound, herald)

@@ -22,6 +22,11 @@ Each heralded map is linear on its mode, so a ``TransferTable`` whose rows the
 circuit itself builds on a small probe applies it to a joint state in one
 pass.  Running the circuit on the whole state and projecting it
 (expand-then-project) stays the oracle the tables are tested against.
+
+Every circuit takes ``herald_first``: the element in front of the detectors
+then forms only the components they accept (``elements`` ``herald``), so it
+projects while it expands.  The result is bitwise the one of the full
+expansion, which stays the default.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ def _kept_mode_back(state: PureState, mode: int) -> PureState:
 
 
 def _qs_branches(
-    state: PureState, mode: int, pol: str, t: float
+    state: PureState, mode: int, pol: str, t: float, *, herald_first: bool = False
 ) -> list[tuple[float, PureState | None]]:
     """Run one scissors module; return corrected unnormalized branch states.
 
@@ -104,6 +109,10 @@ def _qs_branches(
     The kept output mode is moved back to ``mode``, so branch states have the
     same mode layout as the input.  Probabilities are squared norms of the
     projected components (linear in the input's squared norm).
+
+    With ``herald_first`` the Bell-measurement beam splitter forms only the
+    two detector patterns the projections accept; every projection result is
+    bitwise the one of the full expansion.
     """
     if not 0.0 < t < 1.0:
         raise FockError(f"degenerate scissors transmissivity t = {t}")
@@ -112,10 +121,12 @@ def _qs_branches(
     n = state.mode_count
     single = (1, 0) if pol == H else (0, 1)
     channel = apply_bs(make_state(2, state.cutoff, [((single, (0, 0)), 1.0)]), BeamSplitterSpec(t, 0, 1))
-    work = apply_bs(tensor(state, channel), BeamSplitterSpec(0.5, mode, n + 1))
+    patterns = ((single, (0, 0), False), ((0, 0), single, True))
+    accepted = {(d1, d2) for d1, d2, _ in patterns} if herald_first else None
+    work = apply_bs(tensor(state, channel), BeamSplitterSpec(0.5, mode, n + 1), herald=accepted)
 
     branches = []
-    for d1, d2, flip in ((single, (0, 0), False), ((0, 0), single, True)):
+    for d1, d2, flip in patterns:
         outcome = project_number(work, [(mode, d1), (n + 1, d2)])
         if outcome.state is None:
             branches.append((outcome.probability, None))
@@ -158,12 +169,16 @@ def _assemble(branches: list[tuple[float, PureState | None]]) -> ScissorsResult:
     )
 
 
-def qs_apply(state: PureState, mode: int, pol: str, t: float) -> ScissorsResult:
+def qs_apply(
+    state: PureState, mode: int, pol: str, t: float, *, herald_first: bool = False
+) -> ScissorsResult:
     """Single-polarization scissors on one mode; two accepted patterns."""
-    return _assemble(_qs_branches(state, mode, pol, t))
+    return _assemble(_qs_branches(state, mode, pol, t, herald_first=herald_first))
 
 
-def pqs1_apply(state: PureState, mode: int, t: float) -> ScissorsResult:
+def pqs1_apply(
+    state: PureState, mode: int, t: float, *, herald_first: bool = False
+) -> ScissorsResult:
     """Linear-optics polarized scissors on one mode; four joint patterns.
 
     The mode is split by polarization, each arm passes its own scissors
@@ -176,12 +191,12 @@ def pqs1_apply(state: PureState, mode: int, t: float) -> ScissorsResult:
     work = apply_pbs(tensor(state, vacuum(1, state.cutoff)), mode, n)
 
     branches = []
-    for _, st_h in _qs_branches(work, mode, H, t):
+    for _, st_h in _qs_branches(work, mode, H, t, herald_first=herald_first):
         if st_h is None:
             # both V patterns of a dead H branch are dead too
             branches += [(0.0, None)] * 2
             continue
-        for prob_v, st_v in _qs_branches(st_h, n, V, t):
+        for prob_v, st_v in _qs_branches(st_h, n, V, t, herald_first=herald_first):
             if st_v is None:
                 branches.append((prob_v, None))
                 continue
@@ -194,7 +209,9 @@ def pqs1_apply(state: PureState, mode: int, t: float) -> ScissorsResult:
     return _assemble(branches)
 
 
-def pqs2_apply(state: PureState, mode: int, gamma: complex) -> ScissorsResult:
+def pqs2_apply(
+    state: PureState, mode: int, gamma: complex, *, herald_first: bool = False
+) -> ScissorsResult:
     """Squeezer-based polarized scissors on one mode; one accepted pattern.
 
     A fresh idle mode is appended, the squeezer pumps signal/idle pairs, and
@@ -205,8 +222,9 @@ def pqs2_apply(state: PureState, mode: int, gamma: complex) -> ScissorsResult:
         raise FockError(f"mode {mode} out of range")
     n = state.mode_count
     work = tensor(state, vacuum(1, state.cutoff))
-    work = apply_squeezer_exact(work, SqueezerSpec(gamma, mode, n))
-    outcome = project_number(work, [(mode, (1, 1))])
+    signal = (1, 1)
+    work = apply_squeezer_exact(work, SqueezerSpec(gamma, mode, n), herald=signal if herald_first else None)
+    outcome = project_number(work, [(mode, signal)])
     kept = None if outcome.state is None else _kept_mode_back(outcome.state, mode)
     return ScissorsResult(
         (HeraldedOutcome(outcome.probability, kept),), outcome.probability, kept, 1.0

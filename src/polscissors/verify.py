@@ -168,7 +168,7 @@ def run_verify(
         try:
             cut = max(4, min_cutoff(delta))
             coh = coherent(delta, H, cut)
-            sim = qs_apply(coh, 0, H, t)
+            sim = qs_apply(coh, 0, H, t, herald_first=True)
             ana = analytics.pf_qs(analytics.f_n(delta, 0) ** 2, analytics.f_n(delta, 1) ** 2, t)
             photon = make_state(1, cut, [(((1, 0),), 1.0)])
             sim_f = fidelity(sim.canonical_state, photon)
@@ -183,14 +183,14 @@ def run_verify(
         sqs = {k: abs(v) ** 2 for k, v in coeffs.items()}
         ideal = _ideal_photon_sector(coeffs, 8)
 
-        sim = pqs1_apply(state, 0, t)
+        sim = pqs1_apply(state, 0, t, herald_first=True)
         ana = analytics.pf_pqs1(sqs[(1, 0)], sqs[(0, 1)], sqs[(0, 0)], sqs[(1, 1)], t)
         stats["pqs1-random"].record(
             abs(sim.total_probability - ana.probability),
             abs(fidelity(sim.canonical_state, ideal) - ana.fidelity),
         )
 
-        sim = pqs2_apply(state, 0, gamma)
+        sim = pqs2_apply(state, 0, gamma, herald_first=True)
         ana = analytics.pf_pqs2(sqs[(1, 0)], sqs[(0, 1)], sqs[(0, 0)], sqs[(1, 1)], gamma)
         stats["pqs2-random"].record(
             abs(sim.total_probability - ana.probability),

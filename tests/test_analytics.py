@@ -168,7 +168,6 @@ class TestXiCoefficients:
         expect = n0(1.0, 0.0, 0.5) * f_n(1.0, 1)
         assert c.c10 == pytest.approx(expect, abs=1e-12)
         assert abs(c.c10) == pytest.approx(0.40246, abs=1e-4)
-        assert c.c11 == 0.0
 
     def test_magnitude_symmetry_and_sign(self, rng):
         for _ in range(10):

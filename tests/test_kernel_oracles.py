@@ -109,10 +109,10 @@ def recorded(monkeypatch):
     original_branches = scissors._qs_branches
     original_project = scissors.project_number
 
-    def branches(state, mode, pol, t):
+    def branches(state, mode, pol, t, **flags):
         modules.append({"args": (state, mode, pol, t), "projected": []})
         try:
-            return original_branches(state, mode, pol, t)
+            return original_branches(state, mode, pol, t, **flags)
         finally:
             modules[-1]["done"] = True
 
