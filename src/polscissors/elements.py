@@ -147,12 +147,14 @@ def apply_bs(
     a, b, t = spec.mode_a, spec.mode_b, spec.t
     cutoff = state.cutoff
     # (key[a], key[b]) -> joint H x V rows, built once per call: per kept H
-    # term its weight and, per kept V term, both output occupations and the V weight
+    # term its weight and its V columns.  The columns, both output occupations
+    # and the V weight per kept V term, depend only on (nah, nbh, pav, pbv), so
+    # each list is built once per call and shared by the rows that need it.
     rows_of: dict[tuple[Occupation, Occupation], list] = {}
+    cols_of: dict[tuple[int, int, int, int], list] = {}
     if herald is not None:
-        # the H and the V output pairs of the accepted patterns
+        # the H output pairs of the accepted patterns
         herald_h = {(occ_a[0], occ_b[0]) for occ_a, occ_b in herald}
-        herald_v = {(occ_a[1], occ_b[1]) for occ_a, occ_b in herald}
 
     amps: dict[OccKey, complex] = {}
     get = amps.get
@@ -161,26 +163,19 @@ def apply_bs(
         rows = rows_of.get(pair)
         if rows is None:
             (pah, pav), (pbh, pbv) = pair
-            terms_v = _kept_pair_terms(pav, pbv, t, cutoff)
-            if herald is None:
-                rows = rows_of[pair] = [
-                    (wh, [((nah, nav), (nbh, nbv), wv) for nav, nbv, wv in terms_v])
-                    for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, cutoff)
-                ]
-            else:
-                terms_v = [term for term in terms_v if term[:2] in herald_v]
-                rows = rows_of[pair] = [
-                    (wh, cols)
-                    for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, cutoff)
-                    if (nah, nbh) in herald_h
-                    and (
-                        cols := [
-                            ((nah, nav), (nbh, nbv), wv)
-                            for nav, nbv, wv in terms_v
-                            if ((nah, nav), (nbh, nbv)) in herald
-                        ]
-                    )
-                ]
+            rows = rows_of[pair] = []
+            for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, cutoff):
+                if herald is not None and (nah, nbh) not in herald_h:
+                    continue
+                cols = cols_of.get((nah, nbh, pav, pbv))
+                if cols is None:
+                    cols = cols_of[nah, nbh, pav, pbv] = [
+                        ((nah, nav), (nbh, nbv), wv)
+                        for nav, nbv, wv in _kept_pair_terms(pav, pbv, t, cutoff)
+                        if herald is None or ((nah, nav), (nbh, nbv)) in herald
+                    ]
+                if cols:
+                    rows.append((wh, cols))
         new = list(key)
         for wh, cols in rows:
             amp_h = amp * wh

@@ -6,19 +6,26 @@ named pipelines are two-arm cases: truncating the second arm gives the hybrid
 photon-qubit vs coherent-arm entanglement, then the first as well the
 polarization Bell pair.  They also have an analytic route (closed forms); the
 two must agree within the verification budget.
+
+The simulation builds only what its first scissors stage can herald: the
+source restricted to the first arm's vacuum and single-photon keys, kept with
+its heralded targets for the last few parameter points, so verify's two
+chains of one sample and the sweep cells of one delta row build it once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import Callable
 
-from . import analytics
+from . import analytics, sources
 from .elements import apply_pol_phase
-from .fock import DEFAULT_TAIL_BOUND, V, PureState, fidelity, min_cutoff
+from .fock import DEFAULT_TAIL_BOUND, V, Occupation, PureState, fidelity, min_cutoff
 from .scissors import ScissorsResult, TransferTable, pqs1_apply, pqs2_apply
-from .sources import SourceParams, heralded_target, lambda_state
+from .sources import SourceParams
 
 # Sweep axis of each scissors method's knob: pqs1 transmissivity, pqs2 squeezing |gamma|.
 KNOB_AXES = {"pqs1": "t", "pqs2": "gamma_abs"}
@@ -39,6 +46,8 @@ class Pipeline:
         for method in self.methods:
             if method not in KNOB_AXES:
                 raise ValueError(f"unknown scissors method {method!r}")
+        if not self.arms:
+            raise ValueError("a pipeline truncates at least one arm")
         if len(self.methods) != len(self.arms):
             raise ValueError(
                 f"need one scissors method per truncated arm ({len(self.arms)}), "
@@ -95,6 +104,70 @@ def _scissors(
     return pqs2_apply(state, mode, complex(knob), herald_first=herald_first)
 
 
+# How many parameter points keep their restricted source and heralded targets:
+# verify's pqs1 and pqs2 Bell chains of one sample share one build, and so do
+# the sweep cells of one delta row.
+CACHED_POINTS = 2
+
+
+@dataclass
+class _PointBuilds:
+    """The restricted source and the heralded targets built at one parameter point.
+
+    ``first`` is ``(arm, occupations, kept, source)``: the source restricted
+    to the ``kept`` ones of its ``arm`` factor ``occupations``.  The builders
+    are looked up in ``sources`` at call time, so patches and tracers apply.
+    """
+
+    params: SourceParams
+    n: int
+    tail_bound: float
+    first: tuple[int, list[Occupation], list[Occupation], PureState] | None = None
+    targets: dict[tuple[int, ...], PureState] = field(default_factory=dict)
+
+    def source(self, arm: int, fill: Callable[[list[Occupation]], list[Occupation]]) -> PureState:
+        """The source with only the ``arm`` occupations the first stage heralds.
+
+        ``fill`` fills the first stage's table from the arm's factor
+        occupations and returns those with non-empty rows; ``lambda_state``
+        calls it after its own checks, so every error keeps its order.  The
+        kept build is reused when its occupations fill this call's table to
+        the same kept list, so a table's rows never depend on the cache.
+        """
+        if self.first is not None and self.first[0] == arm:
+            _, occupations, kept, state = self.first
+            if fill(occupations) == kept:
+                return state
+        seen: list[list[Occupation]] = []
+
+        def accept(occupations: list[Occupation]) -> list[Occupation]:
+            seen[:] = occupations, fill(occupations)
+            return seen[1]
+
+        state = sources.lambda_state(self.params, self.n, self.tail_bound, herald=(arm, accept))
+        self.first = (arm, *seen, state)
+        return state
+
+    def target(self, arms: tuple[int, ...]) -> PureState:
+        """``heralded_target`` of the truncated ``arms``."""
+        if arms not in self.targets:
+            self.targets[arms] = sources.heralded_target(self.params, self.n, arms, self.tail_bound)
+        return self.targets[arms]
+
+
+_points: OrderedDict[tuple[SourceParams, int, float], _PointBuilds] = OrderedDict()
+
+
+def _point_builds(params: SourceParams, n: int, tail_bound: float) -> _PointBuilds:
+    """The builds of one point, now the most recent; the oldest past ``CACHED_POINTS`` go."""
+    key = (params, n, tail_bound)
+    builds = _points.pop(key, None) or _PointBuilds(params, n, tail_bound)
+    _points[key] = builds
+    while len(_points) > CACHED_POINTS:
+        _points.popitem(last=False)
+    return builds
+
+
 def prepare_stages(
     pipeline: Pipeline,
     delta: float,
@@ -118,25 +191,44 @@ def prepare_stages(
     on the state before that correction.  The last result is the
     preparation's.  A stage applies its method's and knob's ``TransferTable``,
     built by the circuit and shared by the stages of this call.
+
+    Herald first: the first table is filled from the first arm's factor
+    occupations before the source exists, and the source holds only the keys
+    whose occupation there has a non-empty row: the full source's keys, bit
+    for bit, less those the first stage maps to nothing.  That source and the
+    stage targets are kept for the last ``CACHED_POINTS`` parameter points.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
     params = SourceParams(delta=delta, phi=phi, t0=t0, split_ts=split_ts, cutoff=cutoff)
     tables: dict[tuple[str, float], TransferTable] = {}
 
-    def herald(method: str, knob: float, state: PureState, mode: int) -> ScissorsResult:
+    def table(method: str, knob: float) -> TransferTable:
         if (method, knob) not in tables:
             circuit = partial(_scissors, method, knob, herald_first=True)
             tables[method, knob] = TransferTable(circuit, cutoff)
-        return tables[method, knob].apply(state, mode)
+        return tables[method, knob]
 
-    return _run_stages(pipeline, params, knobs, tail_bound, herald)
+    def herald(method: str, knob: float, state: PureState, mode: int) -> ScissorsResult:
+        return table(method, knob).apply(state, mode)
+
+    def fill(occupations: list[Occupation]) -> list[Occupation]:
+        first = pipeline.methods[0]
+        return table(first, knobs[KNOB_AXES[first]]).fill(occupations)
+
+    builds = _point_builds(params, pipeline.n, tail_bound)
+    source = builds.source(pipeline.arms[0], fill)
+    return _run_stages(pipeline, source, knobs, herald, builds.target)
 
 
-def _run_stages(pipeline, params, knobs, tail_bound, herald) -> tuple[PrepResult, ...]:
-    """The stage loop of ``prepare_stages``; ``herald(method, knob, state, mode)`` runs a stage."""
+def _run_stages(pipeline, source, knobs, herald, target) -> tuple[PrepResult, ...]:
+    """The stage loop of ``prepare_stages`` on ``source``.
+
+    ``herald(method, knob, state, mode)`` runs a stage, and ``target(arms)``
+    is the heralded target of the arms truncated so far.
+    """
     arms = pipeline.arms
-    current = lambda_state(params, pipeline.n, tail_bound)
+    current = source
     probability = 1.0
     stages = []
     for count, (mode, method) in enumerate(zip(arms, pipeline.methods), 1):
@@ -147,16 +239,20 @@ def _run_stages(pipeline, params, knobs, tail_bound, herald) -> tuple[PrepResult
             stages.append(PrepResult(probability, 0.0, None))
             break
         state = apply_pol_phase(current, arms[0], V, math.pi) if count % 2 else current
-        target = heralded_target(params, pipeline.n, arms[:count], tail_bound)
-        stages.append(PrepResult(probability, fidelity(state, target), state))
+        stages.append(PrepResult(probability, fidelity(state, target(arms[:count])), state))
     return tuple(stages)
 
 
 def prepare_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> PrepResult:
-    """Truncate both arms to the Bell pair by expand-then-project: the tables' oracle."""
+    """Truncate both arms to the Bell pair by expand-then-project: the tables' oracle.
+
+    It builds the full source and its targets anew and keeps nothing.
+    """
     pipeline, knobs = Pipeline((method, method), BELL_ARMS), {KNOB_AXES[method]: knob}
     params = SourceParams(delta, phi, t0, (), required_cutoff(delta, t0))
-    return _run_stages(pipeline, params, knobs, DEFAULT_TAIL_BOUND, _scissors)[-1]
+    source = sources.lambda_state(params, 2)
+    target = partial(sources.heralded_target, params, 2)
+    return _run_stages(pipeline, source, knobs, _scissors, target)[-1]
 
 
 def prepare_named(

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .fock import (
+    DEFAULT_TOL,
     H,
     V,
     FockError,
@@ -239,11 +240,24 @@ class TransferTable:
     outcome state's amplitude.  Missing rows come from one ``circuit(probe, 1)``
     call: probe mode 0 holds label ``divmod(i, cutoff + 1)``, mode 1 input ``i``.
     ``agreement`` is the least pattern agreement over those calls.
+
+    ``apply`` fills the rows of the occupations a state holds, in the order its
+    keys first show them.  ``fill`` takes a list instead; ``prepare_stages``
+    hands it the first arm's source factor occupations (the H factor's in
+    order, then the V factor's new ones) before the source is built, and
+    builds the source only where ``fill`` finds a non-empty row.
     """
 
     def __init__(self, circuit: Callable[[PureState, int], ScissorsResult], cutoff: int) -> None:
         self.circuit, self.cutoff, self.patterns, self.agreement = circuit, cutoff, 0, 1.0
         self.rows: dict[Occupation, list[tuple[int, Occupation, complex]]] = {}
+
+    def fill(self, inputs: list[Occupation]) -> list[Occupation]:
+        """Fill the rows of the distinct ``inputs`` the table lacks; the inputs whose rows are non-empty."""
+        missing = [occ for occ in inputs if occ not in self.rows]
+        if missing:
+            self._fill(missing, DEFAULT_TOL)
+        return [occ for occ in inputs if self.rows[occ]]
 
     def _fill(self, inputs: list[Occupation], tol: float) -> None:
         side = self.cutoff + 1

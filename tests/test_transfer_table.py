@@ -107,6 +107,9 @@ class _Expand:
     def __init__(self, circuit, cutoff):
         self.apply = circuit
 
+    def fill(self, occupations):
+        return occupations
+
 
 CHAINS = [
     (Pipeline(("pqs1", "pqs1"), BELL_ARMS), {"t": 0.83}),
@@ -132,6 +135,23 @@ def test_prepare_stages_matches_the_expand_route(chain, delta, monkeypatch):
         (knob,) = knobs.values()
         bell = prepare_bell(pipeline.method, delta, phi, t0, knob)
         assert (bell.probability, bell.fidelity) == (expanded[-1].probability, expanded[-1].fidelity)
+
+
+@pytest.mark.parametrize("n,delta", [(3, 0.8), (3, 1.4), (3, 2.0), (4, 0.8), (4, 1.4)])
+def test_prepare_stages_matches_the_expand_route_on_omega_chains(n, delta, monkeypatch):
+    # the expand stub's fill keeps every occupation, so its source is the full one
+    rng = random.Random(1000 * n + round(10 * delta))
+    methods = tuple(rng.choice(["pqs1", "pqs2"]) for _ in range(rng.randint(1, n)))
+    splits = tuple(rng.uniform(0.1, 0.9) for _ in range(n - 2))
+    knobs = {"t": rng.uniform(0.3, 0.98), "gamma_abs": rng.uniform(0.01, 0.12)}
+    args = (omega_pipeline(n, len(methods), methods), delta, rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 0.9), knobs, splits)
+    tables = prepare_stages(*args)
+    monkeypatch.setattr(preparations, "TransferTable", _Expand)
+    expanded = prepare_stages(*args)
+    assert len(tables) == len(expanded) == len(methods)
+    for table, expand in zip(tables, expanded):
+        assert abs(table.probability - expand.probability) <= 1e-14 * expand.probability
+        assert abs(table.fidelity - expand.fidelity) <= 1e-14 * expand.fidelity
 
 
 def _projected_sizes(monkeypatch):
