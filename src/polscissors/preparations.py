@@ -9,14 +9,13 @@ two must agree within the verification budget.
 
 The simulation builds only what its first scissors stage can herald: the
 source restricted to the first arm's vacuum and single-photon keys, kept with
-its heralded targets for the last few parameter points, so verify's two
-chains of one sample and the sweep cells of one delta row build it once.
+its heralded targets for the last parameter point, so verify's two chains of
+one sample and the sweep cells of one delta row build it once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -104,12 +103,6 @@ def _scissors(
     return pqs2_apply(state, mode, complex(knob), herald_first=herald_first)
 
 
-# How many parameter points keep their restricted source and heralded targets:
-# verify's pqs1 and pqs2 Bell chains of one sample share one build, and so do
-# the sweep cells of one delta row.
-CACHED_POINTS = 2
-
-
 @dataclass
 class _PointBuilds:
     """The restricted source and the heralded targets built at one parameter point.
@@ -155,17 +148,18 @@ class _PointBuilds:
         return self.targets[arms]
 
 
-_points: OrderedDict[tuple[SourceParams, int, float], _PointBuilds] = OrderedDict()
+# The builds of the last parameter point: verify's pqs1 and pqs2 Bell chains of
+# one sample run back to back at one point, and so do the sweep cells of one
+# delta row.
+_last: _PointBuilds | None = None
 
 
 def _point_builds(params: SourceParams, n: int, tail_bound: float) -> _PointBuilds:
-    """The builds of one point, now the most recent; the oldest past ``CACHED_POINTS`` go."""
-    key = (params, n, tail_bound)
-    builds = _points.pop(key, None) or _PointBuilds(params, n, tail_bound)
-    _points[key] = builds
-    while len(_points) > CACHED_POINTS:
-        _points.popitem(last=False)
-    return builds
+    """The kept builds if the last call was at this point, else new ones that replace them."""
+    global _last
+    if _last is None or (_last.params, _last.n, _last.tail_bound) != (params, n, tail_bound):
+        _last = _PointBuilds(params, n, tail_bound)
+    return _last
 
 
 def prepare_stages(
@@ -196,7 +190,7 @@ def prepare_stages(
     occupations before the source exists, and the source holds only the keys
     whose occupation there has a non-empty row: the full source's keys, bit
     for bit, less those the first stage maps to nothing.  That source and the
-    stage targets are kept for the last ``CACHED_POINTS`` parameter points.
+    stage targets are kept for the last parameter point.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)

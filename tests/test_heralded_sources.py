@@ -5,12 +5,11 @@ source's keys whose ``arm`` occupation ``accept`` keeps, bit for bit and in
 the full source's order, and must run every check of the unrestricted source
 first.  ``prepare_stages`` fills its first table before the source exists,
 builds the source restricted to the rows that table fills, and keeps one such
-build, with its targets, per recent parameter point.
+build, with its targets, for the last parameter point.
 """
 
 import math
 import random
-from collections import OrderedDict
 
 import pytest
 
@@ -18,7 +17,6 @@ from polscissors import analytics, preparations, sources, verify
 from polscissors.fock import MAX_SOURCE_PRODUCTS, CutoffError
 from polscissors.preparations import (
     BELL_ARMS,
-    CACHED_POINTS,
     PIPELINES,
     Pipeline,
     omega_pipeline,
@@ -33,7 +31,7 @@ from test_kernel_oracles import hex_items
 @pytest.fixture
 def fresh_cache(monkeypatch):
     """An empty point cache for the test, so earlier tests' builds do not count."""
-    monkeypatch.setattr(preparations, "_points", OrderedDict())
+    monkeypatch.setattr(preparations, "_last", None)
 
 
 @pytest.fixture
@@ -150,11 +148,11 @@ def test_cached_builds_give_the_same_stages(source_builds):
     point = (1.3, 0.4, 0.6)
     cold = []
     for pipeline, knobs in cases:
-        preparations._points.clear()
+        preparations._last = None
         cold.append(prepare_stages(pipeline, *point, knobs))
     assert len(source_builds) == len(cases)
     source_builds.clear()
-    preparations._points.clear()
+    preparations._last = None
     for (pipeline, knobs), want in zip(cases, cold):
         got = prepare_stages(pipeline, *point, knobs)
         assert [(s.probability.hex(), s.fidelity.hex(), hex_items(s.state)) for s in got] == [
@@ -165,11 +163,13 @@ def test_cached_builds_give_the_same_stages(source_builds):
     assert len(source_builds) == 3
 
 
-def test_the_cache_keeps_the_last_points(source_builds):
-    deltas = [0.5 + 0.1 * i for i in range(CACHED_POINTS + 2)]
+def test_the_cache_keeps_the_last_point(source_builds):
+    deltas = [0.5, 0.6, 0.7]
     for delta in deltas:
         prepare_stages(PIPELINES["bell-pqs2"], delta, 0.0, 0.5, {"gamma_abs": 0.05})
-    assert len(preparations._points) == CACHED_POINTS
-    for delta in reversed(deltas):
         prepare_stages(PIPELINES["bell-pqs1"], delta, 0.0, 0.5, {"t": 0.8})
-    assert len(source_builds) == 2 * len(deltas) - CACHED_POINTS
+    assert len(source_builds) == len(deltas)
+    assert preparations._last.params.delta == deltas[-1]
+    # an earlier point was replaced, so it builds anew
+    prepare_stages(PIPELINES["bell-pqs1"], deltas[0], 0.0, 0.5, {"t": 0.8})
+    assert len(source_builds) == len(deltas) + 1
