@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import Collection
 
 from .fock import (
+    DEFAULT_TOL,
     H,
     FockError,
     OccKey,
@@ -184,7 +185,7 @@ def apply_bs(
                 new[b] = occ_b
                 nk = tuple(new)
                 amps[nk] = get(nk, 0.0 + 0.0j) + amp_h * wv
-    return _raw_state(state.mode_count, cutoff, amps, state.tol)
+    return _raw_state(state.mode_count, cutoff, amps)
 
 
 def apply_pbs(state: PureState, mode_a: int, mode_b: int) -> PureState:
@@ -199,7 +200,7 @@ def apply_pbs(state: PureState, mode_a: int, mode_b: int) -> PureState:
         new[mode_a] = (key[mode_a][0], key[mode_b][1])
         new[mode_b] = (key[mode_b][0], key[mode_a][1])
         amps[tuple(new)] = amp
-    return PureState(state.mode_count, state.cutoff, amps, state.tol)
+    return PureState(state.mode_count, state.cutoff, amps)
 
 
 def apply_hwp(state: PureState, mode: int) -> PureState:
@@ -211,7 +212,7 @@ def apply_hwp(state: PureState, mode: int) -> PureState:
         nh, nv = key[mode]
         new[mode] = (nv, nh)
         amps[tuple(new)] = amp
-    return PureState(state.mode_count, state.cutoff, amps, state.tol)
+    return PureState(state.mode_count, state.cutoff, amps)
 
 
 def apply_pol_phase(state: PureState, mode: int, pol: str, phase: float) -> PureState:
@@ -226,7 +227,7 @@ def apply_pol_phase(state: PureState, mode: int, pol: str, phase: float) -> Pure
     for key, amp in state.amplitudes.items():
         n = key[mode][idx]
         amps[key] = amp if n == 0 else amp * cmath.exp(1j * phase * n)
-    return PureState(state.mode_count, state.cutoff, amps, state.tol)
+    return PureState(state.mode_count, state.cutoff, amps)
 
 
 @lru_cache(maxsize=None)
@@ -234,10 +235,10 @@ def _sqrt_binom(n: int, k: int) -> float:
     return math.sqrt(math.comb(n, k))
 
 
-def _row_stores(ck: complex, terms_m: list, m: int, g2: float, tol: float) -> bool:
+def _row_stores(ck: complex, terms_m: list, m: int, g2: float) -> bool:
     """Whether the full kernel's l loop stores a term of the row with factor ``ck``."""
     for l, pow_l, binom_l in terms_m:
-        if abs(ck * pow_l * binom_l) >= tol:
+        if abs(ck * pow_l * binom_l) >= DEFAULT_TOL:
             return True
         if g2 * (m + l + 1) < (l + 1):
             return False
@@ -270,7 +271,7 @@ def apply_squeezer_exact(
     g2 = abs_g * abs_g
     one_minus = 1.0 - g2
     mig = -1j * g
-    tol = state.tol
+    tol = DEFAULT_TOL
 
     # precompute, once per application, the powers of (-i gamma) and the rows
     # binom_rows[n][k] = sqrt(C(n + k, n)) for k = 0..cutoff - n
@@ -310,7 +311,7 @@ def apply_squeezer_exact(
             # nothing once the growth ratio is below one
             for k in range(k_last):
                 ck = base * pows[k] * row_n[k]
-                if g2 * (n + k + 1) < (k + 1) and not _row_stores(ck, terms_m, m, g2, tol):
+                if g2 * (n + k + 1) < (k + 1) and not _row_stores(ck, terms_m, m, g2):
                     break
             else:
                 ck = base * pows[k_last] * row_n[k_last]
@@ -340,7 +341,7 @@ def apply_squeezer_exact(
                     break
             if not stored_any and g2 * (n + k + 1) < (k + 1):
                 break
-    out = PureState(state.mode_count, cutoff, amps, tol)
+    out = PureState(state.mode_count, cutoff, amps)
     if herald is None and log.isEnabledFor(logging.DEBUG):
         deficit = state.norm_squared() - out.norm_squared()
         if deficit > 1e-9:

@@ -12,13 +12,14 @@ All operations are pure functions; states are treated as immutable once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 H = "H"
 V = "V"
 
+# The one compaction tolerance: every constructor drops amplitudes below it.
 DEFAULT_TOL = 1e-14
 # Default truncation budget: the largest coherent tail weight a cutoff may drop.
 DEFAULT_TAIL_BOUND = 1e-12
@@ -49,19 +50,20 @@ class ZeroNormError(FockError):
     """An operation that needs a nonzero norm received a (numerically) zero state."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Sparse complex-amplitude vector over polarized occupation keys.
 
     ``amplitudes`` maps ``((n_h, n_v), ...)`` keys (one pair per spatial mode)
-    to complex amplitudes.  Amplitudes with magnitude below ``tol`` are dropped
-    at construction time.  No automatic normalization is performed.
+    to complex amplitudes.  The constructors drop amplitudes with magnitude
+    below ``DEFAULT_TOL``, the one compaction tolerance.  No automatic
+    normalization is performed.  States compare by identity; compare their
+    amplitudes to compare their contents.
     """
 
     mode_count: int
     cutoff: int
-    amplitudes: dict[OccKey, complex] = field(compare=False)
-    tol: float = DEFAULT_TOL
+    amplitudes: dict[OccKey, complex]
 
     def norm_squared(self) -> float:
         return sum(a.real * a.real + a.imag * a.imag for a in self.amplitudes.values())
@@ -91,15 +93,12 @@ def _validate_key(key: OccKey, mode_count: int, cutoff: int) -> OccKey:
     return key
 
 
-def _compact(amps: dict[OccKey, complex], tol: float) -> dict[OccKey, complex]:
-    return {k: a for k, a in amps.items() if abs(a) >= tol}
+def _compact(amps: dict[OccKey, complex]) -> dict[OccKey, complex]:
+    return {k: a for k, a in amps.items() if abs(a) >= DEFAULT_TOL}
 
 
 def make_state(
-    mode_count: int,
-    cutoff: int,
-    entries: Iterable[tuple[OccKey, complex]],
-    tol: float = DEFAULT_TOL,
+    mode_count: int, cutoff: int, entries: Iterable[tuple[OccKey, complex]]
 ) -> PureState:
     """Build a state from explicit (key, amplitude) entries.
 
@@ -111,19 +110,17 @@ def make_state(
     for key, amp in entries:
         key = _validate_key(key, mode_count, cutoff)
         amps[key] = amps.get(key, 0.0 + 0.0j) + complex(amp)
-    return PureState(mode_count, cutoff, _compact(amps, tol), tol)
+    return PureState(mode_count, cutoff, _compact(amps))
 
 
-def _raw_state(
-    mode_count: int, cutoff: int, amps: dict[OccKey, complex], tol: float
-) -> PureState:
+def _raw_state(mode_count: int, cutoff: int, amps: dict[OccKey, complex]) -> PureState:
     """Internal constructor for already-validated amplitude maps."""
-    return PureState(mode_count, cutoff, _compact(amps, tol), tol)
+    return PureState(mode_count, cutoff, _compact(amps))
 
 
-def vacuum(mode_count: int, cutoff: int, tol: float = DEFAULT_TOL) -> PureState:
+def vacuum(mode_count: int, cutoff: int) -> PureState:
     key = tuple((0, 0) for _ in range(mode_count))
-    return PureState(mode_count, cutoff, {key: 1.0 + 0.0j}, tol)
+    return PureState(mode_count, cutoff, {key: 1.0 + 0.0j})
 
 
 def _check_shapes(a: PureState, b: PureState) -> None:
@@ -163,8 +160,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     for ka, va in a.amplitudes.items():
         for kb, vb in b.amplitudes.items():
             amps[ka + kb] = va * vb
-    tol = min(a.tol, b.tol)
-    return _raw_state(a.mode_count + b.mode_count, a.cutoff, amps, tol)
+    return _raw_state(a.mode_count + b.mode_count, a.cutoff, amps)
 
 
 def normalize(state: PureState) -> PureState:
@@ -172,12 +168,12 @@ def normalize(state: PureState) -> PureState:
     if n <= 0.0:
         raise ZeroNormError("cannot normalize a zero-norm state")
     amps = {k: v / n for k, v in state.amplitudes.items()}
-    return _raw_state(state.mode_count, state.cutoff, amps, state.tol)
+    return _raw_state(state.mode_count, state.cutoff, amps)
 
 
 def scale(state: PureState, factor: complex) -> PureState:
     amps = {k: v * factor for k, v in state.amplitudes.items()}
-    return _raw_state(state.mode_count, state.cutoff, amps, state.tol)
+    return _raw_state(state.mode_count, state.cutoff, amps)
 
 
 def add(a: PureState, b: PureState) -> PureState:
@@ -186,7 +182,7 @@ def add(a: PureState, b: PureState) -> PureState:
     amps = dict(a.amplitudes)
     for k, v in b.amplitudes.items():
         amps[k] = amps.get(k, 0.0 + 0.0j) + v
-    return _raw_state(a.mode_count, a.cutoff, amps, min(a.tol, b.tol))
+    return _raw_state(a.mode_count, a.cutoff, amps)
 
 
 @dataclass(frozen=True)
@@ -242,7 +238,7 @@ def project_number(
         return ProjectionOutcome(prob, None)
     norm = math.sqrt(prob)
     amps = {k: v / norm for k, v in amps.items()}
-    conditional = _raw_state(len(keep), state.cutoff, amps, state.tol)
+    conditional = _raw_state(len(keep), state.cutoff, amps)
     return ProjectionOutcome(prob, conditional)
 
 
@@ -254,7 +250,7 @@ def permute_modes(state: PureState, order: Sequence[int]) -> PureState:
     amps = {
         tuple(key[m] for m in order): amp for key, amp in state.amplitudes.items()
     }
-    return PureState(state.mode_count, state.cutoff, amps, state.tol)
+    return PureState(state.mode_count, state.cutoff, amps)
 
 
 def prune(state: PureState, weight_budget: float) -> PureState:
@@ -269,7 +265,7 @@ def prune(state: PureState, weight_budget: float) -> PureState:
         return state
     threshold = math.sqrt(weight_budget / n)
     amps = {k: v for k, v in state.amplitudes.items() if abs(v) > threshold}
-    return PureState(state.mode_count, state.cutoff, amps, state.tol)
+    return PureState(state.mode_count, state.cutoff, amps)
 
 
 def coherent_tail_weight(gamma: float, cutoff: int) -> float:

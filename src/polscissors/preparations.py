@@ -47,6 +47,8 @@ class Pipeline:
                 raise ValueError(f"unknown scissors method {method!r}")
         if not self.arms:
             raise ValueError("a pipeline truncates at least one arm")
+        if not all(0 <= arm < self.n for arm in self.arms) or len(set(self.arms)) < len(self.arms):
+            raise ValueError(f"arms {self.arms} must be distinct arms of 0..{self.n - 1}")
         if len(self.methods) != len(self.arms):
             raise ValueError(
                 f"need one scissors method per truncated arm ({len(self.arms)}), "

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .fock import (
-    DEFAULT_TOL,
     H,
     V,
     FockError,
@@ -79,14 +78,22 @@ class ScissorsResult:
     ``total_probability`` sums the pattern probabilities; ``canonical_state``
     is the shared corrected conditional state (None when nothing is heralded);
     ``pattern_agreement`` is the minimum pairwise fidelity among the corrected
-    pattern states.  A ``TransferTable`` result lists no ``outcomes``, and its
-    agreement is the one its circuit showed on the probes that built the rows.
+    pattern states, computed from ``outcomes`` when it is read.  A
+    ``TransferTable`` result lists no ``outcomes``, so its agreement reads 1.
     """
 
     outcomes: tuple[HeraldedOutcome, ...]
     total_probability: float
     canonical_state: PureState | None
-    pattern_agreement: float
+
+    @property
+    def pattern_agreement(self) -> float:
+        states = [o.state for o in self.outcomes if o.state is not None]
+        worst = 1.0
+        for i in range(len(states)):
+            for j in range(i + 1, len(states)):
+                worst = min(worst, fidelity(states[i], states[j]))
+        return worst
 
 
 def _kept_mode_back(state: PureState, mode: int) -> PureState:
@@ -139,17 +146,8 @@ def _qs_branches(
     return branches
 
 
-def _agreement(states: list[PureState]) -> float:
-    worst = 1.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            worst = min(worst, fidelity(states[i], states[j]))
-    return worst
-
-
 def _assemble(branches: list[tuple[float, PureState | None]]) -> ScissorsResult:
     outcomes = []
-    corrected = []
     canonical = None
     total = 0.0
     for prob, unnorm in branches:
@@ -158,16 +156,10 @@ def _assemble(branches: list[tuple[float, PureState | None]]) -> ScissorsResult:
             outcomes.append(HeraldedOutcome(prob, None))
             continue
         state = normalize(unnorm)
-        corrected.append(state)
         if canonical is None:
             canonical = state
         outcomes.append(HeraldedOutcome(prob, state))
-    return ScissorsResult(
-        outcomes=tuple(outcomes),
-        total_probability=total,
-        canonical_state=canonical,
-        pattern_agreement=_agreement(corrected),
-    )
+    return ScissorsResult(tuple(outcomes), total, canonical)
 
 
 def qs_apply(
@@ -227,9 +219,7 @@ def pqs2_apply(
     work = apply_squeezer_exact(work, SqueezerSpec(gamma, mode, n), herald=signal if herald_first else None)
     outcome = project_number(work, [(mode, signal)])
     kept = None if outcome.state is None else _kept_mode_back(outcome.state, mode)
-    return ScissorsResult(
-        (HeraldedOutcome(outcome.probability, kept),), outcome.probability, kept, 1.0
-    )
+    return ScissorsResult((HeraldedOutcome(outcome.probability, kept),), outcome.probability, kept)
 
 
 class TransferTable:
@@ -239,46 +229,39 @@ class TransferTable:
     order, the kept occupations and coefficients: ``sqrt(P_p)`` times the
     outcome state's amplitude.  Missing rows come from one ``circuit(probe, 1)``
     call: probe mode 0 holds label ``divmod(i, cutoff + 1)``, mode 1 input ``i``.
-    ``agreement`` is the least pattern agreement over those calls.
 
-    ``apply`` fills the rows of the occupations a state holds, in the order its
-    keys first show them.  ``fill`` takes a list instead; ``prepare_stages``
-    hands it the first arm's source factor occupations (the H factor's in
-    order, then the V factor's new ones) before the source is built, and
-    builds the source only where ``fill`` finds a non-empty row.
+    ``fill`` is the one way rows are built.  ``apply`` calls it with the
+    occupations a state holds, in the order its keys first show them.
+    ``prepare_stages`` calls it with the first arm's source factor occupations
+    (the H factor's in order, then the V factor's new ones) before the source
+    is built, and builds the source only where ``fill`` finds a non-empty row.
     """
 
     def __init__(self, circuit: Callable[[PureState, int], ScissorsResult], cutoff: int) -> None:
-        self.circuit, self.cutoff, self.patterns, self.agreement = circuit, cutoff, 0, 1.0
+        self.circuit, self.cutoff, self.patterns = circuit, cutoff, 0
         self.rows: dict[Occupation, list[tuple[int, Occupation, complex]]] = {}
 
     def fill(self, inputs: list[Occupation]) -> list[Occupation]:
         """Fill the rows of the distinct ``inputs`` the table lacks; the inputs whose rows are non-empty."""
         missing = [occ for occ in inputs if occ not in self.rows]
         if missing:
-            self._fill(missing, DEFAULT_TOL)
+            side = self.cutoff + 1
+            probe = [((divmod(i, side), occ), 1.0) for i, occ in enumerate(missing)]
+            result = self.circuit(make_state(2, self.cutoff, probe), 1)
+            self.patterns = len(result.outcomes)
+            rows: list[list[tuple[int, Occupation, complex]]] = [[] for _ in missing]
+            for p, outcome in enumerate(result.outcomes):
+                amplitudes = {} if outcome.state is None else outcome.state.amplitudes
+                for ((lh, lv), out), amp in amplitudes.items():
+                    rows[lh * side + lv].append((p, out, math.sqrt(outcome.probability) * amp))
+            self.rows.update(zip(missing, rows))
         return [occ for occ in inputs if self.rows[occ]]
-
-    def _fill(self, inputs: list[Occupation], tol: float) -> None:
-        side = self.cutoff + 1
-        probe = [((divmod(i, side), occ), 1.0) for i, occ in enumerate(inputs)]
-        result = self.circuit(make_state(2, self.cutoff, probe, tol), 1)
-        self.patterns = len(result.outcomes)
-        self.agreement = min(self.agreement, result.pattern_agreement)
-        rows: list[list[tuple[int, Occupation, complex]]] = [[] for _ in inputs]
-        for p, outcome in enumerate(result.outcomes):
-            amplitudes = {} if outcome.state is None else outcome.state.amplitudes
-            for ((lh, lv), out), amp in amplitudes.items():
-                rows[lh * side + lv].append((p, out, math.sqrt(outcome.probability) * amp))
-        self.rows.update(zip(inputs, rows))
 
     def apply(self, state: PureState, mode: int) -> ScissorsResult:
         """The circuit's result on ``state``, from one pass over its keys."""
         if state.cutoff != self.cutoff or not 0 <= mode < state.mode_count:
             raise ShapeMismatchError(f"mode {mode} or cutoff {state.cutoff} does not fit the table")
-        missing = dict.fromkeys(k[mode] for k in state.amplitudes if k[mode] not in self.rows)
-        if missing:
-            self._fill(list(missing), state.tol)
+        self.fill(list(dict.fromkeys(k[mode] for k in state.amplitudes)))
         branches: list[dict[OccKey, complex]] = [{} for _ in range(self.patterns)]
         for key, amp in state.amplitudes.items():
             for p, out, coeff in self.rows[key[mode]]:
@@ -288,8 +271,8 @@ class TransferTable:
         for branch in branches:
             if not branch:
                 continue
-            kept = _raw_state(state.mode_count, self.cutoff, branch, state.tol)
+            kept = _raw_state(state.mode_count, self.cutoff, branch)
             total += kept.norm_squared()
             if canonical is None:
                 canonical = normalize(kept)
-        return ScissorsResult((), total, canonical, self.agreement)
+        return ScissorsResult((), total, canonical)

@@ -46,7 +46,7 @@ def _ladder(
         new[mode] = tuple(occ)
         nk = tuple(new)
         amps[nk] = amps.get(nk, 0.0 + 0.0j) + amp * factor
-    return _raw_state(state.mode_count, cutoff, amps, state.tol)
+    return _raw_state(state.mode_count, cutoff, amps)
 
 
 def _pair_generator(state: PureState, xi: complex, mode_s: int, mode_i: int) -> PureState:

@@ -12,7 +12,7 @@ from polscissors.elements import (
     apply_pbs,
     apply_pol_phase,
 )
-from polscissors.fock import FockError, fidelity, make_state, tensor, vacuum
+from polscissors.fock import DEFAULT_TOL, FockError, fidelity, make_state, tensor, vacuum
 from polscissors.sources import coherent
 
 from conftest import random_state
@@ -39,7 +39,7 @@ def apply_bs_reference(state, spec):
                 new[b] = (nbh, nbv)
                 nk = tuple(new)
                 amps[nk] = amps.get(nk, 0.0 + 0.0j) + amp * wh * wv
-    return {k: v for k, v in amps.items() if abs(v) >= state.tol}
+    return {k: v for k, v in amps.items() if abs(v) >= DEFAULT_TOL}
 
 
 class TestBeamSplitter:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polscissors.fock import (
+    DEFAULT_TOL,
     CutoffError,
+    PureState,
     ShapeMismatchError,
     ZeroNormError,
     coherent_tail_weight,
@@ -68,6 +70,14 @@ class TestMakeState:
     def test_sub_tolerance_amplitudes_dropped(self):
         state = make_state(1, 4, [(((0, 0),), 1.0), (((1, 0),), 1e-16)])
         assert ((1, 0),) not in state.amplitudes
+
+    def test_states_compare_by_identity(self):
+        # equal shapes say nothing of the amplitudes, so == is identity
+        h = make_state(1, 2, [(((1, 0),), 1)])
+        v = make_state(1, 2, [(((0, 1),), 1)])
+        assert h == h and h != v
+        assert h != make_state(1, 2, [(((1, 0),), 1)])
+        assert len({h, v}) == 2
 
 
 class TestInnerProduct:
@@ -302,9 +312,9 @@ class TestDumpFormat:
 def test_compaction_projection_drift(rng):
     # sub-tolerance amplitudes may move projection probabilities only at tol^2 scale
     entries = [(((n, m), (0, 0)), 0.5 if (n, m) == (0, 0) else 5e-15) for n in range(3) for m in range(3)]
-    tol = 1e-14
-    raw = make_state(2, 2, entries, tol=0.0)
-    compacted = make_state(2, 2, entries, tol=tol)
+    tol = DEFAULT_TOL
+    raw = PureState(2, 2, {key: complex(amp) for key, amp in entries})
+    compacted = make_state(2, 2, entries)
     bound = 2 * 2**2 * tol**2 * 100  # mode_count * cutoff^2 * tol^2, generous constant
     for nh in range(3):
         for nv in range(3):

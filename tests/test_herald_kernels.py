@@ -140,7 +140,7 @@ class TestSqueezerHerald:
             size = (1 - abs_g * abs_g) ** ((n + m + 2) / 2) * abs_g ** (dk + dl)
             size *= math.sqrt(math.comb(n + dk, n) * math.comb(m + dl, m))
             amp = cmath.rect(tol / size * (1 + rng.randint(-3, 3) * 1.1e-16), rng.uniform(0, 2 * math.pi))
-            state = PureState(2, 8, {((n, m), (0, 0)): amp}, tol)
+            state = PureState(2, 8, {((n, m), (0, 0)): amp})
             spec = SqueezerSpec(gamma, 0, 1)
             herald = (n + dk, m + dl)
             assert_squeezer_herald_matches(state, spec, [herald])

@@ -70,7 +70,7 @@ def project_number_reference(state, targets):
         return ProjectionOutcome(prob, None)
     norm = prob**0.5
     amps = {k: v / norm for k, v in amps.items()}
-    return ProjectionOutcome(prob, _raw_state(len(keep), state.cutoff, amps, state.tol))
+    return ProjectionOutcome(prob, _raw_state(len(keep), state.cutoff, amps))
 
 
 def qs_detector_state_reference(state, mode, pol, t):

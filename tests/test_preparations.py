@@ -108,6 +108,12 @@ def test_unknown_preparation_rejected():
         analytic_named("qs", 1.0, 0.0, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("arms,n", [((5,), 2), ((2,), 2), ((-1,), 2), ((1, 1), 2), ((0, 3), 3), ((2, 0, 2), 3)])
+def test_pipeline_rejects_arms_out_of_range_or_repeated(arms, n):
+    with pytest.raises(ValueError, match="distinct arms"):
+        Pipeline(("pqs1",) * len(arms), arms, n)
+
+
 def test_preparation_vocabulary_lives_in_preparations():
     # every other module reads PIPELINES; none re-decides names from strings
     banned = re.compile(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -336,13 +337,13 @@ def _assembled(table, state, mode):
         for p, out, coeff in table.rows[key[mode]]:
             new = key[:mode] + (out,) + key[mode + 1 :]
             branches[p][new] = branches[p].get(new, 0j) + amp * coeff
-    kept = [_raw_state(state.mode_count, state.cutoff, b, state.tol) if b else None for b in branches]
+    kept = [_raw_state(state.mode_count, state.cutoff, b) if b else None for b in branches]
     return scissors._assemble([(0.0, None) if k is None else (k.norm_squared(), k) for k in kept])
 
 
 @pytest.mark.parametrize("method,knob", [("pqs1", 0.83), ("pqs2", 0.07j)])
 def test_table_application_normalizes_one_branch_and_compares_none(method, knob, monkeypatch):
-    # the table's agreement is its circuit's on the probes, not recomputed per application
+    # a table result lists no outcomes, so its agreement reads 1 and compares no states
     probes = []
 
     def circuit(state, mode):
@@ -353,7 +354,7 @@ def test_table_application_normalizes_one_branch_and_compares_none(method, knob,
     table = TransferTable(circuit, cutoff)
     source = xi_direct(SourceParams(0.9, 0.4, 0.45, (), cutoff))
     table.apply(source, 1)  # fills every row the source needs
-    assert len(probes) == 1 and table.agreement == probes[0].pattern_agreement
+    assert len(probes) == 1
     want = _assembled(table, source, 1)
     calls = {"normalize": 0}
 
@@ -372,4 +373,20 @@ def test_table_application_normalizes_one_branch_and_compares_none(method, knob,
     assert [(k, a.real.hex(), a.imag.hex()) for k, a in got.canonical_state.amplitudes.items()] == [
         (k, a.real.hex(), a.imag.hex()) for k, a in want.canonical_state.amplitudes.items()
     ]
-    assert got.pattern_agreement == table.agreement >= 1 - 1e-9
+    assert got.outcomes == () and got.pattern_agreement == 1.0
+
+
+def test_pattern_agreement_is_computed_when_read(monkeypatch):
+    # a circuit call compares no pattern states; reading the agreement runs the
+    # six pairwise fidelities of the four patterns, to the pinned value
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return fidelity(a, b)
+
+    monkeypatch.setattr(scissors, "fidelity", counted)
+    result = pqs1_apply(random_state(random.Random(2), 2, 5, max_photons=3), 1, 0.61)
+    assert calls == []
+    assert result.pattern_agreement.hex() == "0x1.ffffffffffffep-1"
+    assert len(calls) == 6

@@ -10,6 +10,7 @@ from polscissors.elements import (
     apply_squeezer_exact,
 )
 from polscissors.fock import (
+    DEFAULT_TOL,
     FockError,
     fidelity,
     inner_product,
@@ -35,7 +36,7 @@ def k_factor(gamma_abs, n):
 
 def squeezer_reference(state, spec):
     """The exact kernel's double sum with each binomial factor looked up in place."""
-    cutoff, ms, mi, tol = state.cutoff, spec.mode_s, spec.mode_i, state.tol
+    cutoff, ms, mi, tol = state.cutoff, spec.mode_s, spec.mode_i, DEFAULT_TOL
     abs_g = abs(spec.gamma)
     pows = [1.0 + 0.0j]
     for _ in range(2 * cutoff):

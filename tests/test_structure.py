@@ -1,0 +1,38 @@
+"""Rules on the package source as a whole, checked by parsing it."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import polscissors
+
+PACKAGE = Path(polscissors.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def test_one_compaction_tolerance_named_in_fock():
+    # fock.DEFAULT_TOL is the one compaction tolerance: no state carries its own
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "tol"
+    ]
+    assert reads == []
+    literal = re.compile(r"\b1(?:\.0*)?e-0*14\b")
+    hits = [path.name for path in MODULES if literal.search(path.read_text(encoding="utf-8"))]
+    assert hits == ["fock.py"]
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject declares dependencies = []
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported
+    assert sorted(imported - sys.stdlib_module_names - {"polscissors"}) == []
