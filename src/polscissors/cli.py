@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes for the numeric cells, one cell per task "
-        "(analytic sweeps always run in-process)",
+        help="accepted and ignored: every sweep runs in process (to be removed "
+        "in a later release)",
     )
 
     p_verify = sub.add_parser("verify", help="cross-validate simulation vs closed forms")

@@ -42,6 +42,8 @@ class Pipeline:
     n: int = 2
 
     def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"a pipeline needs n >= 2 arms, got n = {self.n}")
         for method in self.methods:
             if method not in KNOB_AXES:
                 raise ValueError(f"unknown scissors method {method!r}")

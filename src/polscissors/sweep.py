@@ -1,18 +1,18 @@
 """Parameter sweeps over preparation pipelines, with deterministic output.
 
-Grid cells are independent pure computations. With ``jobs > 1`` the cells of a
-numeric sweep (``backend`` numeric or both) run in a process pool, one cell per
-task, so the workers share the expensive large-delta cells whatever the axis
-order; results are merged back by cell index, so concurrent and serial runs
-produce byte-identical output.  Analytic-only sweeps always run in-process:
-there a pool costs many times the work.
+Grid cells are independent pure computations, and every sweep evaluates them
+in process, in grid order. A numeric cell costs a few milliseconds, so on
+small grids a process pool's start-up, pickling and cold per-process caches
+cost more than the cells it shares out. Two workers still finish a 625-cell
+grid sooner, but one serial path is kept rather than a pool chosen by grid
+size. ``run_sweep`` accepts ``jobs`` only so that existing callers keep
+working, and ignores it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import analytics
@@ -93,15 +93,9 @@ def _checked_cutoff(config: ExperimentConfig, delta: float, t0: float) -> int:
     return cutoff
 
 
-def _cell_worker(args: tuple) -> tuple:
-    config, v1, v2 = args
-    return _evaluate_cell(config, v1, v2)
-
-
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
-    """Fill the grid; deterministic for a given config regardless of ``jobs``."""
-    numeric = _runs_numeric(config)
-    if numeric:
+    """Fill the grid in process, in grid order; ``jobs`` is accepted and ignored."""
+    if _runs_numeric(config):
         # fail fast on an infeasible cutoff before burning through cells
         deltas = [config.delta] if config.delta is not None else []
         t0s = [config.t0]
@@ -113,18 +107,11 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
         worst_t0 = max(t0s, key=lambda t0: max(t0, 1.0 - t0))
         _checked_cutoff(config, max(deltas), worst_t0)
 
-    cells = [
-        (config, v1, v2)
+    rows = tuple(
+        _evaluate_cell(config, v1, v2)
         for v1 in config.axis1.values()
         for v2 in config.axis2.values()
-    ]
-    # numeric cells cost several times more at large delta: one cell per task
-    workers = min(jobs, len(cells)) if numeric else 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_cell_worker, cells))
-    else:
-        rows = tuple(_cell_worker(c) for c in cells)
+    )
     columns = _cell_columns(config)
     max_p = max_f = None
     if config.backend == "both":

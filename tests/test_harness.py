@@ -1,12 +1,13 @@
 import json
 import math
+import multiprocessing
 import random
 import subprocess
 import sys
 
 import pytest
 
-from polscissors import analytics, sweep
+from polscissors import analytics, cli, sweep
 from polscissors.analytics import DegenerateParameterError as DegenerateStateError
 from polscissors.config import (
     AxisSpec,
@@ -75,31 +76,50 @@ OMEGA_CONFIG = BELL_CONFIG.replace(
     "gamma_abs = 0.05\nomega_n = 2\nomega_j = 2\nomega_scissors = pqs1,pqs2",
 )
 
+BAD_DESCRIPTORS = [
+    "warp:delta=1",
+    "xi:phi=0",
+    "xi:delta=nan",
+    "bell-pqs1:delta=0.8,t=1.5",
+    "hybrid-pqs2:delta=0.8,gamma_abs=1.5",
+    "xi:delta=-1",
+    "xi:delta=abc",
+    "target-omega:delta=1,j=5",
+    "lambda:delta=1,t1=1.5,n=3",
+    "lambda:delta=1,n=0",
+    "lambda:delta=1,n=abc",
+    "xi:delta=1,cutoff=abc",
+    "lambda:delta=1,n=2.5",
+    "target-omega:delta=1,j=1.5",
+    "coherent:gamma=1,cutoff=4.5",
+    "coherent:gamma=abc",
+    "cat:delta=abc",
+    "cat:delta=1,phi=abc",
+    "xi:delta=1,phi=abc",
+    "bell-pqs1:delta=0.8,t=0.9,phi=abc",
+    "coherent:gamma=1,cutoff=-3",
+    "xi:delta=1,cutoff=-1",
+    "bell-pqs1:delta=0.8,t=0.9,cutoff=-2",
+    "coherent:gamma=0,cutoff=0",
+    "coherent:gamma=0.8,cutoff=1e200",
+    "xi:delta=0.8,cutoff=1e9",
+    "bell-pqs1:delta=0.8,t=0.9,cutoff=4097",
+    "xi:delta=1,delta=0.2",
+]
+
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Replace the sweep's process pool by an in-process recorder; returns the pools made."""
-    made = []
+def children(monkeypatch):
+    """Refuse to start any child process; returns the processes that tried."""
+    started = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.maps = []
-            made.append(self)
+    def refuse(self, *args, **kwargs):
+        started.append(self)
+        raise RuntimeError("a child process was started")
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            items = list(iterable)
-            self.maps.append((len(items), chunksize))
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
-    return made
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(subprocess.Popen, "__init__", refuse)
+    return started
 
 
 class TestConfig:
@@ -253,22 +273,13 @@ class TestSweep:
         parallel = grid_to_csv(run_sweep(config, jobs=2))
         assert serial == parallel
 
-    def test_numeric_cells_go_to_the_pool_one_per_task(self, pools):
-        config = parse_config_text(BELL_CONFIG, {"backend": "numeric"})
-        grid = run_sweep(config, jobs=2)
-        assert [(p.max_workers, p.maps) for p in pools] == [(2, [(6, 1)])]
-        assert grid_to_csv(grid) == grid_to_csv(run_sweep(config))
-
-    def test_pool_has_no_more_workers_than_cells(self, pools):
-        run_sweep(parse_config_text(BELL_CONFIG), jobs=64)
-        assert [p.max_workers for p in pools] == [6]
-
     @pytest.mark.parametrize(
-        "backend,jobs", [("analytic", 2), ("analytic", 64), ("both", 1)]
+        "backend,jobs",
+        [("analytic", 1), ("analytic", 2), ("analytic", 64), ("both", 1), ("both", 2), ("both", 64)],
     )
-    def test_in_process_without_a_pool(self, pools, backend, jobs):
+    def test_in_process_without_a_pool(self, children, backend, jobs):
         grid = run_sweep(parse_config_text(BELL_CONFIG, {"backend": backend}), jobs=jobs)
-        assert pools == []
+        assert children == []
         assert {row[-1] for row in grid.rows} == {"ok"}
 
     def test_csv_round_trip(self):
@@ -523,34 +534,13 @@ class TestCli:
         assert "delta = -1e0 outside" in proc.stderr
 
     def test_state_bad_descriptor_exit_2(self):
-        self.run_cli("state", "--prep", "warp:delta=1", expect=2)
-        self.run_cli("state", "--prep", "xi:phi=0", expect=2)
-        self.run_cli("state", "--prep", "xi:delta=nan", expect=2)
-        self.run_cli("state", "--prep", "bell-pqs1:delta=0.8,t=1.5", expect=2)
-        self.run_cli("state", "--prep", "hybrid-pqs2:delta=0.8,gamma_abs=1.5", expect=2)
-        self.run_cli("state", "--prep", "xi:delta=-1", expect=2)
-        self.run_cli("state", "--prep", "xi:delta=abc", expect=2)
-        self.run_cli("state", "--prep", "target-omega:delta=1,j=5", expect=2)
-        self.run_cli("state", "--prep", "lambda:delta=1,t1=1.5,n=3", expect=2)
-        self.run_cli("state", "--prep", "lambda:delta=1,n=0", expect=2)
-        self.run_cli("state", "--prep", "lambda:delta=1,n=abc", expect=2)
-        self.run_cli("state", "--prep", "xi:delta=1,cutoff=abc", expect=2)
-        self.run_cli("state", "--prep", "lambda:delta=1,n=2.5", expect=2)
-        self.run_cli("state", "--prep", "target-omega:delta=1,j=1.5", expect=2)
-        self.run_cli("state", "--prep", "coherent:gamma=1,cutoff=4.5", expect=2)
-        self.run_cli("state", "--prep", "coherent:gamma=abc", expect=2)
-        self.run_cli("state", "--prep", "cat:delta=abc", expect=2)
-        self.run_cli("state", "--prep", "cat:delta=1,phi=abc", expect=2)
-        self.run_cli("state", "--prep", "xi:delta=1,phi=abc", expect=2)
-        self.run_cli("state", "--prep", "bell-pqs1:delta=0.8,t=0.9,phi=abc", expect=2)
-        self.run_cli("state", "--prep", "coherent:gamma=1,cutoff=-3", expect=2)
-        self.run_cli("state", "--prep", "xi:delta=1,cutoff=-1", expect=2)
-        self.run_cli("state", "--prep", "bell-pqs1:delta=0.8,t=0.9,cutoff=-2", expect=2)
-        self.run_cli("state", "--prep", "coherent:gamma=0,cutoff=0", expect=2)
-        self.run_cli("state", "--prep", "coherent:gamma=0.8,cutoff=1e200", expect=2)
-        self.run_cli("state", "--prep", "xi:delta=0.8,cutoff=1e9", expect=2)
-        self.run_cli("state", "--prep", "bell-pqs1:delta=0.8,t=0.9,cutoff=4097", expect=2)
-        self.run_cli("state", "--prep", "xi:delta=1,delta=0.2", expect=2)
+        # the module entry point; every bad descriptor runs in process below
+        self.run_cli("state", "--prep", BAD_DESCRIPTORS[0], expect=2)
+
+    @pytest.mark.parametrize("descriptor", BAD_DESCRIPTORS)
+    def test_state_bad_descriptor_exit_2_in_process(self, descriptor, capsys):
+        assert cli.main(["state", "--prep", descriptor]) == 2
+        assert capsys.readouterr().err.startswith("configuration error")
 
     @pytest.mark.parametrize("prep", ["coherent:gamma=1e200", "cat:delta=1e200", "xi:delta=1e200"])
     def test_state_past_the_float_range_of_gamma_squared_exit_3(self, prep):

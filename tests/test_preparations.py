@@ -114,6 +114,13 @@ def test_pipeline_rejects_arms_out_of_range_or_repeated(arms, n):
         Pipeline(("pqs1",) * len(arms), arms, n)
 
 
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_pipeline_rejects_fewer_than_two_arms(n):
+    # before, n = 1 reached the source build and died there with a FockError
+    with pytest.raises(ValueError, match="n >= 2"):
+        Pipeline(("pqs1",), (0,), n)
+
+
 def test_preparation_vocabulary_lives_in_preparations():
     # every other module reads PIPELINES; none re-decides names from strings
     banned = re.compile(

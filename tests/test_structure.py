@@ -36,3 +36,23 @@ def test_the_package_imports_only_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert imported
     assert sorted(imported - sys.stdlib_module_names - {"polscissors"}) == []
+
+
+def test_the_package_starts_no_process_pool():
+    # every sweep runs in process: a numeric cell costs less than a worker's start-up
+    banned = ("concurrent.futures", "multiprocessing")
+    hits = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            hits += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if any(name == b or name.startswith(b + ".") for b in banned)
+            ]
+    assert hits == []
