@@ -25,9 +25,11 @@ DEFAULT_TOL = 1e-14
 DEFAULT_TAIL_BOUND = 1e-12
 # Largest cutoff a state may have: the search limit of ``min_cutoff``.
 MAX_CUTOFF = 4096
-# Largest number of amplitude products one branch of an entangled source may
-# form, so a source holds at most twice as many keys.  Four arms at delta 2.0
-# and cutoff 35 form 892,296; six arms at delta 1 form 26.2 million.
+# Largest number of amplitude products one branch of a joint entangled source
+# may form, so a source holds at most twice as many keys.  Four arms at delta
+# 2.0 and cutoff 35 form 892,296; six arms at delta 1 form 26.2 million.  It
+# guards only the ``lambda``, ``lambda-circuit`` and ``target-omega`` state
+# dumps: the preparations keep the source as its two products.
 MAX_SOURCE_PRODUCTS = 2_000_000
 
 Occupation = tuple[int, int]

@@ -7,23 +7,26 @@ photon-qubit vs coherent-arm entanglement, then the first as well the
 polarization Bell pair.  They also have an analytic route (closed forms); the
 two must agree within the verification budget.
 
-The simulation builds only what its first scissors stage can herald: the
-source restricted to the first arm's vacuum and single-photon keys, kept with
-its heralded targets for the last parameter point, so verify's two chains of
-one sample and the sweep cells of one delta row build it once.
+The simulation never forms a joint state.  The source is a sum of two
+products, c_H (x)_k |+gamma_k, H> + c_V (x)_k |-gamma_k, V>, and every scissors
+stage is a linear map on one arm, so every state the stage loop holds is a sum
+of at most two products: per branch a coefficient and one single-mode factor
+per arm.  Its cost grows with the arm count, not with the size of the joint
+Fock space, so no source size limit applies.  A ``PrepResult`` expands its
+state into a ``PureState`` only when that is read.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property, partial, reduce
 
 from . import analytics, sources
 from .elements import apply_pol_phase
-from .fock import DEFAULT_TAIL_BOUND, V, Occupation, PureState, fidelity, min_cutoff
-from .scissors import ScissorsResult, TransferTable, pqs1_apply, pqs2_apply
+from .fock import DEFAULT_TAIL_BOUND, H, V, PureState, add, fidelity, min_cutoff, scale, tensor
+from .scissors import Factor, ScissorsResult, TransferTable, pqs1_apply, pqs2_apply
 from .sources import SourceParams
 
 # Sweep axis of each scissors method's knob: pqs1 transmissivity, pqs2 squeezing |gamma|.
@@ -87,9 +90,27 @@ def omega_pipeline(n: int, j: int, methods: tuple[str, ...]) -> Pipeline:
 
 @dataclass(frozen=True)
 class PrepResult:
+    """One stage's heralding probability and fidelity, and its heralded state.
+
+    ``branches`` holds the state as a sum of products: per branch a
+    coefficient and one single-mode factor per arm, on ``cutoff``.  It is
+    empty when the stage heralds nothing, and on the joint route of
+    ``prepare_bell``, which keeps no state.
+    """
+
     probability: float
     fidelity: float
-    state: PureState | None
+    branches: tuple[tuple[complex, tuple[Factor, ...]], ...] = ()
+    cutoff: int = 0
+
+    @property
+    def state(self) -> PureState | None:
+        """The branches expanded into one joint ``PureState``; None when there are none."""
+        terms = []
+        for c, factors in self.branches:
+            modes = (PureState(1, self.cutoff, {(occ,): a for occ, a in f.items()}) for f in factors)
+            terms.append(scale(reduce(tensor, modes), c))
+        return reduce(add, terms) if terms else None
 
 
 def required_cutoff(delta: float, t0: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
@@ -107,63 +128,23 @@ def _scissors(
     return pqs2_apply(state, mode, complex(knob), herald_first=herald_first)
 
 
-@dataclass
-class _PointBuilds:
-    """The restricted source and the heralded targets built at one parameter point.
-
-    ``first`` is ``(arm, occupations, kept, source)``: the source restricted
-    to the ``kept`` ones of its ``arm`` factor ``occupations``.  The builders
-    are looked up in ``sources`` at call time, so patches and tracers apply.
-    """
-
-    params: SourceParams
-    n: int
-    tail_bound: float
-    first: tuple[int, list[Occupation], list[Occupation], PureState] | None = None
-    targets: dict[tuple[int, ...], PureState] = field(default_factory=dict)
-
-    def source(self, arm: int, fill: Callable[[list[Occupation]], list[Occupation]]) -> PureState:
-        """The source with only the ``arm`` occupations the first stage heralds.
-
-        ``fill`` fills the first stage's table from the arm's factor
-        occupations and returns those with non-empty rows; ``lambda_state``
-        calls it after its own checks, so every error keeps its order.  The
-        kept build is reused when its occupations fill this call's table to
-        the same kept list, so a table's rows never depend on the cache.
-        """
-        if self.first is not None and self.first[0] == arm:
-            _, occupations, kept, state = self.first
-            if fill(occupations) == kept:
-                return state
-        seen: list[list[Occupation]] = []
-
-        def accept(occupations: list[Occupation]) -> list[Occupation]:
-            seen[:] = occupations, fill(occupations)
-            return seen[1]
-
-        state = sources.lambda_state(self.params, self.n, self.tail_bound, herald=(arm, accept))
-        self.first = (arm, *seen, state)
-        return state
-
-    def target(self, arms: tuple[int, ...]) -> PureState:
-        """``heralded_target`` of the truncated ``arms``."""
-        if arms not in self.targets:
-            self.targets[arms] = sources.heralded_target(self.params, self.n, arms, self.tail_bound)
-        return self.targets[arms]
+def _with(factors: tuple[Factor, ...], arm: int, factor: Factor) -> tuple[Factor, ...]:
+    return factors[:arm] + (factor,) + factors[arm + 1 :]
 
 
-# The builds of the last parameter point: verify's pqs1 and pqs2 Bell chains of
-# one sample run back to back at one point, and so do the sweep cells of one
-# delta row.
-_last: _PointBuilds | None = None
-
-
-def _point_builds(params: SourceParams, n: int, tail_bound: float) -> _PointBuilds:
-    """The kept builds if the last call was at this point, else new ones that replace them."""
-    global _last
-    if _last is None or (_last.params, _last.n, _last.tail_bound) != (params, n, tail_bound):
-        _last = _PointBuilds(params, n, tail_bound)
-    return _last
+def _overlap(bra, ket) -> complex:
+    """<bra|ket> of two sums of products, from the inner products of their factors."""
+    return sum(
+        (
+            cb.conjugate() * ck * math.prod(
+                sum((fb[occ].conjugate() * fk[occ] for occ in fb if occ in fk), 0j)
+                for fb, fk in zip(bras, kets)
+            )
+            for cb, bras in bra
+            for ck, kets in ket
+        ),
+        0j,
+    )
 
 
 def prepare_stages(
@@ -185,42 +166,76 @@ def prepare_stages(
     stops at the first stage that heralds nothing.  Each truncation flips the
     heralded branch sign once; after an odd count the residual sign is removed
     by a feed-forward pi phase on the first truncated arm, and the stage is
-    scored against the plus-branch ``heralded_target``.  The next stage runs
-    on the state before that correction.  The last result is the
-    preparation's.  A stage applies its method's and knob's ``TransferTable``,
-    built by the circuit and shared by the stages of this call.
+    scored against the plus-branch heralded target.  The next stage runs on
+    the state before that correction.  The last result is the preparation's.
 
-    Herald first: the first table is filled from the first arm's factor
-    occupations before the source exists, and the source holds only the keys
-    whose occupation there has a non-empty row: the full source's keys, bit
-    for bit, less those the first stage maps to nothing.  That source and the
-    stage targets are kept for the last parameter point.
+    The state stays a sum of two products (module docstring), built from one
+    ``sources.coherent`` factor per arm and branch.  A stage maps the arm's
+    factor of each branch through its method's and knob's ``TransferTable``,
+    built herald-first by the circuit and shared by the stages of this call,
+    one image per accepted pattern.  A pattern's probability is the squared
+    norm of its images' sum of products, from the factors' inner products;
+    the first pattern that heralds is kept, renormalized.  The target has the
+    same form, with a single photon on each truncated arm and the source's
+    coherent factors elsewhere.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
     params = SourceParams(delta=delta, phi=phi, t0=t0, split_ts=split_ts, cutoff=cutoff)
-    tables: dict[tuple[str, float], TransferTable] = {}
+    gammas = sources.split_amplitudes(params, pipeline.n)
+    norm = analytics.m_n(gammas, phi)
 
-    def table(method: str, knob: float) -> TransferTable:
+    def coherent(gamma: float, pol: str) -> Factor:
+        arm = sources.coherent(gamma, pol, cutoff, tail_bound)
+        return {key[0]: amp for key, amp in arm.amplitudes.items()}
+
+    source = (
+        (norm, tuple(coherent(g, H) for g in gammas)),
+        (norm * cmath.exp(1j * phi), tuple(coherent(-g, V) for g in gammas)),
+    )
+    photons = ({(1, 0): 1 + 0j}, {(0, 1): 1 + 0j})
+    tables: dict[tuple[str, float], TransferTable] = {}
+    arms = pipeline.arms
+    state, probability, stages = source, 1.0, []
+    for count, (arm, method) in enumerate(zip(arms, pipeline.methods), 1):
+        knob = knobs[KNOB_AXES[method]]
         if (method, knob) not in tables:
             circuit = partial(_scissors, method, knob, herald_first=True)
             tables[method, knob] = TransferTable(circuit, cutoff)
-        return tables[method, knob]
-
-    def herald(method: str, knob: float, state: PureState, mode: int) -> ScissorsResult:
-        return table(method, knob).apply(state, mode)
-
-    def fill(occupations: list[Occupation]) -> list[Occupation]:
-        first = pipeline.methods[0]
-        return table(first, knobs[KNOB_AXES[first]]).fill(occupations)
-
-    builds = _point_builds(params, pipeline.n, tail_bound)
-    source = builds.source(pipeline.arms[0], fill)
-    return _run_stages(pipeline, source, knobs, herald, builds.target)
+        total, kept = 0.0, None
+        for images in tables[method, knob].apply([factors[arm] for _, factors in state]):
+            pattern = [
+                (c, _with(factors, arm, image)) for (c, factors), image in zip(state, images) if image
+            ]
+            weight = _overlap(pattern, pattern).real
+            total += weight
+            if kept is None and weight > 0.0:
+                kept = tuple((c / math.sqrt(weight), factors) for c, factors in pattern)
+        probability *= total
+        if kept is None:
+            stages.append(PrepResult(probability, 0.0))
+            break
+        state = kept
+        scored = state
+        if count % 2:
+            first = arms[0]
+            scored = tuple(
+                (c, _with(f, first, {occ: -a if occ[1] % 2 else a for occ, a in f[first].items()}))
+                for c, f in state
+            )
+        # the fidelity is scale-free, so the target reuses the source's coefficients
+        target = [
+            (c, tuple(photon if k in arms[:count] else f for k, f in enumerate(factors)))
+            for (c, factors), photon in zip(source, photons)
+        ]
+        overlap = _overlap(target, scored)
+        norms = _overlap(target, target).real * _overlap(scored, scored).real
+        stages.append(PrepResult(probability, abs(overlap) ** 2 / norms, scored, cutoff))
+    return tuple(stages)
 
 
 def _run_stages(pipeline, source, knobs, herald, target) -> tuple[PrepResult, ...]:
-    """The stage loop of ``prepare_stages`` on ``source``.
+    """The stage loop of ``prepare_stages`` on a joint ``source``; its results keep no state.
 
     ``herald(method, knob, state, mode)`` runs a stage, and ``target(arms)``
     is the heralded target of the arms truncated so far.
@@ -234,17 +249,19 @@ def _run_stages(pipeline, source, knobs, herald, target) -> tuple[PrepResult, ..
         probability *= result.total_probability
         current = result.canonical_state
         if current is None:
-            stages.append(PrepResult(probability, 0.0, None))
+            stages.append(PrepResult(probability, 0.0))
             break
         state = apply_pol_phase(current, arms[0], V, math.pi) if count % 2 else current
-        stages.append(PrepResult(probability, fidelity(state, target(arms[:count])), state))
+        stages.append(PrepResult(probability, fidelity(state, target(arms[:count]))))
     return tuple(stages)
 
 
 def prepare_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> PrepResult:
-    """Truncate both arms to the Bell pair by expand-then-project: the tables' oracle.
+    """Truncate both arms to the Bell pair by expand-then-project on the joint source.
 
-    It builds the full source and its targets anew and keeps nothing.
+    Each circuit runs in full on the whole joint state, which is then
+    projected: the oracle of the tables' route.  It builds the source and its
+    targets anew and keeps nothing, its result's state included.
     """
     pipeline, knobs = Pipeline((method, method), BELL_ARMS), {KNOB_AXES[method]: knob}
     params = SourceParams(delta, phi, t0, (), required_cutoff(delta, t0))

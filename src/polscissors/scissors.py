@@ -19,9 +19,9 @@ correction all patterns agree on one canonical state.  Detector wiring is
 fixed so that a single photon at D1 with vacuum at D2 carries the plus sign.
 
 Each heralded map is linear on its mode, so a ``TransferTable`` whose rows the
-circuit itself builds on a small probe applies it to a joint state in one
-pass.  Running the circuit on the whole state and projecting it
-(expand-then-project) stays the oracle the tables are tested against.
+circuit itself builds on a small probe applies it to one mode's factor of a
+product state.  Running the circuit on the whole joint state and projecting
+it (expand-then-project) stays the oracle the tables are tested against.
 
 Every circuit takes ``herald_first``: the element in front of the detectors
 then forms only the components they accept (``elements`` ``herald``), so it
@@ -39,11 +39,8 @@ from .fock import (
     H,
     V,
     FockError,
-    OccKey,
     Occupation,
     PureState,
-    ShapeMismatchError,
-    _raw_state,
     fidelity,
     make_state,
     normalize,
@@ -78,8 +75,8 @@ class ScissorsResult:
     ``total_probability`` sums the pattern probabilities; ``canonical_state``
     is the shared corrected conditional state (None when nothing is heralded);
     ``pattern_agreement`` is the minimum pairwise fidelity among the corrected
-    pattern states, computed from ``outcomes`` when it is read.  A
-    ``TransferTable`` result lists no ``outcomes``, so its agreement reads 1.
+    pattern states, computed from ``outcomes`` when it is read; it reads 1 for
+    a result that lists no ``outcomes``.
     """
 
     outcomes: tuple[HeraldedOutcome, ...]
@@ -222,6 +219,10 @@ def pqs2_apply(
     return ScissorsResult((HeraldedOutcome(outcome.probability, kept),), outcome.probability, kept)
 
 
+# A single-mode factor of a product state: occupation to amplitude.
+Factor = dict[Occupation, complex]
+
+
 class TransferTable:
     """A scissors circuit's heralded map on one mode at one cutoff, row by row.
 
@@ -230,19 +231,17 @@ class TransferTable:
     outcome state's amplitude.  Missing rows come from one ``circuit(probe, 1)``
     call: probe mode 0 holds label ``divmod(i, cutoff + 1)``, mode 1 input ``i``.
 
-    ``fill`` is the one way rows are built.  ``apply`` calls it with the
-    occupations a state holds, in the order its keys first show them.
-    ``prepare_stages`` calls it with the first arm's source factor occupations
-    (the H factor's in order, then the V factor's new ones) before the source
-    is built, and builds the source only where ``fill`` finds a non-empty row.
+    ``fill`` is the one way rows are built.  ``apply`` maps single-mode
+    factors through the rows; ``prepare_stages`` passes it the truncated arm's
+    factor of every branch at once, so one probe fills the rows they all need.
     """
 
     def __init__(self, circuit: Callable[[PureState, int], ScissorsResult], cutoff: int) -> None:
         self.circuit, self.cutoff, self.patterns = circuit, cutoff, 0
         self.rows: dict[Occupation, list[tuple[int, Occupation, complex]]] = {}
 
-    def fill(self, inputs: list[Occupation]) -> list[Occupation]:
-        """Fill the rows of the distinct ``inputs`` the table lacks; the inputs whose rows are non-empty."""
+    def fill(self, inputs: list[Occupation]) -> None:
+        """Fill the rows of the distinct ``inputs`` the table lacks, from one probe."""
         missing = [occ for occ in inputs if occ not in self.rows]
         if missing:
             side = self.cutoff + 1
@@ -255,24 +254,14 @@ class TransferTable:
                 for ((lh, lv), out), amp in amplitudes.items():
                     rows[lh * side + lv].append((p, out, math.sqrt(outcome.probability) * amp))
             self.rows.update(zip(missing, rows))
-        return [occ for occ in inputs if self.rows[occ]]
 
-    def apply(self, state: PureState, mode: int) -> ScissorsResult:
-        """The circuit's result on ``state``, from one pass over its keys."""
-        if state.cutoff != self.cutoff or not 0 <= mode < state.mode_count:
-            raise ShapeMismatchError(f"mode {mode} or cutoff {state.cutoff} does not fit the table")
-        self.fill(list(dict.fromkeys(k[mode] for k in state.amplitudes)))
-        branches: list[dict[OccKey, complex]] = [{} for _ in range(self.patterns)]
-        for key, amp in state.amplitudes.items():
-            for p, out, coeff in self.rows[key[mode]]:
-                new = key[:mode] + (out,) + key[mode + 1 :]
-                branches[p][new] = branches[p].get(new, 0j) + amp * coeff
-        total, canonical = 0.0, None
-        for branch in branches:
-            if not branch:
-                continue
-            kept = _raw_state(state.mode_count, self.cutoff, branch)
-            total += kept.norm_squared()
-            if canonical is None:
-                canonical = normalize(kept)
-        return ScissorsResult((), total, canonical)
+    def apply(self, factors: list[Factor]) -> list[list[Factor]]:
+        """Per accepted pattern, the image of each of ``factors``, in their order."""
+        self.fill(list(dict.fromkeys(occ for factor in factors for occ in factor)))
+        images: list[list[Factor]] = [[{} for _ in factors] for _ in range(self.patterns)]
+        for i, factor in enumerate(factors):
+            for occ, amp in factor.items():
+                for p, out, coeff in self.rows[occ]:
+                    image = images[p][i]
+                    image[out] = image.get(out, 0j) + amp * coeff
+        return images

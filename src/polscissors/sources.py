@@ -10,13 +10,10 @@ single-photon) amplitudes left to right and the two branches are merged and
 scaled in place, with the float operations of the state-by-state
 composition, so the result is that composition's bit for bit.  Both routes
 refuse, with ``CutoffError``, a source whose branch would form more than
-``fock.MAX_SOURCE_PRODUCTS`` amplitude products.
-
-``lambda_state`` takes a ``herald=(arm, accept)``, in the style of the
-elements' ``herald``: after its checks it hands ``accept`` the occupations of
-that arm's factors and multiplies only the items whose occupation it keeps,
-so it forms just the keys a first heralding stage on ``arm`` can keep, bit
-for bit the full source's and in its order.
+``fock.MAX_SOURCE_PRODUCTS`` amplitude products.  The limit guards only the
+``lambda``, ``lambda-circuit`` and ``target-omega`` state dumps: the
+preparations' stage loop keeps the source as its two products and builds no
+joint state.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import analytics
 from .fock import (
@@ -36,7 +33,6 @@ from .fock import (
     CutoffError,
     FockError,
     OccKey,
-    Occupation,
     PureState,
     add,
     coherent_tail_weight,
@@ -47,11 +43,6 @@ from .fock import (
     vacuum,
 )
 from .elements import BeamSplitterSpec, apply_bs, apply_hwp, apply_pbs
-
-# A source's ``herald``: one arm and the callable that, given the occupations
-# of that arm's factors, returns the ones the first heralding stage keeps.
-Herald = tuple[int, Callable[[list[Occupation]], Collection[Occupation]]]
-
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -190,7 +181,6 @@ def _two_branch(
     photon_arms: tuple[int, ...],
     norm: float,
     tail_bound: float,
-    herald: Herald | None = None,
 ) -> PureState:
     """``norm (|H branch> + e^(i phi) |V branch>)`` over the n arms of the source.
 
@@ -199,14 +189,6 @@ def _two_branch(
     does the float operations of ``scale(add(H, scale(V, e^(i phi))), norm)``
     over tensored factors in their order, so keys, amplitudes and insertion
     order are theirs bit for bit, without an intermediate state.
-
-    ``herald``, when given, is ``(arm, accept)``.  After every check (the
-    coherent tails and the branch size, both of the unrestricted factors),
-    ``accept`` gets the occupations of that arm's factors, the H factor's in
-    order and then the V factor's new ones, and returns those to keep.  Only
-    the factor items of ``arm`` with a kept occupation are multiplied, so the
-    result is the full source's keys with a kept occupation there, bit for bit
-    and in the full source's order.
     """
     gammas = split_amplitudes(params, n)
     cutoff = params.cutoff
@@ -223,12 +205,6 @@ def _two_branch(
     h_factors = factors(H, 1.0)
     _check_branch_size(len(f) for f in h_factors)
     v_factors = factors(V, -1.0)
-    if herald is not None:
-        arm, accept = herald
-        occupations = dict.fromkeys(key[0] for f in (h_factors, v_factors) for key, _ in f[arm])
-        kept = set(accept(list(occupations)))
-        for f in (h_factors, v_factors):
-            f[arm] = [item for item in f[arm] if item[0][0] in kept]
     amps = dict(_products(h_factors))
     get = amps.get
     phase = cmath.exp(1j * params.phi)
@@ -278,19 +254,11 @@ def xi_circuit(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> 
 
 
 def lambda_state(
-    params: SourceParams,
-    n: int,
-    tail_bound: float = DEFAULT_TAIL_BOUND,
-    herald: Herald | None = None,
+    params: SourceParams, n: int, tail_bound: float = DEFAULT_TAIL_BOUND
 ) -> PureState:
-    """n-arm entangled coherent source from its closed form.
-
-    ``herald=(arm, accept)`` forms only the keys whose ``arm`` occupation
-    ``accept`` keeps, bitwise the full source filtered to them (see
-    ``_two_branch``); ``accept`` runs after the degenerate-norm check too.
-    """
+    """n-arm entangled coherent source from its closed form."""
     norm = analytics.m_n(split_amplitudes(params, n), params.phi)
-    return _two_branch(params, n, (), norm, tail_bound, herald)
+    return _two_branch(params, n, (), norm, tail_bound)
 
 
 def lambda_circuit(

@@ -117,9 +117,7 @@ def _check_pipelines(
     The hybrid arms ``(1,)`` are the first stage of the Bell arms ``(1, 0)``,
     so each check reads the chain's stage at its own arm count.  A degenerate
     source skips both checks with the same reason; a degenerate closed form
-    skips only its own check.  The pqs1 and pqs2 chains of one sample share
-    one restricted source and its targets, which ``prepare_stages`` keeps for
-    the last parameter point.
+    skips only its own check.
     """
     names = [name for name, pipeline in PIPELINES.items() if pipeline.method == method]
     bell = Pipeline((method, method), BELL_ARMS)

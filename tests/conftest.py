@@ -1,10 +1,14 @@
 import math
 import random
+from functools import partial
 
 import pytest
 
-from polscissors.fock import FockError, make_state, normalize
-from polscissors.preparations import HYBRID_ARMS, KNOB_AXES, Pipeline, prepare_stages
+from polscissors import preparations
+from polscissors.fock import FockError, OccKey, ShapeMismatchError, _raw_state, make_state, normalize
+from polscissors.preparations import HYBRID_ARMS, KNOB_AXES, Pipeline, prepare_stages, required_cutoff
+from polscissors.scissors import ScissorsResult, TransferTable
+from polscissors.sources import SourceParams, heralded_target, lambda_state
 
 
 def random_state(rng: random.Random, mode_count: int, cutoff: int, max_photons: int = 2):
@@ -69,6 +73,48 @@ def prepare_hybrid(
     """
     pipeline, knobs = Pipeline((method,), HYBRID_ARMS), {KNOB_AXES[method]: knob}
     return prepare_stages(pipeline, delta, phi, t0, knobs, cutoff=cutoff, tail_bound=tail_bound)[-1]
+
+
+def apply_table(table: TransferTable, state, mode: int) -> ScissorsResult:
+    """``table``'s map applied to the joint ``state`` on ``mode``, in one pass over its keys.
+
+    The oracle of the factored stage: it fills the occupations the state
+    holds, in the order its keys first show them, normalizes the first
+    non-empty pattern branch and lists no outcomes.
+    """
+    if state.cutoff != table.cutoff or not 0 <= mode < state.mode_count:
+        raise ShapeMismatchError(f"mode {mode} or cutoff {state.cutoff} does not fit the table")
+    table.fill(list(dict.fromkeys(k[mode] for k in state.amplitudes)))
+    branches: list[dict[OccKey, complex]] = [{} for _ in range(table.patterns)]
+    for key, amp in state.amplitudes.items():
+        for p, out, coeff in table.rows[key[mode]]:
+            new = key[:mode] + (out,) + key[mode + 1 :]
+            branches[p][new] = branches[p].get(new, 0j) + amp * coeff
+    total, canonical = 0.0, None
+    for branch in branches:
+        if not branch:
+            continue
+        kept = _raw_state(state.mode_count, table.cutoff, branch)
+        total += kept.norm_squared()
+        if canonical is None:
+            canonical = normalize(kept)
+    return ScissorsResult((), total, canonical)
+
+
+def joint_stages(pipeline, delta, phi, t0, knobs, split_ts=()):
+    """``prepare_stages`` on the joint route: the tables applied to the full ``lambda_state``."""
+    params = SourceParams(delta, phi, t0, split_ts, required_cutoff(delta, t0))
+    tables = {}
+
+    def herald(method, knob, state, mode):
+        if (method, knob) not in tables:
+            circuit = partial(preparations._scissors, method, knob, herald_first=True)
+            tables[method, knob] = TransferTable(circuit, params.cutoff)
+        return apply_table(tables[method, knob], state, mode)
+
+    source = lambda_state(params, pipeline.n)
+    target = partial(heralded_target, params, pipeline.n)
+    return preparations._run_stages(pipeline, source, knobs, herald, target)
 
 
 @pytest.fixture

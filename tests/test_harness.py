@@ -553,7 +553,8 @@ class TestCli:
         proc = self.run_cli("state", "--prep", f"{name}:delta=1,n=8,{splits}", expect=3, timeout=30)
         assert "amplitude products" in proc.stderr
 
-    def test_sweep_oversized_omega_source_exit_3(self, tmp_path):
+    def test_sweep_eight_arm_omega_exit_0(self, tmp_path):
+        # the stage loop keeps the source as two products: no size limit applies
         config = tmp_path / "exp.ini"
         config.write_text(
             OMEGA_CONFIG.replace("omega_n = 2", "omega_n = 8").replace(
@@ -561,8 +562,12 @@ class TestCli:
                 + ",".join(["0.5"] * 6)
             )
         )
-        proc = self.run_cli("sweep", "--config", str(config), expect=3, timeout=30)
-        assert "amplitude products" in proc.stderr
+        out = tmp_path / "grid.csv"
+        self.run_cli("sweep", "--config", str(config), "--out", str(out), expect=0, timeout=60)
+        columns, rows = grid_from_csv(out.read_text())
+        assert rows and {row[columns.index("status")] for row in rows} == {"ok"}
+        for name in ("P_numeric", "F_numeric"):
+            assert all(0 < row[columns.index(name)] < 1 for row in rows)
 
     @pytest.mark.parametrize("prep", ["coherent:gamma=30", "cat:delta=30,phi=0.3"])
     def test_state_past_the_float_range_of_n_factorial(self, prep):

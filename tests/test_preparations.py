@@ -9,8 +9,10 @@ from polscissors.fock import fidelity, make_state, min_cutoff
 from polscissors.preparations import (
     BELL_ARMS,
     KNOB_AXES,
+    PIPELINES,
     PREPARATIONS,
     Pipeline,
+    PrepResult,
     analytic_named,
     prepare_bell,
     prepare_named,
@@ -58,6 +60,13 @@ def test_shared_first_stage_matches_separate_pipelines(method, knob, delta):
     oracle = prepare_bell(method, delta, phi, t0, knob)
     assert bell.probability == pytest.approx(oracle.probability, rel=1e-14, abs=0)
     assert bell.fidelity == pytest.approx(oracle.fidelity, rel=1e-14, abs=0)
+
+
+def test_a_stage_that_heralds_nothing_ends_the_chain():
+    # without squeezing pqs2 heralds nothing: one result, with no state
+    stages = prepare_stages(PIPELINES["bell-pqs2"], 1.3, 0.4, 0.6, {"gamma_abs": 0.0})
+    assert stages == (PrepResult(0.0, 0.0),)
+    assert stages[0].state is None
 
 
 def test_hybrid_reference_point_values():

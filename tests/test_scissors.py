@@ -18,7 +18,8 @@ from polscissors.preparations import Pipeline, omega_pipeline, prepare_stages, r
 from polscissors.scissors import TransferTable, pqs1_apply, pqs2_apply, qs_apply
 from polscissors.sources import SourceParams, coherent, xi_direct
 
-from conftest import random_polarized_coeffs, random_state
+import conftest
+from conftest import apply_table, random_polarized_coeffs, random_state
 
 
 def ket(key, cutoff=6):
@@ -297,6 +298,20 @@ class TestPrepareOmega:
         assert fids == sorted(fids)
         assert fids[-1] >= 0.9999
 
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_eight_arms_at_every_j(self, j):
+        # no source size limit applies to the stage loop; the untruncated arms
+        # enter only through their overlaps, so the same truncated amplitudes
+        # and the same untruncated weight give the three-arm result
+        methods = ("pqs1", "pqs2") * 4
+        knobs = {"t": 0.9, "gamma_abs": 0.08}
+        result = prepare_omega(8, j, methods[:j], knobs, 1.4, 0.3, 0.5, (0.5,) * 6, None)
+        assert 0 < result.probability < 1 and 0 < result.fidelity <= 1
+        if j <= 2:
+            three = prepare_omega(3, j, methods[:j], knobs, 1.4, 0.3, 0.5, (0.5,), None)
+            assert result.probability == pytest.approx(three.probability, rel=1e-12, abs=0)
+            assert result.fidelity == pytest.approx(three.fidelity, rel=1e-12, abs=0)
+
     def test_probability_is_product_of_stages(self):
         params = SourceParams(1.0, 0.0, 0.5, (), 18)
         chain = prepare_omega(2, 2, ("pqs1", "pqs1"), {"t": 0.7}, 1.0, 0.0, 0.5, (), 18)
@@ -321,13 +336,12 @@ def test_prepare_stages_dispatches_each_stage_to_its_method():
     stages = prepare_stages(pipeline, delta, phi, t0, {"t": t, "gamma_abs": gamma})
     cutoff = required_cutoff(delta, t0)
     squeezer = TransferTable(lambda state, mode: pqs2_apply(state, mode, complex(gamma)), cutoff)
-    first = squeezer.apply(xi_direct(SourceParams(delta, phi, t0, (), cutoff)), 1)
+    first = apply_table(squeezer, xi_direct(SourceParams(delta, phi, t0, (), cutoff)), 1)
     linear = TransferTable(lambda state, mode: pqs1_apply(state, mode, t), cutoff)
-    second = linear.apply(first.canonical_state, 0)
-    assert [s.probability for s in stages] == [
-        first.total_probability,
-        first.total_probability * second.total_probability,
-    ]
+    second = apply_table(linear, first.canonical_state, 0)
+    assert [s.probability for s in stages] == pytest.approx(
+        [first.total_probability, first.total_probability * second.total_probability], rel=1e-13, abs=0
+    )
 
 
 def _assembled(table, state, mode):
@@ -343,7 +357,8 @@ def _assembled(table, state, mode):
 
 @pytest.mark.parametrize("method,knob", [("pqs1", 0.83), ("pqs2", 0.07j)])
 def test_table_application_normalizes_one_branch_and_compares_none(method, knob, monkeypatch):
-    # a table result lists no outcomes, so its agreement reads 1 and compares no states
+    # the joint application, the factored stage's oracle, lists no outcomes,
+    # so its agreement reads 1 and compares no states
     probes = []
 
     def circuit(state, mode):
@@ -353,7 +368,7 @@ def test_table_application_normalizes_one_branch_and_compares_none(method, knob,
     cutoff = required_cutoff(0.9, 0.45)
     table = TransferTable(circuit, cutoff)
     source = xi_direct(SourceParams(0.9, 0.4, 0.45, (), cutoff))
-    table.apply(source, 1)  # fills every row the source needs
+    apply_table(table, source, 1)  # fills every row the source needs
     assert len(probes) == 1
     want = _assembled(table, source, 1)
     calls = {"normalize": 0}
@@ -365,9 +380,9 @@ def test_table_application_normalizes_one_branch_and_compares_none(method, knob,
     def refuse(*args):
         raise AssertionError("a table application compared its pattern states")
 
-    monkeypatch.setattr(scissors, "normalize", counted)
+    monkeypatch.setattr(conftest, "normalize", counted)
     monkeypatch.setattr(scissors, "fidelity", refuse)
-    got = table.apply(source, 1)
+    got = apply_table(table, source, 1)
     assert calls["normalize"] == 1
     assert got.total_probability.hex() == want.total_probability.hex()
     assert [(k, a.real.hex(), a.imag.hex()) for k, a in got.canonical_state.amplitudes.items()] == [

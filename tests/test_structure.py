@@ -56,3 +56,14 @@ def test_the_package_starts_no_process_pool():
                 if any(name == b or name.startswith(b + ".") for b in banned)
             ]
     assert hits == []
+
+
+def test_the_package_declares_no_global():
+    # no module-level cache: state a call needs belongs to that call
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert hits == []

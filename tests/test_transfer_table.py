@@ -1,10 +1,13 @@
-"""Transfer tables against expand-then-project, the oracle.
+"""Transfer tables against expand-then-project, and the factored stage loop against the joint one.
 
-A ``TransferTable`` applies a scissors circuit's heralded map from rows the
-circuit built on a small probe.  Running the same circuit on the whole state
-and projecting it must give the same total probability and canonical state,
-on random states and along whole preparation chains; and the table route must
-never again send the joint state into ``project_number``.
+A ``TransferTable`` holds a scissors circuit's heralded map as rows the
+circuit built on a small probe.  Applied to a whole joint state (the tests'
+``apply_table``), the rows must give the total probability and canonical
+state of running the same circuit on that state and projecting it.  Along
+whole preparation chains, ``prepare_stages``, which keeps the state as a sum
+of two products, must agree at every stage with the tables applied to the
+full joint source (``joint_stages``); and it must never send a joint state
+into ``project_number``.
 """
 
 import math
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polscissors import preparations, scissors
+from polscissors import scissors
 from polscissors.fock import fidelity, make_state
 from polscissors.preparations import (
     BELL_ARMS,
@@ -28,7 +31,7 @@ from polscissors.preparations import (
 from polscissors.scissors import TransferTable, pqs1_apply, pqs2_apply
 from polscissors.sources import SourceParams, lambda_state
 
-from conftest import random_state
+from conftest import apply_table, joint_stages, random_state
 
 
 def _circuit(method, knob):
@@ -66,7 +69,7 @@ def test_table_matches_expand_then_project_on_random_states(
     circuit = _circuit(method, knob)
     table = TransferTable(circuit, state.cutoff)
     for mode in range(mode_count):
-        _assert_same_herald(table.apply(state, mode), circuit(state, mode))
+        _assert_same_herald(apply_table(table, state, mode), circuit(state, mode))
 
 
 @pytest.mark.parametrize("method,knob", [("pqs1", 0.6), ("pqs2", 0.3j)])
@@ -74,7 +77,7 @@ def test_table_matches_expand_then_project_on_random_states(
 def test_table_heralds_nothing_where_the_circuit_heralds_nothing(method, knob, occupations):
     state = make_state(2, 4, [(((1, 0), occ), 1.0) for occ in occupations])
     circuit = _circuit(method, knob)
-    result = TransferTable(circuit, 4).apply(state, 1)
+    result = apply_table(TransferTable(circuit, 4), state, 1)
     assert circuit(state, 1).canonical_state is None
     assert result.canonical_state is None
     assert result.total_probability == 0.0
@@ -84,9 +87,8 @@ def test_table_heralds_nothing_where_the_circuit_heralds_nothing(method, knob, o
 def test_corrected_pattern_rows_are_proportional(method, knob):
     # a heralded map is one map only if every pattern's rows are the same up to one factor
     cutoff = 4
-    every = [((nh, nv),) for nh in range(cutoff + 1) for nv in range(cutoff + 1)]
     table = TransferTable(_circuit(method, knob), cutoff)
-    table.apply(make_state(1, cutoff, [(key, 1.0) for key in every]), 0)
+    table.fill([(nh, nv) for nh in range(cutoff + 1) for nv in range(cutoff + 1)])
     assert table.patterns == (4 if method == "pqs1" else 1)
     vectors = [{} for _ in range(table.patterns)]
     for occ, row in table.rows.items():
@@ -101,16 +103,6 @@ def test_corrected_pattern_rows_are_proportional(method, knob):
         assert overlap >= (1 - 1e-14) * norms
 
 
-class _Expand:
-    """Stands in for ``TransferTable``: runs the circuit on the whole state."""
-
-    def __init__(self, circuit, cutoff):
-        self.apply = circuit
-
-    def fill(self, occupations):
-        return occupations
-
-
 CHAINS = [
     (Pipeline(("pqs1", "pqs1"), BELL_ARMS), {"t": 0.83}),
     (Pipeline(("pqs2", "pqs2"), BELL_ARMS), {"gamma_abs": 0.09}),
@@ -118,40 +110,52 @@ CHAINS = [
 ]
 
 
+def _assert_stages_agree(factored, joint, bound):
+    assert len(factored) == len(joint)
+    for got, want in zip(factored, joint):
+        assert abs(got.probability - want.probability) <= bound * want.probability
+        assert abs(got.fidelity - want.fidelity) <= bound * want.fidelity
+
+
 @pytest.mark.parametrize("delta", [0.8, 1.4, 2.0])
 @pytest.mark.parametrize("chain", range(len(CHAINS)))
-def test_prepare_stages_matches_the_expand_route(chain, delta, monkeypatch):
+def test_prepare_stages_matches_the_expand_route(chain, delta):
     pipeline, knobs = CHAINS[chain]
     phi, t0 = 0.7, 0.45
-    tables = prepare_stages(pipeline, delta, phi, t0, knobs)
-    monkeypatch.setattr(preparations, "TransferTable", _Expand)
-    expanded = prepare_stages(pipeline, delta, phi, t0, knobs)
-    assert len(tables) == len(expanded) == 2
-    for table, expand in zip(tables, expanded):
-        assert abs(table.probability - expand.probability) <= 1e-14 * expand.probability
-        assert abs(table.fidelity - expand.fidelity) <= 1e-14 * expand.fidelity
+    factored = prepare_stages(pipeline, delta, phi, t0, knobs)
+    assert len(factored) == 2
+    _assert_stages_agree(factored, joint_stages(pipeline, delta, phi, t0, knobs), 1e-13)
     if pipeline.arms == BELL_ARMS:
-        # prepare_bell is the expand route itself, bit for bit
+        # prepare_bell runs each circuit in full on the joint state
         (knob,) = knobs.values()
         bell = prepare_bell(pipeline.method, delta, phi, t0, knob)
-        assert (bell.probability, bell.fidelity) == (expanded[-1].probability, expanded[-1].fidelity)
+        _assert_stages_agree(factored[-1:], (bell,), 1e-13)
 
 
-@pytest.mark.parametrize("n,delta", [(3, 0.8), (3, 1.4), (3, 2.0), (4, 0.8), (4, 1.4)])
-def test_prepare_stages_matches_the_expand_route_on_omega_chains(n, delta, monkeypatch):
-    # the expand stub's fill keeps every occupation, so its source is the full one
-    rng = random.Random(1000 * n + round(10 * delta))
+def _seeded_chain(rng, n, delta, phi):
     methods = tuple(rng.choice(["pqs1", "pqs2"]) for _ in range(rng.randint(1, n)))
     splits = tuple(rng.uniform(0.1, 0.9) for _ in range(n - 2))
     knobs = {"t": rng.uniform(0.3, 0.98), "gamma_abs": rng.uniform(0.01, 0.12)}
-    args = (omega_pipeline(n, len(methods), methods), delta, rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 0.9), knobs, splits)
-    tables = prepare_stages(*args)
-    monkeypatch.setattr(preparations, "TransferTable", _Expand)
-    expanded = prepare_stages(*args)
-    assert len(tables) == len(expanded) == len(methods)
-    for table, expand in zip(tables, expanded):
-        assert abs(table.probability - expand.probability) <= 1e-14 * expand.probability
-        assert abs(table.fidelity - expand.fidelity) <= 1e-14 * expand.fidelity
+    return omega_pipeline(n, len(methods), methods), delta, phi, rng.uniform(0.1, 0.9), knobs, splits
+
+
+@pytest.mark.parametrize("n,delta", [(3, 0.8), (3, 1.4), (3, 2.0), (4, 0.8), (4, 1.4)])
+def test_prepare_stages_matches_the_expand_route_on_omega_chains(n, delta):
+    rng = random.Random(1000 * n + round(10 * delta))
+    args = _seeded_chain(rng, n, delta, rng.uniform(0, 2 * math.pi))
+    _assert_stages_agree(prepare_stages(*args), joint_stages(*args), 1e-13)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_prepare_stages_matches_the_joint_route_near_the_degenerate_point(seed):
+    # the branches nearly cancel there (m_n diverges), so both routes lose
+    # digits to the cancellation: 1e-13 cannot hold, 1e-10 does
+    rng = random.Random(5000 + seed)
+    n = rng.choice([2, 3, 4])
+    delta = 10 ** rng.uniform(-3, -1)
+    phi = math.pi + rng.choice([-1, 1]) * 10 ** rng.uniform(-6, -3)
+    args = _seeded_chain(rng, n, delta, phi)
+    _assert_stages_agree(prepare_stages(*args), joint_stages(*args), 1e-10)
 
 
 def _projected_sizes(monkeypatch):
