@@ -16,6 +16,23 @@ class DegenerateParameterError(ValueError):
     """A normalization or heralding probability vanished (e.g. zero amplitude, phase pi)."""
 
 
+class ProbabilityUnderflowError(DegenerateParameterError):
+    """A heralding probability that is positive in exact arithmetic rounded to 0.0."""
+
+
+def _zero_probability(delta: float, knob: float) -> DegenerateParameterError:
+    """The error for a named closed form whose heralding probability reads 0.0.
+
+    Inside the open domain (delta > 0 and a transmissivity or |gamma| in
+    (0, 1)) the probability is positive, so a zero there is float underflow.
+    """
+    if delta > 0.0 and 0.0 < knob < 1.0:
+        return ProbabilityUnderflowError(
+            f"heralding probability underflows to 0.0 at delta = {delta}"
+        )
+    return DegenerateParameterError("zero heralding probability")
+
+
 @dataclass(frozen=True)
 class AnalyticPF:
     probability: float
@@ -155,9 +172,11 @@ def pf_hybrid(method: str, delta: float, phi: float, t0: float, knob: float) -> 
     method = _check_method(method)
     c = xi_coefficients(delta, phi, t0)
     c10_sq, c01_sq, c00_sq = abs(c.c10) ** 2, abs(c.c01) ** 2, abs(c.c00) ** 2
-    if method == "pqs1":
-        return pf_pqs1(c10_sq, c01_sq, c00_sq, 0.0, knob)
-    return pf_pqs2(c10_sq, c01_sq, c00_sq, 0.0, knob)
+    closed_form = pf_pqs1 if method == "pqs1" else pf_pqs2
+    try:
+        return closed_form(c10_sq, c01_sq, c00_sq, 0.0, knob)
+    except DegenerateParameterError:
+        raise _zero_probability(delta, knob) from None
 
 
 def g_coefficients(delta: float, phi: float, t0: float, t: float) -> tuple[float, float]:
@@ -203,7 +222,7 @@ def pf_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> An
         spill = k_n(knob, 0) ** 2 * g2 * g2 * f0a_sq
     p = keep * (w1 * w1 + w0 * w0) + spill * (2.0 * w1 * w1 + vac_weight * w0 * w0)
     if p <= 0.0:
-        raise DegenerateParameterError("zero heralding probability")
+        raise _zero_probability(delta, knob)
     return AnalyticPF(p, keep * w1 * w1 / p)
 
 

@@ -134,15 +134,24 @@ def _check_shapes(a: PureState, b: PureState) -> None:
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugating the first argument."""
+    """<a|b>, conjugating the first argument.
+
+    Sums over the smaller state's keys in its order, reading each common key
+    once from each state.
+    """
     _check_shapes(a, b)
+    total = 0.0 + 0.0j
     if len(a.amplitudes) <= len(b.amplitudes):
-        keys = (k for k in a.amplitudes if k in b.amplitudes)
+        get = b.amplitudes.get
+        for k, va in a.amplitudes.items():
+            if (vb := get(k)) is not None:
+                total += va.conjugate() * vb
     else:
-        keys = (k for k in b.amplitudes if k in a.amplitudes)
-    return sum(
-        (a.amplitudes[k].conjugate() * b.amplitudes[k] for k in keys), 0.0 + 0.0j
-    )
+        get = a.amplitudes.get
+        for k, vb in b.amplitudes.items():
+            if (va := get(k)) is not None:
+                total += va.conjugate() * vb
+    return total
 
 
 def fidelity(a: PureState, b: PureState) -> float:

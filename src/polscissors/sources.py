@@ -5,10 +5,12 @@ from its known Fock decomposition and a circuit construction that runs the
 actual preparation optics (balanced splitter, half-wave plate, polarizing
 merge, final split).  The two must agree to high fidelity; tests enforce it.
 
-The direct route is one pass: each branch multiplies its arms' coherent (or
-single-photon) amplitudes left to right and the two branches are merged and
-scaled in place, with the float operations of the state-by-state
-composition, so the result is that composition's bit for bit.  Both routes
+The direct route is one pass per branch into one output dict: each branch
+multiplies its arms' coherent (or single-photon) amplitudes left to right
+and writes each product already scaled by the normalization.  The two
+branches share only the all-vacuum key, whose sum is kept aside and scaled
+last.  The float operations are those of the state-by-state composition, so
+the result is that composition's bit for bit.  Both routes
 refuse, with ``CutoffError``, a source whose branch would form more than
 ``fock.MAX_SOURCE_PRODUCTS`` amplitude products.  The limit guards only the
 ``lambda``, ``lambda-circuit`` and ``target-omega`` state dumps: the
@@ -21,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import analytics
 from .fock import (
@@ -156,8 +158,8 @@ def _check_branch_size(sizes: Iterable[int]) -> None:
         )
 
 
-def _products(factors: list[list[tuple[OccKey, complex]]]) -> Iterator[tuple[OccKey, complex]]:
-    """Products of one item per factor, multiplied left to right as ``tensor`` does.
+def _prefix(factors: list[list[tuple[OccKey, complex]]]) -> list[tuple[OccKey, complex]]:
+    """Products of one item from each factor but the last, left to right as ``tensor`` does.
 
     A partial product below ``DEFAULT_TOL`` is dropped with every product it
     would start, exactly as each ``tensor`` step compacts its output.
@@ -167,12 +169,23 @@ def _products(factors: list[list[tuple[OccKey, complex]]]) -> Iterator[tuple[Occ
         items = [
             (ka + kb, v) for ka, va in items for kb, vb in factor if abs(v := va * vb) >= DEFAULT_TOL
         ]
-    last = factors[-1]
-    for ka, va in items:
-        for kb, vb in last:
-            v = va * vb
-            if abs(v) >= DEFAULT_TOL:
-                yield ka + kb, v
+    return items
+
+
+def _vacuum_product(factors: list[list[tuple[OccKey, complex]]]) -> complex | None:
+    """The branch's all-vacuum product, formed and compacted as its other products, or ``None``.
+
+    A factor's vacuum item comes first when it has one.
+    """
+    amp = None
+    for factor in factors:
+        key, v = factor[0]
+        if key != ((0, 0),):
+            return None
+        amp = v if amp is None else amp * v
+        if abs(amp) < DEFAULT_TOL:
+            return None
+    return amp
 
 
 def _two_branch(
@@ -186,9 +199,12 @@ def _two_branch(
 
     Each branch holds a single photon on ``photon_arms`` and the split
     coherent amplitudes on the other arms, negated in the V branch.  One pass
-    does the float operations of ``scale(add(H, scale(V, e^(i phi))), norm)``
-    over tensored factors in their order, so keys, amplitudes and insertion
-    order are theirs bit for bit, without an intermediate state.
+    per branch writes its products straight into one output dict, already
+    scaled by ``norm``.  An H key holds only H photons and a V key only V
+    photons, so the branches share at most the all-vacuum key; its sum is
+    kept aside and scaled last, at the place the H branch gave it.  The float
+    operations are those of ``scale(add(H, scale(V, e^(i phi))), norm)``, so
+    keys, amplitudes and insertion order are that composition's bit for bit.
     """
     gammas = split_amplitudes(params, n)
     cutoff = params.cutoff
@@ -205,19 +221,39 @@ def _two_branch(
     h_factors = factors(H, 1.0)
     _check_branch_size(len(f) for f in h_factors)
     v_factors = factors(V, -1.0)
-    amps = dict(_products(h_factors))
-    get = amps.get
     phase = cmath.exp(1j * params.phi)
-    for key, v in _products(v_factors):
-        v = v * phase
-        if abs(v) >= DEFAULT_TOL:
-            amps[key] = get(key, 0j) + v
-    out = {}
-    for key, v in amps.items():
-        if abs(v) >= DEFAULT_TOL:
-            v = v * norm
+    h_vacuum = _vacuum_product(h_factors)
+    vacuum_key = ((0, 0),) * n
+    # the H branch's first product: hold its place, its value comes last
+    out: dict[OccKey, complex] = {} if h_vacuum is None else {vacuum_key: h_vacuum}
+    last = h_factors[-1]
+    for ka, va in _prefix(h_factors):
+        for kb, vb in last:
+            v = va * vb
             if abs(v) >= DEFAULT_TOL:
-                out[key] = v
+                v = v * norm
+                if abs(v) >= DEFAULT_TOL:
+                    out[ka + kb] = v
+    last = v_factors[-1]
+    for ka, va in _prefix(v_factors):
+        for kb, vb in last:
+            v = va * vb
+            if abs(v) >= DEFAULT_TOL:
+                v = v * phase
+                if abs(v) >= DEFAULT_TOL:
+                    # ``add``'s ``0j + v``: a -0.0 part becomes +0.0
+                    v = (0j + v) * norm
+                    if abs(v) >= DEFAULT_TOL:
+                        out[ka + kb] = v
+    if h_vacuum is not None:
+        total = h_vacuum
+        v_vacuum = _vacuum_product(v_factors)
+        if v_vacuum is not None and abs(v := v_vacuum * phase) >= DEFAULT_TOL:
+            total = total + v
+        if abs(total) >= DEFAULT_TOL and abs(v := total * norm) >= DEFAULT_TOL:
+            out[vacuum_key] = v
+        else:
+            del out[vacuum_key]
     return PureState(n, cutoff, out)
 
 

@@ -22,6 +22,7 @@ from .preparations import analytic_named, prepare_stages, required_cutoff
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
+STATUS_UNDERFLOW = "underflow"
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,11 @@ def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float) -> tuple:
             values += [num.probability, num.fidelity]
         if config.backend == "both":
             values += [abs(num.probability - ana.probability), abs(num.fidelity - ana.fidelity)]
-    except analytics.DegenerateParameterError:
+    except analytics.DegenerateParameterError as exc:
         total = len(_cell_columns(config))
         values += [math.nan] * (total - 1 - len(values))
-        values.append(STATUS_DEGENERATE)
+        underflow = isinstance(exc, analytics.ProbabilityUnderflowError)
+        values.append(STATUS_UNDERFLOW if underflow else STATUS_DEGENERATE)
         return tuple(values)
     if config.repetition_rate is not None:
         # the rate follows the first probability column: the closed form when there is one

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from polscissors.analytics import (
     AnalyticPF,
     DegenerateParameterError,
+    ProbabilityUnderflowError,
     alpha_beta,
     count_rate,
     f_n,
@@ -22,6 +23,7 @@ from polscissors.analytics import (
     pf_qs,
     xi_coefficients,
 )
+from polscissors.preparations import analytic_named
 
 
 class TestElementaryPieces:
@@ -228,6 +230,30 @@ class TestBellForms:
 
     def test_probability_vanishes_at_full_transmission(self):
         assert pf_bell("pqs1", 1.0, 0.0, 0.5, 0.9999).probability <= 1e-6
+
+    @pytest.mark.parametrize(
+        "name, delta, knob",
+        [("bell-pqs1", 20.0, 0.9), ("bell-pqs2", 20.0, 0.05), ("hybrid-pqs2", 40.0, 0.05)],
+    )
+    def test_underflow_inside_the_domain_is_not_degenerate(self, name, delta, knob):
+        # positive in exact arithmetic, 0.0 in floats
+        with pytest.raises(ProbabilityUnderflowError, match="underflows"):
+            analytic_named(name, delta, 0.3, 0.5, knob)
+
+    @pytest.mark.parametrize(
+        "name, delta, phi, knob",
+        [
+            ("bell-pqs1", 0.0, math.pi, 0.9),
+            ("hybrid-pqs1", 0.0, math.pi, 0.9),
+            ("bell-pqs1", 1.0, 0.3, 1.0),
+            ("hybrid-pqs1", 1.0, 0.3, 1.0),
+            ("bell-pqs1", 20.0, 0.3, 1.0),
+        ],
+    )
+    def test_zero_probability_on_the_domain_edge_stays_degenerate(self, name, delta, phi, knob):
+        with pytest.raises(DegenerateParameterError) as info:
+            analytic_named(name, delta, phi, 0.5, knob)
+        assert not isinstance(info.value, ProbabilityUnderflowError)
 
     def test_coefficient_helpers(self):
         delta, phi, t0, t = 0.9, 0.2, 0.4, 0.9

@@ -300,8 +300,17 @@ class TestSweep:
         text = text.replace("phi = 0.0", f"phi = {math.pi}")
         grid = run_sweep(parse_config_text(text))
         statuses = {row[-1] for row in grid.rows}
-        assert "degenerate" in statuses
-        assert "ok" in statuses
+        assert statuses == {"degenerate", "ok"}
+
+    def test_underflow_cell_is_not_degenerate(self):
+        # the closed form's probability rounds to 0.0 at delta 20, inside the domain
+        text = BELL_CONFIG.replace(
+            "start = 0.6\nstop = 1.0\nsteps = 3", "start = 1.0\nstop = 20.0\nsteps = 2"
+        )
+        grid = run_sweep(parse_config_text(text, {"backend": "analytic"}))
+        statuses = {row[0]: row[-1] for row in grid.rows}
+        assert statuses == {1.0: "ok", 20.0: "underflow"}
+        assert all(math.isnan(v) for row in grid.rows[2:] for v in row[2:-1])
 
     @pytest.mark.parametrize("text", [BELL_CONFIG, OMEGA_CONFIG], ids=["bell-pqs1", "omega"])
     def test_internal_error_is_not_a_degenerate_row(self, monkeypatch, text):

@@ -3,8 +3,9 @@
 The scissors module splits its ancilla on a two-mode state and tensors that
 onto the input once, ``project_number`` matches keys with ``itemgetter``,
 ``apply_bs`` caches its pair terms across calls and builds them from hoisted
-powers, and the entangled sources are built in one pass.  Each must leave
-every state bit for bit as the plain constructions below build it: same keys,
+powers, the entangled sources are built in one pass, and ``inner_product``
+reads each common key once.  Each must leave every state (and every inner
+product) bit for bit as the plain constructions below build it: same keys,
 same insertion order, same real and imaginary parts (compared with
 ``float.hex``, so even the sign of a zero counts).
 """
@@ -26,6 +27,7 @@ from polscissors.fock import (
     PureState,
     _raw_state,
     add,
+    inner_product,
     make_state,
     min_cutoff,
     project_number,
@@ -37,6 +39,7 @@ from polscissors.sources import (
     SourceParams,
     coherent,
     heralded_target,
+    lambda_circuit,
     lambda_state,
     split_amplitudes,
     xi_direct,
@@ -312,3 +315,69 @@ class TestSources:
         assert lambda_state(params, 4).amplitudes
         assert heralded_target(params, 4, (1, 0)).amplitudes
         assert xi_direct(SourceParams(0.7, 0.4, 0.45, (), 12)).amplitudes
+
+
+def inner_product_reference(a, b):
+    """Plain loop over the smaller state's keys: membership test, then two subscripts."""
+    small, other = (a, b) if len(a.amplitudes) <= len(b.amplitudes) else (b, a)
+    total = 0.0 + 0.0j
+    for k in small.amplitudes:
+        if k in other.amplitudes:
+            total += a.amplitudes[k].conjugate() * b.amplitudes[k]
+    return total
+
+
+def hex_complex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def hex_inner(a, b):
+    return hex_complex(inner_product(a, b))
+
+
+class TestInnerProduct:
+    def pairs(self):
+        rng = random.Random(18)
+        for _ in range(30):
+            modes = rng.choice((1, 2, 3))
+            a = random_state(rng, modes, 6, rng.choice((1, 2)))
+            b = random_state(rng, modes, 6, rng.choice((1, 2, 3)))
+            yield a, b
+        params = SourceParams(0.6, 0.4, 0.45, (0.5,), 14)
+        yield lambda_circuit(params, 3), lambda_state(params, 3)
+
+    def test_bitwise_equal_to_the_plain_loop_in_both_orders(self):
+        sizes = set()
+        for a, b in self.pairs():
+            sizes.add(len(a.amplitudes) < len(b.amplitudes))
+            for x, y in ((a, b), (b, a)):
+                assert hex_inner(x, y) == hex_complex(inner_product_reference(x, y))
+        assert sizes == {True, False}
+
+    def test_equal_sizes_read_the_first_state_in_its_order(self):
+        keys = [((n, 0), (0, m)) for n in range(3) for m in range(3)]
+        rng = random.Random(7)
+
+        def state(ks):
+            return make_state(2, 4, [(k, complex(rng.gauss(0, 1), rng.gauss(0, 1))) for k in ks])
+
+        # six keys each, three in common, met in opposite orders
+        a, b = state(keys[:6]), state(keys[:2:-1])
+        assert len(a.amplitudes) == len(b.amplitudes)
+        for x, y in ((a, b), (b, a)):
+            assert hex_inner(x, y) == hex_complex(inner_product_reference(x, y))
+
+    def test_disjoint_supports_give_a_positive_zero(self):
+        a = make_state(2, 4, [(((1, 0), (0, 0)), -0.5j), (((2, 0), (1, 0)), -1.0)])
+        b = make_state(
+            2, 4, [(((0, 1), (0, 0)), -0.5), (((0, 2), (0, 1)), 1j), (((0, 0), (0, 3)), 2.0)]
+        )
+        for x, y in ((a, b), (b, a)):
+            got = inner_product(x, y)
+            assert got == 0j
+            assert hex_complex(got) == hex_complex(0j) == hex_complex(inner_product_reference(x, y))
+
+    def test_a_state_with_itself(self):
+        for a, b in self.pairs():
+            for x in (a, b):
+                assert hex_inner(x, x) == hex_complex(inner_product_reference(x, x))

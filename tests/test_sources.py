@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -218,6 +220,23 @@ class TestLambda:
         sources._check_branch_size(sizes)
         with pytest.raises(CutoffError):
             sources._check_branch_size([MAX_SOURCE_PRODUCTS + 1])
+
+    def test_peak_memory_is_close_to_the_result_size(self):
+        # the build fills one output dict, so it holds little beyond the
+        # amplitudes it returns
+        params = SourceParams(1.1, 0.4, 0.5, (0.5, 0.5), 20)
+        lambda_state(params, 4)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            state = lambda_state(params, 4)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state.amplitudes) > 50_000
+        assert peak - before <= 1.2 * (retained - before)
 
     def test_permutation_covariance(self):
         # exchanging split amplitudes relabels arms; fidelity via arm swap
