@@ -200,9 +200,10 @@ def add(a: PureState, b: PureState) -> PureState:
 class ProjectionOutcome:
     """Result of a projective photon-number measurement.
 
-    ``probability`` is the squared norm of the unnormalized projected vector.
-    ``state`` is the renormalized conditional state with the measured modes
-    removed, or ``None`` when nothing survives the projection.
+    ``state`` is the projected component with the measured modes removed,
+    not normalized, or ``None`` when nothing survives the projection.
+    ``probability`` is its squared norm; ``normalize(state)`` is the
+    conditional state.
     """
 
     probability: float
@@ -214,10 +215,10 @@ def project_number(
 ) -> ProjectionOutcome:
     """Project the listed modes onto exact polarized occupations.
 
-    Measured modes are removed from the conditional state, so its mode count
-    drops by ``len(targets)``.  Matching keys keep their input order, and the
-    probability sums their squared magnitudes in that order, so the result is
-    bitwise that of a plain per-key loop.
+    Measured modes are removed from the projected component, so its mode
+    count drops by ``len(targets)``.  Matching keys keep their input order and
+    amplitudes, and the probability sums their squared magnitudes in that
+    order, so it equals the component's ``norm_squared()`` bit for bit.
     """
     if not targets:
         raise FockError("no projection targets given")
@@ -245,12 +246,7 @@ def project_number(
             continue
         prob += amp.real * amp.real + amp.imag * amp.imag
         amps[reduce_key(key)] = amp
-    if not amps:
-        return ProjectionOutcome(prob, None)
-    norm = math.sqrt(prob)
-    amps = {k: v / norm for k, v in amps.items()}
-    conditional = _raw_state(len(keep), state.cutoff, amps)
-    return ProjectionOutcome(prob, conditional)
+    return ProjectionOutcome(prob, PureState(len(keep), state.cutoff, amps) if amps else None)
 
 
 def permute_modes(state: PureState, order: Sequence[int]) -> PureState:

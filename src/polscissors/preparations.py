@@ -132,14 +132,23 @@ def _with(factors: tuple[Factor, ...], arm: int, factor: Factor) -> tuple[Factor
     return factors[:arm] + (factor,) + factors[arm + 1 :]
 
 
-def _overlap(bra, ket) -> complex:
-    """<bra|ket> of two sums of products, from the inner products of their factors."""
+def _overlap(bra, ket, pairs: dict) -> complex:
+    """<bra|ket> of two sums of products, from the inner products of their factors.
+
+    ``pairs`` keeps each factor pair's inner product by the factors' ids, and
+    the factors with it, so no id it holds is reused while it lives.
+    """
+
+    def inner(fb: Factor, fk: Factor) -> complex:
+        hit = pairs.get((id(fb), id(fk)))
+        if hit is None:
+            value = sum((fb[occ].conjugate() * fk[occ] for occ in fb if occ in fk), 0j)
+            hit = pairs[id(fb), id(fk)] = (fb, fk, value)
+        return hit[2]
+
     return sum(
         (
-            cb.conjugate() * ck * math.prod(
-                sum((fb[occ].conjugate() * fk[occ] for occ in fb if occ in fk), 0j)
-                for fb, fk in zip(bras, kets)
-            )
+            cb.conjugate() * ck * math.prod(inner(fb, fk) for fb, fk in zip(bras, kets))
             for cb, bras in bra
             for ck, kets in ket
         ),
@@ -156,6 +165,7 @@ def prepare_stages(
     split_ts: tuple[float, ...] = (),
     cutoff: int | None = None,
     tail_bound: float = DEFAULT_TAIL_BOUND,
+    tables: dict[tuple[str, float], TransferTable] | None = None,
 ) -> tuple[PrepResult, ...]:
     """Run ``pipeline`` by circuit simulation; one result per stage run.
 
@@ -170,31 +180,35 @@ def prepare_stages(
     the state before that correction.  The last result is the preparation's.
 
     The state stays a sum of two products (module docstring), built from one
-    ``sources.coherent`` factor per arm and branch.  A stage maps the arm's
-    factor of each branch through its method's and knob's ``TransferTable``,
-    built herald-first by the circuit and shared by the stages of this call,
-    one image per accepted pattern.  A pattern's probability is the squared
-    norm of its images' sum of products, from the factors' inner products;
-    the first pattern that heralds is kept, renormalized.  The target has the
-    same form, with a single photon on each truncated arm and the source's
-    coherent factors elsewhere.
+    ``sources.coherent`` factor per arm; the V branch's is the H branch's with
+    its odd occupations negated.  A stage maps the arm's factor of each branch
+    through its method's and knob's ``TransferTable``, built herald-first by
+    the circuit, one image per accepted pattern.  ``tables`` holds those
+    tables by (method, knob); a table's rows depend on nothing else, so a
+    caller may pass one dict to many calls (``run_sweep`` does, one per
+    sweep).  By default each call starts an empty one.  A pattern's
+    probability is the squared norm of its images' sum of products, from the
+    factors' inner products, each pair's computed once per call; the first
+    pattern that heralds is kept, renormalized.  The target has the same form,
+    with a single photon on each truncated arm and the source's coherent
+    factors elsewhere.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
+    if tables is None:
+        tables = {}
     params = SourceParams(delta=delta, phi=phi, t0=t0, split_ts=split_ts, cutoff=cutoff)
     gammas = sources.split_amplitudes(params, pipeline.n)
     norm = analytics.m_n(gammas, phi)
 
-    def coherent(gamma: float, pol: str) -> Factor:
-        arm = sources.coherent(gamma, pol, cutoff, tail_bound)
-        return {key[0]: amp for key, amp in arm.amplitudes.items()}
-
-    source = (
-        (norm, tuple(coherent(g, H) for g in gammas)),
-        (norm * cmath.exp(1j * phi), tuple(coherent(-g, V) for g in gammas)),
-    )
+    h_arms = [
+        {key[0]: a for key, a in sources.coherent(g, H, cutoff, tail_bound).amplitudes.items()} for g in gammas
+    ]
+    # f_n(-gamma) is (-1)^n f_n(gamma) bit for bit; the imaginary part stays +0.0
+    v_arms = [{(0, n): complex(-a.real, a.imag) if n % 2 else a for (n, _), a in h.items()} for h in h_arms]
+    source = ((norm, tuple(h_arms)), (norm * cmath.exp(1j * phi), tuple(v_arms)))
     photons = ({(1, 0): 1 + 0j}, {(0, 1): 1 + 0j})
-    tables: dict[tuple[str, float], TransferTable] = {}
+    pairs: dict = {}  # the factors' inner products, for this call only
     arms = pipeline.arms
     state, probability, stages = source, 1.0, []
     for count, (arm, method) in enumerate(zip(arms, pipeline.methods), 1):
@@ -207,7 +221,7 @@ def prepare_stages(
             pattern = [
                 (c, _with(factors, arm, image)) for (c, factors), image in zip(state, images) if image
             ]
-            weight = _overlap(pattern, pattern).real
+            weight = _overlap(pattern, pattern, pairs).real
             total += weight
             if kept is None and weight > 0.0:
                 kept = tuple((c / math.sqrt(weight), factors) for c, factors in pattern)
@@ -228,8 +242,8 @@ def prepare_stages(
             (c, tuple(photon if k in arms[:count] else f for k, f in enumerate(factors)))
             for (c, factors), photon in zip(source, photons)
         ]
-        overlap = _overlap(target, scored)
-        norms = _overlap(target, target).real * _overlap(scored, scored).real
+        overlap = _overlap(target, scored, pairs)
+        norms = _overlap(target, target, pairs).real * _overlap(scored, scored, pairs).real
         stages.append(PrepResult(probability, abs(overlap) ** 2 / norms, scored, cutoff))
     return tuple(stages)
 

@@ -46,7 +46,6 @@ from .fock import (
     normalize,
     permute_modes,
     project_number,
-    scale,
     tensor,
     vacuum,
 )
@@ -62,7 +61,12 @@ from .elements import (
 
 @dataclass(frozen=True)
 class HeraldedOutcome:
-    """One accepted detector pattern: its probability and corrected conditional state."""
+    """One accepted detector pattern: its probability and its corrected component.
+
+    ``state`` is the feed-forward-corrected projected component, not
+    normalized: its squared norm is ``probability``.  None when the pattern
+    heralds nothing.
+    """
 
     probability: float
     state: PureState | None
@@ -73,10 +77,10 @@ class ScissorsResult:
     """Aggregate over all accepted patterns of one scissors application.
 
     ``total_probability`` sums the pattern probabilities; ``canonical_state``
-    is the shared corrected conditional state (None when nothing is heralded);
-    ``pattern_agreement`` is the minimum pairwise fidelity among the corrected
-    pattern states, computed from ``outcomes`` when it is read; it reads 1 for
-    a result that lists no ``outcomes``.
+    is the shared corrected conditional state, normalized (None when nothing is
+    heralded); ``pattern_agreement`` is the minimum pairwise fidelity among the
+    corrected pattern states, computed from ``outcomes`` when it is read; it
+    reads 1 for a result that lists no ``outcomes``.
     """
 
     outcomes: tuple[HeraldedOutcome, ...]
@@ -103,7 +107,7 @@ def _kept_mode_back(state: PureState, mode: int) -> PureState:
 def _qs_branches(
     state: PureState, mode: int, pol: str, t: float, *, herald_first: bool = False
 ) -> list[tuple[float, PureState | None]]:
-    """Run one scissors module; return corrected unnormalized branch states.
+    """Run one scissors module; return each pattern's probability and corrected component.
 
     The ancilla photon and its vacuum partner are split on the
     ``BeamSplitterSpec(t, 0, 1)`` beam splitter as a two-mode, two-key state,
@@ -139,24 +143,15 @@ def _qs_branches(
         kept = _kept_mode_back(outcome.state, mode)
         if flip:
             kept = apply_pol_phase(kept, mode, pol, math.pi)
-        branches.append((outcome.probability, scale(kept, math.sqrt(outcome.probability))))
+        branches.append((outcome.probability, kept))
     return branches
 
 
 def _assemble(branches: list[tuple[float, PureState | None]]) -> ScissorsResult:
-    outcomes = []
-    canonical = None
-    total = 0.0
-    for prob, unnorm in branches:
-        total += prob
-        if unnorm is None:
-            outcomes.append(HeraldedOutcome(prob, None))
-            continue
-        state = normalize(unnorm)
-        if canonical is None:
-            canonical = state
-        outcomes.append(HeraldedOutcome(prob, state))
-    return ScissorsResult(tuple(outcomes), total, canonical)
+    outcomes = tuple(HeraldedOutcome(prob, state) for prob, state in branches)
+    first = next((state for _, state in branches if state is not None), None)
+    total = sum(prob for prob, _ in branches)
+    return ScissorsResult(outcomes, total, None if first is None else normalize(first))
 
 
 def qs_apply(
@@ -195,7 +190,7 @@ def pqs1_apply(
             if final.state is None:
                 branches.append((0.0, None))
                 continue
-            branches.append((final.probability, scale(final.state, math.sqrt(final.probability))))
+            branches.append((final.probability, final.state))
     return _assemble(branches)
 
 
@@ -216,7 +211,7 @@ def pqs2_apply(
     work = apply_squeezer_exact(work, SqueezerSpec(gamma, mode, n), herald=signal if herald_first else None)
     outcome = project_number(work, [(mode, signal)])
     kept = None if outcome.state is None else _kept_mode_back(outcome.state, mode)
-    return ScissorsResult((HeraldedOutcome(outcome.probability, kept),), outcome.probability, kept)
+    return _assemble([(outcome.probability, kept)])
 
 
 # A single-mode factor of a product state: occupation to amplitude.
@@ -224,16 +219,22 @@ Factor = dict[Occupation, complex]
 
 
 class TransferTable:
-    """A scissors circuit's heralded map on one mode at one cutoff, row by row.
+    """A scissors circuit's heralded map on one mode, row by row.
 
     Row ``(nh, nv)`` lists, per accepted pattern ``p`` in the circuit's outcome
-    order, the kept occupations and coefficients: ``sqrt(P_p)`` times the
-    outcome state's amplitude.  Missing rows come from one ``circuit(probe, 1)``
-    call: probe mode 0 holds label ``divmod(i, cutoff + 1)``, mode 1 input ``i``.
+    order, the kept occupations and coefficients: the amplitudes of pattern
+    ``p``'s corrected component for the input ``|nh, nv>``.  A row depends on
+    the circuit and the occupation alone, not on the occupations that shared
+    its probe or on the probe's cutoff, so one table serves every cutoff and
+    every caller that holds it; a sweep shares one per method and knob across
+    its cells.
 
-    ``fill`` is the one way rows are built.  ``apply`` maps single-mode
-    factors through the rows; ``prepare_stages`` passes it the truncated arm's
-    factor of every branch at once, so one probe fills the rows they all need.
+    ``fill`` is the one way rows are built.  Missing rows come from one
+    ``circuit(probe, 1)`` call at ``cutoff``, first raised to the largest
+    occupation asked for: probe mode 0 holds label ``divmod(i, cutoff + 1)``,
+    mode 1 input ``i``.  ``apply`` maps single-mode factors through the rows;
+    ``prepare_stages`` passes it the truncated arm's factor of every branch at
+    once, so one probe fills the rows they all need.
     """
 
     def __init__(self, circuit: Callable[[PureState, int], ScissorsResult], cutoff: int) -> None:
@@ -244,6 +245,7 @@ class TransferTable:
         """Fill the rows of the distinct ``inputs`` the table lacks, from one probe."""
         missing = [occ for occ in inputs if occ not in self.rows]
         if missing:
+            self.cutoff = max(self.cutoff, *(max(occ) for occ in missing))
             side = self.cutoff + 1
             probe = [((divmod(i, side), occ), 1.0) for i, occ in enumerate(missing)]
             result = self.circuit(make_state(2, self.cutoff, probe), 1)
@@ -252,7 +254,7 @@ class TransferTable:
             for p, outcome in enumerate(result.outcomes):
                 amplitudes = {} if outcome.state is None else outcome.state.amplitudes
                 for ((lh, lv), out), amp in amplitudes.items():
-                    rows[lh * side + lv].append((p, out, math.sqrt(outcome.probability) * amp))
+                    rows[lh * side + lv].append((p, out, amp))
             self.rows.update(zip(missing, rows))
 
     def apply(self, factors: list[Factor]) -> list[list[Factor]]:

@@ -1,6 +1,6 @@
 """The stage loop keeps the source as its two products and builds no joint state.
 
-``prepare_stages`` builds one coherent factor per arm and branch, reuses them
+``prepare_stages`` builds one coherent factor per arm, reuses them
 for the targets, runs every source check before its first table probe, and
 never calls a joint-state builder of ``sources``.
 """
@@ -48,11 +48,12 @@ def test_verify_builds_no_joint_source(monkeypatch):
     ],
 )
 def test_each_coherent_factor_is_built_once(pipeline, splits, monkeypatch):
-    # one factor per arm and branch; the targets reuse the source's
+    # one build per arm: the V branch's factor is the H branch's with its odd
+    # occupations negated, and the targets reuse the source's factors
     calls = _recording(monkeypatch, "coherent")
     stages = prepare_stages(pipeline, 1.2, 0.4, 0.55, {"t": 0.9, "gamma_abs": 0.06}, splits)
     assert len(stages) == len(pipeline.arms)
-    assert len(calls) <= 2 * pipeline.n
+    assert len(calls) <= pipeline.n
 
 
 def test_degenerate_source_raises_before_the_first_table_fills():

@@ -403,5 +403,5 @@ def test_pattern_agreement_is_computed_when_read(monkeypatch):
     monkeypatch.setattr(scissors, "fidelity", counted)
     result = pqs1_apply(random_state(random.Random(2), 2, 5, max_photons=3), 1, 0.61)
     assert calls == []
-    assert result.pattern_agreement.hex() == "0x1.ffffffffffffep-1"
+    assert result.pattern_agreement.hex() == "0x1.fffffffffffffp-1"
     assert len(calls) == 6
