@@ -4,11 +4,16 @@ Everything here is evaluated from coefficient magnitudes and elementary
 functions, fully independent of the circuit simulator, so the two routes can
 cross-validate each other.  The specialized forms for the two-branch coherent
 input are thin wrappers over the generic coefficient formulas.
+
+``pf_hybrid`` and ``pf_bell`` are each a source half (``*_source``: all that
+reads only method, delta, phi and t0) then a knob half (``*_knob``: the rest, at
+t or |gamma|); a sweep shares one source half per source point, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 
@@ -163,40 +168,60 @@ def _check_method(method: str) -> str:
     return method
 
 
+# What a named closed form reads of its source at one (delta, phi, t0).
+SourceHalf = namedtuple("SourceHalf", "method delta weights")
+
+
+def hybrid_source(method: str, delta: float, phi: float, t0: float) -> SourceHalf:
+    """Source half of ``pf_hybrid``: the truncated arm's |c10|^2, |c01|^2 and |c00|^2."""
+    method = _check_method(method)
+    c = xi_coefficients(delta, phi, t0)
+    return SourceHalf(method, delta, (abs(c.c10) ** 2, abs(c.c01) ** 2, abs(c.c00) ** 2))
+
+
+def hybrid_knob(source: SourceHalf, knob: float) -> AnalyticPF:
+    """Knob half of ``pf_hybrid``: the generic formula on the source's sector weights."""
+    closed_form = pf_pqs1 if source.method == "pqs1" else pf_pqs2
+    try:
+        return closed_form(*source.weights, 0.0, knob)
+    except DegenerateParameterError:
+        raise _zero_probability(source.delta, knob) from None
+
+
 def pf_hybrid(method: str, delta: float, phi: float, t0: float, knob: float) -> AnalyticPF:
     """Single-arm truncation of the entangled input: photon-qubit vs coherent arm.
 
-    ``knob`` is the transmissivity for pqs1 or |gamma| for pqs2.  Wraps the
-    generic coefficient formulas with the input's sector weights.
+    ``knob`` is the transmissivity for pqs1 or |gamma| for pqs2.
     """
+    return hybrid_knob(hybrid_source(method, delta, phi, t0), knob)
+
+
+def bell_source(method: str, delta: float, phi: float, t0: float) -> SourceHalf:
+    """Source half of ``pf_bell``: n0, f_1(b), f_0(b), f_1(a)^2, f_0(a)^2 and |1 + e^(i phi)|^2."""
     method = _check_method(method)
-    c = xi_coefficients(delta, phi, t0)
-    c10_sq, c01_sq, c00_sq = abs(c.c10) ** 2, abs(c.c01) ** 2, abs(c.c00) ** 2
-    closed_form = pf_pqs1 if method == "pqs1" else pf_pqs2
-    try:
-        return closed_form(c10_sq, c01_sq, c00_sq, 0.0, knob)
-    except DegenerateParameterError:
-        raise _zero_probability(delta, knob) from None
+    a, b = alpha_beta(delta, t0)
+    alpha_weights = (f_n(a, 1) ** 2, f_n(a, 0) ** 2, 2.0 + 2.0 * math.cos(phi))
+    return SourceHalf(method, delta, (n0(delta, phi, t0), f_n(b, 1), f_n(b, 0)) + alpha_weights)
 
 
-def g_coefficients(delta: float, phi: float, t0: float, t: float) -> tuple[float, float]:
-    """Single-photon / vacuum weights left on the first arm after a pqs1 stage."""
-    _, b = alpha_beta(delta, t0)
-    norm = n0(delta, phi, t0)
-    g1 = math.sqrt((1.0 - t) * t) * norm * f_n(b, 1)
-    g0 = (1.0 - t) * norm * f_n(b, 0)
-    return g1, g0
-
-
-def h_coefficients(
-    delta: float, phi: float, t0: float, gamma_abs: float
-) -> tuple[float, float]:
-    """Magnitudes of the pqs2 analog of the g coefficients."""
-    _, b = alpha_beta(delta, t0)
-    norm = n0(delta, phi, t0)
-    h1 = k_n(gamma_abs, 1) * gamma_abs * norm * f_n(b, 1)
-    h0 = k_n(gamma_abs, 0) * gamma_abs * gamma_abs * norm * f_n(b, 0)
-    return h1, h0
+def bell_knob(source: SourceHalf, knob: float) -> AnalyticPF:
+    """Knob half of ``pf_bell``: the weights w1, w0 left on the first arm, then P and F."""
+    norm, f1b, f0b, f1a_sq, f0a_sq, vac_weight = source.weights
+    if source.method == "pqs1":
+        w1 = math.sqrt((1.0 - knob) * knob) * norm * f1b
+        w0 = (1.0 - knob) * norm * f0b
+        keep = 2.0 * (1.0 - knob) * knob * f1a_sq
+        spill = (1.0 - knob) ** 2 * f0a_sq
+    else:
+        g2 = knob * knob
+        w1 = k_n(knob, 1) * knob * norm * f1b
+        w0 = k_n(knob, 0) * knob * knob * norm * f0b
+        keep = 2.0 * k_n(knob, 1) ** 2 * g2 * f1a_sq
+        spill = k_n(knob, 0) ** 2 * g2 * g2 * f0a_sq
+    p = keep * (w1 * w1 + w0 * w0) + spill * (2.0 * w1 * w1 + vac_weight * w0 * w0)
+    if p <= 0.0:
+        raise _zero_probability(source.delta, knob)
+    return AnalyticPF(p, keep * w1 * w1 / p)
 
 
 def pf_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> AnalyticPF:
@@ -206,24 +231,7 @@ def pf_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> An
     vacuum branch of the second stage carries the coherent interference weight
     ``|1 + e^(i phi)|^2`` on its vacuum component.
     """
-    method = _check_method(method)
-    a, _ = alpha_beta(delta, t0)
-    f1a_sq, f0a_sq = f_n(a, 1) ** 2, f_n(a, 0) ** 2
-    vac_weight = 2.0 + 2.0 * math.cos(phi)
-    if method == "pqs1":
-        t = knob
-        w1, w0 = g_coefficients(delta, phi, t0, t)
-        keep = 2.0 * (1.0 - t) * t * f1a_sq
-        spill = (1.0 - t) ** 2 * f0a_sq
-    else:
-        g2 = knob * knob
-        w1, w0 = h_coefficients(delta, phi, t0, knob)
-        keep = 2.0 * k_n(knob, 1) ** 2 * g2 * f1a_sq
-        spill = k_n(knob, 0) ** 2 * g2 * g2 * f0a_sq
-    p = keep * (w1 * w1 + w0 * w0) + spill * (2.0 * w1 * w1 + vac_weight * w0 * w0)
-    if p <= 0.0:
-        raise _zero_probability(delta, knob)
-    return AnalyticPF(p, keep * w1 * w1 / p)
+    return bell_knob(bell_source(method, delta, phi, t0), knob)
 
 
 def count_rate(probability: float, repetition_rate: float) -> float:

@@ -309,3 +309,10 @@ def analytic_named(name: str, delta: float, phi: float, t0: float, knob: float) 
     # looked up at call time, so a patched or traced closed form is the one used
     closed_form = analytics.pf_bell if pipeline.arms == BELL_ARMS else analytics.pf_hybrid
     return closed_form(pipeline.method, delta, phi, t0, knob)
+
+
+def closed_form_halves(name: str) -> tuple:
+    """The (source half, knob half) of ``analytic_named``'s closed form for preparation ``name``."""
+    if PIPELINES[name].arms == BELL_ARMS:
+        return analytics.bell_source, analytics.bell_knob
+    return analytics.hybrid_source, analytics.hybrid_knob

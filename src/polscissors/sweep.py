@@ -3,10 +3,11 @@
 Grid cells are independent pure computations, and every sweep evaluates them
 in process, in grid order. A numeric cell costs a few milliseconds, so a
 process pool's start-up, pickling and cold per-process caches cost more than
-the cells it shares out. The cells of one sweep share one transfer table per
-scissors method and knob, and each cell still gives, bit for bit, the result
-of running it alone. With that sharing the 625-cell ``--reference bell-pqs1
---backend both`` grid runs in about 0.39 s of process wall time and
+the cells it shares out. The cells of one sweep share one closed-form source
+half per (delta, phi, t0), one cutoff per (delta, t0) and one transfer table
+per scissors method and knob, and each cell still gives, bit for bit, the
+result of running it alone. With that sharing the 625-cell ``--reference
+bell-pqs1 --backend both`` grid runs in about 0.39 s of process wall time and
 bell-pqs2's in 0.31 s, against 0.74 s and 0.44 s with the former two-worker
 pool (Python 3.11, 2 shared vCPUs). ``run_sweep`` accepts ``jobs`` only so
 that existing callers keep working, and ignores it.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from . import analytics
 from .config import ExperimentConfig, config_echo
 from .fock import CutoffError
-from .preparations import analytic_named, prepare_stages, required_cutoff
+from .preparations import closed_form_halves, prepare_stages, required_cutoff
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -56,7 +57,14 @@ def _cell_columns(config: ExperimentConfig) -> tuple[str, ...]:
     return tuple(cols)
 
 
-def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float, tables: dict) -> tuple:
+def _kept(store: dict, key: tuple, make, *args):
+    """``store[key]``, made by ``make(*args)`` if missing; nothing is kept when ``make`` raises."""
+    if key not in store:
+        store[key] = make(*args)
+    return store[key]
+
+
+def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float, sources, cutoffs, tables):
     params = config.cell_parameters(v1, v2)
     delta = params["delta"]
     phi = params.get("phi", 0.0)
@@ -65,14 +73,15 @@ def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float, tables: dict)
     values: list = [v1, v2]
     try:
         if config.backend in ("analytic", "both"):
-            knob = params[pipeline.knob_axis]
-            ana = analytic_named(config.preparation, delta, phi, t0, knob)
+            source_half, knob_half = closed_form_halves(config.preparation)
+            source = _kept(sources, (delta, phi, t0), source_half, pipeline.method, delta, phi, t0)
+            ana = knob_half(source, params[pipeline.knob_axis])
             values += [ana.probability, ana.fidelity]
         if _runs_numeric(config):
             num = prepare_stages(
                 pipeline, delta, phi, t0, params, config.omega_split_ts,
-                cutoff=_checked_cutoff(config, delta, t0), tail_bound=config.tail_bound,
-                tables=tables,
+                cutoff=_kept(cutoffs, (delta, t0), _checked_cutoff, config, delta, t0),
+                tail_bound=config.tail_bound, tables=tables,
             )[-1]
             values += [num.probability, num.fidelity]
         if config.backend == "both":
@@ -102,8 +111,9 @@ def _checked_cutoff(config: ExperimentConfig, delta: float, t0: float) -> int:
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
     """Fill the grid in process, in grid order; ``jobs`` is accepted and ignored.
 
-    The numeric cells share one transfer table per scissors method and knob,
-    which lives as long as this call.
+    The cells share the source halves, cutoffs and transfer tables of the
+    module docstring, which live as long as this call; one that raises is not
+    kept, so each cell that asks for it raises again.
     """
     if _runs_numeric(config):
         # fail fast on an infeasible cutoff before burning through cells
@@ -117,9 +127,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
         worst_t0 = max(t0s, key=lambda t0: max(t0, 1.0 - t0))
         _checked_cutoff(config, max(deltas), worst_t0)
 
-    tables: dict = {}
+    sources, cutoffs, tables = {}, {}, {}
     rows = tuple(
-        _evaluate_cell(config, v1, v2, tables)
+        _evaluate_cell(config, v1, v2, sources, cutoffs, tables)
         for v1 in config.axis1.values()
         for v2 in config.axis2.values()
     )
@@ -134,19 +144,12 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
     return SweepGrid(config, columns, rows, max_p, max_f)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return ""
-    return f"{value:.17e}"
-
-
 def grid_to_csv(grid: SweepGrid) -> str:
     lines = [f"# {line}" for line in config_echo(grid.config)]
     lines.append(",".join(grid.columns))
-    for row in grid.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    # every value is a float but the last, the status; "%.17e" % x is f"{x:.17e}"
+    row_format = ",".join(["%.17e"] * (len(grid.columns) - 1) + ["%s"])
+    lines += [row_format % row for row in grid.rows]
     if grid.max_abs_err_p is not None:
         lines.append(f"# summary: max_abs_err_P = {grid.max_abs_err_p:.17e}")
         lines.append(f"# summary: max_abs_err_F = {grid.max_abs_err_f:.17e}")
@@ -188,13 +191,10 @@ def grid_to_matrix(grid: SweepGrid) -> str:
         if name in (grid.config.axis1.name, grid.config.axis2.name, "status"):
             continue
         lines.append(f"# block: {name}")
-        lines.append(" ".join(["axis1\\axis2"] + [_fmt(v) for v in v2s]))
+        lines.append(" ".join(["axis1\\axis2"] + [f"{v:.17e}" for v in v2s]))
         for i, v1 in enumerate(v1s):
-            row_cells = [_fmt(v1)]
-            for j in range(steps2):
-                value = grid.rows[i * steps2 + j][ci]
-                row_cells.append("nan" if value is None else _fmt(value))
-            lines.append(" ".join(row_cells))
+            cells = [v1] + [row[ci] for row in grid.rows[i * steps2 : (i + 1) * steps2]]
+            lines.append(" ".join(f"{v:.17e}" for v in cells))
         lines.append("")
     return "\n".join(lines)
 

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from polscissors import preparations
+from polscissors import analytics, preparations
 from polscissors.fock import FockError, OccKey, ShapeMismatchError, _raw_state, make_state, normalize
 from polscissors.preparations import HYBRID_ARMS, KNOB_AXES, Pipeline, prepare_stages, required_cutoff
 from polscissors.scissors import ScissorsResult, TransferTable
@@ -73,6 +73,25 @@ def prepare_hybrid(
     """
     pipeline, knobs = Pipeline((method,), HYBRID_ARMS), {KNOB_AXES[method]: knob}
     return prepare_stages(pipeline, delta, phi, t0, knobs, cutoff=cutoff, tail_bound=tail_bound)[-1]
+
+
+def g_coefficients(delta: float, phi: float, t0: float, t: float) -> tuple[float, float]:
+    """Single-photon / vacuum weights left on the first arm after a pqs1 stage.
+
+    Formed from ``analytics.bell_source`` as ``analytics.bell_knob`` forms them.
+    """
+    norm, f1b, f0b = analytics.bell_source("pqs1", delta, phi, t0).weights[:3]
+    g1 = math.sqrt((1.0 - t) * t) * norm * f1b
+    g0 = (1.0 - t) * norm * f0b
+    return g1, g0
+
+
+def h_coefficients(delta: float, phi: float, t0: float, gamma_abs: float) -> tuple[float, float]:
+    """Magnitudes of the pqs2 analog of the g coefficients, formed the same way."""
+    norm, f1b, f0b = analytics.bell_source("pqs2", delta, phi, t0).weights[:3]
+    h1 = analytics.k_n(gamma_abs, 1) * gamma_abs * norm * f1b
+    h0 = analytics.k_n(gamma_abs, 0) * gamma_abs * gamma_abs * norm * f0b
+    return h1, h0
 
 
 def apply_table(table: TransferTable, state, mode: int) -> ScissorsResult:

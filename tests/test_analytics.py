@@ -11,8 +11,6 @@ from polscissors.analytics import (
     alpha_beta,
     count_rate,
     f_n,
-    g_coefficients,
-    h_coefficients,
     k_n,
     l_alpha,
     n0,
@@ -24,6 +22,8 @@ from polscissors.analytics import (
     xi_coefficients,
 )
 from polscissors.preparations import analytic_named
+
+from conftest import g_coefficients, h_coefficients
 
 
 class TestElementaryPieces:

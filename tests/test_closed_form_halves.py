@@ -1,0 +1,230 @@
+"""Each named closed form is a source half then a knob half, and a sweep shares the source halves.
+
+``analytics.pf_hybrid`` and ``pf_bell`` read the source (method, delta, phi,
+t0) in their source half and the scissors knob in their knob half.  Here the
+halves, called apart, must give the one-call forms and the forms as they were
+written in one piece (``one_piece_hybrid``, ``one_piece_bell``) bit for bit,
+and raise the same errors.  A sweep evaluates one source half per source
+point and one cutoff per (delta, t0), keeps neither past its return, and a
+source half that raises is asked again by each of its cells.
+"""
+
+import gc
+import math
+import random
+import weakref
+
+import pytest
+
+from polscissors import analytics, sweep
+from polscissors.analytics import (
+    DegenerateParameterError,
+    ProbabilityUnderflowError,
+    alpha_beta,
+    f_n,
+    k_n,
+    n0,
+    xi_coefficients,
+)
+from polscissors.config import AxisSpec, ExperimentConfig
+from polscissors.preparations import PIPELINES, analytic_named, closed_form_halves
+from polscissors.sweep import STATUS_DEGENERATE, STATUS_OK, STATUS_UNDERFLOW, run_sweep
+
+
+def one_piece_hybrid(method, delta, phi, t0, knob):
+    c = xi_coefficients(delta, phi, t0)
+    closed_form = analytics.pf_pqs1 if method == "pqs1" else analytics.pf_pqs2
+    try:
+        return closed_form(abs(c.c10) ** 2, abs(c.c01) ** 2, abs(c.c00) ** 2, 0.0, knob)
+    except DegenerateParameterError:
+        raise analytics._zero_probability(delta, knob) from None
+
+
+def one_piece_bell(method, delta, phi, t0, knob):
+    a, b = alpha_beta(delta, t0)
+    f1a_sq, f0a_sq = f_n(a, 1) ** 2, f_n(a, 0) ** 2
+    vac_weight = 2.0 + 2.0 * math.cos(phi)
+    norm = n0(delta, phi, t0)
+    if method == "pqs1":
+        t = knob
+        w1 = math.sqrt((1.0 - t) * t) * norm * f_n(b, 1)
+        w0 = (1.0 - t) * norm * f_n(b, 0)
+        keep = 2.0 * (1.0 - t) * t * f1a_sq
+        spill = (1.0 - t) ** 2 * f0a_sq
+    else:
+        g2 = knob * knob
+        w1 = k_n(knob, 1) * knob * norm * f_n(b, 1)
+        w0 = k_n(knob, 0) * knob * knob * norm * f_n(b, 0)
+        keep = 2.0 * k_n(knob, 1) ** 2 * g2 * f1a_sq
+        spill = k_n(knob, 0) ** 2 * g2 * g2 * f0a_sq
+    p = keep * (w1 * w1 + w0 * w0) + spill * (2.0 * w1 * w1 + vac_weight * w0 * w0)
+    if p <= 0.0:
+        raise analytics._zero_probability(delta, knob)
+    return analytics.AnalyticPF(p, keep * w1 * w1 / p)
+
+
+FORMS = {
+    "hybrid": (analytics.pf_hybrid, analytics.hybrid_source, analytics.hybrid_knob, one_piece_hybrid),
+    "bell": (analytics.pf_bell, analytics.bell_source, analytics.bell_knob, one_piece_bell),
+}
+
+
+def _points(seed=20, count=60):
+    """Seeded source points, with the degenerate and underflowing ones, and several knobs each."""
+    rng = random.Random(seed)
+    edges = [(0.0, math.pi, 0.5), (20.0, 0.3, 0.5), (40.0, 0.3, 0.5), (1e-3, math.pi, 0.5), (1.0, 0.3, 0.0)]
+    sources = edges + [
+        (rng.uniform(0.0, 3.0), rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 1.0)) for _ in range(count)
+    ]
+    for delta, phi, t0 in sources:
+        for method in ("pqs1", "pqs2"):
+            top = 1.0 if method == "pqs1" else 0.99
+            knobs = [0.0, 1.0] + [rng.uniform(0.0, top) for _ in range(4)]
+            yield method, delta, phi, t0, knobs
+
+
+def _outcome(form, *args):
+    """``form(*args)`` as hex floats, or its error's type and message."""
+    try:
+        pf = form(*args)
+    except (ValueError, DegenerateParameterError) as exc:
+        return type(exc), str(exc)
+    return pf.probability.hex(), pf.fidelity.hex()
+
+
+def _halves(source_half, knob_half, method, delta, phi, t0, knob):
+    return knob_half(source_half(method, delta, phi, t0), knob)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMS))
+def test_halves_equal_the_one_call_and_one_piece_forms(kind):
+    one_call, source_half, knob_half, one_piece = FORMS[kind]
+    errors = set()
+    for method, delta, phi, t0, knobs in _points():
+        try:
+            source = source_half(method, delta, phi, t0)
+        except DegenerateParameterError as exc:
+            source = exc
+        for knob in knobs:
+            expected = _outcome(one_piece, method, delta, phi, t0, knob)
+            assert _outcome(one_call, method, delta, phi, t0, knob) == expected
+            assert _outcome(_halves, source_half, knob_half, method, delta, phi, t0, knob) == expected
+            if not isinstance(source, Exception):  # the one source half serves every knob
+                assert _outcome(knob_half, source, knob) == expected
+            if isinstance(expected[0], type):
+                errors.add(expected[0])
+    assert {ProbabilityUnderflowError, DegenerateParameterError} <= errors
+
+
+@pytest.mark.parametrize("kind", sorted(FORMS))
+def test_bad_method_and_t0_raise_before_the_knob_is_read(kind):
+    one_call, source_half, _, _ = FORMS[kind]
+    for args in (("pqs3", 1.0, 0.3, 0.5), ("pqs1", 1.0, 0.3, 1.5)):
+        with pytest.raises(ValueError) as whole:
+            one_call(*args, 0.9)
+        with pytest.raises(ValueError) as half:
+            source_half(*args)
+        assert (type(half.value), str(half.value)) == (type(whole.value), str(whole.value))
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_the_sweep_halves_are_the_named_closed_form(name):
+    source_half, knob_half = closed_form_halves(name)
+    method = PIPELINES[name].method
+    for _, delta, phi, t0, knobs in _points(seed=7, count=10):
+        for knob in knobs[2:]:
+            expected = _outcome(analytic_named, name, delta, phi, t0, knob)
+            assert _outcome(_halves, source_half, knob_half, method, delta, phi, t0, knob) == expected
+
+
+@pytest.fixture
+def source_halves(monkeypatch):
+    """Every source half asked for, as (source point, weak reference; None if it raised)."""
+    made = []
+
+    class Recorded:
+        def __init__(self, half):
+            self.method, self.delta, self.weights = half
+
+    def recording(original):
+        def source_half(method, delta, phi, t0):
+            try:
+                half = Recorded(original(method, delta, phi, t0))
+            except DegenerateParameterError:
+                made.append(((delta, phi, t0), None))
+                raise
+            made.append(((delta, phi, t0), weakref.ref(half)))
+            return half
+
+        return source_half
+
+    for name in ("hybrid_source", "bell_source"):
+        monkeypatch.setattr(analytics, name, recording(getattr(analytics, name)))
+    return made
+
+
+def _grid(name, axis1, axis2, **fixed):
+    return ExperimentConfig(name, axis1, axis2, backend="analytic", **fixed)
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_a_sweep_makes_one_source_half_per_source_point_and_keeps_none(name, source_halves):
+    knob = AxisSpec(PIPELINES[name].knob_axis, 0.03, 0.07, 5)
+    delta = AxisSpec("delta", 0.6, 1.4, 4)
+    for config in (_grid(name, delta, knob, phi=0.7), _grid(name, knob, delta, phi=0.7)):
+        before = len(source_halves)
+        grid = run_sweep(config)
+        assert [row[-1] for row in grid.rows] == [STATUS_OK] * 20
+        assert len(source_halves) - before == 4  # one per delta, shared by the five knobs
+        gc.collect()
+        assert [point for point, ref in source_halves if ref() is not None] == []
+
+
+def test_a_source_point_per_cell_makes_a_source_half_per_cell(source_halves):
+    config = _grid("bell-pqs2", AxisSpec("phi", 0.0, 3.0, 3), AxisSpec("delta", 0.6, 1.0, 3), gamma_abs=0.05)
+    run_sweep(config)
+    points = [point for point, _ in source_halves]
+    assert len(points) == len(set(points)) == 9
+
+
+def test_a_raising_source_half_is_asked_again_by_each_of_its_cells(source_halves):
+    config = _grid(
+        "hybrid-pqs2", AxisSpec("delta", 0.0, 40.0, 5), AxisSpec("gamma_abs", 0.0, 0.06, 3), phi=math.pi
+    )
+    grid = run_sweep(config)
+    statuses = [row[-1] for row in grid.rows]
+    assert statuses[:3] == [STATUS_DEGENERATE] * 3  # delta 0 at phi pi: the source half raises
+    assert {STATUS_OK, STATUS_UNDERFLOW} <= set(statuses[3:])  # the knob half raises
+    assert [ref for point, ref in source_halves if point[0] == 0.0] == [None] * 3
+    assert len(source_halves) == 3 + 4  # the other four deltas once each
+
+
+def test_a_sweep_looks_up_one_cutoff_per_delta_and_t0(monkeypatch):
+    asked = []
+
+    def counting(delta, t0, tail_bound):
+        asked.append((delta, t0))
+        return original(delta, t0, tail_bound)
+
+    original = sweep.required_cutoff
+    monkeypatch.setattr(sweep, "required_cutoff", counting)
+    config = ExperimentConfig(
+        "hybrid-pqs1", AxisSpec("t", 0.6, 0.9, 3), AxisSpec("delta", 0.6, 1.0, 3), backend="numeric"
+    )
+    run_sweep(config)
+    # one fail-fast check over the whole grid, then one lookup per delta
+    assert asked[1:] == [(delta, 0.5) for delta in config.axis2.values()]
+
+
+SPECIAL_FLOATS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 0.1, 1e16, 123456789.0, 1e-300,
+]
+
+
+def test_the_row_template_formats_every_float_as_the_f_string_does():
+    rng = random.Random(5)
+    values = SPECIAL_FLOATS + [rng.uniform(-1e3, 1e3) for _ in range(200)]
+    values += [math.ldexp(rng.random(), rng.randint(-1074, 1023)) for _ in range(200)]
+    for value in values:
+        assert "%.17e" % value == f"{value:.17e}", value.hex()
