@@ -12,8 +12,9 @@ products, c_H (x)_k |+gamma_k, H> + c_V (x)_k |-gamma_k, V>, and every scissors
 stage is a linear map on one arm, so every state the stage loop holds is a sum
 of at most two products: per branch a coefficient and one single-mode factor
 per arm.  Its cost grows with the arm count, not with the size of the joint
-Fock space, so no source size limit applies.  A ``PrepResult`` expands its
-state into a ``PureState`` only when that is read.
+Fock space, so no source size limit applies.  ``sources.arm_factors`` builds
+the source's factors, the ones ``lambda_state`` dumps, and a ``PrepResult``
+expands its state with ``sources.expand`` only when that is read.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 
 from . import analytics, sources
 from .elements import apply_pol_phase
-from .fock import DEFAULT_TAIL_BOUND, H, V, PureState, add, fidelity, min_cutoff, scale, tensor
+from .fock import DEFAULT_TAIL_BOUND, V, PureState, fidelity, min_cutoff
 from .scissors import Factor, ScissorsResult, TransferTable, pqs1_apply, pqs2_apply
 from .sources import SourceParams
 
@@ -95,7 +96,10 @@ class PrepResult:
     ``branches`` holds the state as a sum of products: per branch a
     coefficient and one single-mode factor per arm, on ``cutoff``.  It is
     empty when the stage heralds nothing, and on the joint route of
-    ``prepare_bell``, which keeps no state.
+    ``prepare_bell``, which keeps no state.  ``state`` expands it with the one
+    expander, ``sources.expand``.  Unlike a source's, the branches of a pqs2
+    stage share keys beyond the all-vacuum one (hybrid-pqs2 ``((0,0),(1,1))``,
+    bell-pqs2 ``((1,1),(1,1))``); the expander sums every shared key.
     """
 
     probability: float
@@ -105,12 +109,8 @@ class PrepResult:
 
     @property
     def state(self) -> PureState | None:
-        """The branches expanded into one joint ``PureState``; None when there are none."""
-        terms = []
-        for c, factors in self.branches:
-            modes = (PureState(1, self.cutoff, {(occ,): a for occ, a in f.items()}) for f in factors)
-            terms.append(scale(reduce(tensor, modes), c))
-        return reduce(add, terms) if terms else None
+        """The branches expanded by ``sources.expand`` into one ``PureState``; None when there are none."""
+        return sources.expand(self.branches, self.cutoff) if self.branches else None
 
 
 def required_cutoff(delta: float, t0: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
@@ -179,9 +179,9 @@ def prepare_stages(
     scored against the plus-branch heralded target.  The next stage runs on
     the state before that correction.  The last result is the preparation's.
 
-    The state stays a sum of two products (module docstring), built from one
-    ``sources.coherent`` factor per arm; the V branch's is the H branch's with
-    its odd occupations negated.  A stage maps the arm's factor of each branch
+    The state stays a sum of two products (module docstring): the
+    coefficients (m_n, m_n e^(i phi)) on ``sources.arm_factors``' factors, one
+    ``coherent`` build per arm.  A stage maps the arm's factor of each branch
     through its method's and knob's ``TransferTable``, built herald-first by
     the circuit, one image per accepted pattern.  ``tables`` holds those
     tables by (method, knob); a table's rows depend on nothing else, so a
@@ -190,24 +190,18 @@ def prepare_stages(
     probability is the squared norm of its images' sum of products, from the
     factors' inner products, each pair's computed once per call; the first
     pattern that heralds is kept, renormalized.  The target has the same form,
-    with a single photon on each truncated arm and the source's coherent
-    factors elsewhere.
+    with a ``sources.PHOTONS`` single photon on each truncated arm and the
+    source's coherent factors elsewhere.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
     if tables is None:
         tables = {}
     params = SourceParams(delta=delta, phi=phi, t0=t0, split_ts=split_ts, cutoff=cutoff)
-    gammas = sources.split_amplitudes(params, pipeline.n)
-    norm = analytics.m_n(gammas, phi)
-
-    h_arms = [
-        {key[0]: a for key, a in sources.coherent(g, H, cutoff, tail_bound).amplitudes.items()} for g in gammas
-    ]
-    # f_n(-gamma) is (-1)^n f_n(gamma) bit for bit; the imaginary part stays +0.0
-    v_arms = [{(0, n): complex(-a.real, a.imag) if n % 2 else a for (n, _), a in h.items()} for h in h_arms]
-    source = ((norm, tuple(h_arms)), (norm * cmath.exp(1j * phi), tuple(v_arms)))
-    photons = ({(1, 0): 1 + 0j}, {(0, 1): 1 + 0j})
+    n = pipeline.n
+    norm = analytics.m_n(sources.split_amplitudes(params, n), phi)
+    h, v = sources.arm_factors(params, n, (), tail_bound)
+    source = ((norm, h), (norm * cmath.exp(1j * phi), v))
     pairs: dict = {}  # the factors' inner products, for this call only
     arms = pipeline.arms
     state, probability, stages = source, 1.0, []
@@ -240,7 +234,7 @@ def prepare_stages(
         # the fidelity is scale-free, so the target reuses the source's coefficients
         target = [
             (c, tuple(photon if k in arms[:count] else f for k, f in enumerate(factors)))
-            for (c, factors), photon in zip(source, photons)
+            for (c, factors), photon in zip(source, sources.PHOTONS)
         ]
         overlap = _overlap(target, scored, pairs)
         norms = _overlap(target, target, pairs).real * _overlap(scored, scored, pairs).real

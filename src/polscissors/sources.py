@@ -5,17 +5,18 @@ from its known Fock decomposition and a circuit construction that runs the
 actual preparation optics (balanced splitter, half-wave plate, polarizing
 merge, final split).  The two must agree to high fidelity; tests enforce it.
 
-The direct route is one pass per branch into one output dict: each branch
-multiplies its arms' coherent (or single-photon) amplitudes left to right
-and writes each product already scaled by the normalization.  The two
-branches share only the all-vacuum key, whose sum is kept aside and scaled
-last.  The float operations are those of the state-by-state composition, so
-the result is that composition's bit for bit.  Both routes
-refuse, with ``CutoffError``, a source whose branch would form more than
-``fock.MAX_SOURCE_PRODUCTS`` amplitude products.  The limit guards only the
-``lambda``, ``lambda-circuit`` and ``target-omega`` state dumps: the
-preparations' stage loop keeps the source as its two products and builds no
-joint state.
+The direct route is a sum of two products, c_H (x)_k F_{H,k} + c_V (x)_k F_{V,k}.
+``arm_factors`` is the one builder of its single-mode factors, and ``expand``
+the one writer of a sum of products as a joint state: one pass per branch
+into one output dict, bit for bit the ``tensor``/``scale``/``add``
+composition.  The second branch adds into the first's keys as ``add`` does;
+a source's or a target's branches share only the all-vacuum key.  The
+preparations' stage loop holds the same factors and expands its heralded
+states with the same function.  Both routes refuse, with ``CutoffError``, a
+source whose branch would form more than ``fock.MAX_SOURCE_PRODUCTS``
+amplitude products.  The limit guards the ``lambda``, ``lambda-circuit`` and
+``target-omega`` state dumps, and a preparation's expanded state: the stage
+loop itself keeps the source as its two products and builds no joint state.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable, Sequence
 
 from . import analytics
 from .fock import (
@@ -31,7 +32,6 @@ from .fock import (
     DEFAULT_TOL,
     H,
     MAX_SOURCE_PRODUCTS,
-    V,
     CutoffError,
     FockError,
     OccKey,
@@ -45,6 +45,7 @@ from .fock import (
     vacuum,
 )
 from .elements import BeamSplitterSpec, apply_bs, apply_hwp, apply_pbs
+from .scissors import Factor
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -139,16 +140,42 @@ def split_amplitudes(params: SourceParams, n: int) -> tuple[float, ...]:
     return tuple(amps)
 
 
-def _photon(pol: str, cutoff: int) -> PureState:
-    occ = (1, 0) if pol == H else (0, 1)
-    return make_state(1, cutoff, [((occ,), 1.0)])
+# a single photon on one arm: the H branch's and the V branch's factor
+PHOTONS: tuple[Factor, Factor] = ({(1, 0): 1 + 0j}, {(0, 1): 1 + 0j})
+
+
+def arm_factors(
+    params: SourceParams,
+    n: int,
+    photon_arms: Collection[int] = (),
+    tail_bound: float = DEFAULT_TAIL_BOUND,
+) -> tuple[tuple[Factor, ...], tuple[Factor, ...]]:
+    """The H and V branches' single-mode factors of the n-arm source, one per arm.
+
+    Arm k holds |gamma_k, H> in the H branch and |-gamma_k, V> in the V
+    branch, both from one ``coherent`` build: the V factor is the H factor
+    with its odd occupations negated.  Each of ``photon_arms`` holds a single
+    photon instead, the ``PHOTONS`` factor objects.  The branches'
+    coefficients are the caller's.
+    """
+    h_arms, v_arms = [], []
+    for k, g in enumerate(split_amplitudes(params, n)):
+        if k in photon_arms:
+            h, v = PHOTONS
+        else:
+            h = {key[0]: a for key, a in coherent(g, H, params.cutoff, tail_bound).amplitudes.items()}
+            # f_n(-gamma) is (-1)^n f_n(gamma) bit for bit; the imaginary part stays +0.0
+            v = {(0, m): complex(-a.real, a.imag) if m % 2 else a for (m, _), a in h.items()}
+        h_arms.append(h)
+        v_arms.append(v)
+    return tuple(h_arms), tuple(v_arms)
 
 
 def _check_branch_size(sizes: Iterable[int]) -> None:
-    """Refuse a source whose branch multiplies more than ``MAX_SOURCE_PRODUCTS`` products.
+    """Refuse a branch that multiplies more than ``MAX_SOURCE_PRODUCTS`` products.
 
-    ``sizes`` are the arms' compacted factor sizes, so their product bounds the
-    keys of one branch before any product is formed.
+    ``sizes`` are the arms' factor sizes, so their product bounds the keys of
+    one branch before any product is formed.
     """
     count = math.prod(sizes)
     if count > MAX_SOURCE_PRODUCTS:
@@ -172,89 +199,39 @@ def _prefix(factors: list[list[tuple[OccKey, complex]]]) -> list[tuple[OccKey, c
     return items
 
 
-def _vacuum_product(factors: list[list[tuple[OccKey, complex]]]) -> complex | None:
-    """The branch's all-vacuum product, formed and compacted as its other products, or ``None``.
+def expand(branches: Sequence[tuple[complex, Sequence[Factor]]], cutoff: int) -> PureState:
+    """The sum of products ``sum_b c_b (x)_k F_{b,k}`` as one ``PureState`` on ``cutoff``.
 
-    A factor's vacuum item comes first when it has one.
+    Each branch ``(c_b, factors)`` holds one factor per arm, at least two
+    arms.  One pass per branch writes its products straight into one dict.
+    Keys, amplitudes and insertion order are, bit for bit, those of
+    ``reduce(add, (scale(reduce(tensor, F_b), c_b) for each b))`` with each
+    factor as a single-mode state: a product is formed left to right and
+    compacted as each ``tensor`` step does, then scaled and compacted.  From
+    the second branch on, each product is ``add``'s ``out.get(key, 0j) + v``
+    and is dropped when that falls below ``DEFAULT_TOL``; a new key's ``0j +
+    v`` turns a -0.0 part into +0.0.  The branches of a source or a target
+    share at most the all-vacuum key, but a pqs2 stage's share more.
+    Refuses, with ``CutoffError``, a branch that would form more than
+    ``MAX_SOURCE_PRODUCTS`` products, before it forms any.
     """
-    amp = None
-    for factor in factors:
-        key, v = factor[0]
-        if key != ((0, 0),):
-            return None
-        amp = v if amp is None else amp * v
-        if abs(amp) < DEFAULT_TOL:
-            return None
-    return amp
-
-
-def _two_branch(
-    params: SourceParams,
-    n: int,
-    photon_arms: tuple[int, ...],
-    norm: float,
-    tail_bound: float,
-) -> PureState:
-    """``norm (|H branch> + e^(i phi) |V branch>)`` over the n arms of the source.
-
-    Each branch holds a single photon on ``photon_arms`` and the split
-    coherent amplitudes on the other arms, negated in the V branch.  One pass
-    per branch writes its products straight into one output dict, already
-    scaled by ``norm``.  An H key holds only H photons and a V key only V
-    photons, so the branches share at most the all-vacuum key; its sum is
-    kept aside and scaled last, at the place the H branch gave it.  The float
-    operations are those of ``scale(add(H, scale(V, e^(i phi))), norm)``, so
-    keys, amplitudes and insertion order are that composition's bit for bit.
-    """
-    gammas = split_amplitudes(params, n)
-    cutoff = params.cutoff
-
-    def factors(pol: str, sign: float) -> list[list[tuple[OccKey, complex]]]:
-        arms = [
-            _photon(pol, cutoff)
-            if k in photon_arms
-            else coherent(sign * g, pol, cutoff, tail_bound)
-            for k, g in enumerate(gammas)
-        ]
-        return [list(arm.amplitudes.items()) for arm in arms]
-
-    h_factors = factors(H, 1.0)
-    _check_branch_size(len(f) for f in h_factors)
-    v_factors = factors(V, -1.0)
-    phase = cmath.exp(1j * params.phi)
-    h_vacuum = _vacuum_product(h_factors)
-    vacuum_key = ((0, 0),) * n
-    # the H branch's first product: hold its place, its value comes last
-    out: dict[OccKey, complex] = {} if h_vacuum is None else {vacuum_key: h_vacuum}
-    last = h_factors[-1]
-    for ka, va in _prefix(h_factors):
-        for kb, vb in last:
-            v = va * vb
-            if abs(v) >= DEFAULT_TOL:
-                v = v * norm
-                if abs(v) >= DEFAULT_TOL:
-                    out[ka + kb] = v
-    last = v_factors[-1]
-    for ka, va in _prefix(v_factors):
-        for kb, vb in last:
-            v = va * vb
-            if abs(v) >= DEFAULT_TOL:
-                v = v * phase
-                if abs(v) >= DEFAULT_TOL:
-                    # ``add``'s ``0j + v``: a -0.0 part becomes +0.0
-                    v = (0j + v) * norm
-                    if abs(v) >= DEFAULT_TOL:
-                        out[ka + kb] = v
-    if h_vacuum is not None:
-        total = h_vacuum
-        v_vacuum = _vacuum_product(v_factors)
-        if v_vacuum is not None and abs(v := v_vacuum * phase) >= DEFAULT_TOL:
-            total = total + v
-        if abs(total) >= DEFAULT_TOL and abs(v := total * norm) >= DEFAULT_TOL:
-            out[vacuum_key] = v
-        else:
-            del out[vacuum_key]
-    return PureState(n, cutoff, out)
+    for _, factors in branches:
+        _check_branch_size(len(f) for f in factors)
+    out: dict[OccKey, complex] = {}
+    for b, (c, factors) in enumerate(branches):
+        items = [[((occ,), a) for occ, a in f.items()] for f in factors]
+        for ka, va in _prefix(items):
+            for kb, vb in items[-1]:
+                v = va * vb
+                if abs(v) >= DEFAULT_TOL and abs(v := v * c) >= DEFAULT_TOL:
+                    key = ka + kb
+                    if b:
+                        v = out.get(key, 0j) + v
+                        if abs(v) < DEFAULT_TOL:
+                            out.pop(key, None)
+                            continue
+                    out[key] = v
+    return PureState(len(branches[0][1]), cutoff, out)
 
 
 def xi_direct(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:
@@ -292,9 +269,10 @@ def xi_circuit(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> 
 def lambda_state(
     params: SourceParams, n: int, tail_bound: float = DEFAULT_TAIL_BOUND
 ) -> PureState:
-    """n-arm entangled coherent source from its closed form."""
+    """n-arm entangled coherent source from its closed form: ``expand`` of ``arm_factors``."""
     norm = analytics.m_n(split_amplitudes(params, n), params.phi)
-    return _two_branch(params, n, (), norm, tail_bound)
+    h, v = arm_factors(params, n, (), tail_bound)
+    return expand(((norm, h), (norm * cmath.exp(1j * params.phi), v)), params.cutoff)
 
 
 def lambda_circuit(
@@ -305,10 +283,7 @@ def lambda_circuit(
     Refused before any element runs when the closed form's branch would
     multiply more than ``MAX_SOURCE_PRODUCTS`` products.
     """
-    _check_branch_size(
-        len(coherent(g, H, params.cutoff, math.inf).amplitudes)
-        for g in split_amplitudes(params, n)
-    )
+    _check_branch_size(len(f) for f in arm_factors(params, n, (), math.inf)[0])
     work = xi_circuit(params, tail_bound)
     for t in params.split_ts:
         last = work.mode_count - 1
@@ -330,7 +305,9 @@ def heralded_target(
     The single-photon factors make the two branches orthogonal, so the
     ``1/sqrt(2)`` normalization is exact for any nonempty ``arms``.
     """
-    return _two_branch(params, n, arms, 1.0 / math.sqrt(2.0), tail_bound)
+    h, v = arm_factors(params, n, arms, tail_bound)
+    norm = 1.0 / math.sqrt(2.0)
+    return expand(((norm, h), (norm * cmath.exp(1j * params.phi), v)), params.cutoff)
 
 
 def target_omega(

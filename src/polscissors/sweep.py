@@ -64,7 +64,7 @@ def _kept(store: dict, key: tuple, make, *args):
     return store[key]
 
 
-def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float, sources, cutoffs, tables):
+def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float, halves, sources, cutoffs, tables):
     params = config.cell_parameters(v1, v2)
     delta = params["delta"]
     phi = params.get("phi", 0.0)
@@ -72,8 +72,8 @@ def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float, sources, cuto
     pipeline = config.pipeline
     values: list = [v1, v2]
     try:
-        if config.backend in ("analytic", "both"):
-            source_half, knob_half = closed_form_halves(config.preparation)
+        if halves is not None:
+            source_half, knob_half = halves
             source = _kept(sources, (delta, phi, t0), source_half, pipeline.method, delta, phi, t0)
             ana = knob_half(source, params[pipeline.knob_axis])
             values += [ana.probability, ana.fidelity]
@@ -116,20 +116,22 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
     kept, so each cell that asks for it raises again.
     """
     if _runs_numeric(config):
-        # fail fast on an infeasible cutoff before burning through cells
-        deltas = [config.delta] if config.delta is not None else []
-        t0s = [config.t0]
-        for axis in (config.axis1, config.axis2):
-            target = deltas if axis.name == "delta" else t0s if axis.name == "t0" else None
-            if target is not None:
-                target.extend((axis.start, axis.stop))
-        # t0 nearest 0 or 1 maximizes the larger arm amplitude
-        worst_t0 = max(t0s, key=lambda t0: max(t0, 1.0 - t0))
-        _checked_cutoff(config, max(deltas), worst_t0)
+        # fail fast on an infeasible cutoff before burning through cells: the
+        # cutoff grows with delta and with the t0 nearest 0 or 1, so the axis
+        # endpoints' cells hold the worst of each
+        corners = [
+            config.cell_parameters(v1, v2)
+            for v1 in (config.axis1.start, config.axis1.stop)
+            for v2 in (config.axis2.start, config.axis2.stop)
+        ]
+        worst_t0 = max((p.get("t0", 0.5) for p in corners), key=lambda t0: max(t0, 1.0 - t0))
+        _checked_cutoff(config, max(p["delta"] for p in corners), worst_t0)
 
+    # the closed form's halves depend on the preparation alone
+    halves = closed_form_halves(config.preparation) if config.backend in ("analytic", "both") else None
     sources, cutoffs, tables = {}, {}, {}
     rows = tuple(
-        _evaluate_cell(config, v1, v2, sources, cutoffs, tables)
+        _evaluate_cell(config, v1, v2, halves, sources, cutoffs, tables)
         for v1 in config.axis1.values()
         for v2 in config.axis2.values()
     )

@@ -216,6 +216,51 @@ def test_a_sweep_looks_up_one_cutoff_per_delta_and_t0(monkeypatch):
     assert asked[1:] == [(delta, 0.5) for delta in config.axis2.values()]
 
 
+@pytest.mark.parametrize(
+    "name,axis1,axis2,fixed",
+    [
+        # the fixed delta 30 would need cutoff 1119; every cell reads the axis's 0.5..0.6
+        ("hybrid-pqs1", AxisSpec("delta", 0.5, 0.6, 2), AxisSpec("phi", 0.0, 1.0, 2), {"delta": 30.0, "t": 0.9}),
+        # the fixed t0 = 1.0 would need cutoff 26; the cells' t0 0.4..0.6 need at most 21
+        (
+            "bell-pqs1",
+            AxisSpec("delta", 1.0, 1.5, 2),
+            AxisSpec("t0", 0.4, 0.6, 2),
+            {"t0": 1.0, "t": 0.9, "max_cutoff": 21},
+        ),
+    ],
+    ids=["fixed-delta", "fixed-t0"],
+)
+def test_the_fail_fast_cutoff_check_reads_the_cells_parameters(name, axis1, axis2, fixed, monkeypatch):
+    asked = []
+
+    def counting(delta, t0, tail_bound):
+        asked.append((delta, t0))
+        return original(delta, t0, tail_bound)
+
+    original = sweep.required_cutoff
+    monkeypatch.setattr(sweep, "required_cutoff", counting)
+    config = ExperimentConfig(name, axis1, axis2, backend="numeric", **fixed)
+    grid = run_sweep(config)
+    assert [row[-1] for row in grid.rows] == [STATUS_OK] * 4
+    worst = (axis1.stop, 0.4 if axis2.name == "t0" else fixed.get("t0", 0.5))
+    assert asked[0] == worst
+
+
+def test_a_sweep_looks_up_the_closed_form_halves_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return original(name)
+
+    original = sweep.closed_form_halves
+    monkeypatch.setattr(sweep, "closed_form_halves", counting)
+    config = _grid("bell-pqs2", AxisSpec("phi", 0.0, 3.0, 3), AxisSpec("delta", 0.6, 1.0, 3), gamma_abs=0.05)
+    assert [row[-1] for row in run_sweep(config).rows] == [STATUS_OK] * 9
+    assert calls == ["bell-pqs2"]
+
+
 SPECIAL_FLOATS = [
     math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
     1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 0.1, 1e16, 123456789.0, 1e-300,

@@ -2,35 +2,42 @@
 
 ``prepare_stages`` builds one coherent factor per arm, reuses them
 for the targets, runs every source check before its first table probe, and
-never calls a joint-state builder of ``sources``.
+never calls a joint-state builder of ``sources``.  Its source is the one
+``lambda_state`` dumps: the same builder's factors and coefficients.
 """
 
+import cmath
 import math
+import random
 from pathlib import Path
 
 import pytest
 
-from polscissors import analytics, sources, sweep, verify
+from polscissors import analytics, preparations, sources, sweep, verify
 from polscissors.config import load_config
 from polscissors.fock import CutoffError, FockError
-from polscissors.preparations import PIPELINES, Pipeline, omega_pipeline, prepare_stages
+from polscissors.preparations import PIPELINES, Pipeline, omega_pipeline, prepare_stages, required_cutoff
+from polscissors.sources import SourceParams, lambda_state, split_amplitudes
+
+from test_kernel_oracles import hex_items
 
 
-def _recording(monkeypatch, name):
-    """Every call of ``sources.<name>`` while the test runs."""
+def _recording(monkeypatch, name, module=sources, returns=False):
+    """Every call of ``<module>.<name>`` while the test runs: its arguments, or what it returned."""
     calls = []
-    build = getattr(sources, name)
+    build = getattr(module, name)
 
     def recording(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+        made = build(*args, **kwargs)
+        calls.append(made if returns else args)
+        return made
 
-    monkeypatch.setattr(sources, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
 def test_verify_builds_no_joint_source(monkeypatch):
-    builds = [_recording(monkeypatch, name) for name in ("lambda_state", "heralded_target", "_two_branch")]
+    builds = [_recording(monkeypatch, name) for name in ("lambda_state", "heralded_target", "expand")]
     verify.run_verify(5, 10)
     for name in ("bell-pqs2", "omega-n3-j2-split"):
         sweep.run_sweep(load_config(str(Path(__file__).parent / "golden" / f"{name}.ini")))
@@ -76,3 +83,29 @@ def test_source_checks_run_before_the_first_table_fills(error, pipeline, cutoff,
     with pytest.raises(error) as raised:
         prepare_stages(pipeline, 2.0, 0.0, 0.5, {"t": 0.0}, splits, cutoff)
     assert "scissors transmissivity" not in str(raised.value)
+
+
+def test_the_numeric_source_is_the_dumped_lambda(monkeypatch):
+    # the stage loop runs on the builder's factors with the coefficients
+    # (m_n, m_n e^(i phi)), and that sum of products is ``lambda_state``
+    built = _recording(monkeypatch, "arm_factors", returns=True)
+    overlaps = _recording(monkeypatch, "_overlap", preparations)
+    rng = random.Random(8)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        delta, phi, t0 = rng.uniform(0.2, 1.5), rng.uniform(0.0, 2 * math.pi), rng.uniform(0.1, 0.9)
+        splits = tuple(rng.uniform(0.1, 0.9) for _ in range(n - 2))
+        arms = tuple(rng.sample(range(n), rng.randint(1, n)))
+        built.clear()
+        overlaps.clear()
+        prepare_stages(Pipeline(("pqs1",) * len(arms), arms, n), delta, phi, t0, {"t": 0.9}, splits)
+        ((h, v),) = built
+        norm = analytics.m_n(split_amplitudes(SourceParams(delta, phi, t0, splits), n), phi)
+        source = ((norm, h), (norm * cmath.exp(1j * phi), v))
+        # the first stage's target: the source's coefficients and factors, a photon on the truncated arm
+        target = next(bra for bra, ket, _ in overlaps if bra is not ket)
+        assert [c for c, _ in target] == [c for c, _ in source]
+        for (_, factors), (_, branch), photon in zip(target, source, sources.PHOTONS):
+            assert all(f is (photon if k == arms[0] else branch[k]) for k, f in enumerate(factors))
+        params = SourceParams(delta, phi, t0, splits, required_cutoff(delta, t0))
+        assert hex_items(sources.expand(source, params.cutoff)) == hex_items(lambda_state(params, n))

@@ -3,11 +3,11 @@
 The scissors module splits its ancilla on a two-mode state and tensors that
 onto the input once, ``project_number`` matches keys with ``itemgetter``,
 ``apply_bs`` caches its pair terms across calls and builds them from hoisted
-powers, the entangled sources are built in one pass, and ``inner_product``
-reads each common key once.  Each must leave every state (and every inner
-product) bit for bit as the plain constructions below build it: same keys,
-same insertion order, same real and imaginary parts (compared with
-``float.hex``, so even the sign of a zero counts).
+powers, the entangled sources and a preparation's state are expanded in one
+pass, and ``inner_product`` reads each common key once.  Each must leave every
+state (and every inner product) bit for bit as the plain constructions below
+build it: same keys, same insertion order, same real and imaginary parts
+(compared with ``float.hex``, so even the sign of a zero counts).
 """
 
 import cmath
@@ -36,6 +36,7 @@ from polscissors.fock import (
     tensor,
     vacuum,
 )
+from polscissors.preparations import PIPELINES, omega_pipeline, prepare_named, prepare_stages
 from polscissors.sources import (
     SourceParams,
     coherent,
@@ -264,7 +265,7 @@ def test_bs_pair_terms_bitwise_equal_to_the_double_loop(t):
 
 
 def two_branch_reference(params, n, photon_arms, norm, tail_bound):
-    """``norm (|H> + e^(i phi) |V>)`` composed state by state with tensor, add and scale."""
+    """``norm |H> + norm e^(i phi) |V>`` composed state by state with tensor, add and scale."""
     gammas = split_amplitudes(params, n)
 
     def branch(pol, sign):
@@ -277,8 +278,7 @@ def two_branch_reference(params, n, photon_arms, norm, tail_bound):
         ]
         return functools.reduce(tensor, factors)
 
-    combined = add(branch(H, 1.0), scale(branch(V, -1.0), cmath.exp(1j * params.phi)))
-    return scale(combined, norm)
+    return add(scale(branch(H, 1.0), norm), scale(branch(V, -1.0), norm * cmath.exp(1j * params.phi)))
 
 
 def source_grid():
@@ -352,6 +352,54 @@ class TestSources:
         assert lambda_state(params, 4).amplitudes
         assert heralded_target(params, 4, (1, 0)).amplitudes
         assert xi_direct(SourceParams(0.7, 0.4, 0.45, (), 12)).amplitudes
+
+
+def product_state(factors, cutoff):
+    """A branch's factors tensored into one state, left to right."""
+    modes = [PureState(1, cutoff, {(occ,): a for occ, a in f.items()}) for f in factors]
+    return functools.reduce(tensor, modes)
+
+
+def prep_state_reference(result):
+    """``PrepResult.state`` composed state by state: each branch tensored, scaled, then summed."""
+    terms = [scale(product_state(factors, result.cutoff), c) for c, factors in result.branches]
+    return functools.reduce(add, terms)
+
+
+def prep_results():
+    """The four named preparations and seeded mixed-method Omega chains, with their names."""
+    for name in sorted(PIPELINES):
+        knob = 0.9 if PIPELINES[name].method == "pqs1" else 0.06
+        yield name, prepare_named(name, 1.1, 0.4, 0.45, knob)
+    rng = random.Random(21)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        j = rng.randint(1, n)
+        methods = tuple(rng.choice(("pqs1", "pqs2")) for _ in range(j))
+        knobs = {"t": rng.uniform(0.6, 0.95), "gamma_abs": rng.uniform(0.02, 0.08)}
+        splits = tuple(rng.uniform(0.2, 0.8) for _ in range(n - 2))
+        delta, phi, t0 = rng.uniform(0.3, 1.2), rng.uniform(0.0, 2 * math.pi), rng.uniform(0.2, 0.8)
+        stages = prepare_stages(omega_pipeline(n, j, methods), delta, phi, t0, knobs, splits)
+        yield f"omega-n{n}-j{j}-{'-'.join(methods)}", stages[-1]
+
+
+class TestPrepResultState:
+    def test_bitwise_equal_to_the_composition(self):
+        cases = 0
+        for name, result in prep_results():
+            assert result.branches, name
+            assert hex_items(result.state) == hex_items(prep_state_reference(result)), name
+            cases += 1
+        assert cases == 16
+
+    @pytest.mark.parametrize("name,key", [("hybrid-pqs2", ((0, 0), (1, 1))), ("bell-pqs2", ((1, 1), (1, 1)))])
+    def test_pqs2_branches_share_keys_beyond_the_vacuum(self, name, key):
+        # the expander must sum these, not append a second amplitude
+        result = prepare_named(name, 1.1, 0.4, 0.45, 0.06)
+        (ch, h), (cv, v) = result.branches
+        h, v = product_state(h, result.cutoff).amplitudes, product_state(v, result.cutoff).amplitudes
+        assert key in h and key in v
+        assert result.state.amplitudes[key] == h[key] * ch + v[key] * cv
 
 
 def inner_product_reference(a, b):

@@ -67,3 +67,39 @@ def test_the_package_declares_no_global():
         if isinstance(node, ast.Global)
     ]
     assert hits == []
+
+
+SIMULATOR = ("sources.py", "scissors.py", "elements.py", "fock.py", "preparations.py")
+# the closed forms' own readers in ``preparations``: the analytic route, not the simulator
+ANALYTIC_ROUTE = ("analytic_named", "closed_form_halves")
+
+
+def _simulator_nodes():
+    for name in SIMULATOR:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        skipped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ANALYTIC_ROUTE:
+                skipped.update(ast.walk(node))
+        yield from (node for node in ast.walk(tree) if node not in skipped)
+
+
+def test_the_simulator_reads_only_the_listed_analytics_names():
+    # both routes read these from ``analytics``, so an error in one of them
+    # passes the cross-check; a new shared name needs a deliberate edit here
+    read = set()
+    for node in _simulator_nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "analytics":
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "analytics":
+            read.update(alias.name for alias in node.names)
+    assert sorted(read) == ["alpha_beta", "cat_norm", "f_n", "m_n"]
+
+
+def test_only_sources_expands_a_sum_of_products():
+    # ``sources.expand`` is the one writer of a sum of products as a joint state
+    tree = ast.parse((PACKAGE / "preparations.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert imported & {"tensor", "add", "scale", "reduce"} == set()
