@@ -48,7 +48,6 @@ from .sources import (
     xi_direct,
 )
 from .scissors import (
-    HeraldedOutcome,
     ScissorsResult,
     pqs1_apply,
     pqs2_apply,

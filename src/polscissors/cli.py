@@ -24,11 +24,9 @@ from .sources import (
     lambda_circuit,
     lambda_state,
     target_omega,
-    xi_circuit,
-    xi_direct,
 )
 from .sweep import grid_to_csv, grid_to_json, grid_to_matrix, run_sweep
-from .verify import SPOT_POINTS, run_spot, run_verify
+from .verify import DEFAULT_BUDGET, SPOT_POINTS, run_spot, run_verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -65,18 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="output file (default: stdout)")
     p_sweep.add_argument("--format", choices=("csv", "matrix", "json"), default="csv")
     p_sweep.add_argument("--backend", choices=("analytic", "numeric", "both"))
-    p_sweep.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="accepted and ignored: every sweep runs in process (to be removed "
-        "in a later release)",
-    )
 
     p_verify = sub.add_parser("verify", help="cross-validate simulation vs closed forms")
     p_verify.add_argument("--seed", type=int, required=True)
-    p_verify.add_argument("--samples", type=int, required=True)
-    p_verify.add_argument("--budget", type=float, default=1e-8)
+    p_verify.add_argument("--samples", type=_positive_int, required=True)
+    p_verify.add_argument("--budget", default=DEFAULT_BUDGET, help="largest |dP| and |dF| allowed (> 0)")
 
     p_state = sub.add_parser("state", help="dump a state in the canonical text format")
     p_state.add_argument(
@@ -144,12 +135,8 @@ def _descriptor_state(name: str, kw: dict[str, str]):
             raise ConfigError(
                 f"{n} arms need {n - 2} split transmissivities t1.., got {len(split_ts)}"
             )
-        if name == "xi":
-            return xi_direct(params, tail)
-        if name == "xi-circuit":
-            return xi_circuit(params, tail)
-        if name in ("lambda", "lambda-circuit"):
-            builder = lambda_state if name == "lambda" else lambda_circuit
+        if name != "target-omega":
+            builder = lambda_state if name in ("xi", "lambda") else lambda_circuit
             return builder(params, n, tail)
         j = _pop(kw, "j")
         if not 1 <= j <= n:
@@ -193,12 +180,12 @@ def main(argv: list[str] | None = None) -> int:
                 config = load_config(args.config, {"backend": args.backend})
             else:
                 config = reference_grid(args.reference, args.backend or "analytic")
-            grid = run_sweep(config, jobs=args.jobs)
+            grid = run_sweep(config)
             writer = {"csv": grid_to_csv, "matrix": grid_to_matrix, "json": grid_to_json}
             _write(writer[args.format](grid), args.out)
             return EXIT_OK
         if args.command == "verify":
-            report = run_verify(args.seed, args.samples, args.budget)
+            report = run_verify(args.seed, args.samples, read_value("budget", args.budget))
             sys.stdout.write("\n".join(report.lines()) + "\n")
             return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
         if args.command == "state":

@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
+from functools import cached_property
 
 from .fock import DEFAULT_TAIL_BOUND, MAX_CUTOFF
 from .preparations import KNOB_AXES, PIPELINES, PREPARATIONS, Pipeline, omega_pipeline
@@ -47,6 +48,7 @@ _DOMAINS = {
     "n": ("[2, inf)", lambda v: v >= 2),
     "steps": ("[2, inf)", lambda v: v >= 2),
     "repetition_rate": ("(0, inf)", lambda v: v > 0.0),
+    "budget": ("(0, inf)", lambda v: v > 0.0),
 }
 # Parameters that count something; every other parameter is a real number.
 _WHOLE_NUMBERS = ("max_cutoff", "omega_n", "omega_j", "steps", "n", "j", "cutoff")
@@ -193,18 +195,14 @@ class ExperimentConfig:
         methods = self.pipeline.methods
         return ("delta",) + tuple(axis for m, axis in KNOB_AXES.items() if m in methods)
 
+    @cached_property
+    def _fixed_parameters(self) -> dict[str, float]:
+        """The parameters a cell starts from: every axis name set in ``[experiment]`` or by default."""
+        return {name: getattr(self, name) for name in AXIS_NAMES if getattr(self, name) is not None}
+
     def cell_parameters(self, v1: float, v2: float) -> dict[str, float]:
         """Fixed parameters overridden by the two axis values for one grid cell."""
-        values = {
-            "phi": self.phi,
-            "t0": self.t0,
-            "delta": self.delta,
-            "t": self.t,
-            "gamma_abs": self.gamma_abs,
-        }
-        values[self.axis1.name] = v1
-        values[self.axis2.name] = v2
-        return {k: v for k, v in values.items() if v is not None}
+        return {**self._fixed_parameters, self.axis1.name: v1, self.axis2.name: v2}
 
 
 def _axis_from_section(section: configparser.SectionProxy) -> AxisSpec:

@@ -40,6 +40,7 @@ from .fock import (
     V,
     FockError,
     Occupation,
+    ProjectionOutcome,
     PureState,
     fidelity,
     make_state,
@@ -60,22 +61,12 @@ from .elements import (
 
 
 @dataclass(frozen=True)
-class HeraldedOutcome:
-    """One accepted detector pattern: its probability and its corrected component.
-
-    ``state`` is the feed-forward-corrected projected component, not
-    normalized: its squared norm is ``probability``.  None when the pattern
-    heralds nothing.
-    """
-
-    probability: float
-    state: PureState | None
-
-
-@dataclass(frozen=True)
 class ScissorsResult:
     """Aggregate over all accepted patterns of one scissors application.
 
+    ``outcomes`` holds one ``ProjectionOutcome`` per accepted pattern, in the
+    circuit's order: its probability and its feed-forward-corrected component,
+    not normalized (None when the pattern heralds nothing).
     ``total_probability`` sums the pattern probabilities; ``canonical_state``
     is the shared corrected conditional state, normalized (None when nothing is
     heralded); ``pattern_agreement`` is the minimum pairwise fidelity among the
@@ -83,7 +74,7 @@ class ScissorsResult:
     reads 1 for a result that lists no ``outcomes``.
     """
 
-    outcomes: tuple[HeraldedOutcome, ...]
+    outcomes: tuple[ProjectionOutcome, ...]
     total_probability: float
     canonical_state: PureState | None
 
@@ -148,7 +139,7 @@ def _qs_branches(
 
 
 def _assemble(branches: list[tuple[float, PureState | None]]) -> ScissorsResult:
-    outcomes = tuple(HeraldedOutcome(prob, state) for prob, state in branches)
+    outcomes = tuple(ProjectionOutcome(prob, state) for prob, state in branches)
     first = next((state for _, state in branches if state is not None), None)
     total = sum(prob for prob, _ in branches)
     return ScissorsResult(outcomes, total, None if first is None else normalize(first))

@@ -3,7 +3,9 @@
 Grid cells are independent pure computations, and every sweep evaluates them
 in process, in grid order. A numeric cell costs a few milliseconds, so a
 process pool's start-up, pickling and cold per-process caches cost more than
-the cells it shares out. The cells of one sweep share one closed-form source
+the cells it shares out. A sweep decides once what depends on the config
+alone: the pipeline, which routes run, the closed form's halves, the columns
+and the fixed parameters. The cells of one sweep share one closed-form source
 half per (delta, phi, t0), one cutoff per (delta, t0) and one transfer table
 per scissors method and knob, and each cell still gives, bit for bit, the
 result of running it alone. With that sharing the 625-cell ``--reference
@@ -38,84 +40,40 @@ class SweepGrid:
     max_abs_err_f: float | None
 
 
-def _runs_numeric(config: ExperimentConfig) -> bool:
-    """Whether the sweep runs the simulator (the omega preparation always does)."""
-    return config.backend in ("numeric", "both")
-
-
-def _cell_columns(config: ExperimentConfig) -> tuple[str, ...]:
-    cols = [config.axis1.name, config.axis2.name]
-    if config.backend in ("analytic", "both"):
-        cols += ["P_analytic", "F_analytic"]
-    if _runs_numeric(config):
-        cols += ["P_numeric", "F_numeric"]
-    if config.backend == "both":
-        cols += ["abs_err_P", "abs_err_F"]
-    if config.repetition_rate is not None:
-        cols.append("count_rate")
-    cols.append("status")
-    return tuple(cols)
-
-
-def _kept(store: dict, key: tuple, make, *args):
-    """``store[key]``, made by ``make(*args)`` if missing; nothing is kept when ``make`` raises."""
-    if key not in store:
-        store[key] = make(*args)
-    return store[key]
-
-
-def _evaluate_cell(config: ExperimentConfig, v1: float, v2: float, halves, sources, cutoffs, tables):
-    params = config.cell_parameters(v1, v2)
-    delta = params["delta"]
-    phi = params.get("phi", 0.0)
-    t0 = params.get("t0", 0.5)
-    pipeline = config.pipeline
-    values: list = [v1, v2]
-    try:
-        if halves is not None:
-            source_half, knob_half = halves
-            source = _kept(sources, (delta, phi, t0), source_half, pipeline.method, delta, phi, t0)
-            ana = knob_half(source, params[pipeline.knob_axis])
-            values += [ana.probability, ana.fidelity]
-        if _runs_numeric(config):
-            num = prepare_stages(
-                pipeline, delta, phi, t0, params, config.omega_split_ts,
-                cutoff=_kept(cutoffs, (delta, t0), _checked_cutoff, config, delta, t0),
-                tail_bound=config.tail_bound, tables=tables,
-            )[-1]
-            values += [num.probability, num.fidelity]
-        if config.backend == "both":
-            values += [abs(num.probability - ana.probability), abs(num.fidelity - ana.fidelity)]
-    except analytics.DegenerateParameterError as exc:
-        total = len(_cell_columns(config))
-        values += [math.nan] * (total - 1 - len(values))
-        underflow = isinstance(exc, analytics.ProbabilityUnderflowError)
-        values.append(STATUS_UNDERFLOW if underflow else STATUS_DEGENERATE)
-        return tuple(values)
-    if config.repetition_rate is not None:
-        # the rate follows the first probability column: the closed form when there is one
-        values.append(analytics.count_rate(values[2], config.repetition_rate))
-    values.append(STATUS_OK)
-    return tuple(values)
-
-
-def _checked_cutoff(config: ExperimentConfig, delta: float, t0: float) -> int:
-    cutoff = required_cutoff(delta, t0, config.tail_bound)
-    if cutoff > config.max_cutoff:
-        raise CutoffError(
-            f"delta = {delta} needs cutoff {cutoff} > max_cutoff {config.max_cutoff}"
-        )
-    return cutoff
-
-
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
     """Fill the grid in process, in grid order; ``jobs`` is accepted and ignored.
 
-    The cells share the source halves, cutoffs and transfer tables of the
-    module docstring, which live as long as this call; one that raises is not
-    kept, so each cell that asks for it raises again.
+    What depends on the config alone is decided once, before the first cell:
+    the pipeline, whether the closed form and the simulator run, the closed
+    form's halves, the columns, and the fixed parameters each cell starts
+    from (``config.cell_parameters``).  The cells share the source halves,
+    cutoffs and transfer tables of the module docstring, which live as long
+    as this call; one that raises is not kept, so each cell that asks for it
+    raises again.
     """
-    if _runs_numeric(config):
+    pipeline = config.pipeline
+    analytic = config.backend in ("analytic", "both")
+    numeric = config.backend in ("numeric", "both")  # always so for omega
+    columns = [config.axis1.name, config.axis2.name]
+    if analytic:
+        columns += ["P_analytic", "F_analytic"]
+    if numeric:
+        columns += ["P_numeric", "F_numeric"]
+    if analytic and numeric:
+        columns += ["abs_err_P", "abs_err_F"]
+    if config.repetition_rate is not None:
+        columns.append("count_rate")
+    columns.append("status")
+
+    def checked_cutoff(delta: float, t0: float) -> int:
+        cutoff = required_cutoff(delta, t0, config.tail_bound)
+        if cutoff > config.max_cutoff:
+            raise CutoffError(
+                f"delta = {delta} needs cutoff {cutoff} > max_cutoff {config.max_cutoff}"
+            )
+        return cutoff
+
+    if numeric:
         # fail fast on an infeasible cutoff before burning through cells: the
         # cutoff grows with delta and with the t0 nearest 0 or 1, so the axis
         # endpoints' cells hold the worst of each
@@ -124,26 +82,53 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
             for v1 in (config.axis1.start, config.axis1.stop)
             for v2 in (config.axis2.start, config.axis2.stop)
         ]
-        worst_t0 = max((p.get("t0", 0.5) for p in corners), key=lambda t0: max(t0, 1.0 - t0))
-        _checked_cutoff(config, max(p["delta"] for p in corners), worst_t0)
+        worst_t0 = max((p["t0"] for p in corners), key=lambda t0: max(t0, 1.0 - t0))
+        checked_cutoff(max(p["delta"] for p in corners), worst_t0)
 
     # the closed form's halves depend on the preparation alone
-    halves = closed_form_halves(config.preparation) if config.backend in ("analytic", "both") else None
+    source_half, knob_half = closed_form_halves(config.preparation) if analytic else (None, None)
     sources, cutoffs, tables = {}, {}, {}
-    rows = tuple(
-        _evaluate_cell(config, v1, v2, halves, sources, cutoffs, tables)
-        for v1 in config.axis1.values()
-        for v2 in config.axis2.values()
-    )
-    columns = _cell_columns(config)
+    rows = []
+    v2s = config.axis2.values()
+    for v1 in config.axis1.values():
+        for v2 in v2s:
+            params = config.cell_parameters(v1, v2)
+            delta, phi, t0 = params["delta"], params["phi"], params["t0"]
+            values: list = [v1, v2]
+            try:
+                if analytic:
+                    if (delta, phi, t0) not in sources:
+                        sources[delta, phi, t0] = source_half(pipeline.method, delta, phi, t0)
+                    ana = knob_half(sources[delta, phi, t0], params[pipeline.knob_axis])
+                    values += [ana.probability, ana.fidelity]
+                if numeric:
+                    if (delta, t0) not in cutoffs:
+                        cutoffs[delta, t0] = checked_cutoff(delta, t0)
+                    num = prepare_stages(
+                        pipeline, delta, phi, t0, params, config.omega_split_ts,
+                        cutoff=cutoffs[delta, t0], tail_bound=config.tail_bound, tables=tables,
+                    )[-1]
+                    values += [num.probability, num.fidelity]
+                if analytic and numeric:
+                    values += [abs(num.probability - ana.probability), abs(num.fidelity - ana.fidelity)]
+            except analytics.DegenerateParameterError as exc:
+                values += [math.nan] * (len(columns) - 1 - len(values))
+                underflow = isinstance(exc, analytics.ProbabilityUnderflowError)
+                values.append(STATUS_UNDERFLOW if underflow else STATUS_DEGENERATE)
+            else:
+                if config.repetition_rate is not None:
+                    # the rate follows the first probability column: the closed form when there is one
+                    values.append(analytics.count_rate(values[2], config.repetition_rate))
+                values.append(STATUS_OK)
+            rows.append(tuple(values))
     max_p = max_f = None
-    if config.backend == "both":
+    if analytic and numeric:
         i_p, i_f = columns.index("abs_err_P"), columns.index("abs_err_F")
         oks = [r for r in rows if r[-1] == STATUS_OK]
         if oks:
             max_p = max(r[i_p] for r in oks)
             max_f = max(r[i_f] for r in oks)
-    return SweepGrid(config, columns, rows, max_p, max_f)
+    return SweepGrid(config, tuple(columns), tuple(rows), max_p, max_f)
 
 
 def grid_to_csv(grid: SweepGrid) -> str:

@@ -4,15 +4,17 @@ import multiprocessing
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from polscissors import analytics, cli, sweep
+from polscissors import analytics, cli, sources, sweep
 from polscissors.analytics import DegenerateParameterError as DegenerateStateError
 from polscissors.config import (
     AxisSpec,
     ConfigError,
     ExperimentConfig,
+    load_config,
     parse_config_text,
     reference_grid,
 )
@@ -22,6 +24,7 @@ from polscissors.preparations import (
     PIPELINES,
     PREPARATIONS,
     Pipeline,
+    omega_pipeline,
     prepare_stages,
 )
 from polscissors.sweep import (
@@ -348,6 +351,19 @@ class TestSweep:
         index = grid.columns.index("P_analytic")
         assert all(row[index] > 0 for row in grid.rows)
 
+    def test_a_sweep_builds_its_pipeline_once(self, monkeypatch):
+        omega = load_config(str(Path(__file__).parent / "golden" / "omega-n3-j2-split.ini"))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return omega_pipeline(*args)
+
+        monkeypatch.setattr("polscissors.config.omega_pipeline", counting)
+        grid = run_sweep(omega)
+        assert len(grid.rows) == 4 and {row[-1] for row in grid.rows} == {"ok"}
+        assert calls == [(3, 2, ("pqs2", "pqs1"))]
+
     def test_infeasible_cutoff_refused(self):
         from polscissors.fock import CutoffError
 
@@ -513,6 +529,14 @@ class TestCli:
         )
         assert "FAIL" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "option,value", [("--samples", "0"), ("--budget", "nan"), ("--budget", "0"), ("--budget", "-1")]
+    )
+    def test_verify_out_of_domain_exit_2(self, option, value):
+        # argparse keeps the last of a repeated option, so "--samples 0" replaces the 1
+        proc = self.run_cli("verify", "--seed", "1", "--samples", "1", option, value, expect=2)
+        assert option[2:] in proc.stderr and "Traceback" not in proc.stderr
+
     def test_state_dump_value(self):
         proc = self.run_cli(
             "state", "--prep", "xi:delta=1,phi=0,t0=0.5", expect=0
@@ -561,6 +585,12 @@ class TestCli:
         splits = ",".join(f"t{i}=0.5" for i in range(1, 7))
         proc = self.run_cli("state", "--prep", f"{name}:delta=1,n=8,{splits}", expect=3, timeout=30)
         assert "amplitude products" in proc.stderr
+
+    def test_state_oversized_xi_circuit_exit_3(self, monkeypatch, capsys):
+        # the two-arm circuit dump is lambda-circuit at n = 2, guard included
+        monkeypatch.setattr(sources, "MAX_SOURCE_PRODUCTS", 100)
+        assert cli.main(["state", "--prep", "xi-circuit:delta=1,cutoff=12"]) == 3
+        assert "amplitude products" in capsys.readouterr().err
 
     def test_sweep_eight_arm_omega_exit_0(self, tmp_path):
         # the stage loop keeps the source as two products: no size limit applies
