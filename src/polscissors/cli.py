@@ -34,16 +34,6 @@ EXIT_CONFIG = 2
 EXIT_CUTOFF = 3
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polscissors",
@@ -66,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-validate simulation vs closed forms")
     p_verify.add_argument("--seed", type=int, required=True)
-    p_verify.add_argument("--samples", type=_positive_int, required=True)
+    p_verify.add_argument("--samples", required=True, help="samples per check (>= 1)")
     p_verify.add_argument("--budget", default=DEFAULT_BUDGET, help="largest |dP| and |dF| allowed (> 0)")
 
     p_state = sub.add_parser("state", help="dump a state in the canonical text format")
@@ -78,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_state.add_argument("--out", help="output file (default: stdout)")
     p_state.add_argument(
-        "--min-amplitude", type=float, default=1e-10, help="hide smaller amplitudes"
+        "--min-amplitude", default=1e-10, help="hide smaller amplitudes (>= 0)"
     )
 
     p_spot = sub.add_parser("spot", help="check a named operating point")
@@ -185,11 +175,12 @@ def main(argv: list[str] | None = None) -> int:
             _write(writer[args.format](grid), args.out)
             return EXIT_OK
         if args.command == "verify":
-            report = run_verify(args.seed, args.samples, read_value("budget", args.budget))
+            samples = read_value("samples", args.samples)
+            report = run_verify(args.seed, samples, read_value("budget", args.budget))
             sys.stdout.write("\n".join(report.lines()) + "\n")
             return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
         if args.command == "state":
-            _write(dump_state(args.prep, args.min_amplitude), args.out)
+            _write(dump_state(args.prep, read_value("min_amplitude", args.min_amplitude)), args.out)
             return EXIT_OK
         if args.command == "spot":
             lines, ok = run_spot(args.point)

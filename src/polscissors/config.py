@@ -49,9 +49,11 @@ _DOMAINS = {
     "steps": ("[2, inf)", lambda v: v >= 2),
     "repetition_rate": ("(0, inf)", lambda v: v > 0.0),
     "budget": ("(0, inf)", lambda v: v > 0.0),
+    "samples": ("[1, inf)", lambda v: v >= 1),
+    "min_amplitude": ("[0, inf)", lambda v: v >= 0.0),
 }
 # Parameters that count something; every other parameter is a real number.
-_WHOLE_NUMBERS = ("max_cutoff", "omega_n", "omega_j", "steps", "n", "j", "cutoff")
+_WHOLE_NUMBERS = ("max_cutoff", "omega_n", "omega_j", "steps", "samples", "n", "j", "cutoff")
 # The counts of a state descriptor are whole once read as a float, so
 # n=3.0000000000000001 is 3; a config count must be whole as written.
 _DESCRIPTOR_COUNTS = ("n", "j", "cutoff")
@@ -90,7 +92,8 @@ def read_value(name: str, raw: str | float) -> float:
 
     A counting parameter must be a whole number (``whole_number``), any other
     a finite real; either must lie in the domain of ``name``.  Config keys,
-    axis bounds and ``state`` descriptor values are all read here.
+    axis bounds, ``state`` descriptor values and the CLI's numeric options
+    but ``--seed`` are all read here.
     """
     value = raw
     if name not in _WHOLE_NUMBERS or name in _DESCRIPTOR_COUNTS:

@@ -16,8 +16,10 @@ Conventions, fixed once and used everywhere:
 
 The beam splitter and the squeezer take an optional ``herald``: the output
 occupations the photon-number projection that follows accepts on their
-modes.  Given one, they form only those output keys, bit for bit and in the
-order the full expansion holds them, so the projection's result is unchanged.
+modes.  Given one, each runs its one loop and stores only those output keys,
+bit for bit and in the order the full expansion holds them, so the
+projection's result is unchanged.  The squeezer's loop also skips the keys
+and rows that cannot reach its herald.
 """
 
 from __future__ import annotations
@@ -235,16 +237,6 @@ def _sqrt_binom(n: int, k: int) -> float:
     return math.sqrt(math.comb(n, k))
 
 
-def _row_stores(ck: complex, terms_m: list, m: int, g2: float) -> bool:
-    """Whether the full kernel's l loop stores a term of the row with factor ``ck``."""
-    for l, pow_l, binom_l in terms_m:
-        if abs(ck * pow_l * binom_l) >= DEFAULT_TOL:
-            return True
-        if g2 * (m + l + 1) < (l + 1):
-            return False
-    return False
-
-
 def apply_squeezer_exact(
     state: PureState, spec: SqueezerSpec, herald: Occupation | None = None
 ) -> PureState:
@@ -257,10 +249,11 @@ def apply_squeezer_exact(
     cutoff; the discarded weight (norm deficit) is logged at debug level.
 
     ``herald``, when given, is the one signal occupation ``(sh, sv)`` the
-    following projection accepts: each key forms at most its term
-    ``k = sh - n``, ``l = sv - m``, and only if the full kernel's stopping
-    rules reach and store it, so the kept keys are bitwise those of the full
-    output, in its order.  No deficit is logged on this path.
+    following projection accepts.  The same loop runs and stores only the
+    terms on that occupation, so the kept keys are bitwise those of the full
+    output, in its order.  No created pair lowers an occupation, so the loop
+    skips a key with n > sh or m > sv, and its k loop ends after the herald's
+    row n + k = sh.  No deficit is logged on this path.
     """
     _check_mode(state, spec.mode_s)
     _check_mode(state, spec.mode_i)
@@ -290,7 +283,9 @@ def apply_squeezer_exact(
     # pins k and l, which pin the input), so plain stores suffice.  Term
     # magnitudes are monotone in k and l once the growth ratio
     # |gamma| sqrt((n+k+1)/(k+1)) falls below one, so the loops stop at the
-    # compaction tolerance instead of grinding to the cutoff.
+    # compaction tolerance instead of grinding to the cutoff.  A herald only
+    # filters the stores, so the stopping rules are those of the full output.
+    sh, sv = (cutoff, cutoff) if herald is None else herald
     amps: dict[OccKey, complex] = {}
     for key, amp in state.amplitudes.items():
         if key[mi] != (0, 0):
@@ -299,47 +294,26 @@ def apply_squeezer_exact(
                 f"found occupation {key[mi]} on mode {mi}"
             )
         n, m = key[ms]
+        if n > sh or m > sv:
+            continue
         row_n, terms_m = binom_rows[n], l_terms[m]
         base = amp * one_minus ** ((n + m + 2) / 2.0)
         new = list(key)
-        if herald is not None:
-            sh, sv = herald
-            k_last, l_last = sh - n, sv - m
-            if k_last < 0 or l_last < 0 or sh > cutoff or sv > cutoff:
-                continue
-            # rows before k_last: the k loop stops at the first that stores
-            # nothing once the growth ratio is below one
-            for k in range(k_last):
-                ck = base * pows[k] * row_n[k]
-                if g2 * (n + k + 1) < (k + 1) and not _row_stores(ck, terms_m, m, g2):
-                    break
-            else:
-                ck = base * pows[k_last] * row_n[k_last]
-                reached = not any(
-                    abs(ck * pow_l * binom_l) < tol and g2 * (m + l + 1) < (l + 1)
-                    for l, pow_l, binom_l in terms_m[:l_last]
-                )
-                _, pow_l, binom_l = terms_m[l_last]
-                w = ck * pow_l * binom_l
-                if reached and abs(w) >= tol:
-                    new[ms] = occ[sh][sv]
-                    new[mi] = occ[l_last][k_last]
-                    amps[tuple(new)] = w
-            continue
-        for k in range(cutoff - n + 1):
+        for k in range(min(sh, cutoff) - n + 1):
             ck = base * pows[k] * row_n[k]
             signal_row = occ[n + k]
-            stored_any = False
+            cleared_any = False
             for l, pow_l, binom_l in terms_m:
                 w = ck * pow_l * binom_l
                 if abs(w) >= tol:
-                    stored_any = True
-                    new[ms] = signal_row[m + l]
-                    new[mi] = occ[l][k]
-                    amps[tuple(new)] = w
+                    cleared_any = True
+                    if herald is None or signal_row[m + l] == herald:
+                        new[ms] = signal_row[m + l]
+                        new[mi] = occ[l][k]
+                        amps[tuple(new)] = w
                 elif g2 * (m + l + 1) < (l + 1):
                     break
-            if not stored_any and g2 * (n + k + 1) < (k + 1):
+            if not cleared_any and g2 * (n + k + 1) < (k + 1):
                 break
     out = PureState(state.mode_count, cutoff, amps)
     if herald is None and log.isEnabledFor(logging.DEBUG):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import analytics
 from .config import ExperimentConfig, config_echo
 from .fock import CutoffError
-from .preparations import closed_form_halves, prepare_stages, required_cutoff
+from .preparations import KNOB_AXES, closed_form_halves, prepare_stages, required_cutoff
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -87,6 +87,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
 
     # the closed form's halves depend on the preparation alone
     source_half, knob_half = closed_form_halves(config.preparation) if analytic else (None, None)
+    knob_axes = {KNOB_AXES[method] for method in pipeline.methods}
     sources, cutoffs, tables = {}, {}, {}
     rows = []
     v2s = config.axis2.values()
@@ -108,6 +109,10 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                         pipeline, delta, phi, t0, params, config.omega_split_ts,
                         cutoff=cutoffs[delta, t0], tail_bound=config.tail_bound, tables=tables,
                     )[-1]
+                    if num.probability == 0.0:
+                        # the closed forms' rule, at the knob nearest an edge of (0, 1)
+                        knob = min((params[a] for a in knob_axes), key=lambda k: min(k, 1.0 - k))
+                        raise analytics._zero_probability(delta, knob)
                     values += [num.probability, num.fidelity]
                 if analytic and numeric:
                     values += [abs(num.probability - ana.probability), abs(num.fidelity - ana.fidelity)]

@@ -207,10 +207,8 @@ def run_verify(
 
 @dataclass(frozen=True)
 class SpotPoint:
-    """A frozen operating point with its expected performance envelope."""
+    """An operating point and its expected envelope; its ``SPOT_POINTS`` key is its preparation."""
 
-    name: str
-    preparation: str
     delta: float
     phi: float
     t0: float
@@ -224,8 +222,6 @@ class SpotPoint:
 
 SPOT_POINTS = {
     "bell-pqs1": SpotPoint(
-        name="bell-pqs1",
-        preparation="bell-pqs1",
         delta=0.8,
         phi=0.0,
         t0=0.5,
@@ -237,8 +233,6 @@ SPOT_POINTS = {
         min_fidelity=0.9,
     ),
     "bell-pqs2": SpotPoint(
-        name="bell-pqs2",
-        preparation="bell-pqs2",
         delta=0.8,
         phi=0.0,
         t0=0.5,
@@ -257,8 +251,8 @@ def run_spot(name: str) -> tuple[list[str], bool]:
     if name not in SPOT_POINTS:
         raise ValueError(f"unknown spot point {name!r}; have {sorted(SPOT_POINTS)}")
     pt = SPOT_POINTS[name]
-    ana = analytic_named(pt.preparation, pt.delta, pt.phi, pt.t0, pt.knob)
-    num = prepare_named(pt.preparation, pt.delta, pt.phi, pt.t0, pt.knob)
+    ana = analytic_named(name, pt.delta, pt.phi, pt.t0, pt.knob)
+    num = prepare_named(name, pt.delta, pt.phi, pt.t0, pt.knob)
     rate = analytics.count_rate(ana.probability, pt.repetition_rate)
 
     def within(value: float, expect: float) -> bool:
@@ -276,10 +270,10 @@ def run_spot(name: str) -> tuple[list[str], bool]:
         (f"|P_num - P_ana| = {abs(num.probability - ana.probability):.3e} <= 1e-8",
          abs(num.probability - ana.probability) <= 1e-8),
     ]
-    lines = [f"spot point {pt.name}: delta={pt.delta} phi={pt.phi} t0={pt.t0} knob={pt.knob}"]
+    lines = [f"spot point {name}: delta={pt.delta} phi={pt.phi} t0={pt.t0} knob={pt.knob}"]
     ok = True
     for text, good in checks:
         lines.append(f"  [{'PASS' if good else 'FAIL'}] {text}")
         ok &= good
-    lines.append(f"spot point {pt.name}: {'PASS' if ok else 'FAIL'}")
+    lines.append(f"spot point {name}: {'PASS' if ok else 'FAIL'}")
     return lines, ok

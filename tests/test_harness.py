@@ -24,6 +24,7 @@ from polscissors.preparations import (
     PIPELINES,
     PREPARATIONS,
     Pipeline,
+    PrepResult,
     omega_pipeline,
     prepare_stages,
 )
@@ -315,6 +316,30 @@ class TestSweep:
         assert statuses == {1.0: "ok", 20.0: "underflow"}
         assert all(math.isnan(v) for row in grid.rows[2:] for v in row[2:-1])
 
+    def test_numeric_cell_that_heralds_nothing_reads_as_the_closed_form(self):
+        # at gamma_abs 0 the squeezer pumps no pair: the numeric route heralds
+        # nothing, and the closed form's cell is degenerate
+        text = HYBRID_PQS2_CONFIG.replace(
+            "start = 0.6\nstop = 1.0\nsteps = 3", "start = 0.5\nstop = 0.6\nsteps = 2"
+        ).replace("start = 0.03\nstop = 0.07", "start = 0.0\nstop = 0.05")
+        numeric = run_sweep(parse_config_text(text, {"backend": "numeric"}))
+        analytic = run_sweep(parse_config_text(text, {"backend": "analytic"}))
+        assert [row[-1] for row in numeric.rows] == ["degenerate", "ok", "degenerate", "ok"]
+        assert [row[-1] for row in numeric.rows] == [row[-1] for row in analytic.rows]
+        assert all(math.isnan(v) for row in numeric.rows[::2] for v in row[2:-1])
+
+    def test_numeric_zero_probability_inside_the_domain_reads_underflow(self, monkeypatch):
+        monkeypatch.setattr(sweep, "prepare_stages", lambda *args, **kwargs: (PrepResult(0.0, 0.0),))
+        for text in (BELL_CONFIG, OMEGA_CONFIG):
+            grid = run_sweep(parse_config_text(text, {"backend": "numeric"}))
+            assert {row[-1] for row in grid.rows} == {"underflow"}
+        # on the edge of the domain: delta 0, or a knob that is no axis at 0
+        text = BELL_CONFIG.replace("start = 0.6\nstop = 1.0", "start = 0.0\nstop = 1.0")
+        grid = run_sweep(parse_config_text(text, {"backend": "numeric"}))
+        assert [row[-1] for row in grid.rows] == ["degenerate"] * 2 + ["underflow"] * 4
+        grid = run_sweep(parse_config_text(OMEGA_CONFIG.replace("gamma_abs = 0.05", "gamma_abs = 0.0")))
+        assert {row[-1] for row in grid.rows} == {"degenerate"}
+
     @pytest.mark.parametrize("text", [BELL_CONFIG, OMEGA_CONFIG], ids=["bell-pqs1", "omega"])
     def test_internal_error_is_not_a_degenerate_row(self, monkeypatch, text):
         from polscissors.fock import FockError
@@ -536,6 +561,14 @@ class TestCli:
         # argparse keeps the last of a repeated option, so "--samples 0" replaces the 1
         proc = self.run_cli("verify", "--seed", "1", "--samples", "1", option, value, expect=2)
         assert option[2:] in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_state_out_of_domain_min_amplitude_exit_2(self, value):
+        # unchecked, nan would print every amplitude and inf none
+        proc = self.run_cli(
+            "state", "--prep", "coherent:gamma=0.5", "--min-amplitude", value, expect=2
+        )
+        assert "min_amplitude" in proc.stderr and proc.stdout == ""
 
     def test_state_dump_value(self):
         proc = self.run_cli(

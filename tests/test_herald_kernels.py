@@ -101,7 +101,8 @@ class TestSqueezerHerald:
         for mode_count, cutoff, top in ((1, 4, 2), (2, 6, 3), (3, 8, 4)):
             state, idle = squeezer_input(rng, mode_count, cutoff, top)
             signal = rng.choice([m for m in range(mode_count + 1) if m != idle])
-            heralds = occupations(cutoff + 1)
+            # past the cutoff too: no key reaches these, and none is stored
+            heralds = occupations(cutoff + 1) + [(2 * cutoff, 0), (0, 2 * cutoff), (2 * cutoff, 1)]
             assert_squeezer_herald_matches(state, SqueezerSpec(gamma, signal, idle), heralds)
 
     def test_amplitudes_near_the_tolerance(self):
