@@ -266,26 +266,27 @@ def apply_squeezer_exact(
     mig = -1j * g
     tol = DEFAULT_TOL
 
-    # precompute, once per application, the powers of (-i gamma) and the rows
-    # binom_rows[n][k] = sqrt(C(n + k, n)) for k = 0..cutoff - n
-    pows = [1.0 + 0.0j]
-    for _ in range(2 * cutoff):
-        pows.append(pows[-1] * mig)
-    binom_rows = [
-        [_sqrt_binom(n + k, n) for k in range(cutoff - n + 1)] for n in range(cutoff + 1)
-    ]
-    # occ[i][j] = (i, j): the signal and idle occupations, built once per call
-    occ = [[(i, j) for j in range(cutoff + 1)] for i in range(cutoff + 1)]
-    # per signal V count m: (l, (-i gamma)^l, sqrt(C(m + l, m))) for l = 0..cutoff - m
-    l_terms = [list(zip(range(cutoff - m + 1), pows, binom_rows[m])) for m in range(cutoff + 1)]
-
     # Each (input key, k, l) hits a distinct output key (the idle occupation
     # pins k and l, which pin the input), so plain stores suffice.  Term
     # magnitudes are monotone in k and l once the growth ratio
     # |gamma| sqrt((n+k+1)/(k+1)) falls below one, so the loops stop at the
     # compaction tolerance instead of grinding to the cutoff.  A herald only
     # filters the stores, so the stopping rules are those of the full output.
-    sh, sv = (cutoff, cutoff) if herald is None else herald
+    sh, sv = (cutoff, cutoff) if herald is None else (min(herald[0], cutoff), min(herald[1], cutoff))
+
+    # precompute, once per application, the powers of (-i gamma) and the rows
+    # binom_rows[n][k] = sqrt(C(n + k, n)) for k = 0..cutoff - n, in the rows a
+    # call reads: keys have n <= sh, m <= sv, and stored terms idle l <= sv
+    pows = [1.0 + 0.0j]
+    for _ in range(cutoff):
+        pows.append(pows[-1] * mig)
+    binom_rows = [
+        [_sqrt_binom(n + k, n) for k in range(cutoff - n + 1)] for n in range(max(sh, sv) + 1)
+    ]
+    # occ[i][j] = (i, j): the signal and idle occupations, built once per call
+    occ = [[(i, j) for j in range(cutoff + 1)] for i in range(max(sh, sv) + 1)]
+    # per signal V count m: (l, (-i gamma)^l, sqrt(C(m + l, m))) for l = 0..cutoff - m
+    l_terms = [list(zip(range(cutoff - m + 1), pows, binom_rows[m])) for m in range(sv + 1)]
     amps: dict[OccKey, complex] = {}
     for key, amp in state.amplitudes.items():
         if key[mi] != (0, 0):
@@ -299,7 +300,7 @@ def apply_squeezer_exact(
         row_n, terms_m = binom_rows[n], l_terms[m]
         base = amp * one_minus ** ((n + m + 2) / 2.0)
         new = list(key)
-        for k in range(min(sh, cutoff) - n + 1):
+        for k in range(sh - n + 1):
             ck = base * pows[k] * row_n[k]
             signal_row = occ[n + k]
             cleared_any = False

@@ -156,6 +156,38 @@ def _overlap(bra, ket, pairs: dict) -> complex:
     )
 
 
+class SourcePart:
+    """What ``prepare_stages`` reads of one source point alone, and no knob.
+
+    ``source`` is the branches (m_n, m_n e^(i phi)) on ``sources.arm_factors``'
+    factors; ``targets`` per stage count the heralded target and its squared
+    norm; ``pairs`` the factor inner products those norms read, which include
+    each stage's on its untouched arms.  It holds no image factor.
+    """
+
+    def __init__(self, pipeline: Pipeline, params: SourceParams, tail_bound: float) -> None:
+        norm = analytics.m_n(sources.split_amplitudes(params, pipeline.n), params.phi)
+        h, v = sources.arm_factors(params, pipeline.n, (), tail_bound)
+        self.source = ((norm, h), (norm * cmath.exp(1j * params.phi), v))
+        self.pairs: dict = {}
+        self.targets, target = [], self.source
+        for arm in pipeline.arms:
+            # the fidelity is scale-free, so the target reuses the source's coefficients
+            target = [(c, _with(f, arm, photon)) for (c, f), photon in zip(target, sources.PHOTONS)]
+            self.targets.append((target, _overlap(target, target, self.pairs).real))
+
+
+class TransferTables(dict):
+    """Each (method, knob)'s ``TransferTable``, made on first use; its first probe reaches ``cutoff``."""
+
+    def __init__(self, cutoff: int) -> None:
+        self.cutoff = cutoff
+
+    def __missing__(self, key: tuple[str, float]) -> TransferTable:
+        table = self[key] = TransferTable(partial(_scissors, *key, herald_first=True), self.cutoff)
+        return table
+
+
 def prepare_stages(
     pipeline: Pipeline,
     delta: float,
@@ -165,7 +197,8 @@ def prepare_stages(
     split_ts: tuple[float, ...] = (),
     cutoff: int | None = None,
     tail_bound: float = DEFAULT_TAIL_BOUND,
-    tables: dict[tuple[str, float], TransferTable] | None = None,
+    tables: TransferTables | None = None,
+    parts: dict | None = None,
 ) -> tuple[PrepResult, ...]:
     """Run ``pipeline`` by circuit simulation; one result per stage run.
 
@@ -179,39 +212,30 @@ def prepare_stages(
     scored against the plus-branch heralded target.  The next stage runs on
     the state before that correction.  The last result is the preparation's.
 
-    The state stays a sum of two products (module docstring): the
-    coefficients (m_n, m_n e^(i phi)) on ``sources.arm_factors``' factors, one
-    ``coherent`` build per arm.  A stage maps the arm's factor of each branch
-    through its method's and knob's ``TransferTable``, built herald-first by
-    the circuit, one image per accepted pattern.  ``tables`` holds those
-    tables by (method, knob); a table's rows depend on nothing else, so a
-    caller may pass one dict to many calls (``run_sweep`` does, one per
-    sweep).  By default each call starts an empty one.  A pattern's
-    probability is the squared norm of its images' sum of products, from the
-    factors' inner products, each pair's computed once per call; the first
-    pattern that heralds is kept, renormalized.  The target has the same form,
-    with a ``sources.PHOTONS`` single photon on each truncated arm and the
-    source's coherent factors elsewhere.
+    The state stays a sum of two products (module docstring).  Its
+    ``SourcePart`` holds what reads the source point alone: the branches and
+    the targets (a ``sources.PHOTONS`` photon on each truncated arm).  A stage
+    maps the arm's factor of each branch through its method's and knob's
+    ``TransferTable``, built herald-first by the circuit, one image per
+    accepted pattern.  Neither depends on anything else, so ``run_sweep``
+    passes one ``parts`` dict and one ``tables`` to every cell, its tables'
+    first probes at the sweep's largest cutoff; by default a call makes its
+    own.  A pattern's probability is the squared norm of its images' sum of
+    products, from the factors' inner products, each pair's computed once per
+    call or part; the first pattern that heralds is kept, renormalized.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
-    if tables is None:
-        tables = {}
-    params = SourceParams(delta=delta, phi=phi, t0=t0, split_ts=split_ts, cutoff=cutoff)
-    n = pipeline.n
-    norm = analytics.m_n(sources.split_amplitudes(params, n), phi)
-    h, v = sources.arm_factors(params, n, (), tail_bound)
-    source = ((norm, h), (norm * cmath.exp(1j * phi), v))
-    pairs: dict = {}  # the factors' inner products, for this call only
+    tables = TransferTables(cutoff) if tables is None else tables
+    parts = {} if parts is None else parts
+    key = (pipeline, SourceParams(delta, phi, t0, split_ts, cutoff), tail_bound)
+    part = parts.get(key) or parts.setdefault(key, SourcePart(*key))
+    pairs = dict(part.pairs)  # this call's image factors join a copy, never the part
     arms = pipeline.arms
-    state, probability, stages = source, 1.0, []
+    state, probability, stages = part.source, 1.0, []
     for count, (arm, method) in enumerate(zip(arms, pipeline.methods), 1):
-        knob = knobs[KNOB_AXES[method]]
-        if (method, knob) not in tables:
-            circuit = partial(_scissors, method, knob, herald_first=True)
-            tables[method, knob] = TransferTable(circuit, cutoff)
         total, kept = 0.0, None
-        for images in tables[method, knob].apply([factors[arm] for _, factors in state]):
+        for images in tables[method, knobs[KNOB_AXES[method]]].apply([f[arm] for _, f in state]):
             pattern = [
                 (c, _with(factors, arm, image)) for (c, factors), image in zip(state, images) if image
             ]
@@ -231,13 +255,9 @@ def prepare_stages(
                 (c, _with(f, first, {occ: -a if occ[1] % 2 else a for occ, a in f[first].items()}))
                 for c, f in state
             )
-        # the fidelity is scale-free, so the target reuses the source's coefficients
-        target = [
-            (c, tuple(photon if k in arms[:count] else f for k, f in enumerate(factors)))
-            for (c, factors), photon in zip(source, sources.PHOTONS)
-        ]
+        target, target_norm = part.targets[count - 1]
         overlap = _overlap(target, scored, pairs)
-        norms = _overlap(target, target, pairs).real * _overlap(scored, scored, pairs).real
+        norms = target_norm * _overlap(scored, scored, pairs).real
         stages.append(PrepResult(probability, abs(overlap) ** 2 / norms, scored, cutoff))
     return tuple(stages)
 

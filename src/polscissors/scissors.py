@@ -223,9 +223,11 @@ class TransferTable:
     ``fill`` is the one way rows are built.  Missing rows come from one
     ``circuit(probe, 1)`` call at ``cutoff``, first raised to the largest
     occupation asked for: probe mode 0 holds label ``divmod(i, cutoff + 1)``,
-    mode 1 input ``i``.  ``apply`` maps single-mode factors through the rows;
-    ``prepare_stages`` passes it the truncated arm's factor of every branch at
-    once, so one probe fills the rows they all need.
+    mode 1 input ``i``.  The first probe also fills every row (m, 0) and
+    (0, m) up to ``cutoff``, all a coherent factor holds, so a table made at a
+    sweep's largest cutoff is probed once.  ``apply`` maps factors through the
+    rows; ``prepare_stages`` passes it the truncated arm's factor of every
+    branch at once, so one probe fills the rows they all need.
     """
 
     def __init__(self, circuit: Callable[[PureState, int], ScissorsResult], cutoff: int) -> None:
@@ -233,8 +235,10 @@ class TransferTable:
         self.rows: dict[Occupation, list[tuple[int, Occupation, complex]]] = {}
 
     def fill(self, inputs: list[Occupation]) -> None:
-        """Fill the rows of the distinct ``inputs`` the table lacks, from one probe."""
-        missing = [occ for occ in inputs if occ not in self.rows]
+        """Fill the rows of ``inputs`` the table lacks, from one probe."""
+        if not self.rows:
+            inputs = [*inputs, *(occ for m in range(self.cutoff + 1) for occ in ((m, 0), (0, m)))]
+        missing = list(dict.fromkeys(occ for occ in inputs if occ not in self.rows))
         if missing:
             self.cutoff = max(self.cutoff, *(max(occ) for occ in missing))
             side = self.cutoff + 1
@@ -250,7 +254,7 @@ class TransferTable:
 
     def apply(self, factors: list[Factor]) -> list[list[Factor]]:
         """Per accepted pattern, the image of each of ``factors``, in their order."""
-        self.fill(list(dict.fromkeys(occ for factor in factors for occ in factor)))
+        self.fill([occ for factor in factors for occ in factor])
         images: list[list[Factor]] = [[{} for _ in factors] for _ in range(self.patterns)]
         for i, factor in enumerate(factors):
             for occ, amp in factor.items():

@@ -36,9 +36,9 @@ from .fock import (
     FockError,
     OccKey,
     PureState,
+    _raw_state,
     add,
     coherent_tail_weight,
-    make_state,
     prune,
     scale,
     tensor,
@@ -100,12 +100,12 @@ def coherent(
             f"cutoff {cutoff} keeps tail {tail:.2e} > {tail_bound:.0e} "
             f"for amplitude {gamma}"
         )
-    entries = []
-    for n in range(cutoff + 1):
-        amp = analytics.f_n(gamma, n)
-        occ = (n, 0) if pol == H else (0, n)
-        entries.append(((occ,), amp))
-    return make_state(1, cutoff, entries)
+    # the keys are valid by construction: make_state's values, without its key checks
+    amps = {
+        ((n, 0) if pol == H else (0, n),): 0j + complex(analytics.f_n(gamma, n))
+        for n in range(cutoff + 1)
+    }
+    return _raw_state(1, cutoff, amps)
 
 
 def cat(

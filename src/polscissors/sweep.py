@@ -1,18 +1,18 @@
 """Parameter sweeps over preparation pipelines, with deterministic output.
 
 Grid cells are independent pure computations, and every sweep evaluates them
-in process, in grid order. A numeric cell costs a few milliseconds, so a
-process pool's start-up, pickling and cold per-process caches cost more than
-the cells it shares out. A sweep decides once what depends on the config
-alone: the pipeline, which routes run, the closed form's halves, the columns
-and the fixed parameters. The cells of one sweep share one closed-form source
-half per (delta, phi, t0), one cutoff per (delta, t0) and one transfer table
-per scissors method and knob, and each cell still gives, bit for bit, the
-result of running it alone. With that sharing the 625-cell ``--reference
-bell-pqs1 --backend both`` grid runs in about 0.39 s of process wall time and
-bell-pqs2's in 0.31 s, against 0.74 s and 0.44 s with the former two-worker
-pool (Python 3.11, 2 shared vCPUs). ``run_sweep`` accepts ``jobs`` only so
-that existing callers keep working, and ignores it.
+in process, in grid order: a numeric cell costs a few milliseconds, less than
+a worker process's start-up, pickling and cold caches. A sweep decides once
+what depends on the config alone: the pipeline, which routes run, the closed
+form's halves, the columns and the fixed parameters. Its cells share one
+closed-form source half and one numeric source part (the coherent factors,
+targets and their inner products) per (delta, phi, t0), one cutoff per
+(delta, t0), and one transfer table per scissors method and knob, whose one
+probe covers the sweep's largest cutoff; each cell still gives, bit for bit,
+the result of running it alone. The 625-cell ``--reference bell-pqs1
+--backend both`` grid runs in about 0.15 s of process wall time and
+bell-pqs2's in 0.08 s (Python 3.11, 2 shared vCPUs). ``run_sweep`` accepts
+``jobs`` only so that existing callers keep working, and ignores it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import analytics
 from .config import ExperimentConfig, config_echo
 from .fock import CutoffError
-from .preparations import KNOB_AXES, closed_form_halves, prepare_stages, required_cutoff
+from .preparations import KNOB_AXES, TransferTables, closed_form_halves, prepare_stages, required_cutoff
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -47,9 +47,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
     the pipeline, whether the closed form and the simulator run, the closed
     form's halves, the columns, and the fixed parameters each cell starts
     from (``config.cell_parameters``).  The cells share the source halves,
-    cutoffs and transfer tables of the module docstring, which live as long
-    as this call; one that raises is not kept, so each cell that asks for it
-    raises again.
+    source parts, cutoffs and transfer tables of the module docstring, which
+    live as long as this call; one that raises is not kept, so each cell that
+    asks for it raises again.
     """
     pipeline = config.pipeline
     analytic = config.backend in ("analytic", "both")
@@ -74,21 +74,21 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
         return cutoff
 
     if numeric:
-        # fail fast on an infeasible cutoff before burning through cells: the
-        # cutoff grows with delta and with the t0 nearest 0 or 1, so the axis
-        # endpoints' cells hold the worst of each
+        # fail fast on an infeasible cutoff before burning through cells, and
+        # make the tables at the worst cutoff: it grows with delta and with the
+        # t0 nearest 0 or 1, so the axis endpoints' cells hold the worst of each
         corners = [
             config.cell_parameters(v1, v2)
             for v1 in (config.axis1.start, config.axis1.stop)
             for v2 in (config.axis2.start, config.axis2.stop)
         ]
         worst_t0 = max((p["t0"] for p in corners), key=lambda t0: max(t0, 1.0 - t0))
-        checked_cutoff(max(p["delta"] for p in corners), worst_t0)
+        tables = TransferTables(checked_cutoff(max(p["delta"] for p in corners), worst_t0))
 
     # the closed form's halves depend on the preparation alone
     source_half, knob_half = closed_form_halves(config.preparation) if analytic else (None, None)
     knob_axes = {KNOB_AXES[method] for method in pipeline.methods}
-    sources, cutoffs, tables = {}, {}, {}
+    halves, cutoffs, parts = {}, {}, {}
     rows = []
     v2s = config.axis2.values()
     for v1 in config.axis1.values():
@@ -98,16 +98,16 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
             values: list = [v1, v2]
             try:
                 if analytic:
-                    if (delta, phi, t0) not in sources:
-                        sources[delta, phi, t0] = source_half(pipeline.method, delta, phi, t0)
-                    ana = knob_half(sources[delta, phi, t0], params[pipeline.knob_axis])
+                    if (delta, phi, t0) not in halves:
+                        halves[delta, phi, t0] = source_half(pipeline.method, delta, phi, t0)
+                    ana = knob_half(halves[delta, phi, t0], params[pipeline.knob_axis])
                     values += [ana.probability, ana.fidelity]
                 if numeric:
                     if (delta, t0) not in cutoffs:
                         cutoffs[delta, t0] = checked_cutoff(delta, t0)
                     num = prepare_stages(
-                        pipeline, delta, phi, t0, params, config.omega_split_ts,
-                        cutoff=cutoffs[delta, t0], tail_bound=config.tail_bound, tables=tables,
+                        pipeline, delta, phi, t0, params, config.omega_split_ts, cutoffs[delta, t0],
+                        config.tail_bound, tables, parts,
                     )[-1]
                     if num.probability == 0.0:
                         # the closed forms' rule, at the knob nearest an edge of (0, 1)

@@ -1,11 +1,13 @@
-"""One transfer table per scissors method and knob serves a whole sweep.
+"""One transfer table per scissors method and knob, and one source part per source point, serve a whole sweep.
 
 A table row is the heralded map of one input occupation: it must not depend
 on the occupations that shared its probe or on the probe's cutoff, so a
 sweep can share one table per (method, knob) across cells of any delta and
-still give each cell, bit for bit, the result of running it alone.  A table
-lives for one ``run_sweep`` (or one ``spot`` or ``state``) call and no
-longer.
+still give each cell, bit for bit, the result of running it alone.  Its
+first probe reaches the sweep's largest cutoff, so each table is probed
+once.  A source part holds what reads one (delta, phi, t0) alone, so the
+cells at one source point share it.  Tables and parts live for one
+``run_sweep`` (or one ``spot`` or ``state``) call and no longer.
 """
 
 import gc
@@ -14,7 +16,7 @@ from functools import partial
 
 import pytest
 
-from polscissors import cli, preparations
+from polscissors import cli, preparations, sources
 from polscissors.config import AxisSpec, ExperimentConfig
 from polscissors.preparations import prepare_stages, required_cutoff
 from polscissors.scissors import TransferTable
@@ -64,6 +66,11 @@ def _configs():
     knob = AxisSpec("t", 0.6, 0.98, 5)
     yield ExperimentConfig("omega", delta_up, knob, **omega)
     yield ExperimentConfig("omega", knob, delta_down, **omega)
+    # source points that share delta but not phi or t0, so a source part keyed
+    # on less than the whole point gives some cell another point's result
+    yield ExperimentConfig("bell-pqs1", AxisSpec("phi", 0.0, 3.0, 5), delta_up, backend="numeric", t0=0.4, t=0.9)
+    yield ExperimentConfig("hybrid-pqs2", AxisSpec("t0", 0.2, 0.8, 5), delta_down, backend="numeric", gamma_abs=0.07)
+    yield ExperimentConfig("omega", AxisSpec("t0", 0.3, 0.7, 5), delta_up, **{**omega, "t": 0.9})
 
 
 @pytest.mark.parametrize("config", list(_configs()), ids=lambda c: f"{c.preparation}-{c.axis1.name}-first")
@@ -100,6 +107,72 @@ def tables(monkeypatch):
 def _alive(made):
     gc.collect()
     return [ref for ref in made if ref() is not None]
+
+
+@pytest.fixture
+def parts(monkeypatch):
+    """Weak references to every source part the stage loop makes and to each part's factors."""
+    made = {"parts": [], "factors": []}
+    arm_factors = sources.arm_factors
+
+    class Factor(dict):
+        """A factor that takes a weak reference; equal to the plain dict it copies."""
+
+    def tracked(*args, **kwargs):
+        branches = tuple(tuple(Factor(f) for f in branch) for branch in arm_factors(*args, **kwargs))
+        made["factors"] += [weakref.ref(f) for branch in branches for f in branch]
+        return branches
+
+    class Recorded(preparations.SourcePart):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made["parts"].append(weakref.ref(self))
+
+    monkeypatch.setattr(sources, "arm_factors", tracked)
+    monkeypatch.setattr(preparations, "SourcePart", Recorded)
+    return made
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` by its arguments."""
+    calls = []
+    function = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "preparation,knob",
+    [("bell-pqs1", AxisSpec("t", 0.7, 0.95, 4)), ("hybrid-pqs2", AxisSpec("gamma_abs", 0.02, 0.2, 4))],
+    ids=["bell-pqs1", "hybrid-pqs2"],
+)
+def test_a_sweep_probes_each_table_once_and_builds_each_source_once(preparation, knob, monkeypatch):
+    # delta ascends, so every later delta needs rows past the cutoffs before it
+    config = ExperimentConfig(preparation, AxisSpec("delta", 0.6, 1.8, 4), knob, backend="both", phi=0.7)
+    assert len({required_cutoff(d, config.t0) for d in config.axis1.values()}) == 4
+    probes = _counting(monkeypatch, preparations, "_scissors")
+    builds = _counting(monkeypatch, sources, "arm_factors")
+    grid = run_sweep(config)
+    assert {row[-1] for row in grid.rows} == {STATUS_OK}
+    assert sorted(args[:2] for args in probes) == sorted((probes[0][0], k) for k in knob.values())
+    assert sorted((p.delta, p.phi, p.t0) for p, *_ in builds) == [(d, 0.7, 0.5) for d in config.axis1.values()]
+
+
+def test_a_sweep_keeps_no_source_part(parts):
+    config = ExperimentConfig(
+        "hybrid-pqs1", AxisSpec("delta", 0.6, 1.8, 4), AxisSpec("t", 0.7, 0.95, 4), backend="both", phi=0.7
+    )
+    run_sweep(config)
+    assert len(parts["parts"]) == 4 and len(parts["factors"]) == 4 * 2 * 2
+    assert _alive(parts["parts"]) == [] and _alive(parts["factors"]) == []
+    run_sweep(config)
+    assert len(parts["parts"]) == 8  # a later sweep builds its own
+    assert _alive(parts["parts"]) == [] and _alive(parts["factors"]) == []
 
 
 def test_a_sweep_shares_one_table_per_knob_and_keeps_none(tables):
