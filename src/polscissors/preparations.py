@@ -128,29 +128,25 @@ def _scissors(
     return pqs2_apply(state, mode, complex(knob), herald_first=herald_first)
 
 
-def _with(factors: tuple[Factor, ...], arm: int, factor: Factor) -> tuple[Factor, ...]:
-    return factors[:arm] + (factor,) + factors[arm + 1 :]
+def _with(per_arm: tuple, arm: int, entry) -> tuple:
+    return per_arm[:arm] + (entry,) + per_arm[arm + 1 :]
 
 
-def _overlap(bra, ket, pairs: dict) -> complex:
-    """<bra|ket> of two sums of products, from the inner products of their factors.
+def _gram(bras, kets) -> tuple[tuple[complex, ...], ...]:
+    """One arm's Gram matrix: <bras[i]|kets[j]> of its factors, bra branch by ket branch."""
+    return tuple(
+        tuple(sum((fb[occ].conjugate() * fk[occ] for occ in fb if occ in fk), 0j) for fk in kets)
+        for fb in bras
+    )
 
-    ``pairs`` keeps each factor pair's inner product by the factors' ids, and
-    the factors with it, so no id it holds is reused while it lives.
-    """
 
-    def inner(fb: Factor, fk: Factor) -> complex:
-        hit = pairs.get((id(fb), id(fk)))
-        if hit is None:
-            value = sum((fb[occ].conjugate() * fk[occ] for occ in fb if occ in fk), 0j)
-            hit = pairs[id(fb), id(fk)] = (fb, fk, value)
-        return hit[2]
-
+def _overlap(bra, ket, grams) -> complex:
+    """<bra|ket> of two sums of products: their coefficients and ``grams``, per arm the ``_gram``."""
     return sum(
         (
-            cb.conjugate() * ck * math.prod(inner(fb, fk) for fb, fk in zip(bras, kets))
-            for cb, bras in bra
-            for ck, kets in ket
+            cb.conjugate() * ck * math.prod(gram[i][j] for gram in grams)
+            for i, (cb, _) in enumerate(bra)
+            for j, (ck, _) in enumerate(ket)
         ),
         0j,
     )
@@ -160,21 +156,22 @@ class SourcePart:
     """What ``prepare_stages`` reads of one source point alone, and no knob.
 
     ``source`` is the branches (m_n, m_n e^(i phi)) on ``sources.arm_factors``'
-    factors; ``targets`` per stage count the heralded target and its squared
-    norm; ``pairs`` the factor inner products those norms read, which include
-    each stage's on its untouched arms.  It holds no image factor.
+    factors, and ``grams`` per arm the ``_gram`` of its H and V factors;
+    ``targets`` per stage count the heralded target and its squared norm, from
+    those grams with the ``sources.PHOTONS`` one on each truncated arm.
     """
 
     def __init__(self, pipeline: Pipeline, params: SourceParams, tail_bound: float) -> None:
         norm = analytics.m_n(sources.split_amplitudes(params, pipeline.n), params.phi)
         h, v = sources.arm_factors(params, pipeline.n, (), tail_bound)
         self.source = ((norm, h), (norm * cmath.exp(1j * params.phi), v))
-        self.pairs: dict = {}
+        self.grams = grams = tuple(_gram(pair, pair) for pair in zip(h, v))
         self.targets, target = [], self.source
         for arm in pipeline.arms:
             # the fidelity is scale-free, so the target reuses the source's coefficients
             target = [(c, _with(f, arm, photon)) for (c, f), photon in zip(target, sources.PHOTONS)]
-            self.targets.append((target, _overlap(target, target, self.pairs).real))
+            grams = _with(grams, arm, _gram(sources.PHOTONS, sources.PHOTONS))
+            self.targets.append((target, _overlap(target, target, grams).real))
 
 
 class TransferTables(dict):
@@ -212,17 +209,17 @@ def prepare_stages(
     scored against the plus-branch heralded target.  The next stage runs on
     the state before that correction.  The last result is the preparation's.
 
-    The state stays a sum of two products (module docstring).  Its
-    ``SourcePart`` holds what reads the source point alone: the branches and
-    the targets (a ``sources.PHOTONS`` photon on each truncated arm).  A stage
-    maps the arm's factor of each branch through its method's and knob's
-    ``TransferTable``, built herald-first by the circuit, one image per
-    accepted pattern.  Neither depends on anything else, so ``run_sweep``
-    passes one ``parts`` dict and one ``tables`` to every cell, its tables'
-    first probes at the sweep's largest cutoff; by default a call makes its
-    own.  A pattern's probability is the squared norm of its images' sum of
-    products, from the factors' inner products, each pair's computed once per
-    call or part; the first pattern that heralds is kept, renormalized.
+    The state stays a sum of two products (module docstring), beside each
+    arm's ``_gram``.  Its ``SourcePart`` holds what reads the source point
+    alone: the branches, their grams and the targets (a ``sources.PHOTONS``
+    photon on each truncated arm).  A stage maps the arm's factor of each
+    branch through its method's and knob's ``TransferTable``, built
+    herald-first by the circuit, one image per accepted pattern.  Neither
+    depends on anything else, so ``run_sweep`` passes one ``parts`` dict and
+    one ``tables`` to every cell, its tables' first probes at the sweep's
+    largest cutoff; by default a call makes its own.  A pattern's probability
+    is the state's squared norm read with its images' gram on that arm; the
+    first pattern that heralds is kept, renormalized.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
@@ -230,34 +227,35 @@ def prepare_stages(
     parts = {} if parts is None else parts
     key = (pipeline, SourceParams(delta, phi, t0, split_ts, cutoff), tail_bound)
     part = parts.get(key) or parts.setdefault(key, SourcePart(*key))
-    pairs = dict(part.pairs)  # this call's image factors join a copy, never the part
-    arms = pipeline.arms
-    state, probability, stages = part.source, 1.0, []
+    arms, state, grams, probability, stages = pipeline.arms, part.source, part.grams, 1.0, []
     for count, (arm, method) in enumerate(zip(arms, pipeline.methods), 1):
         total, kept = 0.0, None
         for images in tables[method, knobs[KNOB_AXES[method]]].apply([f[arm] for _, f in state]):
-            pattern = [
-                (c, _with(factors, arm, image)) for (c, factors), image in zip(state, images) if image
-            ]
-            weight = _overlap(pattern, pattern, pairs).real
+            pattern_grams = _with(grams, arm, _gram(images, images))
+            weight = _overlap(state, state, pattern_grams).real
             total += weight
             if kept is None and weight > 0.0:
-                kept = tuple((c / math.sqrt(weight), factors) for c, factors in pattern)
+                kept = images, weight, pattern_grams
         probability *= total
         if kept is None:
             stages.append(PrepResult(probability, 0.0))
             break
-        state = kept
+        images, weight, grams = kept
+        state = tuple((c / math.sqrt(weight), _with(f, arm, image)) for (c, f), image in zip(state, images))
         scored = state
         if count % 2:
+            # a gram term meets one occupation in bra and ket, so the flip's signs cancel in it
             first = arms[0]
             scored = tuple(
                 (c, _with(f, first, {occ: -a if occ[1] % 2 else a for occ, a in f[first].items()}))
                 for c, f in state
             )
         target, target_norm = part.targets[count - 1]
-        overlap = _overlap(target, scored, pairs)
-        norms = target_norm * _overlap(scored, scored, pairs).real
+        cross = part.grams  # the target against the scored state: a photon on each truncated arm
+        for k in arms[:count]:
+            cross = _with(cross, k, _gram(sources.PHOTONS, [f[k] for _, f in scored]))
+        overlap = _overlap(target, scored, cross)
+        norms = target_norm * _overlap(scored, scored, grams).real
         stages.append(PrepResult(probability, abs(overlap) ** 2 / norms, scored, cutoff))
     return tuple(stages)
 

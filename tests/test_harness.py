@@ -370,6 +370,26 @@ class TestSweep:
         assert payload["columns"][:2] == ["delta", "t"]
         assert len(payload["rows"]) == 6
 
+    def test_json_writes_nan_cells_as_null(self):
+        # RFC 8259 has no NaN token, so a strict parser must read every cell
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        corner = ExperimentConfig(
+            "hybrid-pqs1", AxisSpec("delta", 0.0, 0.2, 3), AxisSpec("t0", 0.4, 0.6, 3),
+            backend="both", phi=math.pi, t=0.9,
+        )
+        edges = load_config(str(Path(__file__).parent / "golden" / "bell-pqs1-edges.ini"))
+        statuses = set()
+        for config in (corner, edges):
+            grid = run_sweep(config)
+            payload = json.loads(grid_to_json(grid), parse_constant=strict)
+            assert payload["rows"] == [
+                [None if isinstance(v, float) and math.isnan(v) else v for v in row] for row in grid.rows
+            ]
+            statuses.update(row[-1] for row in grid.rows)
+        assert statuses == {"ok", "degenerate", "underflow"}
+
     def test_analytic_reference_grid_runs_fast(self):
         grid = run_sweep(reference_grid("hybrid-pqs1"))
         assert len(grid.rows) == 625

@@ -69,6 +69,17 @@ def test_the_package_declares_no_global():
     assert hits == []
 
 
+def test_the_package_calls_no_id():
+    # an object's id is reused once it dies, so no cache may key on one
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert hits == []
+
+
 SIMULATOR = ("sources.py", "scissors.py", "elements.py", "fock.py", "preparations.py")
 # the closed forms' own readers in ``preparations``: the analytic route, not the simulator
 ANALYTIC_ROUTE = ("analytic_named", "closed_form_halves")

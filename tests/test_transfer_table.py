@@ -146,6 +146,24 @@ def test_prepare_stages_matches_the_expand_route_on_omega_chains(n, delta):
     _assert_stages_agree(prepare_stages(*args), joint_stages(*args), 1e-13)
 
 
+def _any_order_chain(seed):
+    # arms in any order, such as (2, 0) or (3, 1, 2, 0), not only (1, 0) or 0..j-1
+    rng = random.Random(6000 + seed)
+    n = 3 + seed % 2
+    arms = tuple(rng.sample(range(n), rng.randint(2, n)))
+    methods = tuple(rng.choice(["pqs1", "pqs2"]) for _ in arms)
+    splits = tuple(rng.uniform(0.1, 0.9) for _ in range(n - 2))
+    knobs = {"t": rng.uniform(0.3, 0.98), "gamma_abs": rng.uniform(0.01, 0.12)}
+    delta, phi, t0 = rng.uniform(0.4, 1.6), rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 0.9)
+    return Pipeline(methods, arms, n), delta, phi, t0, knobs, splits
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_prepare_stages_matches_the_joint_route_in_any_arm_order(seed):
+    args = _any_order_chain(seed)
+    _assert_stages_agree(prepare_stages(*args), joint_stages(*args), 1e-13)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_prepare_stages_matches_the_joint_route_near_the_degenerate_point(seed):
     # the branches nearly cancel there (m_n diverges), so both routes lose
