@@ -110,10 +110,12 @@ def _bs_pair_terms(p: int, q: int, t: float) -> list[tuple[int, int, float]]:
 
 
 # Bound on the (p, q, t, cutoff) entries of the pair-term cache.  A 100-sample
-# verify run fills about 1,600 (each sample draws its own t).  A source circuit
-# at a new t0 or split ratio misses on every pair, so ``_bs_pair_terms`` builds
-# its powers once per call.  The bound keeps a longer run from growing without
-# limit.
+# verify run fills about 1,600 (each sample draws its own t).  ``apply_bs``
+# passes ``min(cutoff, p + q)``, so a pair that its cutoff does not cut shares
+# one entry across cutoffs: the source circuits' t = 0.5 splitter, run at many
+# cutoffs, misses only on pairs it has not met.  At a new t0 or split ratio
+# every pair misses, and ``_bs_pair_terms`` builds its powers once per call.
+# The bound keeps a longer run from growing without limit.
 PAIR_TERM_CACHE_SIZE = 4096
 
 
@@ -139,7 +141,11 @@ def apply_bs(
     ``amp * w_H`` then times ``w_V``, summed into its output key in input-key
     order, so the float operations and the key insertion order do not depend
     on earlier calls.  Single-polarization terms are cached per
-    (p, q, t, cutoff), at most ``PAIR_TERM_CACHE_SIZE`` entries.
+    (p, q, t, min(cutoff, p + q)), at most ``PAIR_TERM_CACHE_SIZE`` entries: a
+    cutoff of at least p + q cuts no term, so such pairs share one entry across
+    cutoffs.  Each term is summed with one dict probe: a new key stores
+    ``0j + term``, an existing one ``prev + term``, as ``get(key, 0j) + term``
+    would.
 
     ``herald``, when given, lists the ``(occ_a, occ_b)`` output pairs the
     following projection accepts on the two modes; no other output key is
@@ -160,21 +166,21 @@ def apply_bs(
         herald_h = {(occ_a[0], occ_b[0]) for occ_a, occ_b in herald}
 
     amps: dict[OccKey, complex] = {}
-    get = amps.get
+    setdefault = amps.setdefault
     for key, amp in state.amplitudes.items():
         pair = (key[a], key[b])
         rows = rows_of.get(pair)
         if rows is None:
             (pah, pav), (pbh, pbv) = pair
             rows = rows_of[pair] = []
-            for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, cutoff):
+            for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, min(cutoff, pah + pbh)):
                 if herald is not None and (nah, nbh) not in herald_h:
                     continue
                 cols = cols_of.get((nah, nbh, pav, pbv))
                 if cols is None:
                     cols = cols_of[nah, nbh, pav, pbv] = [
                         ((nah, nav), (nbh, nbv), wv)
-                        for nav, nbv, wv in _kept_pair_terms(pav, pbv, t, cutoff)
+                        for nav, nbv, wv in _kept_pair_terms(pav, pbv, t, min(cutoff, pav + pbv))
                         if herald is None or ((nah, nav), (nbh, nbv)) in herald
                     ]
                 if cols:
@@ -186,7 +192,11 @@ def apply_bs(
                 new[a] = occ_a
                 new[b] = occ_b
                 nk = tuple(new)
-                amps[nk] = get(nk, 0.0 + 0.0j) + amp_h * wv
+                term = amp_h * wv
+                first = 0j + term
+                prev = setdefault(nk, first)
+                if prev is not first:
+                    amps[nk] = prev + term
     return _raw_state(state.mode_count, cutoff, amps)
 
 

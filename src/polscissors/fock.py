@@ -96,7 +96,14 @@ def _validate_key(key: OccKey, mode_count: int, cutoff: int) -> OccKey:
 
 
 def _compact(amps: dict[OccKey, complex]) -> dict[OccKey, complex]:
-    return {k: a for k, a in amps.items() if abs(a) >= DEFAULT_TOL}
+    """Delete, in place, the amplitudes that are not at least ``DEFAULT_TOL``.
+
+    The kept keys are neither copied nor re-hashed, and keep their order.  The
+    test is ``not abs(a) >= DEFAULT_TOL``, so a NaN amplitude is dropped too.
+    """
+    for k in [k for k, a in amps.items() if not abs(a) >= DEFAULT_TOL]:
+        del amps[k]
+    return amps
 
 
 def make_state(
@@ -116,7 +123,12 @@ def make_state(
 
 
 def _raw_state(mode_count: int, cutoff: int, amps: dict[OccKey, complex]) -> PureState:
-    """Internal constructor for already-validated amplitude maps."""
+    """Internal constructor for already-validated amplitude maps.
+
+    Compacts ``amps`` in place and keeps it as the state's dict, so the caller
+    must own it: every caller builds a fresh dict, and ``add`` copies its first
+    state's amplitudes before it sums into them.
+    """
     return PureState(mode_count, cutoff, _compact(amps))
 
 
@@ -266,12 +278,23 @@ def prune(state: PureState, weight_budget: float) -> PureState:
     Uses the uniform bound |amp|^2 * key_count <= budget, so the removed weight
     is provably inside the budget without sorting.  Circuit builders use this
     to clear float-cancellation residue against their truncation-tail budget.
+
+    A key is kept when ``abs(amp) > threshold``, so a NaN amplitude is dropped.
+    The input is never mutated: when something is dropped, its dict is copied
+    (which re-hashes no key) and the dropped keys are deleted from the copy,
+    so the kept keys keep their order.  When nothing is dropped, or the budget
+    is zero, the input state itself is returned.
     """
     n = len(state.amplitudes)
     if n == 0 or weight_budget <= 0.0:
         return state
     threshold = math.sqrt(weight_budget / n)
-    amps = {k: v for k, v in state.amplitudes.items() if abs(v) > threshold}
+    drop = [k for k, v in state.amplitudes.items() if not abs(v) > threshold]
+    if not drop:
+        return state
+    amps = dict(state.amplitudes)
+    for k in drop:
+        del amps[k]
     return PureState(state.mode_count, state.cutoff, amps)
 
 

@@ -208,16 +208,18 @@ def expand(branches: Sequence[tuple[complex, Sequence[Factor]]], cutoff: int) ->
     ``reduce(add, (scale(reduce(tensor, F_b), c_b) for each b))`` with each
     factor as a single-mode state: a product is formed left to right and
     compacted as each ``tensor`` step does, then scaled and compacted.  From
-    the second branch on, each product is ``add``'s ``out.get(key, 0j) + v``
-    and is dropped when that falls below ``DEFAULT_TOL``; a new key's ``0j +
-    v`` turns a -0.0 part into +0.0.  The branches of a source or a target
-    share at most the all-vacuum key, but a pqs2 stage's share more.
+    the second branch on, each product is summed as ``add`` sums it, with one
+    dict probe: a new key stores ``0j + v``, which turns a -0.0 part into
+    +0.0, and an existing key ``prev + v``, dropped when that falls below
+    ``DEFAULT_TOL``.  The branches of a source or a target share at most the
+    all-vacuum key, but a pqs2 stage's share more.
     Refuses, with ``CutoffError``, a branch that would form more than
     ``MAX_SOURCE_PRODUCTS`` products, before it forms any.
     """
     for _, factors in branches:
         _check_branch_size(len(f) for f in factors)
     out: dict[OccKey, complex] = {}
+    setdefault = out.setdefault
     for b, (c, factors) in enumerate(branches):
         items = [[((occ,), a) for occ, a in f.items()] for f in factors]
         for ka, va in _prefix(items):
@@ -225,12 +227,17 @@ def expand(branches: Sequence[tuple[complex, Sequence[Factor]]], cutoff: int) ->
                 v = va * vb
                 if abs(v) >= DEFAULT_TOL and abs(v := v * c) >= DEFAULT_TOL:
                     key = ka + kb
-                    if b:
-                        v = out.get(key, 0j) + v
-                        if abs(v) < DEFAULT_TOL:
-                            out.pop(key, None)
-                            continue
-                    out[key] = v
+                    if not b:
+                        out[key] = v
+                        continue
+                    # abs(0j + v) == abs(v), so a new key is never dropped
+                    first = 0j + v
+                    prev = setdefault(key, first)
+                    if prev is not first:
+                        if abs(v := prev + v) < DEFAULT_TOL:
+                            del out[key]
+                        else:
+                            out[key] = v
     return PureState(len(branches[0][1]), cutoff, out)
 
 

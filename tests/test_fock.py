@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -11,6 +12,7 @@ from polscissors.fock import (
     PureState,
     ShapeMismatchError,
     ZeroNormError,
+    add,
     coherent_tail_weight,
     dump_lines,
     fidelity,
@@ -20,6 +22,7 @@ from polscissors.fock import (
     normalize,
     permute_modes,
     project_number,
+    prune,
     scale,
     tensor,
     vacuum,
@@ -27,7 +30,7 @@ from polscissors.fock import (
 from polscissors.sources import coherent
 
 from conftest import parse_dump, random_state
-from test_kernel_oracles import assert_projection_contract
+from test_kernel_oracles import assert_projection_contract, hex_items
 
 
 def ket(key, cutoff=4):
@@ -322,3 +325,104 @@ def test_compaction_projection_drift(rng):
             p_raw = project_number(raw, [(0, (nh, nv))]).probability
             p_cmp = project_number(compacted, [(0, (nh, nv))]).probability
             assert abs(p_raw - p_cmp) <= bound
+
+
+NAN = float("nan")
+
+
+def odd_amps(seed, modes=2, cutoff=5, count=30):
+    """Seeded amplitudes over 1e-17..1 in magnitude, with NaN and -0.0 parts."""
+    rng = random.Random(seed)
+    amps = {}
+    while len(amps) < count:
+        key = tuple((rng.randint(0, cutoff), rng.randint(0, cutoff)) for _ in range(modes))
+        mag = 10.0 ** rng.uniform(-17.0, 0.0)
+        amps[key] = complex(rng.gauss(0, 1) * mag, rng.gauss(0, 1) * mag)
+    keys = list(amps)
+    rng.shuffle(keys)
+    amps[keys[0]] = complex(NAN, 0.25)
+    amps[keys[1]] = complex(0.5, -0.0)
+    amps[keys[2]] = complex(-0.0, -0.0)
+    amps[keys[3]] = complex(-0.0, 3e-15)
+    amps[keys[4]] = complex(0.125, NAN)
+    return amps
+
+
+def hex_dict(amps):
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in amps.items()]
+
+
+def compact_reference(amps):
+    """The comprehension every constructor used to build its output with."""
+    return {k: a for k, a in amps.items() if abs(a) >= DEFAULT_TOL}
+
+
+class TestPrune:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("budget", [1e-28, 1e-12, 1e-4])
+    def test_matches_the_plain_comprehension_and_keeps_its_input(self, seed, budget):
+        amps = odd_amps(seed)
+        before = hex_dict(amps)
+        state = PureState(2, 5, amps)
+        out = prune(state, budget)
+        threshold = math.sqrt(budget / len(amps))
+        want = {k: v for k, v in amps.items() if abs(v) > threshold}
+        assert hex_items(out) == hex_dict(want)
+        assert state.amplitudes is amps and hex_dict(amps) == before
+        # a NaN amplitude is dropped and carries no weight to compare
+        dropped = [abs(v) ** 2 for k, v in amps.items() if k not in want and not cmath.isnan(v)]
+        assert math.fsum(dropped) <= budget
+
+    def test_a_zero_budget_or_nothing_to_drop_returns_the_input(self):
+        state = PureState(2, 5, odd_amps(0))
+        assert prune(state, 0.0) is state
+        # smallest magnitude here is 1e-17; the threshold is about 1e-151
+        clean = make_state(2, 5, [(k, v) for k, v in odd_amps(1).items() if not cmath.isnan(v)])
+        before = hex_items(clean)
+        assert prune(clean, 1e-300) is clean and hex_items(clean) == before
+
+
+class TestConstructorsOwnTheirOutput:
+    """Each constructor compacts a dict of its own, never an input's."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_add_scale_tensor_normalize_leave_their_inputs(self, seed):
+        x = PureState(2, 5, odd_amps(seed))
+        y = PureState(2, 5, odd_amps(seed + 10))
+        z = PureState(1, 5, odd_amps(seed + 20, modes=1, count=12))
+        clean = PureState(2, 5, {k: v for k, v in odd_amps(seed + 30).items() if not cmath.isnan(v)})
+        inputs = (x, y, z, clean)
+        before = [hex_items(s) for s in inputs]
+
+        def added(a, b):
+            amps = dict(a.amplitudes)
+            for k, v in b.amplitudes.items():
+                amps[k] = amps.get(k, 0.0 + 0.0j) + v
+            return amps
+
+        minus_x = scale(x, -1)
+        cases = [
+            (add(x, y), added(x, y)),
+            (add(x, minus_x), added(x, minus_x)),
+            (scale(y, 0.5 - 2j), {k: v * (0.5 - 2j) for k, v in y.amplitudes.items()}),
+            (scale(y, 1e-16), {k: v * 1e-16 for k, v in y.amplitudes.items()}),
+            (tensor(x, z), {ka + kb: va * vb for ka, va in x.amplitudes.items() for kb, vb in z.amplitudes.items()}),
+            (normalize(clean), {k: v / clean.norm() for k, v in clean.amplitudes.items()}),
+            (normalize(x), {k: v / x.norm() for k, v in x.amplitudes.items()}),
+        ]
+        for got, raw in cases:
+            assert hex_items(got) == hex_dict(compact_reference(raw))
+        assert hex_items(add(x, minus_x)) == []
+        assert [hex_items(s) for s in inputs] == before
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_make_state_accumulates_then_compacts(self, seed):
+        amps = odd_amps(seed)
+        entries = list(amps.items()) + [(k, -v) for k, v in list(amps.items())[::3]]
+        before = [(k, v.real.hex(), v.imag.hex()) for k, v in entries]
+        raw = {}
+        for k, v in entries:
+            raw[k] = raw.get(k, 0.0 + 0.0j) + complex(v)
+        assert hex_items(make_state(2, 5, entries)) == hex_dict(compact_reference(raw))
+        assert [(k, v.real.hex(), v.imag.hex()) for k, v in entries] == before
+        assert hex_dict(amps) == before[: len(amps)]

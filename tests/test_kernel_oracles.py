@@ -234,6 +234,21 @@ class TestPairTermCache:
         for (spec, state), want in zip(calls, expected):
             assert hex_items(apply_bs(state, spec)) == want
 
+    @pytest.mark.parametrize("t", [0.5, 0.37])
+    def test_a_cutoff_that_cuts_no_term_shares_the_entries(self, t):
+        # every per-polarization photon total p + q is at most 4, so cutoffs 4
+        # and 9 cut no term: the second call reads only the first one's entries
+        spec = BeamSplitterSpec(t, 0, 1)
+        small, large = (random_state(random.Random(7), 3, cutoff) for cutoff in (4, 9))
+        elements._kept_pair_terms.cache_clear()
+        apply_bs(small, spec)
+        misses = elements._kept_pair_terms.cache_info().misses
+        assert misses > 0
+        out = apply_bs(large, spec)
+        assert elements._kept_pair_terms.cache_info().misses == misses
+        want = apply_bs_reference(large, spec)
+        assert hex_items(out) == [(k, v.real.hex(), v.imag.hex()) for k, v in want.items()]
+
 
 def bs_pair_terms_reference(p, q, t):
     """The plain double loop: every power and binomial recomputed per (i, j)."""
