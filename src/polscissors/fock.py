@@ -11,6 +11,7 @@ All operations are pure functions; states are treated as immutable once built.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -34,6 +35,8 @@ MAX_SOURCE_PRODUCTS = 2_000_000
 
 Occupation = tuple[int, int]
 OccKey = tuple[Occupation, ...]
+# A single-mode factor of a product state: occupation to amplitude.
+Factor = dict[Occupation, complex]
 
 
 class FockError(ValueError):
@@ -98,11 +101,12 @@ def _validate_key(key: OccKey, mode_count: int, cutoff: int) -> OccKey:
 def _compact(amps: dict[OccKey, complex]) -> dict[OccKey, complex]:
     """Delete, in place, the amplitudes that are not at least ``DEFAULT_TOL``.
 
-    The kept keys are neither copied nor re-hashed, and keep their order.  The
-    test is ``not abs(a) >= DEFAULT_TOL``, so a NaN amplitude is dropped too.
+    The kept keys are neither copied nor re-hashed, and keep their order; a NaN
+    raises ``FockError``, since an internal error must not read as a result.
     """
     for k in [k for k, a in amps.items() if not abs(a) >= DEFAULT_TOL]:
-        del amps[k]
+        if cmath.isnan(amps.pop(k)):
+            raise FockError(f"NaN amplitude at key {k}")
     return amps
 
 
@@ -279,11 +283,11 @@ def prune(state: PureState, weight_budget: float) -> PureState:
     is provably inside the budget without sorting.  Circuit builders use this
     to clear float-cancellation residue against their truncation-tail budget.
 
-    A key is kept when ``abs(amp) > threshold``, so a NaN amplitude is dropped.
-    The input is never mutated: when something is dropped, its dict is copied
-    (which re-hashes no key) and the dropped keys are deleted from the copy,
-    so the kept keys keep their order.  When nothing is dropped, or the budget
-    is zero, the input state itself is returned.
+    A key is kept when ``abs(amp) > threshold``; a NaN fails it and raises
+    ``FockError``.  The input is never mutated: when something is dropped, its
+    dict is copied (which re-hashes no key) and the dropped keys are deleted
+    from the copy, so the kept keys keep their order.  When nothing is
+    dropped, or the budget is zero, the input state itself is returned.
     """
     n = len(state.amplitudes)
     if n == 0 or weight_budget <= 0.0:
@@ -294,7 +298,8 @@ def prune(state: PureState, weight_budget: float) -> PureState:
         return state
     amps = dict(state.amplitudes)
     for k in drop:
-        del amps[k]
+        if cmath.isnan(amps.pop(k)):
+            raise FockError(f"NaN amplitude at key {k}")
     return PureState(state.mode_count, state.cutoff, amps)
 
 

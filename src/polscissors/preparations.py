@@ -12,22 +12,21 @@ products, c_H (x)_k |+gamma_k, H> + c_V (x)_k |-gamma_k, V>, and every scissors
 stage is a linear map on one arm, so every state the stage loop holds is a sum
 of at most two products: per branch a coefficient and one single-mode factor
 per arm.  Its cost grows with the arm count, not with the size of the joint
-Fock space, so no source size limit applies.  ``sources.arm_factors`` builds
-the source's factors, the ones ``lambda_state`` dumps, and a ``PrepResult``
-expands its state with ``sources.expand`` only when that is read.
+Fock space, so no source size limit applies.  ``sources.source_branches``
+builds the source's two branches, the ones ``lambda_state`` dumps, and a
+``PrepResult`` expands its state with ``sources.expand`` only when that is read.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import analytics, sources
 from .elements import apply_pol_phase
-from .fock import DEFAULT_TAIL_BOUND, V, PureState, fidelity, min_cutoff
-from .scissors import Factor, ScissorsResult, TransferTable, pqs1_apply, pqs2_apply
+from .fock import DEFAULT_TAIL_BOUND, V, Factor, PureState, fidelity, min_cutoff
+from .scissors import ScissorsResult, TransferTable, pqs1_apply, pqs2_apply
 from .sources import SourceParams
 
 # Sweep axis of each scissors method's knob: pqs1 transmissivity, pqs2 squeezing |gamma|.
@@ -155,16 +154,15 @@ def _overlap(bra, ket, grams) -> complex:
 class SourcePart:
     """What ``prepare_stages`` reads of one source point alone, and no knob.
 
-    ``source`` is the branches (m_n, m_n e^(i phi)) on ``sources.arm_factors``'
-    factors, and ``grams`` per arm the ``_gram`` of its H and V factors;
-    ``targets`` per stage count the heralded target and its squared norm, from
-    those grams with the ``sources.PHOTONS`` one on each truncated arm.
+    ``source`` is ``sources.source_branches``: the branches (m_n, m_n e^(i phi))
+    on the arms' H and V factors.  ``grams`` per arm is the ``_gram`` of those
+    two factors; ``targets`` per stage count the heralded target and its squared
+    norm, from those grams with the ``sources.PHOTONS`` one on each truncated arm.
     """
 
     def __init__(self, pipeline: Pipeline, params: SourceParams, tail_bound: float) -> None:
-        norm = analytics.m_n(sources.split_amplitudes(params, pipeline.n), params.phi)
-        h, v = sources.arm_factors(params, pipeline.n, (), tail_bound)
-        self.source = ((norm, h), (norm * cmath.exp(1j * params.phi), v))
+        self.source = sources.source_branches(params, pipeline.n, tail_bound)
+        (_, h), (_, v) = self.source
         self.grams = grams = tuple(_gram(pair, pair) for pair in zip(h, v))
         self.targets, target = [], self.source
         for arm in pipeline.arms:

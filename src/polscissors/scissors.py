@@ -38,11 +38,11 @@ from typing import Callable
 from .fock import (
     H,
     V,
+    Factor,
     FockError,
     Occupation,
     ProjectionOutcome,
     PureState,
-    fidelity,
     make_state,
     normalize,
     permute_modes,
@@ -69,23 +69,12 @@ class ScissorsResult:
     not normalized (None when the pattern heralds nothing).
     ``total_probability`` sums the pattern probabilities; ``canonical_state``
     is the shared corrected conditional state, normalized (None when nothing is
-    heralded); ``pattern_agreement`` is the minimum pairwise fidelity among the
-    corrected pattern states, computed from ``outcomes`` when it is read; it
-    reads 1 for a result that lists no ``outcomes``.
+    heralded).
     """
 
     outcomes: tuple[ProjectionOutcome, ...]
     total_probability: float
     canonical_state: PureState | None
-
-    @property
-    def pattern_agreement(self) -> float:
-        states = [o.state for o in self.outcomes if o.state is not None]
-        worst = 1.0
-        for i in range(len(states)):
-            for j in range(i + 1, len(states)):
-                worst = min(worst, fidelity(states[i], states[j]))
-        return worst
 
 
 def _kept_mode_back(state: PureState, mode: int) -> PureState:
@@ -203,10 +192,6 @@ def pqs2_apply(
     outcome = project_number(work, [(mode, signal)])
     kept = None if outcome.state is None else _kept_mode_back(outcome.state, mode)
     return _assemble([(outcome.probability, kept)])
-
-
-# A single-mode factor of a product state: occupation to amplitude.
-Factor = dict[Occupation, complex]
 
 
 class TransferTable:

@@ -6,12 +6,13 @@ actual preparation optics (balanced splitter, half-wave plate, polarizing
 merge, final split).  The two must agree to high fidelity; tests enforce it.
 
 The direct route is a sum of two products, c_H (x)_k F_{H,k} + c_V (x)_k F_{V,k}.
-``arm_factors`` is the one builder of its single-mode factors, and ``expand``
-the one writer of a sum of products as a joint state: one pass per branch
-into one output dict, bit for bit the ``tensor``/``scale``/``add``
+``arm_factors`` is the one builder of its single-mode factors,
+``source_branches`` of the source's two branches (coefficients and factors),
+and ``expand`` the one writer of a sum of products as a joint state: one pass
+per branch into one output dict, bit for bit the ``tensor``/``scale``/``add``
 composition.  The second branch adds into the first's keys as ``add`` does;
 a source's or a target's branches share only the all-vacuum key.  The
-preparations' stage loop holds the same factors and expands its heralded
+preparations' stage loop holds the same branches and expands its heralded
 states with the same function.  Both routes refuse, with ``CutoffError``, a
 source whose branch would form more than ``fock.MAX_SOURCE_PRODUCTS``
 amplitude products.  The limit guards the ``lambda``, ``lambda-circuit`` and
@@ -33,6 +34,7 @@ from .fock import (
     H,
     MAX_SOURCE_PRODUCTS,
     CutoffError,
+    Factor,
     FockError,
     OccKey,
     PureState,
@@ -45,7 +47,6 @@ from .fock import (
     vacuum,
 )
 from .elements import BeamSplitterSpec, apply_bs, apply_hwp, apply_pbs
-from .scissors import Factor
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -171,6 +172,14 @@ def arm_factors(
     return tuple(h_arms), tuple(v_arms)
 
 
+def source_branches(params: SourceParams, n: int, tail_bound: float = DEFAULT_TAIL_BOUND) -> tuple:
+    """The n-arm source's two branches: (m_n, H factors) and (m_n e^(i phi), V factors)."""
+    # m_n first, so a degenerate source raises before any factor is built
+    norm = analytics.m_n(split_amplitudes(params, n), params.phi)
+    h, v = arm_factors(params, n, (), tail_bound)
+    return (norm, h), (norm * cmath.exp(1j * params.phi), v)
+
+
 def _check_branch_size(sizes: Iterable[int]) -> None:
     """Refuse a branch that multiplies more than ``MAX_SOURCE_PRODUCTS`` products.
 
@@ -276,10 +285,8 @@ def xi_circuit(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> 
 def lambda_state(
     params: SourceParams, n: int, tail_bound: float = DEFAULT_TAIL_BOUND
 ) -> PureState:
-    """n-arm entangled coherent source from its closed form: ``expand`` of ``arm_factors``."""
-    norm = analytics.m_n(split_amplitudes(params, n), params.phi)
-    h, v = arm_factors(params, n, (), tail_bound)
-    return expand(((norm, h), (norm * cmath.exp(1j * params.phi), v)), params.cutoff)
+    """n-arm entangled coherent source from its closed form: ``expand`` of ``source_branches``."""
+    return expand(source_branches(params, n, tail_bound), params.cutoff)
 
 
 def lambda_circuit(

@@ -7,12 +7,13 @@ what depends on the config alone: the pipeline, which routes run, the closed
 form's halves, the columns and the fixed parameters. Its cells share one
 closed-form source half and one numeric source part (the coherent factors,
 targets and each arm's Gram matrix) per (delta, phi, t0), one cutoff per
-(delta, t0), and one transfer table per scissors method and knob, whose one
-probe covers the sweep's largest cutoff; each cell still gives, bit for bit,
-the result of running it alone. The 625-cell ``--reference bell-pqs1
---backend both`` grid runs in about 0.10 s in process and bell-pqs2's in
-0.06 s (best of 7; Python 3.11, 2 shared vCPUs). ``run_sweep`` accepts
-``jobs`` only so that existing callers keep working, and ignores it.
+(delta, t0), computed from the cells before the first, and one transfer table
+per scissors method and knob, whose one probe covers the largest cutoff; each
+cell still gives, bit for bit, the result of running it alone. The 625-cell
+``--reference bell-pqs1 --backend both`` grid runs in about 0.10 s in process
+and bell-pqs2's in 0.06 s (best of 7; Python 3.11, 2 shared vCPUs).
+``run_sweep`` accepts ``jobs`` only so that existing callers keep working,
+and ignores it.
 """
 
 from __future__ import annotations
@@ -46,10 +47,12 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
     What depends on the config alone is decided once, before the first cell:
     the pipeline, whether the closed form and the simulator run, the closed
     form's halves, the columns, and the fixed parameters each cell starts
-    from (``config.cell_parameters``).  The cells share the source halves,
-    source parts, cutoffs and transfer tables of the module docstring, which
-    live as long as this call; one that raises is not kept, so each cell that
-    asks for it raises again.
+    from (``config.cell_parameters``).  So is each numeric cell's cutoff, one
+    ``required_cutoff`` call per distinct (delta, t0), in grid order; if the
+    largest exceeds ``max_cutoff``, no cell runs.  The cells share the source
+    halves, source parts, cutoffs and transfer tables of the module docstring,
+    which live as long as this call; one that raises is not kept, so each cell
+    that asks for it raises again.
     """
     pipeline = config.pipeline
     analytic = config.backend in ("analytic", "both")
@@ -65,33 +68,27 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
         columns.append("count_rate")
     columns.append("status")
 
-    def checked_cutoff(delta: float, t0: float) -> int:
-        cutoff = required_cutoff(delta, t0, config.tail_bound)
-        if cutoff > config.max_cutoff:
-            raise CutoffError(
-                f"delta = {delta} needs cutoff {cutoff} > max_cutoff {config.max_cutoff}"
-            )
-        return cutoff
-
+    v1s, v2s = config.axis1.values(), config.axis2.values()
+    halves, cutoffs, parts = {}, {}, {}
     if numeric:
-        # fail fast on an infeasible cutoff before burning through cells, and
-        # make the tables at the worst cutoff: it grows with delta and with the
-        # t0 nearest 0 or 1, so the axis endpoints' cells hold the worst of each
-        corners = [
-            config.cell_parameters(v1, v2)
-            for v1 in (config.axis1.start, config.axis1.stop)
-            for v2 in (config.axis2.start, config.axis2.stop)
-        ]
-        worst_t0 = max((p["t0"] for p in corners), key=lambda t0: max(t0, 1.0 - t0))
-        tables = TransferTables(checked_cutoff(max(p["delta"] for p in corners), worst_t0))
+        # an infeasible cutoff fails the sweep before any cell runs
+        for v1 in v1s:
+            for v2 in v2s:
+                params = config.cell_parameters(v1, v2)
+                key = params["delta"], params["t0"]
+                if key not in cutoffs:
+                    cutoffs[key] = required_cutoff(*key, config.tail_bound)
+        # of the cells that need the largest cutoff, the error names the largest delta
+        (delta, _), cutoff = max(cutoffs.items(), key=lambda item: (item[1], item[0][0]))
+        if cutoff > config.max_cutoff:
+            raise CutoffError(f"delta = {delta} needs cutoff {cutoff} > max_cutoff {config.max_cutoff}")
+        tables = TransferTables(cutoff)
 
     # the closed form's halves depend on the preparation alone
     source_half, knob_half = closed_form_halves(config.preparation) if analytic else (None, None)
     knob_axes = {KNOB_AXES[method] for method in pipeline.methods}
-    halves, cutoffs, parts = {}, {}, {}
     rows = []
-    v2s = config.axis2.values()
-    for v1 in config.axis1.values():
+    for v1 in v1s:
         for v2 in v2s:
             params = config.cell_parameters(v1, v2)
             delta, phi, t0 = params["delta"], params["phi"], params["t0"]
@@ -103,8 +100,6 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                     ana = knob_half(halves[delta, phi, t0], params[pipeline.knob_axis])
                     values += [ana.probability, ana.fidelity]
                 if numeric:
-                    if (delta, t0) not in cutoffs:
-                        cutoffs[delta, t0] = checked_cutoff(delta, t0)
                     num = prepare_stages(
                         pipeline, delta, phi, t0, params, config.omega_split_ts, cutoffs[delta, t0],
                         config.tail_bound, tables, parts,

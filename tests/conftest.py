@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from polscissors import analytics, preparations
-from polscissors.fock import FockError, OccKey, ShapeMismatchError, _raw_state, make_state, normalize
+from polscissors.fock import FockError, OccKey, ShapeMismatchError, _raw_state, fidelity, make_state, normalize
 from polscissors.preparations import HYBRID_ARMS, KNOB_AXES, Pipeline, prepare_stages, required_cutoff
 from polscissors.scissors import ScissorsResult, TransferTable
 from polscissors.sources import SourceParams, heralded_target, lambda_state
@@ -118,6 +118,12 @@ def apply_table(table: TransferTable, state, mode: int) -> ScissorsResult:
         if canonical is None:
             canonical = normalize(kept)
     return ScissorsResult((), total, canonical)
+
+
+def pattern_agreement(result: ScissorsResult) -> float:
+    """The least pairwise fidelity of ``result``'s non-empty outcome states; 1.0 when there are none."""
+    states = [o.state for o in result.outcomes if o.state is not None]
+    return min((fidelity(a, b) for i, a in enumerate(states) for b in states[i + 1 :]), default=1.0)
 
 
 def joint_stages(pipeline, delta, phi, t0, knobs, split_ts=()):

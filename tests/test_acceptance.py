@@ -30,7 +30,7 @@ from polscissors.sources import SourceParams, lambda_circuit, lambda_state, xi_c
 from polscissors.sweep import run_sweep
 from polscissors.verify import run_spot, run_verify
 
-from conftest import prepare_hybrid, random_state
+from conftest import pattern_agreement, prepare_hybrid, random_state
 from squeezer_oracle import apply_squeezer_series, gamma_from_xi
 
 
@@ -204,7 +204,7 @@ def test_c7_pattern_agreement():
         qs = qs_apply(state, 0, "H" if index % 2 else "V", t)
         pqs = pqs1_apply(state, 0, t)
         assert len(pqs.outcomes) == 4
-        worst = min(worst, qs.pattern_agreement, pqs.pattern_agreement)
+        worst = min(worst, pattern_agreement(qs), pattern_agreement(pqs))
     report("criterion 7 pattern agreement", worst >= 1 - 1e-9, f"min agreement = {worst:.12f}")
     assert worst >= 1 - 1e-9
 

@@ -27,6 +27,7 @@ from polscissors.analytics import (
     xi_coefficients,
 )
 from polscissors.config import AxisSpec, ExperimentConfig
+from polscissors.fock import CutoffError
 from polscissors.preparations import PIPELINES, analytic_named, closed_form_halves
 from polscissors.sweep import STATUS_DEGENERATE, STATUS_OK, STATUS_UNDERFLOW, run_sweep
 
@@ -199,21 +200,40 @@ def test_a_raising_source_half_is_asked_again_by_each_of_its_cells(source_halves
     assert len(source_halves) == 3 + 4  # the other four deltas once each
 
 
+def _cutoffs_before_cells(monkeypatch):
+    """Log each ``required_cutoff`` call's (delta, t0) and each cell's ``prepare_stages`` call, in order."""
+    events = []
+
+    def cutoff(delta, t0, tail_bound):
+        events.append((delta, t0))
+        return required_cutoff(delta, t0, tail_bound)
+
+    def cell(*args):
+        events.append("cell")
+        return prepare_stages(*args)
+
+    required_cutoff, prepare_stages = sweep.required_cutoff, sweep.prepare_stages
+    monkeypatch.setattr(sweep, "required_cutoff", cutoff)
+    monkeypatch.setattr(sweep, "prepare_stages", cell)
+    return events
+
+
+def _asked_before_the_first_cell(events):
+    """The (delta, t0) of every cutoff call, after checking that all come before the first cell."""
+    first_cell = events.index("cell")
+    assert all(e == "cell" for e in events[first_cell:])
+    return events[:first_cell]
+
+
 def test_a_sweep_looks_up_one_cutoff_per_delta_and_t0(monkeypatch):
-    asked = []
-
-    def counting(delta, t0, tail_bound):
-        asked.append((delta, t0))
-        return original(delta, t0, tail_bound)
-
-    original = sweep.required_cutoff
-    monkeypatch.setattr(sweep, "required_cutoff", counting)
+    events = _cutoffs_before_cells(monkeypatch)
     config = ExperimentConfig(
         "hybrid-pqs1", AxisSpec("t", 0.6, 0.9, 3), AxisSpec("delta", 0.6, 1.0, 3), backend="numeric"
     )
     run_sweep(config)
-    # one fail-fast check over the whole grid, then one lookup per delta
-    assert asked[1:] == [(delta, 0.5) for delta in config.axis2.values()]
+    # one call per distinct (delta, t0) of the cells, in grid order, before any cell runs
+    assert _asked_before_the_first_cell(events) == [(delta, 0.5) for delta in config.axis2.values()]
+    assert events.count("cell") == 9
 
 
 @pytest.mark.parametrize(
@@ -232,19 +252,32 @@ def test_a_sweep_looks_up_one_cutoff_per_delta_and_t0(monkeypatch):
     ids=["fixed-delta", "fixed-t0"],
 )
 def test_the_fail_fast_cutoff_check_reads_the_cells_parameters(name, axis1, axis2, fixed, monkeypatch):
-    asked = []
-
-    def counting(delta, t0, tail_bound):
-        asked.append((delta, t0))
-        return original(delta, t0, tail_bound)
-
-    original = sweep.required_cutoff
-    monkeypatch.setattr(sweep, "required_cutoff", counting)
+    events = _cutoffs_before_cells(monkeypatch)
     config = ExperimentConfig(name, axis1, axis2, backend="numeric", **fixed)
     grid = run_sweep(config)
     assert [row[-1] for row in grid.rows] == [STATUS_OK] * 4
-    worst = (axis1.stop, 0.4 if axis2.name == "t0" else fixed.get("t0", 0.5))
-    assert asked[0] == worst
+
+    def source_point(v1, v2):
+        point = {"t0": 0.5, **fixed, axis1.name: v1, axis2.name: v2}
+        return point["delta"], point["t0"]
+
+    cells = [source_point(v1, v2) for v1 in axis1.values() for v2 in axis2.values()]
+    asked = _asked_before_the_first_cell(events)
+    assert asked == list(dict.fromkeys(cells))
+    assert all(delta != 30.0 and t0 != 1.0 for delta, t0 in asked)
+
+
+def test_an_infeasible_sweep_names_the_largest_delta_of_the_largest_cutoff(monkeypatch):
+    # delta 1.99, 1.995 and 2.0 all need cutoff 29 at t0 0.3 and 0.7, so the
+    # message names 2.0, as it did when only the axis endpoints were checked
+    events = _cutoffs_before_cells(monkeypatch)
+    config = ExperimentConfig(
+        "bell-pqs1", AxisSpec("delta", 1.99, 2.0, 3), AxisSpec("t0", 0.3, 0.7, 3),
+        backend="numeric", t=0.9, max_cutoff=20,
+    )
+    with pytest.raises(CutoffError, match=r"^delta = 2\.0 needs cutoff 29 > max_cutoff 20$"):
+        run_sweep(config)
+    assert len(events) == 9 and "cell" not in events
 
 
 def test_a_sweep_looks_up_the_closed_form_halves_once(monkeypatch):

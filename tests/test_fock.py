@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polscissors.fock import (
     DEFAULT_TOL,
     CutoffError,
+    FockError,
     PureState,
     ShapeMismatchError,
     ZeroNormError,
@@ -348,6 +349,11 @@ def odd_amps(seed, modes=2, cutoff=5, count=30):
     return amps
 
 
+def finite_amps(seed, **kwargs):
+    """``odd_amps`` without its two NaN keys: the constructors raise on a NaN."""
+    return {k: v for k, v in odd_amps(seed, **kwargs).items() if not cmath.isnan(v)}
+
+
 def hex_dict(amps):
     return [(k, v.real.hex(), v.imag.hex()) for k, v in amps.items()]
 
@@ -361,7 +367,7 @@ class TestPrune:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("budget", [1e-28, 1e-12, 1e-4])
     def test_matches_the_plain_comprehension_and_keeps_its_input(self, seed, budget):
-        amps = odd_amps(seed)
+        amps = finite_amps(seed)
         before = hex_dict(amps)
         state = PureState(2, 5, amps)
         out = prune(state, budget)
@@ -369,8 +375,7 @@ class TestPrune:
         want = {k: v for k, v in amps.items() if abs(v) > threshold}
         assert hex_items(out) == hex_dict(want)
         assert state.amplitudes is amps and hex_dict(amps) == before
-        # a NaN amplitude is dropped and carries no weight to compare
-        dropped = [abs(v) ** 2 for k, v in amps.items() if k not in want and not cmath.isnan(v)]
+        dropped = [abs(v) ** 2 for k, v in amps.items() if k not in want]
         assert math.fsum(dropped) <= budget
 
     def test_a_zero_budget_or_nothing_to_drop_returns_the_input(self):
@@ -387,10 +392,10 @@ class TestConstructorsOwnTheirOutput:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_add_scale_tensor_normalize_leave_their_inputs(self, seed):
-        x = PureState(2, 5, odd_amps(seed))
-        y = PureState(2, 5, odd_amps(seed + 10))
-        z = PureState(1, 5, odd_amps(seed + 20, modes=1, count=12))
-        clean = PureState(2, 5, {k: v for k, v in odd_amps(seed + 30).items() if not cmath.isnan(v)})
+        x = PureState(2, 5, finite_amps(seed))
+        y = PureState(2, 5, finite_amps(seed + 10))
+        z = PureState(1, 5, finite_amps(seed + 20, modes=1, count=12))
+        clean = PureState(2, 5, finite_amps(seed + 30))
         inputs = (x, y, z, clean)
         before = [hex_items(s) for s in inputs]
 
@@ -417,7 +422,7 @@ class TestConstructorsOwnTheirOutput:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_make_state_accumulates_then_compacts(self, seed):
-        amps = odd_amps(seed)
+        amps = finite_amps(seed)
         entries = list(amps.items()) + [(k, -v) for k, v in list(amps.items())[::3]]
         before = [(k, v.real.hex(), v.imag.hex()) for k, v in entries]
         raw = {}
@@ -426,3 +431,33 @@ class TestConstructorsOwnTheirOutput:
         assert hex_items(make_state(2, 5, entries)) == hex_dict(compact_reference(raw))
         assert [(k, v.real.hex(), v.imag.hex()) for k, v in entries] == before
         assert hex_dict(amps) == before[: len(amps)]
+
+
+class TestNanFailsLoudly:
+    """A NaN amplitude raises ``FockError`` naming a key; it is never dropped as if small."""
+
+    def test_a_one_key_nan_state_is_refused_not_empty(self):
+        with pytest.raises(FockError, match=r"^NaN amplitude at key \(\(0, 0\),\)$"):
+            make_state(1, 2, [(((0, 0),), NAN)])
+
+    @pytest.mark.parametrize("name", ["make_state", "add", "scale", "tensor", "normalize", "prune"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_constructor_raises_on_a_nan(self, name, seed):
+        amps = odd_amps(seed)
+        nan_keys = {k for k, v in amps.items() if cmath.isnan(v)}
+        x = PureState(2, 5, amps)
+        clean = PureState(2, 5, finite_amps(seed + 10))
+        z = PureState(1, 5, finite_amps(seed + 20, modes=1, count=12))
+        calls = {
+            "make_state": (lambda: make_state(2, 5, amps.items()), nan_keys),
+            "add": (lambda: add(clean, x), nan_keys),
+            "scale": (lambda: scale(x, 0.5 - 2j), nan_keys),
+            "tensor": (lambda: tensor(x, z), {ka + kb for ka in nan_keys for kb in z.amplitudes}),
+            # the norm is NaN, so every amplitude of the output is
+            "normalize": (lambda: normalize(x), set(amps)),
+            "prune": (lambda: prune(x, 1e-12), nan_keys),
+        }
+        call, named = calls[name]
+        with pytest.raises(FockError) as excinfo:
+            call()
+        assert str(excinfo.value) in {f"NaN amplitude at key {k}" for k in named}

@@ -1,6 +1,5 @@
 import cmath
 import math
-import random
 
 import pytest
 
@@ -19,7 +18,7 @@ from polscissors.scissors import TransferTable, pqs1_apply, pqs2_apply, qs_apply
 from polscissors.sources import SourceParams, coherent, xi_direct
 
 import conftest
-from conftest import apply_table, random_polarized_coeffs, random_state
+from conftest import apply_table, pattern_agreement, random_polarized_coeffs, random_state
 
 
 def ket(key, cutoff=6):
@@ -176,7 +175,7 @@ class TestPqs1:
             coeffs = random_polarized_coeffs(rng)
             state = make_state(1, 6, [(((occ),), a) for occ, a in coeffs.items()])
             result = pqs1_apply(state, 0, 0.61)
-            assert result.pattern_agreement >= 1 - 1e-9
+            assert pattern_agreement(result) >= 1 - 1e-9
 
     def test_truncated_support(self, rng):
         from polscissors.fock import add, scale
@@ -381,27 +380,11 @@ def test_table_application_normalizes_one_branch_and_compares_none(method, knob,
         raise AssertionError("a table application compared its pattern states")
 
     monkeypatch.setattr(conftest, "normalize", counted)
-    monkeypatch.setattr(scissors, "fidelity", refuse)
+    monkeypatch.setattr(conftest, "fidelity", refuse)
     got = apply_table(table, source, 1)
     assert calls["normalize"] == 1
     assert got.total_probability.hex() == want.total_probability.hex()
     assert [(k, a.real.hex(), a.imag.hex()) for k, a in got.canonical_state.amplitudes.items()] == [
         (k, a.real.hex(), a.imag.hex()) for k, a in want.canonical_state.amplitudes.items()
     ]
-    assert got.outcomes == () and got.pattern_agreement == 1.0
-
-
-def test_pattern_agreement_is_computed_when_read(monkeypatch):
-    # a circuit call compares no pattern states; reading the agreement runs the
-    # six pairwise fidelities of the four patterns, to the pinned value
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return fidelity(a, b)
-
-    monkeypatch.setattr(scissors, "fidelity", counted)
-    result = pqs1_apply(random_state(random.Random(2), 2, 5, max_photons=3), 1, 0.61)
-    assert calls == []
-    assert result.pattern_agreement.hex() == "0x1.fffffffffffffp-1"
-    assert len(calls) == 6
+    assert got.outcomes == () and pattern_agreement(got) == 1.0

@@ -114,3 +114,50 @@ def test_only_sources_expands_a_sum_of_products():
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
     }
     assert imported & {"tensor", "add", "scale", "reduce"} == set()
+
+
+def _reads_m_n(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr == "m_n"
+    if isinstance(node, ast.Name):
+        return node.id == "m_n"
+    return isinstance(node, ast.ImportFrom) and any(alias.name == "m_n" for alias in node.names)
+
+
+def test_analytics_m_n_has_one_reader():
+    # ``sources.source_branches`` is the one place the source's normalization
+    # is read, so a change to it has one home
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _reads_m_n(node)
+    ]
+    assert len(reads) == 1 and reads[0].startswith("sources.py:")
+
+
+# each module may import only the package modules before it; ``__init__`` re-exports them all
+LAYERS = (
+    "analytics", "fock", "elements", "sources", "scissors", "preparations",
+    "config", "sweep", "verify", "cli", "__main__",
+)
+
+
+def _package_imports(tree):
+    """The package modules imported by ``from .x import``, ``from . import x`` or ``from polscissors...``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("polscissors")):
+            module = (node.module or "").removeprefix("polscissors").lstrip(".")
+            yield from [module.split(".")[0]] if module else (alias.name for alias in node.names)
+
+
+def test_each_module_imports_only_earlier_layers():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES if p.stem != "__init__")
+    hits = []
+    for path in MODULES:
+        if path.stem == "__init__":
+            continue
+        earlier = LAYERS[: LAYERS.index(path.stem)]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        hits += [f"{path.stem} imports {m}" for m in _package_imports(tree) if m not in earlier]
+    assert hits == []
