@@ -121,8 +121,9 @@ class AxisSpec:
         check_domain(self.name, self.stop)
 
     def values(self) -> list[float]:
+        """``steps`` evenly spaced values from ``start``; the last is ``stop`` itself."""
         span = self.stop - self.start
-        return [self.start + span * i / (self.steps - 1) for i in range(self.steps)]
+        return [self.start + span * i / (self.steps - 1) for i in range(self.steps - 1)] + [self.stop]
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ class SqueezerSpec:
     mode_i: int
 
     def __post_init__(self) -> None:
-        if abs(self.gamma) >= 1.0:
+        if not abs(self.gamma) < 1.0:
             raise FockError(f"|gamma| = {abs(self.gamma)} must be < 1")
         if self.mode_s == self.mode_i:
             raise FockError("squeezer needs distinct signal and idle modes")
@@ -263,7 +263,8 @@ def apply_squeezer_exact(
     terms on that occupation, so the kept keys are bitwise those of the full
     output, in its order.  No created pair lowers an occupation, so the loop
     skips a key with n > sh or m > sv, and its k loop ends after the herald's
-    row n + k = sh.  No deficit is logged on this path.
+    row n + k = sh.  No deficit is logged on this path.  A NaN input
+    amplitude, which no tolerance keeps, raises ``FockError`` naming its key.
     """
     _check_mode(state, spec.mode_s)
     _check_mode(state, spec.mode_i)
@@ -299,6 +300,8 @@ def apply_squeezer_exact(
     l_terms = [list(zip(range(cutoff - m + 1), pows, binom_rows[m])) for m in range(sv + 1)]
     amps: dict[OccKey, complex] = {}
     for key, amp in state.amplitudes.items():
+        if cmath.isnan(amp):
+            raise FockError(f"NaN amplitude at key {key}")
         if key[mi] != (0, 0):
             raise FockError(
                 "squeezer kernel requires the idle mode in vacuum; "

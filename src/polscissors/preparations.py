@@ -12,9 +12,9 @@ products, c_H (x)_k |+gamma_k, H> + c_V (x)_k |-gamma_k, V>, and every scissors
 stage is a linear map on one arm, so every state the stage loop holds is a sum
 of at most two products: per branch a coefficient and one single-mode factor
 per arm.  Its cost grows with the arm count, not with the size of the joint
-Fock space, so no source size limit applies.  ``sources.source_branches``
-builds the source's two branches, the ones ``lambda_state`` dumps, and a
-``PrepResult`` expands its state with ``sources.expand`` only when that is read.
+Fock space, so no source size limit applies.  ``sources.SourcePart`` builds
+the branches ``lambda_state`` dumps, their grams and target norms, and a
+``PrepResult`` expands its state with ``sources.expand`` only when read.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import analytics, sources
 from .elements import apply_pol_phase
 from .fock import DEFAULT_TAIL_BOUND, V, Factor, PureState, fidelity, min_cutoff
 from .scissors import ScissorsResult, TransferTable, pqs1_apply, pqs2_apply
-from .sources import SourceParams
+from .sources import PHOTONS, SourceParams, SourcePart, _gram, _overlap, _with
 
 # Sweep axis of each scissors method's knob: pqs1 transmissivity, pqs2 squeezing |gamma|.
 KNOB_AXES = {"pqs1": "t", "pqs2": "gamma_abs"}
@@ -127,51 +127,6 @@ def _scissors(
     return pqs2_apply(state, mode, complex(knob), herald_first=herald_first)
 
 
-def _with(per_arm: tuple, arm: int, entry) -> tuple:
-    return per_arm[:arm] + (entry,) + per_arm[arm + 1 :]
-
-
-def _gram(bras, kets) -> tuple[tuple[complex, ...], ...]:
-    """One arm's Gram matrix: <bras[i]|kets[j]> of its factors, bra branch by ket branch."""
-    return tuple(
-        tuple(sum((fb[occ].conjugate() * fk[occ] for occ in fb if occ in fk), 0j) for fk in kets)
-        for fb in bras
-    )
-
-
-def _overlap(bra, ket, grams) -> complex:
-    """<bra|ket> of two sums of products: their coefficients and ``grams``, per arm the ``_gram``."""
-    return sum(
-        (
-            cb.conjugate() * ck * math.prod(gram[i][j] for gram in grams)
-            for i, (cb, _) in enumerate(bra)
-            for j, (ck, _) in enumerate(ket)
-        ),
-        0j,
-    )
-
-
-class SourcePart:
-    """What ``prepare_stages`` reads of one source point alone, and no knob.
-
-    ``source`` is ``sources.source_branches``: the branches (m_n, m_n e^(i phi))
-    on the arms' H and V factors.  ``grams`` per arm is the ``_gram`` of those
-    two factors; ``targets`` per stage count the heralded target and its squared
-    norm, from those grams with the ``sources.PHOTONS`` one on each truncated arm.
-    """
-
-    def __init__(self, pipeline: Pipeline, params: SourceParams, tail_bound: float) -> None:
-        self.source = sources.source_branches(params, pipeline.n, tail_bound)
-        (_, h), (_, v) = self.source
-        self.grams = grams = tuple(_gram(pair, pair) for pair in zip(h, v))
-        self.targets, target = [], self.source
-        for arm in pipeline.arms:
-            # the fidelity is scale-free, so the target reuses the source's coefficients
-            target = [(c, _with(f, arm, photon)) for (c, f), photon in zip(target, sources.PHOTONS)]
-            grams = _with(grams, arm, _gram(sources.PHOTONS, sources.PHOTONS))
-            self.targets.append((target, _overlap(target, target, grams).real))
-
-
 class TransferTables(dict):
     """Each (method, knob)'s ``TransferTable``, made on first use; its first probe reaches ``cutoff``."""
 
@@ -208,22 +163,23 @@ def prepare_stages(
     the state before that correction.  The last result is the preparation's.
 
     The state stays a sum of two products (module docstring), beside each
-    arm's ``_gram``.  Its ``SourcePart`` holds what reads the source point
-    alone: the branches, their grams and the targets (a ``sources.PHOTONS``
-    photon on each truncated arm).  A stage maps the arm's factor of each
-    branch through its method's and knob's ``TransferTable``, built
-    herald-first by the circuit, one image per accepted pattern.  Neither
-    depends on anything else, so ``run_sweep`` passes one ``parts`` dict and
-    one ``tables`` to every cell, its tables' first probes at the sweep's
-    largest cutoff; by default a call makes its own.  A pattern's probability
-    is the state's squared norm read with its images' gram on that arm; the
-    first pattern that heralds is kept, renormalized.
+    arm's ``_gram``.  Of its ``SourcePart``, which reads the source point and
+    arms alone, the loop reads ``source``, ``grams`` and ``target_norms``; the
+    target's photon factors enter only through grams, so ``source`` is the
+    target's bra when a stage is scored.  A stage maps the arm's factor of
+    each branch through its method's and knob's ``TransferTable``, built
+    herald-first by the circuit, one image per accepted pattern.  Neither part
+    nor table depends on anything else, so ``run_sweep`` passes one ``parts``
+    dict and one ``tables`` to every cell, its tables' first probes at the
+    sweep's largest cutoff; by default a call makes its own.  A pattern's
+    probability is the state's squared norm read with its images' gram on
+    that arm; the first pattern that heralds is kept, renormalized.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
     tables = TransferTables(cutoff) if tables is None else tables
     parts = {} if parts is None else parts
-    key = (pipeline, SourceParams(delta, phi, t0, split_ts, cutoff), tail_bound)
+    key = (SourceParams(delta, phi, t0, split_ts, cutoff), pipeline.n, pipeline.arms, tail_bound)
     part = parts.get(key) or parts.setdefault(key, SourcePart(*key))
     arms, state, grams, probability, stages = pipeline.arms, part.source, part.grams, 1.0, []
     for count, (arm, method) in enumerate(zip(arms, pipeline.methods), 1):
@@ -248,12 +204,11 @@ def prepare_stages(
                 (c, _with(f, first, {occ: -a if occ[1] % 2 else a for occ, a in f[first].items()}))
                 for c, f in state
             )
-        target, target_norm = part.targets[count - 1]
         cross = part.grams  # the target against the scored state: a photon on each truncated arm
         for k in arms[:count]:
-            cross = _with(cross, k, _gram(sources.PHOTONS, [f[k] for _, f in scored]))
-        overlap = _overlap(target, scored, cross)
-        norms = target_norm * _overlap(scored, scored, grams).real
+            cross = _with(cross, k, _gram(PHOTONS, [f[k] for _, f in scored]))
+        overlap = _overlap(part.source, scored, cross)
+        norms = part.target_norms[count - 1] * _overlap(scored, scored, grams).real
         stages.append(PrepResult(probability, abs(overlap) ** 2 / norms, scored, cutoff))
     return tuple(stages)
 

@@ -5,19 +5,20 @@ from its known Fock decomposition and a circuit construction that runs the
 actual preparation optics (balanced splitter, half-wave plate, polarizing
 merge, final split).  The two must agree to high fidelity; tests enforce it.
 
-The direct route is a sum of two products, c_H (x)_k F_{H,k} + c_V (x)_k F_{V,k}.
-``arm_factors`` is the one builder of its single-mode factors,
-``source_branches`` of the source's two branches (coefficients and factors),
-and ``expand`` the one writer of a sum of products as a joint state: one pass
-per branch into one output dict, bit for bit the ``tensor``/``scale``/``add``
-composition.  The second branch adds into the first's keys as ``add`` does;
-a source's or a target's branches share only the all-vacuum key.  The
-preparations' stage loop holds the same branches and expands its heralded
-states with the same function.  Both routes refuse, with ``CutoffError``, a
-source whose branch would form more than ``fock.MAX_SOURCE_PRODUCTS``
-amplitude products.  The limit guards the ``lambda``, ``lambda-circuit`` and
-``target-omega`` state dumps, and a preparation's expanded state: the stage
-loop itself keeps the source as its two products and builds no joint state.
+The direct route is a sum of two products, c_H (x)_k F_{H,k} + c_V (x)_k F_{V,k},
+and this module alone knows that ``(coefficient, factors)`` layout.
+``arm_factors`` builds the single-mode factors; ``SourcePart`` a source
+point: its two branches, each arm's Gram matrix (``_gram``) and its targets'
+squared norms (``_overlap``), for ``lambda_state`` and the preparations'
+stage loop alike; ``expand`` writes any sum of products as a joint state, one
+pass per branch into one dict, bit for bit the ``tensor``/``scale``/``add``
+composition, adding shared keys as ``add`` does (a source's or a target's
+branches share only the all-vacuum key).  Both routes refuse, with
+``CutoffError``, a source whose branch would form more than
+``fock.MAX_SOURCE_PRODUCTS`` amplitude products.  The limit guards the
+``lambda``, ``lambda-circuit`` and ``target-omega`` state dumps, and a
+preparation's expanded state: the stage loop itself keeps the source as its
+two products and builds no joint state.
 """
 
 from __future__ import annotations
@@ -172,14 +173,6 @@ def arm_factors(
     return tuple(h_arms), tuple(v_arms)
 
 
-def source_branches(params: SourceParams, n: int, tail_bound: float = DEFAULT_TAIL_BOUND) -> tuple:
-    """The n-arm source's two branches: (m_n, H factors) and (m_n e^(i phi), V factors)."""
-    # m_n first, so a degenerate source raises before any factor is built
-    norm = analytics.m_n(split_amplitudes(params, n), params.phi)
-    h, v = arm_factors(params, n, (), tail_bound)
-    return (norm, h), (norm * cmath.exp(1j * params.phi), v)
-
-
 def _check_branch_size(sizes: Iterable[int]) -> None:
     """Refuse a branch that multiplies more than ``MAX_SOURCE_PRODUCTS`` products.
 
@@ -222,11 +215,17 @@ def expand(branches: Sequence[tuple[complex, Sequence[Factor]]], cutoff: int) ->
     +0.0, and an existing key ``prev + v``, dropped when that falls below
     ``DEFAULT_TOL``.  The branches of a source or a target share at most the
     all-vacuum key, but a pqs2 stage's share more.
-    Refuses, with ``CutoffError``, a branch that would form more than
-    ``MAX_SOURCE_PRODUCTS`` products, before it forms any.
+    Refuses, before any product, a branch of more than ``MAX_SOURCE_PRODUCTS``
+    products (``CutoffError``) or with a NaN, which no tolerance keeps (``FockError``).
     """
-    for _, factors in branches:
+    for b, (c, factors) in enumerate(branches):
         _check_branch_size(len(f) for f in factors)
+        if cmath.isnan(c):
+            raise FockError(f"NaN coefficient of branch {b}")
+        for arm, f in enumerate(factors):
+            for occ, a in f.items():
+                if cmath.isnan(a):
+                    raise FockError(f"NaN amplitude at key {occ} of arm {arm} in branch {b}")
     out: dict[OccKey, complex] = {}
     setdefault = out.setdefault
     for b, (c, factors) in enumerate(branches):
@@ -248,6 +247,51 @@ def expand(branches: Sequence[tuple[complex, Sequence[Factor]]], cutoff: int) ->
                         else:
                             out[key] = v
     return PureState(len(branches[0][1]), cutoff, out)
+
+
+def _with(per_arm: tuple, arm: int, entry) -> tuple:
+    return per_arm[:arm] + (entry,) + per_arm[arm + 1 :]
+
+
+def _gram(bras, kets) -> tuple[tuple[complex, ...], ...]:
+    """One arm's Gram matrix: <bras[i]|kets[j]> of its factors, bra branch by ket branch."""
+    return tuple(
+        tuple(sum((fb[occ].conjugate() * fk[occ] for occ in fb if occ in fk), 0j) for fk in kets)
+        for fb in bras
+    )
+
+
+def _overlap(bra, ket, grams) -> complex:
+    """<bra|ket> of two sums of products: their coefficients and ``grams``, per arm the ``_gram``."""
+    return sum(
+        (
+            cb.conjugate() * ck * math.prod(gram[i][j] for gram in grams)
+            for i, (cb, _) in enumerate(bra)
+            for j, (ck, _) in enumerate(ket)
+        ),
+        0j,
+    )
+
+
+class SourcePart:
+    """One n-arm source point, before any knob: its branches, each arm's ``_gram`` and target norms.
+
+    ``source`` is (m_n, H factors), (m_n e^(i phi), V factors) of ``arm_factors``.
+    ``target_norms[k]`` is the squared norm of the heralded target once
+    ``arms[:k + 1]`` are truncated: the source's coefficients (the fidelity is
+    scale-free), with the ``PHOTONS`` gram on each truncated arm.
+    """
+
+    def __init__(self, params: SourceParams, n: int, arms: tuple[int, ...], tail_bound: float) -> None:
+        # m_n first, so a degenerate source raises before any factor is built
+        norm = analytics.m_n(split_amplitudes(params, n), params.phi)
+        h, v = arm_factors(params, n, (), tail_bound)
+        self.source = (norm, h), (norm * cmath.exp(1j * params.phi), v)
+        self.grams = grams = tuple(_gram(pair, pair) for pair in zip(h, v))
+        self.target_norms = []
+        for arm in arms:
+            grams = _with(grams, arm, _gram(PHOTONS, PHOTONS))
+            self.target_norms.append(_overlap(self.source, self.source, grams).real)
 
 
 def xi_direct(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:
@@ -285,8 +329,8 @@ def xi_circuit(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> 
 def lambda_state(
     params: SourceParams, n: int, tail_bound: float = DEFAULT_TAIL_BOUND
 ) -> PureState:
-    """n-arm entangled coherent source from its closed form: ``expand`` of ``source_branches``."""
-    return expand(source_branches(params, n, tail_bound), params.cutoff)
+    """n-arm entangled coherent source from its closed form: ``expand`` of a ``SourcePart``'s branches."""
+    return expand(SourcePart(params, n, (), tail_bound).source, params.cutoff)
 
 
 def lambda_circuit(

@@ -6,7 +6,7 @@ a worker process's start-up, pickling and cold caches. A sweep decides once
 what depends on the config alone: the pipeline, which routes run, the closed
 form's halves, the columns and the fixed parameters. Its cells share one
 closed-form source half and one numeric source part (the coherent factors,
-targets and each arm's Gram matrix) per (delta, phi, t0), one cutoff per
+Gram matrices and target norms) per (delta, phi, t0), one cutoff per
 (delta, t0), computed from the cells before the first, and one transfer table
 per scissors method and knob, whose one probe covers the largest cutoff; each
 cell still gives, bit for bit, the result of running it alone. The 625-cell

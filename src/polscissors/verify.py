@@ -182,22 +182,18 @@ def run_verify(
         sqs = {k: abs(v) ** 2 for k, v in coeffs.items()}
         ideal = _ideal_photon_sector(coeffs, 8)
 
-        sim = pqs1_apply(state, 0, t, herald_first=True)
-        ana = analytics.pf_pqs1(sqs[(1, 0)], sqs[(0, 1)], sqs[(0, 0)], sqs[(1, 1)], t)
-        stats["pqs1-random"].record(
-            abs(sim.total_probability - ana.probability),
-            abs(fidelity(sim.canonical_state, ideal) - ana.fidelity),
-        )
-
-        sim = pqs2_apply(state, 0, gamma, herald_first=True)
-        ana = analytics.pf_pqs2(sqs[(1, 0)], sqs[(0, 1)], sqs[(0, 0)], sqs[(1, 1)], gamma)
-        stats["pqs2-random"].record(
-            abs(sim.total_probability - ana.probability),
-            abs(fidelity(sim.canonical_state, ideal) - ana.fidelity),
-        )
-
-        # named preparations, full pipelines
+        # per method: that input, then the named preparations' full pipelines
         for method, knob in (("pqs1", t), ("pqs2", gamma)):
+            # looked up at call time, so a patched or traced closed form is the one used
+            scissors, closed_form = (
+                (pqs1_apply, analytics.pf_pqs1) if method == "pqs1" else (pqs2_apply, analytics.pf_pqs2)
+            )
+            sim = scissors(state, 0, knob, herald_first=True)
+            ana = closed_form(sqs[(1, 0)], sqs[(0, 1)], sqs[(0, 0)], sqs[(1, 1)], knob)
+            stats[f"{method}-random"].record(
+                abs(sim.total_probability - ana.probability),
+                abs(fidelity(sim.canonical_state, ideal) - ana.fidelity),
+            )
             _check_pipelines(stats, tag, method, delta, phi, t0, knob)
 
     checks = tuple(stats[name] for name in CHECK_NAMES)

@@ -28,7 +28,9 @@ from polscissors.fock import (
     tensor,
     vacuum,
 )
-from polscissors.sources import coherent
+from polscissors.elements import SqueezerSpec, apply_squeezer_exact
+from polscissors.scissors import pqs2_apply
+from polscissors.sources import coherent, expand
 
 from conftest import parse_dump, random_state
 from test_kernel_oracles import assert_projection_contract, hex_items
@@ -461,3 +463,40 @@ class TestNanFailsLoudly:
         with pytest.raises(FockError) as excinfo:
             call()
         assert str(excinfo.value) in {f"NaN amplitude at key {k}" for k in named}
+
+    @pytest.mark.parametrize(
+        "h,v,message",
+        [
+            (
+                (1.0, ({(0, 0): NAN, (1, 0): 1 + 0j}, {(0, 0): 1 + 0j})),
+                (0.0, ({(0, 1): 1 + 0j}, {(0, 0): 1 + 0j})),
+                r"NaN amplitude at key \(0, 0\) of arm 0 in branch 0",
+            ),
+            (
+                (0.5, ({(1, 0): 1 + 0j}, {(0, 0): 1 + 0j})),
+                (0.5, ({(0, 1): 1 + 0j}, {(0, 2): complex(0.5, NAN)})),
+                r"NaN amplitude at key \(0, 2\) of arm 1 in branch 1",
+            ),
+            (
+                (complex(NAN, 0.0), ({(1, 0): 1 + 0j}, {(0, 0): 1 + 0j})),
+                (0.5, ({(0, 1): 1 + 0j}, {(0, 0): 1 + 0j})),
+                r"NaN coefficient of branch 0",
+            ),
+        ],
+        ids=["factor", "second-branch", "coefficient"],
+    )
+    def test_expand_refuses_a_nan_before_any_product(self, h, v, message):
+        with pytest.raises(FockError, match=f"^{message}$"):
+            expand((h, v), 3)
+
+    @pytest.mark.parametrize("herald", [None, (1, 1)])
+    def test_the_squeezer_refuses_a_nan_input_amplitude(self, herald):
+        state = PureState(2, 6, {((0, 0), (0, 0)): 1 + 0j, ((1, 0), (0, 0)): complex(NAN, 0.0)})
+        with pytest.raises(FockError, match=r"^NaN amplitude at key \(\(1, 0\), \(0, 0\)\)$"):
+            apply_squeezer_exact(state, SqueezerSpec(0.07, 0, 1), herald)
+
+    def test_a_nan_squeezing_parameter_is_refused_not_heralding_nothing(self):
+        with pytest.raises(FockError, match=r"^\|gamma\| = nan must be < 1$"):
+            SqueezerSpec(complex(NAN), 0, 1)
+        with pytest.raises(FockError, match=r"^\|gamma\| = nan must be < 1$"):
+            pqs2_apply(ket([(1, 0)]), 0, complex(NAN))

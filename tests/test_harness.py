@@ -145,6 +145,17 @@ class TestConfig:
         assert values[-1] == pytest.approx(1.0)
         assert len(values) == 5
 
+    @pytest.mark.parametrize(
+        "start,stop,steps",
+        [(0.2, 0.9, 8), (0.9, 0.2, 8), (0.1, 0.7, 4), (0.0, 0.3, 4), (0.6, 1.0, 3), (0.2, 1.0, 5)],
+    )
+    def test_axis_values_end_at_stop_exactly(self, start, stop, steps):
+        # start + (stop - start) misses stop for some ranges: 0.2..0.9 gives 0.8999999999999999
+        values = AxisSpec("delta", start, stop, steps).values()
+        assert values[0] == start and values[-1] == stop
+        span = stop - start
+        assert values[1:-1] == [start + span * i / (steps - 1) for i in range(1, steps - 1)]
+
     def test_steps_is_read_as_a_whole_number(self):
         config = parse_config_text(BELL_CONFIG.replace("steps = 3", "steps = 3.0"))
         assert config.axis1.steps == 3

@@ -87,7 +87,8 @@ def test_source_checks_run_before_the_first_table_fills(error, pipeline, cutoff,
 
 def test_the_numeric_source_is_the_dumped_lambda(monkeypatch):
     # the stage loop runs on the builder's factors with the coefficients
-    # (m_n, m_n e^(i phi)), and that sum of products is ``lambda_state``
+    # (m_n, m_n e^(i phi)), that sum of products is ``lambda_state``, and the
+    # target norms are those of the photon targets on the same coefficients
     built = _recording(monkeypatch, "arm_factors", returns=True)
     overlaps = _recording(monkeypatch, "_overlap", preparations)
     rng = random.Random(8)
@@ -98,14 +99,28 @@ def test_the_numeric_source_is_the_dumped_lambda(monkeypatch):
         arms = tuple(rng.sample(range(n), rng.randint(1, n)))
         built.clear()
         overlaps.clear()
-        prepare_stages(Pipeline(("pqs1",) * len(arms), arms, n), delta, phi, t0, {"t": 0.9}, splits)
+        parts = {}
+        pipeline = Pipeline(("pqs1",) * len(arms), arms, n)
+        stages = prepare_stages(pipeline, delta, phi, t0, {"t": 0.9}, splits, parts=parts)
         ((h, v),) = built
+        (part,) = parts.values()
+        # the first stage's fidelity reads the source itself as the target's bra
+        bra = next(bra for bra, ket, _ in overlaps if bra is not ket)
+        assert bra is part.source
         norm = analytics.m_n(split_amplitudes(SourceParams(delta, phi, t0, splits), n), phi)
-        source = ((norm, h), (norm * cmath.exp(1j * phi), v))
-        # the first stage's target: the source's coefficients and factors, a photon on the truncated arm
-        target = next(bra for bra, ket, _ in overlaps if bra is not ket)
-        assert [c for c, _ in target] == [c for c, _ in source]
-        for (_, factors), (_, branch), photon in zip(target, source, sources.PHOTONS):
-            assert all(f is (photon if k == arms[0] else branch[k]) for k, f in enumerate(factors))
+        assert [c for c, _ in bra] == [norm, norm * cmath.exp(1j * phi)]
+        for (_, factors), branch in zip(bra, (h, v)):
+            assert len(factors) == n and all(f is b for f, b in zip(factors, branch))
         params = SourceParams(delta, phi, t0, splits, required_cutoff(delta, t0))
-        assert hex_items(sources.expand(source, params.cutoff)) == hex_items(lambda_state(params, n))
+        assert hex_items(sources.expand(bra, params.cutoff)) == hex_items(lambda_state(params, n))
+        # per stage run, the target the norm stands for: a photon on each arm truncated so far
+        norms = []
+        for count in range(1, len(stages) + 1):
+            target = [
+                (c, tuple(photon if k in arms[:count] else f for k, f in enumerate(factors)))
+                for (c, factors), photon in zip(bra, sources.PHOTONS)
+            ]
+            (_, th), (_, tv) = target
+            grams = tuple(sources._gram(pair, pair) for pair in zip(th, tv))
+            norms.append(sources._overlap(target, target, grams).real.hex())
+        assert [x.hex() for x in part.target_norms[: len(stages)]] == norms

@@ -116,6 +116,19 @@ def test_only_sources_expands_a_sum_of_products():
     assert imported & {"tensor", "add", "scale", "reduce"} == set()
 
 
+def test_the_sum_of_products_algebra_has_one_home():
+    # one module knows the (coefficient, factors) layout: it builds a source
+    # point, expands a sum of products and reads its Gram matrices
+    names = {"_gram", "_overlap", "_with", "expand", "SourcePart"}
+    defined = sorted(
+        f"{path.name} {node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+    )
+    assert defined == sorted(f"sources.py {name}" for name in names)
+
+
 def _reads_m_n(node):
     if isinstance(node, ast.Attribute):
         return node.attr == "m_n"
@@ -125,7 +138,7 @@ def _reads_m_n(node):
 
 
 def test_analytics_m_n_has_one_reader():
-    # ``sources.source_branches`` is the one place the source's normalization
+    # ``sources.SourcePart`` is the one place the source's normalization
     # is read, so a change to it has one home
     reads = [
         f"{path.name}:{node.lineno}"
