@@ -25,13 +25,14 @@ class ProbabilityUnderflowError(DegenerateParameterError):
     """A heralding probability that is positive in exact arithmetic rounded to 0.0."""
 
 
-def _zero_probability(delta: float, knob: float) -> DegenerateParameterError:
-    """The error for a named closed form whose heralding probability reads 0.0.
+def _zero_probability(delta: float, *knobs: float) -> DegenerateParameterError:
+    """The error for a heralding probability that reads 0.0, on either route.
 
-    Inside the open domain (delta > 0 and a transmissivity or |gamma| in
-    (0, 1)) the probability is positive, so a zero there is float underflow.
+    The one rule: inside the open domain (delta > 0 and every knob, a
+    transmissivity or |gamma|, in (0, 1)) the probability is positive, so a
+    zero there is float underflow; anywhere else it is degenerate.
     """
-    if delta > 0.0 and 0.0 < knob < 1.0:
+    if delta > 0.0 and all(0.0 < knob < 1.0 for knob in knobs):
         return ProbabilityUnderflowError(
             f"heralding probability underflows to 0.0 at delta = {delta}"
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analytics import DegenerateParameterError
+from .analytics import DegenerateParameterError, _zero_probability
 from .config import ConfigError, load_config, read_value, reference_grid
 from .fock import DEFAULT_TAIL_BOUND, CutoffError, dump_lines, min_cutoff
 from .preparations import PIPELINES, PREPARATIONS, prepare_named
@@ -137,7 +137,7 @@ def _descriptor_state(name: str, kw: dict[str, str]):
         cutoff = _pop(kw, "cutoff") if "cutoff" in kw else None
         result = prepare_named(name, delta, phi, t0, knob, cutoff=cutoff, tail_bound=tail)
         if result.state is None:
-            raise ConfigError(f"{name} heralds nothing at these parameters")
+            raise _zero_probability(delta, knob)
         return result.state
     raise ConfigError(f"unknown state descriptor {name!r}")
 

@@ -21,6 +21,7 @@ from .preparations import KNOB_AXES, PIPELINES, PREPARATIONS, Pipeline, omega_pi
 AXIS_NAMES = ("delta", "t", "gamma_abs", "phi", "t0")
 BACKENDS = ("analytic", "numeric", "both")
 PREPARATION_NAMES = PREPARATIONS + ("omega",)
+OMEGA_KEYS = ("omega_n", "omega_j", "omega_scissors", "omega_split_ts")
 
 # Reference grids for the desk-scale surface checks.  The knob ranges are a
 # reconstruction calibrated so that every quoted order-of-magnitude claim
@@ -172,6 +173,10 @@ class ExperimentConfig:
                     f"omega with {self.omega_n} arms needs {self.omega_n - 2} split "
                     "transmissivities in omega_split_ts"
                 )
+        else:
+            given = [name for name in OMEGA_KEYS if getattr(self, name) not in (None, ())]
+            if given:
+                raise ConfigError(f"{', '.join(given)} given, but preparation {self.preparation} is not omega")
         for axis in (self.axis1, self.axis2):
             if axis.name in KNOB_AXES.values() and axis.name not in self._needed_parameters():
                 raise ConfigError(f"axis {axis.name!r} is no knob of {self.preparation}")
@@ -244,7 +249,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
             values[key] = items
         elif key == "omega_split_ts":
             values[key] = tuple(read_value(key, x) for x in items)
-        elif raw:
+        else:
             values[key] = read_value(key, raw)
     return ExperimentConfig(
         axis1=_axis_from_section(parser["axis1"]),

@@ -34,6 +34,7 @@ from typing import Collection
 from .fock import (
     DEFAULT_TOL,
     H,
+    CutoffError,
     FockError,
     OccKey,
     Occupation,
@@ -84,6 +85,7 @@ def _bs_pair_terms(p: int, q: int, t: float) -> list[tuple[int, int, float]]:
     """Single-polarization expansion of |p, q> under the fixed convention.
 
     Returns (out_a, out_b, coefficient) triples; photon number p + q conserved.
+    A pair past the float range (about 170 photons) raises ``CutoffError``.
     """
     st = math.sqrt(t)
     sr = math.sqrt(1.0 - t)
@@ -93,20 +95,23 @@ def _bs_pair_terms(p: int, q: int, t: float) -> list[tuple[int, int, float]]:
     st_pow = [st**i for i in range(top)]
     sr_pow = [sr**i for i in range(top)]
     mst_pow = [(-st) ** i for i in range(top)]
-    cj_row = [math.comb(q, j) * sr_pow[j] * mst_pow[q - j] for j in range(q + 1)]
-    terms = [0.0] * (p + q + 1)
-    for i in range(p + 1):
-        ci = math.comb(p, i) * st_pow[i] * sr_pow[p - i]
-        for j, cj in enumerate(cj_row, i):
-            terms[j] += ci * cj
-    base = math.sqrt(math.factorial(p) * math.factorial(q))
-    out = []
-    for na, c in enumerate(terms):
-        nb = p + q - na
-        w = c * math.sqrt(math.factorial(na) * math.factorial(nb)) / base
-        if w != 0.0:
-            out.append((na, nb, w))
-    return out
+    try:
+        cj_row = [math.comb(q, j) * sr_pow[j] * mst_pow[q - j] for j in range(q + 1)]
+        terms = [0.0] * (p + q + 1)
+        for i in range(p + 1):
+            ci = math.comb(p, i) * st_pow[i] * sr_pow[p - i]
+            for j, cj in enumerate(cj_row, i):
+                terms[j] += ci * cj
+        base = math.sqrt(math.factorial(p) * math.factorial(q))
+        out = []
+        for na, c in enumerate(terms):
+            nb = p + q - na
+            w = c * math.sqrt(math.factorial(na) * math.factorial(nb)) / base
+            if w != 0.0:
+                out.append((na, nb, w))
+        return out
+    except OverflowError:
+        raise CutoffError(f"beam splitter terms of photon pair ({p}, {q}) overflow a float") from None
 
 
 # Bound on the (p, q, t, cutoff) entries of the pair-term cache.  A 100-sample

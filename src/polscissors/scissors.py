@@ -13,6 +13,10 @@ states rather than as coefficient maps:
   signal arm of a type-II squeezer and co-detection of one H and one V photon
   on the signal heralds the truncated state in the idle arm (one pattern).
 
+A transmissivity may be any t in [0, 1], as ``BeamSplitterSpec`` allows.  A
+circuit that heralds nothing reads probability 0.0; whether that is
+degenerate or underflow is for ``analytics._zero_probability`` to judge.
+
 Accepted patterns that differ by a heralded sign are corrected by a
 polarization-conditional pi phase on the kept mode (feed-forward); after the
 correction all patterns agree on one canonical state.  Detector wiring is
@@ -90,7 +94,7 @@ def _qs_branches(
     """Run one scissors module; return each pattern's probability and corrected component.
 
     The ancilla photon and its vacuum partner are split on the
-    ``BeamSplitterSpec(t, 0, 1)`` beam splitter as a two-mode, two-key state,
+    ``BeamSplitterSpec(t, 0, 1)`` beam splitter as a two-mode state of at most two keys,
     which is tensored onto the input once.  The state the detectors project is
     bitwise the one of tensoring the ancilla and the vacuum onto the input and
     splitting them there: same keys, same insertion order, same amplitudes.
@@ -103,8 +107,6 @@ def _qs_branches(
     two detector patterns the projections accept; every projection result is
     bitwise the one of the full expansion.
     """
-    if not 0.0 < t < 1.0:
-        raise FockError(f"degenerate scissors transmissivity t = {t}")
     if mode < 0 or mode >= state.mode_count:
         raise FockError(f"mode {mode} out of range")
     n = state.mode_count

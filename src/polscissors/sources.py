@@ -76,14 +76,6 @@ class SourceParams:
             if not 0.0 <= t <= 1.0:
                 raise FockError(f"split transmissivity {t} outside [0, 1]")
 
-    @property
-    def alpha(self) -> float:
-        return analytics.alpha_beta(self.delta, self.t0)[0]
-
-    @property
-    def beta(self) -> float:
-        return analytics.alpha_beta(self.delta, self.t0)[1]
-
 
 def coherent(
     gamma: float,
@@ -133,8 +125,8 @@ def split_amplitudes(params: SourceParams, n: int) -> tuple[float, ...]:
             f"{n} arms need {n - 2} extra split transmissivities, "
             f"got {len(params.split_ts)}"
         )
-    amps = [params.alpha]
-    remainder = params.beta
+    alpha, remainder = analytics.alpha_beta(params.delta, params.t0)
+    amps = [alpha]
     for t in params.split_ts:
         amps.append(remainder * math.sqrt(t))
         remainder *= math.sqrt(1.0 - t)

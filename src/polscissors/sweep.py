@@ -105,9 +105,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                         config.tail_bound, tables, parts,
                     )[-1]
                     if num.probability == 0.0:
-                        # the closed forms' rule, at the knob nearest an edge of (0, 1)
-                        knob = min((params[a] for a in knob_axes), key=lambda k: min(k, 1.0 - k))
-                        raise analytics._zero_probability(delta, knob)
+                        raise analytics._zero_probability(delta, *(params[a] for a in knob_axes))
                     values += [num.probability, num.fidelity]
                 if analytic and numeric:
                     values += [abs(num.probability - ana.probability), abs(num.fidelity - ana.fidelity)]

@@ -93,16 +93,6 @@ def _random_polarized_input(rng: random.Random, cutoff: int):
     return state, coeffs
 
 
-def _ideal_photon_sector(coeffs, cutoff: int):
-    return normalize(
-        make_state(
-            1,
-            cutoff,
-            [(((1, 0),), coeffs[(1, 0)]), (((0, 1),), coeffs[(0, 1)])],
-        )
-    )
-
-
 def _check_pipelines(
     stats: dict[str, CheckStat],
     tag: str,
@@ -180,7 +170,7 @@ def run_verify(
         # polarized scissors on a random two-photon-sector input
         state, coeffs = _random_polarized_input(rng, 8)
         sqs = {k: abs(v) ** 2 for k, v in coeffs.items()}
-        ideal = _ideal_photon_sector(coeffs, 8)
+        ideal = normalize(make_state(1, 8, [(((1, 0),), coeffs[(1, 0)]), (((0, 1),), coeffs[(0, 1)])]))
 
         # per method: that input, then the named preparations' full pipelines
         for method, knob in (("pqs1", t), ("pqs2", gamma)):

@@ -11,6 +11,7 @@ import pytest
 from polscissors import analytics, cli, sources, sweep
 from polscissors.analytics import DegenerateParameterError as DegenerateStateError
 from polscissors.config import (
+    BACKENDS,
     AxisSpec,
     ConfigError,
     ExperimentConfig,
@@ -243,6 +244,24 @@ class TestConfig:
         ok = text.replace("backend = both", "backend = numeric")
         assert parse_config_text(ok).preparation == "omega"
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "key", ["omega_n = 2", "omega_j = 2", "omega_scissors = pqs1,pqs1", "omega_split_ts = 0.4"]
+    )
+    def test_omega_keys_need_the_omega_preparation(self, key, backend):
+        # on a named preparation an omega key would be ignored and not echoed
+        text = BELL_CONFIG.replace("t0 = 0.5", f"t0 = 0.5\n{key}")
+        with pytest.raises(ConfigError, match=f"{key.split()[0]} given, but preparation bell-pqs1 is not omega"):
+            parse_config_text(text, {"backend": backend})
+
+    @pytest.mark.parametrize("key", ["t0", "phi", "repetition_rate", "delta", "tail_bound", "max_cutoff"])
+    def test_an_empty_value_is_refused(self, key):
+        # an empty value is no value: it neither keeps the default nor echoes it
+        lines = [line for line in BELL_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+        text = "\n".join(lines).replace("[experiment]", f"[experiment]\n{key} =")
+        with pytest.raises(ConfigError, match=f"{key} = ''"):
+            parse_config_text(text)
+
     def test_reference_grids(self):
         for name in PREPARATIONS:
             config = reference_grid(name)
@@ -350,6 +369,18 @@ class TestSweep:
         assert [row[-1] for row in grid.rows] == ["degenerate"] * 2 + ["underflow"] * 4
         grid = run_sweep(parse_config_text(OMEGA_CONFIG.replace("gamma_abs = 0.05", "gamma_abs = 0.0")))
         assert {row[-1] for row in grid.rows} == {"degenerate"}
+
+    def test_numeric_zero_probability_reads_every_knob_of_a_chain(self, monkeypatch):
+        # a pqs1+pqs2 chain has two knobs: a zero is underflow only when both
+        # lie inside (0, 1), so gamma_abs 0 alone makes the cell degenerate
+        monkeypatch.setattr(sweep, "prepare_stages", lambda *args, **kwargs: (PrepResult(0.0, 0.0),))
+        text = OMEGA_CONFIG.replace("gamma_abs = 0.05", "delta = 0.8").replace(
+            "name = delta\nstart = 0.6\nstop = 1.0", "name = gamma_abs\nstart = 0.0\nstop = 0.1"
+        )
+        grid = run_sweep(parse_config_text(text))
+        assert grid.config.pipeline.methods == ("pqs1", "pqs2")
+        assert [row[:2] for row in grid.rows] == [(g, t) for g in (0.0, 0.05, 0.1) for t in (0.9, 0.98)]
+        assert [row[-1] for row in grid.rows] == ["degenerate"] * 2 + ["underflow"] * 4
 
     @pytest.mark.parametrize("text", [BELL_CONFIG, OMEGA_CONFIG], ids=["bell-pqs1", "omega"])
     def test_internal_error_is_not_a_degenerate_row(self, monkeypatch, text):
@@ -638,6 +669,42 @@ class TestCli:
     def test_state_bad_descriptor_exit_2_in_process(self, descriptor, capsys):
         assert cli.main(["state", "--prep", descriptor]) == 2
         assert capsys.readouterr().err.startswith("configuration error")
+
+    @pytest.mark.parametrize(
+        "mutation", [("t0 = 0.5", "t0 ="), ("t0 = 0.5", "t0 = 0.5\nomega_split_ts = 0.4")], ids=["empty", "omega"]
+    )
+    def test_config_value_errors_exit_2(self, mutation, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text(BELL_CONFIG.replace("bell-pqs1", "hybrid-pqs1").replace(*mutation))
+        assert cli.main(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error")
+
+    def test_state_that_heralds_nothing_exits_2_with_the_rule(self, capsys):
+        # the closed forms' and the sweep's rule: gamma_abs 0 lies on the edge
+        assert cli.main(["state", "--prep", "hybrid-pqs2:delta=1,gamma_abs=0"]) == 2
+        rule = analytics._zero_probability(1.0, 0.0)
+        assert capsys.readouterr().err == f"configuration error: degenerate parameters ({rule})\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "--prep", "xi-circuit:delta=6"],
+            ["state", "--prep", "hybrid-pqs1:delta=10,t=0.5"],
+            ["sweep", "--config", "big.ini"],
+        ],
+        ids=["xi-circuit", "hybrid-pqs1", "sweep"],
+    )
+    def test_beam_splitter_past_the_float_range_exit_3(self, argv, tmp_path, capsys):
+        # past about 170 photons a pair's factorials leave the float range
+        config = tmp_path / "big.ini"
+        config.write_text(
+            BELL_CONFIG.replace("bell-pqs1", "hybrid-pqs1")
+            .replace("start = 0.6\nstop = 1.0", "start = 9.9\nstop = 10.0")
+            .replace("t0 = 0.5", "t0 = 0.5\nmax_cutoff = 400")
+        )
+        assert cli.main([str(config) if arg == "big.ini" else arg for arg in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric infeasibility: beam splitter terms of photon pair (")
 
     @pytest.mark.parametrize("prep", ["coherent:gamma=1e200", "cat:delta=1e200", "xi:delta=1e200"])
     def test_state_past_the_float_range_of_gamma_squared_exit_3(self, prep):

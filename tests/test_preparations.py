@@ -83,8 +83,8 @@ def test_single_truncation_leaves_minus_branch_before_correction():
     params = SourceParams(delta, phi, t0, (), cutoff)
     result = pqs1_apply(xi_direct(params), 1, t)
     raw = result.canonical_state
-    a = params.alpha
-    f1b = analytics.f_n(params.beta, 1)
+    a, b = analytics.alpha_beta(delta, t0)
+    f1b = analytics.f_n(b, 1)
     norm = analytics.n0(delta, phi, t0)
     scale = math.sqrt((1 - t) * t) * norm * f1b / math.sqrt(result.total_probability)
     f1a = analytics.f_n(a, 1)

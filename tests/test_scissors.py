@@ -13,7 +13,7 @@ from polscissors.fock import (
     tensor,
     vacuum,
 )
-from polscissors.preparations import Pipeline, omega_pipeline, prepare_stages, required_cutoff
+from polscissors.preparations import Pipeline, omega_pipeline, prepare_named, prepare_stages, required_cutoff
 from polscissors.scissors import TransferTable, pqs1_apply, pqs2_apply, qs_apply
 from polscissors.sources import SourceParams, coherent, xi_direct
 
@@ -122,9 +122,38 @@ class TestQs:
             1.0, abs=1e-12
         )
 
-    def test_degenerate_transmissivity(self):
-        with pytest.raises(FockError):
-            qs_apply(ket([(1, 0)]), 0, "H", 1.0)
+    def test_transmissivity_edges_match_the_closed_forms(self, rng):
+        # the circuits take every t of [0, 1] that BeamSplitterSpec does: at
+        # either edge they give the closed form's P and F, or P = 0.0 where it raises
+        c0, c1 = 0.6, 0.8
+        coeffs = random_polarized_coeffs(rng)
+        sq = {k: abs(v) ** 2 for k, v in coeffs.items()}
+        photon = ket([(1, 0)])
+        ideal = normalize(make_state(1, 6, [(((1, 0),), coeffs[(1, 0)]), (((0, 1),), coeffs[(0, 1)])]))
+        for t in (0.0, 1.0):
+            raised = []
+
+            def agree(name, probability, fidelity_of, closed_form, *weights):
+                try:
+                    pf = closed_form(*weights, t)
+                except analytics.DegenerateParameterError:
+                    raised.append(name)
+                    assert probability == 0.0
+                    return
+                assert probability == pytest.approx(pf.probability, abs=1e-12)
+                assert fidelity_of() == pytest.approx(pf.fidelity, abs=1e-12)
+
+            qs = qs_apply(make_state(1, 6, [(((0, 0),), c0), (((1, 0),), c1)]), 0, "H", t)
+            agree("qs", qs.total_probability, lambda: fidelity(qs.canonical_state, photon),
+                  analytics.pf_qs, c0 * c0, c1 * c1)
+            pqs1 = pqs1_apply(make_state(1, 6, [(((occ),), a) for occ, a in coeffs.items()]), 0, t)
+            agree("pqs1", pqs1.total_probability, lambda: fidelity(pqs1.canonical_state, ideal),
+                  analytics.pf_pqs1, sq[(1, 0)], sq[(0, 1)], sq[(0, 0)], sq[(1, 1)])
+            for name, closed_form in (("hybrid-pqs1", analytics.pf_hybrid), ("bell-pqs1", analytics.pf_bell)):
+                num = prepare_named(name, 0.9, 0.7, 0.5, t)
+                agree(name, num.probability, lambda: num.fidelity, closed_form, "pqs1", 0.9, 0.7, 0.5)
+            # at t = 1 only a mode's (1, 1) sector heralds, and the source's truncated arm holds none
+            assert raised == ([] if t == 0.0 else ["hybrid-pqs1", "bell-pqs1"])
 
     def test_kept_mode_position_preserved(self, rng):
         state = random_state(rng, 3, 4)

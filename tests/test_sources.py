@@ -265,7 +265,7 @@ class TestTargetOmega:
         state = target_omega(2, 1, params)
         assert state.norm() == pytest.approx(1.0, abs=1e-10)
         # photon qubit on arm 1, coherent content on arm 2
-        beta = params.beta
+        beta = analytics.alpha_beta(params.delta, params.t0)[1]
         expect = poisson_amp(beta, 2) / math.sqrt(2.0)
         assert abs(state.amplitude(((1, 0), (2, 0)))) == pytest.approx(expect, abs=1e-12)
 

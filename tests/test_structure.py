@@ -174,3 +174,48 @@ def test_each_module_imports_only_earlier_layers():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         hits += [f"{path.stem} imports {m}" for m in _package_imports(tree) if m not in earlier]
     assert hits == []
+
+
+def _calls_named(tree, name):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == name
+    ]
+
+
+def test_one_rule_tells_underflow_from_degenerate():
+    # ``analytics._zero_probability`` alone decides whether a zero heralding
+    # probability is float underflow or degenerate, on either route
+    ruled, sites = 0, []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rule = {
+            node
+            for f in ast.walk(tree)
+            if path.name == "analytics.py" and isinstance(f, ast.FunctionDef) and f.name == "_zero_probability"
+            for node in ast.walk(f)
+        }
+        for call in _calls_named(tree, "ProbabilityUnderflowError"):
+            if call in rule:
+                ruled += 1
+            else:
+                sites.append(f"{path.name}:{call.lineno}")
+    assert ruled == 1 and sites == []
+
+
+def test_the_simulator_raises_no_degenerate_parameter_error():
+    # a degenerate parameter is the closed forms' and the rule's to report
+    hits = [
+        f"{name}:{node.lineno}"
+        for name in SIMULATOR
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str) and "degenerate" in c.value.lower()
+            for c in ast.walk(node.exc)
+        )
+    ]
+    assert hits == []
