@@ -98,9 +98,10 @@ def _pop(kw: dict[str, str], key: str, *default: float) -> float:
 
 
 def _descriptor_state(name: str, kw: dict[str, str]):
-    pol = kw.pop("pol", "H").upper()
-    if pol not in ("H", "V"):
-        raise ConfigError(f"pol must be H or V, got {pol!r}")
+    if name in ("coherent", "cat"):  # the states with a polarization
+        pol = kw.pop("pol", "H").upper()
+        if pol not in ("H", "V"):
+            raise ConfigError(f"pol must be H or V, got {pol!r}")
     tail = _pop(kw, "tail_bound", DEFAULT_TAIL_BOUND)
     if name == "coherent":
         gamma = _pop(kw, "gamma")  # an amplitude: either sign

@@ -53,11 +53,8 @@ _DOMAINS = {
     "samples": ("[1, inf)", lambda v: v >= 1),
     "min_amplitude": ("[0, inf)", lambda v: v >= 0.0),
 }
-# Parameters that count something; every other parameter is a real number.
+# Parameters that count something, read exactly as written; every other parameter is a real number.
 _WHOLE_NUMBERS = ("max_cutoff", "omega_n", "omega_j", "steps", "samples", "n", "j", "cutoff")
-# The counts of a state descriptor are whole once read as a float, so
-# n=3.0000000000000001 is 3; a config count must be whole as written.
-_DESCRIPTOR_COUNTS = ("n", "j", "cutoff")
 
 
 def check_domain(name: str, value: float, shown: str | float | None = None) -> None:
@@ -73,36 +70,30 @@ def check_domain(name: str, value: float, shown: str | float | None = None) -> N
 _LARGEST_WHOLE = Decimal(sys.float_info.max)
 
 
-def whole_number(name: str, value: str | float) -> int:
-    """``value``, text or number, as the integer it denotes exactly.
-
-    ``2.5``, ``abc``, ``nan``, ``inf`` and anything past the float range
-    (``1e400``) raise ``ConfigError``: nothing is truncated or rounded.
-    """
-    try:
-        exact = Decimal(str(value))
-    except InvalidOperation:
-        exact = Decimal("nan")
-    if not (exact.is_finite() and abs(exact) <= _LARGEST_WHOLE and exact == int(exact)):
-        raise ConfigError(f"{name} = {value!r} is not a whole number in the float range")
-    return int(exact)
-
-
 def read_value(name: str, raw: str | float) -> float:
     """The value of parameter ``name`` given as text or a number, checked.
 
-    A counting parameter must be a whole number (``whole_number``), any other
-    a finite real; either must lie in the domain of ``name``.  Config keys,
-    axis bounds, ``state`` descriptor values and the CLI's numeric options
-    but ``--seed`` are all read here.
+    A counting parameter must denote a whole number exactly as written:
+    ``2.5``, ``abc``, ``nan``, ``inf``, anything past the float range
+    (``1e400``) and ``2.0000000000000001`` raise ``ConfigError``; nothing is
+    truncated or rounded.  Any other parameter must be a finite real.  Either
+    must lie in the domain of ``name``.  Config keys, axis bounds, ``state``
+    descriptor values and the CLI's numeric options but ``--seed`` are all
+    read here.
     """
-    value = raw
-    if name not in _WHOLE_NUMBERS or name in _DESCRIPTOR_COUNTS:
+    if name in _WHOLE_NUMBERS:
+        try:
+            exact = Decimal(str(raw))
+        except InvalidOperation:
+            exact = Decimal("nan")
+        if not (exact.is_finite() and abs(exact) <= _LARGEST_WHOLE and exact == int(exact)):
+            raise ConfigError(f"{name} = {raw!r} is not a whole number in the float range")
+        value = int(exact)
+    else:
         try:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"{name} = {raw!r} is not a number") from None
-    value = whole_number(name, value) if name in _WHOLE_NUMBERS else value
     check_domain(name, value, raw)
     return value
 
@@ -245,10 +236,10 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         items = tuple(x.strip() for x in raw.split(",") if x.strip())
         if key in ("preparation", "backend"):
             values[key] = raw.strip()
-        elif key == "omega_scissors":
-            values[key] = items
-        elif key == "omega_split_ts":
-            values[key] = tuple(read_value(key, x) for x in items)
+        elif key in ("omega_scissors", "omega_split_ts"):
+            if not items:
+                raise ConfigError(f"{key} is empty; omit it instead")
+            values[key] = items if key == "omega_scissors" else tuple(read_value(key, x) for x in items)
         else:
             values[key] = read_value(key, raw)
     return ExperimentConfig(

@@ -10,11 +10,11 @@ two must agree within the verification budget.
 The simulation never forms a joint state.  The source is a sum of two
 products, c_H (x)_k |+gamma_k, H> + c_V (x)_k |-gamma_k, V>, and every scissors
 stage is a linear map on one arm, so every state the stage loop holds is a sum
-of at most two products: per branch a coefficient and one single-mode factor
-per arm.  Its cost grows with the arm count, not with the size of the joint
-Fock space, so no source size limit applies.  ``sources.SourcePart`` builds
-the branches ``lambda_state`` dumps, their grams and target norms, and a
-``PrepResult`` expands its state with ``sources.expand`` only when read.
+of at most two products.  Its cost grows with the arm count, not with the size
+of the joint Fock space, so no source size limit applies.  ``sources`` owns
+that algebra (``SourcePart``, ``herald_arm``, ``SourcePart.score``); this
+module keeps the pipelines, the cutoff, the caches, the probability product,
+the stop rule and the feed-forward policy.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import analytics, sources
 from .elements import apply_pol_phase
 from .fock import DEFAULT_TAIL_BOUND, V, Factor, PureState, fidelity, min_cutoff
 from .scissors import ScissorsResult, TransferTable, pqs1_apply, pqs2_apply
-from .sources import PHOTONS, SourceParams, SourcePart, _gram, _overlap, _with
+from .sources import SourceParams, SourcePart
 
 # Sweep axis of each scissors method's knob: pqs1 transmissivity, pqs2 squeezing |gamma|.
 KNOB_AXES = {"pqs1": "t", "pqs2": "gamma_abs"}
@@ -92,13 +92,9 @@ def omega_pipeline(n: int, j: int, methods: tuple[str, ...]) -> Pipeline:
 class PrepResult:
     """One stage's heralding probability and fidelity, and its heralded state.
 
-    ``branches`` holds the state as a sum of products: per branch a
-    coefficient and one single-mode factor per arm, on ``cutoff``.  It is
-    empty when the stage heralds nothing, and on the joint route of
-    ``prepare_bell``, which keeps no state.  ``state`` expands it with the one
-    expander, ``sources.expand``.  Unlike a source's, the branches of a pqs2
-    stage share keys beyond the all-vacuum one (hybrid-pqs2 ``((0,0),(1,1))``,
-    bell-pqs2 ``((1,1),(1,1))``); the expander sums every shared key.
+    ``branches`` holds the state in the ``sources`` layout on ``cutoff``, empty
+    when the stage heralds nothing and on ``prepare_bell``'s joint route, which
+    keeps no state.  ``state`` expands it with the one expander, ``sources.expand``.
     """
 
     probability: float
@@ -162,18 +158,10 @@ def prepare_stages(
     scored against the plus-branch heralded target.  The next stage runs on
     the state before that correction.  The last result is the preparation's.
 
-    The state stays a sum of two products (module docstring), beside each
-    arm's ``_gram``.  Of its ``SourcePart``, which reads the source point and
-    arms alone, the loop reads ``source``, ``grams`` and ``target_norms``; the
-    target's photon factors enter only through grams, so ``source`` is the
-    target's bra when a stage is scored.  A stage maps the arm's factor of
-    each branch through its method's and knob's ``TransferTable``, built
-    herald-first by the circuit, one image per accepted pattern.  Neither part
-    nor table depends on anything else, so ``run_sweep`` passes one ``parts``
+    A ``SourcePart`` reads its source point and arms alone and a
+    ``TransferTable`` its method and knob, so ``run_sweep`` passes one ``parts``
     dict and one ``tables`` to every cell, its tables' first probes at the
-    sweep's largest cutoff; by default a call makes its own.  A pattern's
-    probability is the state's squared norm read with its images' gram on
-    that arm; the first pattern that heralds is kept, renormalized.
+    sweep's largest cutoff; by default a call makes its own.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
@@ -183,33 +171,14 @@ def prepare_stages(
     part = parts.get(key) or parts.setdefault(key, SourcePart(*key))
     arms, state, grams, probability, stages = pipeline.arms, part.source, part.grams, 1.0, []
     for count, (arm, method) in enumerate(zip(arms, pipeline.methods), 1):
-        total, kept = 0.0, None
-        for images in tables[method, knobs[KNOB_AXES[method]]].apply([f[arm] for _, f in state]):
-            pattern_grams = _with(grams, arm, _gram(images, images))
-            weight = _overlap(state, state, pattern_grams).real
-            total += weight
-            if kept is None and weight > 0.0:
-                kept = images, weight, pattern_grams
+        table = tables[method, knobs[KNOB_AXES[method]]]
+        total, state, grams = sources.herald_arm(state, grams, arm, table.apply)
         probability *= total
-        if kept is None:
+        if state is None:
             stages.append(PrepResult(probability, 0.0))
             break
-        images, weight, grams = kept
-        state = tuple((c / math.sqrt(weight), _with(f, arm, image)) for (c, f), image in zip(state, images))
-        scored = state
-        if count % 2:
-            # a gram term meets one occupation in bra and ket, so the flip's signs cancel in it
-            first = arms[0]
-            scored = tuple(
-                (c, _with(f, first, {occ: -a if occ[1] % 2 else a for occ, a in f[first].items()}))
-                for c, f in state
-            )
-        cross = part.grams  # the target against the scored state: a photon on each truncated arm
-        for k in arms[:count]:
-            cross = _with(cross, k, _gram(PHOTONS, [f[k] for _, f in scored]))
-        overlap = _overlap(part.source, scored, cross)
-        norms = part.target_norms[count - 1] * _overlap(scored, scored, grams).real
-        stages.append(PrepResult(probability, abs(overlap) ** 2 / norms, scored, cutoff))
+        flip = arms[0] if count % 2 else None
+        stages.append(PrepResult(probability, *part.score(state, grams, count, flip), cutoff))
     return tuple(stages)
 
 

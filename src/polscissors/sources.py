@@ -10,10 +10,11 @@ and this module alone knows that ``(coefficient, factors)`` layout.
 ``arm_factors`` builds the single-mode factors; ``SourcePart`` a source
 point: its two branches, each arm's Gram matrix (``_gram``) and its targets'
 squared norms (``_overlap``), for ``lambda_state`` and the preparations'
-stage loop alike; ``expand`` writes any sum of products as a joint state, one
-pass per branch into one dict, bit for bit the ``tensor``/``scale``/``add``
-composition, adding shared keys as ``add`` does (a source's or a target's
-branches share only the all-vacuum key).  Both routes refuse, with
+stage loop alike, whose stages ``herald_arm`` weighs and renormalizes and
+``SourcePart.score`` flips and scores; ``expand`` writes any sum of products
+as a joint state, one pass per branch into one dict, bit for bit the
+``tensor``/``scale``/``add`` composition, adding shared keys as ``add`` does
+(a source's or a target's branches share only the all-vacuum key).  Both routes refuse, with
 ``CutoffError``, a source whose branch would form more than
 ``fock.MAX_SOURCE_PRODUCTS`` amplitude products.  The limit guards the
 ``lambda``, ``lambda-circuit`` and ``target-omega`` state dumps, and a
@@ -265,6 +266,25 @@ def _overlap(bra, ket, grams) -> complex:
     )
 
 
+def herald_arm(state, grams, arm: int, apply) -> tuple:
+    """Herald ``arm``: (total probability, kept state, its Grams); the state is None when none heralds.
+
+    ``apply`` maps the arm's factor of each branch to one image per accepted
+    pattern (``TransferTable.apply``).  A pattern's probability is the state's
+    squared norm read with its images' gram on that arm; the first pattern
+    that heralds is kept, renormalized.
+    """
+    total, kept = 0.0, None
+    for images in apply([f[arm] for _, f in state]):
+        pattern_grams = _with(grams, arm, _gram(images, images))
+        weight = _overlap(state, state, pattern_grams).real
+        total += weight
+        if kept is None and weight > 0.0:
+            norm = math.sqrt(weight)
+            kept = tuple((c / norm, _with(f, arm, im)) for (c, f), im in zip(state, images)), pattern_grams
+    return (total, *kept) if kept else (total, None, grams)
+
+
 class SourcePart:
     """One n-arm source point, before any knob: its branches, each arm's ``_gram`` and target norms.
 
@@ -278,12 +298,28 @@ class SourcePart:
         # m_n first, so a degenerate source raises before any factor is built
         norm = analytics.m_n(split_amplitudes(params, n), params.phi)
         h, v = arm_factors(params, n, (), tail_bound)
+        self.arms = arms
         self.source = (norm, h), (norm * cmath.exp(1j * params.phi), v)
         self.grams = grams = tuple(_gram(pair, pair) for pair in zip(h, v))
         self.target_norms = []
         for arm in arms:
             grams = _with(grams, arm, _gram(PHOTONS, PHOTONS))
             self.target_norms.append(_overlap(self.source, self.source, grams).real)
+
+    def score(self, state, grams, count: int, flip: int | None) -> tuple:
+        """(fidelity to the ``arms[:count]`` target, state) of ``herald_arm``'s state, arm ``flip`` flipped."""
+        if flip is not None:
+            # a gram term meets one occupation in bra and ket, so the flip's signs cancel in it
+            state = tuple(
+                (c, _with(f, flip, {occ: -a if occ[1] % 2 else a for occ, a in f[flip].items()}))
+                for c, f in state
+            )
+        cross = self.grams  # the target, ``source`` with a photon on each truncated arm, vs the state
+        for k in self.arms[:count]:
+            cross = _with(cross, k, _gram(PHOTONS, [f[k] for _, f in state]))
+        overlap = _overlap(self.source, state, cross)
+        norms = self.target_norms[count - 1] * _overlap(state, state, grams).real
+        return abs(overlap) ** 2 / norms, state
 
 
 def xi_direct(params: SourceParams, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:

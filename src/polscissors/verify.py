@@ -101,18 +101,19 @@ def _check_pipelines(
     phi: float,
     t0: float,
     knob: float,
+    parts: dict,
 ) -> None:
     """Record the hybrid and Bell checks of one method from one Bell chain.
 
     The hybrid arms ``(1,)`` are the first stage of the Bell arms ``(1, 0)``,
-    so each check reads the chain's stage at its own arm count.  A degenerate
-    source skips both checks with the same reason; a degenerate closed form
-    skips only its own check.
+    so each check reads the chain's stage at its own arm count.  The sample's
+    chains share ``parts``.  A degenerate source skips both checks with the
+    same reason; a degenerate closed form skips only its own check.
     """
     names = [name for name, pipeline in PIPELINES.items() if pipeline.method == method]
     bell = Pipeline((method, method), BELL_ARMS)
     try:
-        stages = prepare_stages(bell, delta, phi, t0, {KNOB_AXES[method]: knob})
+        stages = prepare_stages(bell, delta, phi, t0, {KNOB_AXES[method]: knob}, parts=parts)
     except analytics.DegenerateParameterError as exc:
         for name in names:
             stats[name].skipped.append(f"{tag}: {exc}")
@@ -173,6 +174,7 @@ def run_verify(
         ideal = normalize(make_state(1, 8, [(((1, 0),), coeffs[(1, 0)]), (((0, 1),), coeffs[(0, 1)])]))
 
         # per method: that input, then the named preparations' full pipelines
+        parts = {}
         for method, knob in (("pqs1", t), ("pqs2", gamma)):
             # looked up at call time, so a patched or traced closed form is the one used
             scissors, closed_form = (
@@ -184,7 +186,7 @@ def run_verify(
                 abs(sim.total_probability - ana.probability),
                 abs(fidelity(sim.canonical_state, ideal) - ana.fidelity),
             )
-            _check_pipelines(stats, tag, method, delta, phi, t0, knob)
+            _check_pipelines(stats, tag, method, delta, phi, t0, knob, parts)
 
     checks = tuple(stats[name] for name in CHECK_NAMES)
     passed = all(c.max_dp <= budget and c.max_df <= budget for c in checks)

@@ -26,6 +26,8 @@ REPORTS = {
     "spot-bell-pqs1": ["spot", "--point", "bell-pqs1"],
     "spot-bell-pqs2": ["spot", "--point", "bell-pqs2"],
     "state-bell-pqs1": STATE + ["bell-pqs1:delta=0.8,phi=0.7,t0=0.45,t=0.9"],
+    "state-bell-pqs2": STATE + ["bell-pqs2:delta=0.9,phi=1.3,t0=0.5,gamma_abs=0.06"],
+    "state-hybrid-pqs1": STATE + ["hybrid-pqs1:delta=1.1,phi=0.4,t0=0.55,t=0.8"],
     "state-hybrid-pqs2": STATE + ["hybrid-pqs2:delta=1.4,phi=2.1,t0=0.6,gamma_abs=0.07"],
     "state-target-omega": STATE + ["target-omega:delta=1,phi=0.7,n=3,j=2,t1=0.4"],
 }

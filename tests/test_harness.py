@@ -254,6 +254,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key.split()[0]} given, but preparation bell-pqs1 is not omega"):
             parse_config_text(text, {"backend": backend})
 
+    @pytest.mark.parametrize("preparation", ["bell-pqs1", "omega"])
+    @pytest.mark.parametrize(
+        "line", ["omega_split_ts =", "omega_scissors =", "omega_split_ts = ,"], ids=["ts", "scissors", "comma"]
+    )
+    def test_an_empty_list_value_exits_2(self, line, preparation, tmp_path, capsys):
+        # an empty list reads as no list: it would pass the omega-key refusal unseen
+        key = line.split()[0]
+        text = OMEGA_CONFIG if preparation == "omega" else BELL_CONFIG
+        lines = [row for row in text.splitlines() if not row.startswith(f"{key} =")]
+        config = tmp_path / "exp.ini"
+        config.write_text("\n".join(lines).replace("t0 = 0.5", f"t0 = 0.5\n{line}"))
+        assert cli.main(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} is empty")
+
     @pytest.mark.parametrize("key", ["t0", "phi", "repetition_rate", "delta", "tail_bound", "max_cutoff"])
     def test_an_empty_value_is_refused(self, key):
         # an empty value is no value: it neither keeps the default nor echoes it
@@ -669,6 +683,38 @@ class TestCli:
     def test_state_bad_descriptor_exit_2_in_process(self, descriptor, capsys):
         assert cli.main(["state", "--prep", descriptor]) == 2
         assert capsys.readouterr().err.startswith("configuration error")
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["xi:delta=0.5,pol=V", "lambda:delta=0.5,n=3,t1=0.4,pol=V", "bell-pqs1:delta=0.5,t=0.9,pol=V"],
+        ids=["xi", "lambda", "bell-pqs1"],
+    )
+    def test_pol_is_read_only_where_a_state_has_a_polarization(self, descriptor, capsys):
+        assert cli.main(["state", "--prep", descriptor]) == 2
+        assert capsys.readouterr().err == "configuration error: unused descriptor parameters: ['pol']\n"
+        for name in ("coherent:gamma=0.5", "cat:delta=0.5"):
+            assert cli.main(["state", "--prep", f"{name},pol=v"]) == 0
+            keys = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+            assert "m0:(0,2)" in keys and "m0:(2,0)" not in keys
+
+    @pytest.mark.parametrize(
+        "descriptor,name,count",
+        [
+            ("target-omega:delta=0.5,n=2,j={}", "j", "0.99999999999999999"),
+            ("lambda:delta=0.5,cutoff={}", "cutoff", "9.9999999999999999"),
+            ("lambda:delta=0.5,n={},t1=0.4", "n", "3.0000000000000001"),
+        ],
+        ids=["j", "cutoff", "n"],
+    )
+    def test_a_descriptor_count_is_read_exactly_as_written(self, descriptor, name, count, capsys):
+        # a float would round each count to a whole number; a config count is read the same way
+        assert cli.main(["state", "--prep", descriptor.format(count)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {name} = {count!r} is not a whole number in the float range\n"
+        )
+        assert cli.main(["state", "--prep", descriptor.format(round(float(count)))]) == 0
+        assert cli.main(["state", "--prep", descriptor.format(f"{round(float(count))}.0")]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "mutation", [("t0 = 0.5", "t0 ="), ("t0 = 0.5", "t0 = 0.5\nomega_split_ts = 0.4")], ids=["empty", "omega"]

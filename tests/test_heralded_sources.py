@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from polscissors import analytics, preparations, sources, sweep, verify
+from polscissors import analytics, sources, sweep, verify
 from polscissors.config import load_config
 from polscissors.fock import CutoffError, FockError
 from polscissors.preparations import PIPELINES, Pipeline, omega_pipeline, prepare_stages, required_cutoff
@@ -90,7 +90,7 @@ def test_the_numeric_source_is_the_dumped_lambda(monkeypatch):
     # (m_n, m_n e^(i phi)), that sum of products is ``lambda_state``, and the
     # target norms are those of the photon targets on the same coefficients
     built = _recording(monkeypatch, "arm_factors", returns=True)
-    overlaps = _recording(monkeypatch, "_overlap", preparations)
+    overlaps = _recording(monkeypatch, "_overlap")
     rng = random.Random(8)
     for _ in range(12):
         n = rng.randint(2, 4)

@@ -21,6 +21,7 @@ from polscissors.config import AxisSpec, ExperimentConfig
 from polscissors.preparations import prepare_stages, required_cutoff
 from polscissors.scissors import TransferTable
 from polscissors.sweep import STATUS_OK, run_sweep
+from polscissors.verify import run_verify
 
 # every single-polarization occupation up to 30, and two mixed ones
 OCCUPATIONS = [(n, 0) for n in range(31)] + [(0, n) for n in range(1, 31)] + [(1, 1), (2, 1)]
@@ -173,6 +174,14 @@ def test_a_sweep_keeps_no_source_part(parts):
     run_sweep(config)
     assert len(parts["parts"]) == 8  # a later sweep builds its own
     assert _alive(parts["parts"]) == [] and _alive(parts["factors"]) == []
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+def test_verify_builds_one_source_part_per_sample(samples, parts):
+    # a sample's pqs1 and pqs2 Bell chains share its source point
+    run_verify(1, samples)
+    assert len(parts["parts"]) == samples
+    assert _alive(parts["parts"]) == []
 
 
 def test_a_sweep_shares_one_table_per_knob_and_keeps_none(tables):

@@ -129,6 +129,22 @@ def test_the_sum_of_products_algebra_has_one_home():
     assert defined == sorted(f"sources.py {name}" for name in names)
 
 
+def test_only_sources_names_the_pieces_of_the_sum_of_products_algebra():
+    # ``sources`` weighs, renormalizes, flips and scores each stage; no other
+    # module names the pieces those steps are made of
+    pieces = {"PHOTONS", "_gram", "_overlap", "_with"}
+    hits = []
+    for path in MODULES:
+        if path.name == "sources.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            hits += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & pieces)]
+    assert hits == []
+
+
 def _reads_m_n(node):
     if isinstance(node, ast.Attribute):
         return node.attr == "m_n"
@@ -174,6 +190,27 @@ def test_each_module_imports_only_earlier_layers():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         hits += [f"{path.stem} imports {m}" for m in _package_imports(tree) if m not in earlier]
     assert hits == []
+
+
+def test_the_listed_private_names_are_all_one_module_imports_from_another():
+    # a private name read across a module boundary couples the two modules;
+    # a new one needs a deliberate edit here
+    crossings = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set(_package_imports(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                crossings.update(f"{path.stem} {node.module}.{a.name}" for a in node.names if a.name[0] == "_")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in imported and node.attr[0] == "_":
+                    crossings.add(f"{path.stem} {node.value.id}.{node.attr}")
+    assert sorted(crossings) == [
+        "cli analytics._zero_probability",
+        "elements fock._raw_state",
+        "sources fock._raw_state",
+        "sweep analytics._zero_probability",
+    ]
 
 
 def _calls_named(tree, name):
