@@ -214,11 +214,11 @@ def bell_knob(source: SourceHalf, knob: float) -> AnalyticPF:
         keep = 2.0 * (1.0 - knob) * knob * f1a_sq
         spill = (1.0 - knob) ** 2 * f0a_sq
     else:
-        g2 = knob * knob
-        w1 = k_n(knob, 1) * knob * norm * f1b
-        w0 = k_n(knob, 0) * knob * knob * norm * f0b
-        keep = 2.0 * k_n(knob, 1) ** 2 * g2 * f1a_sq
-        spill = k_n(knob, 0) ** 2 * g2 * g2 * f0a_sq
+        g2, k1, k0 = knob * knob, k_n(knob, 1), k_n(knob, 0)
+        w1 = k1 * knob * norm * f1b
+        w0 = k0 * knob * knob * norm * f0b
+        keep = 2.0 * k1**2 * g2 * f1a_sq
+        spill = k0**2 * g2 * g2 * f0a_sq
     p = keep * (w1 * w1 + w0 * w0) + spill * (2.0 * w1 * w1 + vac_weight * w0 * w0)
     if p <= 0.0:
         raise _zero_probability(source.delta, knob)

@@ -233,12 +233,14 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     # ones; a missing preparation reads as "" and fails its check
     values: dict[str, object] = {"preparation": ""}
     for key, raw in exp.items():
-        items = tuple(x.strip() for x in raw.split(",") if x.strip())
         if key in ("preparation", "backend"):
             values[key] = raw.strip()
         elif key in ("omega_scissors", "omega_split_ts"):
-            if not items:
+            items = tuple(x.strip() for x in raw.split(","))
+            if not any(items):
                 raise ConfigError(f"{key} is empty; omit it instead")
+            if "" in items:
+                raise ConfigError(f"{key} = {raw.strip()!r} has an empty item")
             values[key] = items if key == "omega_scissors" else tuple(read_value(key, x) for x in items)
         else:
             values[key] = read_value(key, raw)

@@ -9,9 +9,10 @@ closed-form source half and one numeric source part (the coherent factors,
 Gram matrices and target norms) per (delta, phi, t0), one cutoff per
 (delta, t0), computed from the cells before the first, and one transfer table
 per scissors method and knob, whose one probe covers the largest cutoff; each
-cell still gives, bit for bit, the result of running it alone. The 625-cell
-``--reference bell-pqs1 --backend both`` grid runs in about 0.10 s in process
-and bell-pqs2's in 0.06 s (best of 7; Python 3.11, 2 shared vCPUs).
+cell still gives, bit for bit, the result of running it alone. The CSV and
+matrix writers format each axis value once per grid. The 625-cell
+``--reference bell-pqs1 --backend both`` grid runs in about 0.12 s in process
+and bell-pqs2's in 0.07 s (best of 7; Python 3.11.7, 2 shared vCPUs).
 ``run_sweep`` accepts ``jobs`` only so that existing callers keep working,
 and ignores it.
 """
@@ -46,13 +47,13 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
 
     What depends on the config alone is decided once, before the first cell:
     the pipeline, whether the closed form and the simulator run, the closed
-    form's halves, the columns, and the fixed parameters each cell starts
-    from (``config.cell_parameters``).  So is each numeric cell's cutoff, one
-    ``required_cutoff`` call per distinct (delta, t0), in grid order; if the
-    largest exceeds ``max_cutoff``, no cell runs.  The cells share the source
-    halves, source parts, cutoffs and transfer tables of the module docstring,
-    which live as long as this call; one that raises is not kept, so each cell
-    that asks for it raises again.
+    form's halves and knob axis, the columns, the repetition rate, and the
+    fixed parameters each cell starts from (``config.cell_parameters``).  So
+    is each numeric cell's cutoff, one ``required_cutoff`` call per distinct
+    (delta, t0), in grid order; if the largest exceeds ``max_cutoff``, no
+    cell runs.  The cells share the source halves, source parts, cutoffs and
+    transfer tables of the module docstring, which live as long as this call;
+    one that raises is not kept, so each cell that asks for it raises again.
     """
     pipeline = config.pipeline
     analytic = config.backend in ("analytic", "both")
@@ -84,9 +85,12 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
             raise CutoffError(f"delta = {delta} needs cutoff {cutoff} > max_cutoff {config.max_cutoff}")
         tables = TransferTables(cutoff)
 
-    # the closed form's halves depend on the preparation alone
-    source_half, knob_half = closed_form_halves(config.preparation) if analytic else (None, None)
-    knob_axes = {KNOB_AXES[method] for method in pipeline.methods}
+    if analytic:
+        # the closed form's halves depend on the preparation alone
+        source_half, knob_half = closed_form_halves(config.preparation)
+        method, knob_axis = pipeline.method, pipeline.knob_axis
+    knob_axes = {KNOB_AXES[m] for m in pipeline.methods}
+    rate, width = config.repetition_rate, len(columns)
     rows = []
     for v1 in v1s:
         for v2 in v2s:
@@ -95,9 +99,10 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
             values: list = [v1, v2]
             try:
                 if analytic:
-                    if (delta, phi, t0) not in halves:
-                        halves[delta, phi, t0] = source_half(pipeline.method, delta, phi, t0)
-                    ana = knob_half(halves[delta, phi, t0], params[pipeline.knob_axis])
+                    half = halves.get((delta, phi, t0))
+                    if half is None:
+                        half = halves[delta, phi, t0] = source_half(method, delta, phi, t0)
+                    ana = knob_half(half, params[knob_axis])
                     values += [ana.probability, ana.fidelity]
                 if numeric:
                     num = prepare_stages(
@@ -110,13 +115,13 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                 if analytic and numeric:
                     values += [abs(num.probability - ana.probability), abs(num.fidelity - ana.fidelity)]
             except analytics.DegenerateParameterError as exc:
-                values += [math.nan] * (len(columns) - 1 - len(values))
+                values += [math.nan] * (width - 1 - len(values))
                 underflow = isinstance(exc, analytics.ProbabilityUnderflowError)
                 values.append(STATUS_UNDERFLOW if underflow else STATUS_DEGENERATE)
             else:
-                if config.repetition_rate is not None:
+                if rate is not None:
                     # the rate follows the first probability column: the closed form when there is one
-                    values.append(analytics.count_rate(values[2], config.repetition_rate))
+                    values.append(analytics.count_rate(values[2], rate))
                 values.append(STATUS_OK)
             rows.append(tuple(values))
     max_p = max_f = None
@@ -129,12 +134,28 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
     return SweepGrid(config, tuple(columns), tuple(rows), max_p, max_f)
 
 
+def _axis_texts(grid: SweepGrid) -> tuple[list[str], list[str]]:
+    """Each axis value's ``"%.17e"`` text, from the float itself; ``ValueError`` on a wrong row count."""
+    texts1, texts2 = ([f"{v:.17e}" for v in axis.values()] for axis in (grid.config.axis1, grid.config.axis2))
+    if len(grid.rows) != len(texts1) * len(texts2):
+        raise ValueError(f"grid has {len(grid.rows)} rows, not {len(texts1)} x {len(texts2)}")
+    return texts1, texts2
+
+
 def grid_to_csv(grid: SweepGrid) -> str:
+    """The config echo, the header, one line per row and the ``both`` summary, as CSV.
+
+    Rows are in grid order, axis1 outer and axis2 inner, as ``run_sweep`` writes
+    them; each starts with the texts of its axis values, formatted once per grid.
+    A grid without ``steps1 x steps2`` rows raises ``ValueError``.
+    """
+    texts1, texts2 = _axis_texts(grid)
     lines = [f"# {line}" for line in config_echo(grid.config)]
     lines.append(",".join(grid.columns))
-    # every value is a float but the last, the status; "%.17e" % x is f"{x:.17e}"
-    row_format = ",".join(["%.17e"] * (len(grid.columns) - 1) + ["%s"])
-    lines += [row_format % row for row in grid.rows]
+    # every value past the axes is a float but the last, the status; "%.17e" % x is f"{x:.17e}"
+    rest = ",".join(["%.17e"] * (len(grid.columns) - 3) + ["%s"])
+    heads = [f"{t1},{t2}," for t1 in texts1 for t2 in texts2]
+    lines += [head + rest % row[2:] for head, row in zip(heads, grid.rows)]
     if grid.max_abs_err_p is not None:
         lines.append(f"# summary: max_abs_err_P = {grid.max_abs_err_p:.17e}")
         lines.append(f"# summary: max_abs_err_F = {grid.max_abs_err_f:.17e}")
@@ -168,18 +189,18 @@ def grid_to_matrix(grid: SweepGrid) -> str:
     Each block: first row is the axis2 values, then one row per axis1 value
     with the axis1 value in the first column.
     """
-    v1s = grid.config.axis1.values()
-    v2s = grid.config.axis2.values()
-    steps2 = len(v2s)
+    texts1, texts2 = _axis_texts(grid)
+    steps2 = len(texts2)
+    header = " ".join(["axis1\\axis2"] + texts2)
     lines = [f"# {line}" for line in config_echo(grid.config)]
     for ci, name in enumerate(grid.columns):
         if name in (grid.config.axis1.name, grid.config.axis2.name, "status"):
             continue
         lines.append(f"# block: {name}")
-        lines.append(" ".join(["axis1\\axis2"] + [f"{v:.17e}" for v in v2s]))
-        for i, v1 in enumerate(v1s):
-            cells = [v1] + [row[ci] for row in grid.rows[i * steps2 : (i + 1) * steps2]]
-            lines.append(" ".join(f"{v:.17e}" for v in cells))
+        lines.append(header)
+        for i, t1 in enumerate(texts1):
+            cells = [f"{row[ci]:.17e}" for row in grid.rows[i * steps2 : (i + 1) * steps2]]
+            lines.append(" ".join([t1] + cells))
         lines.append("")
     return "\n".join(lines)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -15,6 +16,7 @@ from polscissors.config import (
     AxisSpec,
     ConfigError,
     ExperimentConfig,
+    config_echo,
     load_config,
     parse_config_text,
     reference_grid,
@@ -268,6 +270,19 @@ class TestConfig:
         assert cli.main(["sweep", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {key} is empty")
 
+    @pytest.mark.parametrize(
+        "line", ["omega_scissors = pqs1,,pqs2", "omega_split_ts = 0.4,"], ids=["scissors", "ts"]
+    )
+    def test_an_empty_list_item_exits_2(self, line, tmp_path, capsys):
+        # a stray comma is no item: dropping it would run a list other than the one written
+        key = line.split()[0]
+        text = OMEGA_CONFIG.replace("omega_n = 2", "omega_n = 3\nomega_split_ts = 0.4")
+        lines = [row for row in text.splitlines() if not row.startswith(f"{key} =")]
+        config = tmp_path / "exp.ini"
+        config.write_text("\n".join(lines).replace("t0 = 0.5", f"t0 = 0.5\n{line}"))
+        assert cli.main(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} = ")
+
     @pytest.mark.parametrize("key", ["t0", "phi", "repetition_rate", "delta", "tail_bound", "max_cutoff"])
     def test_an_empty_value_is_refused(self, key):
         # an empty value is no value: it neither keeps the default nor echoes it
@@ -283,6 +298,55 @@ class TestConfig:
             assert config.axis2.name == PIPELINES[name].knob_axis
         with pytest.raises(ConfigError):
             reference_grid("omega")
+
+
+def _reference_csv(grid):
+    """The CSV writer as it formatted every cell of every row, axis values included."""
+    lines = [f"# {line}" for line in config_echo(grid.config)]
+    lines.append(",".join(grid.columns))
+    row_format = ",".join(["%.17e"] * (len(grid.columns) - 1) + ["%s"])
+    lines += [row_format % row for row in grid.rows]
+    if grid.max_abs_err_p is not None:
+        lines.append(f"# summary: max_abs_err_P = {grid.max_abs_err_p:.17e}")
+        lines.append(f"# summary: max_abs_err_F = {grid.max_abs_err_f:.17e}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_matrix(grid):
+    """The matrix writer as it formatted the axis values once per block and row."""
+    v1s, v2s = grid.config.axis1.values(), grid.config.axis2.values()
+    lines = [f"# {line}" for line in config_echo(grid.config)]
+    for ci, name in enumerate(grid.columns):
+        if name in (grid.config.axis1.name, grid.config.axis2.name, "status"):
+            continue
+        lines.append(f"# block: {name}")
+        lines.append(" ".join(["axis1\\axis2"] + [f"{v:.17e}" for v in v2s]))
+        for i, v1 in enumerate(v1s):
+            cells = [v1] + [row[ci] for row in grid.rows[i * len(v2s) : (i + 1) * len(v2s)]]
+            lines.append(" ".join(f"{v:.17e}" for v in cells))
+        lines.append("")
+    return "\n".join(lines)
+
+
+WRITER_GRIDS = {
+    # degenerate at delta 0, underflow at delta 20, and a count_rate column
+    "edges-rate": ExperimentConfig(
+        "bell-pqs1", AxisSpec("delta", -0.0, 20.0, 3), AxisSpec("t", 0.5, 0.9, 3), repetition_rate=6.4e6
+    ),
+    # knob first, backend both with its summary footer, a delta axis from -0.0
+    "knob-first-both": ExperimentConfig(
+        "bell-pqs2", AxisSpec("gamma_abs", 0.02, 0.08, 3), AxisSpec("delta", -0.0, 1.0, 3),
+        backend="both", repetition_rate=1e6,
+    ),
+    # a phi axis from -0.0, and one that ends there, so a row's axis text is signed
+    "phi-from-zero": ExperimentConfig(
+        "hybrid-pqs2", AxisSpec("phi", -0.0, math.pi, 4), AxisSpec("delta", 0.0, 1.2, 3), gamma_abs=0.05
+    ),
+    "phi-to-zero": ExperimentConfig(
+        "hybrid-pqs1", AxisSpec("delta", 0.4, 1.2, 3), AxisSpec("phi", math.pi, -0.0, 3), t=0.9
+    ),
+    "fine": ExperimentConfig("bell-pqs1", AxisSpec("delta", 0.5, 2.0, 50), AxisSpec("t", 0.5, 0.98, 50)),
+}
 
 
 class TestSweep:
@@ -471,6 +535,29 @@ class TestSweep:
         text = BELL_CONFIG.replace("stop = 1.0", "stop = 9.0")
         with pytest.raises(CutoffError):
             run_sweep(parse_config_text(text))
+
+    @pytest.mark.parametrize("name", sorted(WRITER_GRIDS))
+    def test_writers_match_the_per_cell_reference(self, name):
+        # the writers format each axis value once per grid; the bytes must not move
+        grid = run_sweep(WRITER_GRIDS[name])
+        assert grid_to_csv(grid) == _reference_csv(grid)
+        assert grid_to_matrix(grid) == _reference_matrix(grid)
+
+    def test_writer_grids_cover_every_row_kind(self):
+        grids = {name: run_sweep(config) for name, config in WRITER_GRIDS.items()}
+        statuses = {row[-1] for grid in grids.values() for row in grid.rows}
+        assert statuses == {"ok", "degenerate", "underflow"}
+        assert "count_rate" in grids["edges-rate"].columns
+        assert grids["knob-first-both"].max_abs_err_p is not None
+        assert len(grids["fine"].rows) == 2500
+        assert ",-0.00000000000000000e+00," in grid_to_csv(grids["phi-to-zero"])
+
+    def test_writers_refuse_a_grid_with_a_row_missing(self):
+        grid = run_sweep(WRITER_GRIDS["knob-first-both"])
+        short = dataclasses.replace(grid, rows=grid.rows[:-1])
+        for writer in (grid_to_csv, grid_to_matrix):
+            with pytest.raises(ValueError, match="8 rows, not 3 x 3"):
+                writer(short)
 
 
 class TestVerify:
