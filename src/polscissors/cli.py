@@ -16,7 +16,7 @@ import sys
 from .analytics import DegenerateParameterError, _zero_probability
 from .config import ConfigError, load_config, read_value, reference_grid
 from .fock import DEFAULT_TAIL_BOUND, CutoffError, dump_lines, min_cutoff
-from .preparations import PIPELINES, PREPARATIONS, prepare_named
+from .preparations import DEFAULT_BUDGET, PIPELINES, PREPARATIONS, prepare_named
 from .sources import (
     SourceParams,
     cat,
@@ -26,7 +26,7 @@ from .sources import (
     target_omega,
 )
 from .sweep import grid_to_csv, grid_to_json, grid_to_matrix, run_sweep
-from .verify import DEFAULT_BUDGET, SPOT_POINTS, run_spot, run_verify
+from .verify import SPOT_POINTS, run_spot, run_verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

@@ -5,7 +5,7 @@ one scissors method per arm; ``prepare_stages`` simulates any of them.  The
 named pipelines are two-arm cases: truncating the second arm gives the hybrid
 photon-qubit vs coherent-arm entanglement, then the first as well the
 polarization Bell pair.  They also have an analytic route (closed forms); the
-two must agree within the verification budget.
+two must agree within ``DEFAULT_BUDGET``, as ``compare`` measures them.
 
 The simulation never forms a joint state.  The source is a sum of two
 products, c_H (x)_k |+gamma_k, H> + c_V (x)_k |-gamma_k, V>, and every scissors
@@ -34,6 +34,8 @@ KNOB_AXES = {"pqs1": "t", "pqs2": "gamma_abs"}
 
 HYBRID_ARMS = (1,)
 BELL_ARMS = (1, 0)
+
+DEFAULT_BUDGET = 1e-8  # the contract: the largest |dP| and |dF| between the two routes
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,11 @@ def analytic_named(name: str, delta: float, phi: float, t0: float, knob: float) 
     # looked up at call time, so a patched or traced closed form is the one used
     closed_form = analytics.pf_bell if pipeline.arms == BELL_ARMS else analytics.pf_hybrid
     return closed_form(pipeline.method, delta, phi, t0, knob)
+
+
+def compare(analytic, numeric) -> tuple[float, float]:
+    """The one analytic-minus-numeric comparison: (|dP|, |dF|), NaN where either side is NaN."""
+    return abs(numeric.probability - analytic.probability), abs(numeric.fidelity - analytic.fidelity)
 
 
 def closed_form_halves(name: str) -> tuple:

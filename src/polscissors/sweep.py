@@ -9,12 +9,13 @@ closed-form source half and one numeric source part (the coherent factors,
 Gram matrices and target norms) per (delta, phi, t0), one cutoff per
 (delta, t0), computed from the cells before the first, and one transfer table
 per scissors method and knob, whose one probe covers the largest cutoff; each
-cell still gives, bit for bit, the result of running it alone. The CSV and
-matrix writers format each axis value once per grid. The 625-cell
-``--reference bell-pqs1 --backend both`` grid runs in about 0.12 s in process
-and bell-pqs2's in 0.07 s (best of 7; Python 3.11.7, 2 shared vCPUs).
-``run_sweep`` accepts ``jobs`` only so that existing callers keep working,
-and ignores it.
+cell still gives, bit for bit, the result of running it alone. A ``both``
+cell's ``abs_err_*`` are ``preparations.compare``'s pair, gated nowhere; the
+footer is their max over the ``ok`` cells. The writers format each axis
+value once per grid. The 625-cell ``--reference bell-pqs1 --backend both``
+grid runs in about 0.12 s in process and bell-pqs2's in 0.07 s (best of 7;
+Python 3.11.7, 2 shared vCPUs). ``run_sweep`` accepts ``jobs`` only so that
+existing callers keep working, and ignores it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from . import analytics
 from .config import ExperimentConfig, config_echo
 from .fock import CutoffError
-from .preparations import KNOB_AXES, TransferTables, closed_form_halves, prepare_stages, required_cutoff
+from .preparations import KNOB_AXES, TransferTables, closed_form_halves, compare, prepare_stages, required_cutoff
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -91,7 +92,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
         method, knob_axis = pipeline.method, pipeline.knob_axis
     knob_axes = {KNOB_AXES[m] for m in pipeline.methods}
     rate, width = config.repetition_rate, len(columns)
-    rows = []
+    rows, errs = [], []
     for v1 in v1s:
         for v2 in v2s:
             params = config.cell_parameters(v1, v2)
@@ -113,7 +114,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                         raise analytics._zero_probability(delta, *(params[a] for a in knob_axes))
                     values += [num.probability, num.fidelity]
                 if analytic and numeric:
-                    values += [abs(num.probability - ana.probability), abs(num.fidelity - ana.fidelity)]
+                    errs.append(compare(ana, num))  # nothing after it raises, so the cell is ok
+                    values += errs[-1]
             except analytics.DegenerateParameterError as exc:
                 values += [math.nan] * (width - 1 - len(values))
                 underflow = isinstance(exc, analytics.ProbabilityUnderflowError)
@@ -124,13 +126,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                     values.append(analytics.count_rate(values[2], rate))
                 values.append(STATUS_OK)
             rows.append(tuple(values))
-    max_p = max_f = None
-    if analytic and numeric:
-        i_p, i_f = columns.index("abs_err_P"), columns.index("abs_err_F")
-        oks = [r for r in rows if r[-1] == STATUS_OK]
-        if oks:
-            max_p = max(r[i_p] for r in oks)
-            max_f = max(r[i_f] for r in oks)
+    max_p, max_f = map(max, zip(*errs)) if errs else (None, None)
     return SweepGrid(config, tuple(columns), tuple(rows), max_p, max_f)
 
 
@@ -163,7 +159,7 @@ def grid_to_csv(grid: SweepGrid) -> str:
 
 
 def grid_from_csv(text: str) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
-    """Parse an emitted CSV back into (columns, rows); comments are skipped."""
+    """Parse an emitted CSV back into (columns, rows); comments are skipped, a ragged row raises."""
     columns: tuple[str, ...] | None = None
     rows = []
     for line in text.splitlines():
@@ -174,6 +170,8 @@ def grid_from_csv(text: str) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
             columns = tuple(line.split(","))
             continue
         cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ValueError(f"row {line!r} has {len(cells)} cells, not the header's {len(columns)}")
         parsed = []
         for name, cell in zip(columns, cells):
             parsed.append(cell if name == "status" else float(cell))

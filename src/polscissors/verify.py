@@ -2,9 +2,9 @@
 
 ``run_verify`` draws reproducible random parameter tuples, runs every
 preparation through both the full circuit simulation and the closed forms,
-and reports the worst probability/fidelity deviations per closed-form family
-against a fixed budget.  ``run_spot`` evaluates the frozen operating points
-(count-rate level checks) with their stated tolerances.
+and reports the worst ``preparations.compare`` deviations per closed-form
+family against a budget; a NaN one fails.  ``run_spot`` checks the frozen
+operating points' envelopes (count-rate level) and |dP| at ``DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -17,18 +17,20 @@ from . import analytics
 from .fock import H, fidelity, make_state, min_cutoff, normalize
 from .preparations import (
     BELL_ARMS,
+    DEFAULT_BUDGET,
     KNOB_AXES,
     PIPELINES,
     PREPARATIONS,
     Pipeline,
+    PrepResult,
     analytic_named,
+    compare,
     prepare_named,
     prepare_stages,
 )
 from .scissors import pqs1_apply, pqs2_apply, qs_apply
 from .sources import coherent
 
-DEFAULT_BUDGET = 1e-8
 DEFAULT_RANGES = {
     "delta": (0.2, 2.0),
     "t": (0.3, 0.98),
@@ -49,8 +51,9 @@ class CheckStat:
     skipped: list[str] = field(default_factory=list)
 
     def record(self, dp: float, df: float) -> None:
-        self.max_dp = max(self.max_dp, dp)
-        self.max_df = max(self.max_df, df)
+        # ``max`` keeps a NaN it holds but drops a new one, so a NaN is kept by hand
+        self.max_dp = math.nan if math.isnan(dp) else max(self.max_dp, dp)
+        self.max_df = math.nan if math.isnan(df) else max(self.max_df, df)
         self.samples += 1
 
 
@@ -73,7 +76,8 @@ class VerifyReport:
                 f"{c.max_dp:>12.3e} {c.max_df:>12.3e}"
             )
             out.extend(f"  skipped: {reason}" for reason in c.skipped)
-        worst = max(max(c.max_dp, c.max_df) for c in self.checks)
+        deviations = [d for c in self.checks for d in (c.max_dp, c.max_df)]
+        worst = max(deviations, key=lambda d: (math.isnan(d), d))  # a NaN is the worst
         out.append(f"result: {'PASS' if self.passed else 'FAIL'} (worst deviation {worst:.3e})")
         return out
 
@@ -125,10 +129,7 @@ def _check_pipelines(
         except analytics.DegenerateParameterError as exc:
             stats[name].skipped.append(f"{tag}: {exc}")
             continue
-        stats[name].record(
-            abs(num.probability - ana.probability),
-            abs(num.fidelity - ana.fidelity),
-        )
+        stats[name].record(*compare(ana, num))
 
 
 def run_verify(
@@ -137,9 +138,15 @@ def run_verify(
     budget: float = DEFAULT_BUDGET,
     ranges: dict[str, tuple[float, float]] | None = None,
 ) -> VerifyReport:
-    """Cross-validate simulation against closed forms on seeded random tuples."""
+    """Cross-validate simulation against closed forms on seeded random tuples.
+
+    ``ranges`` overrides keys of ``DEFAULT_RANGES``; any other key raises ``ValueError``.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
+    unknown = sorted(set(ranges or ()) - set(DEFAULT_RANGES))
+    if unknown:
+        raise ValueError(f"unknown ranges {unknown}; have {sorted(DEFAULT_RANGES)}")
     spans = dict(DEFAULT_RANGES)
     if ranges:
         spans.update(ranges)
@@ -161,10 +168,8 @@ def run_verify(
             sim = qs_apply(coh, 0, H, t, herald_first=True)
             ana = analytics.pf_qs(analytics.f_n(delta, 0) ** 2, analytics.f_n(delta, 1) ** 2, t)
             photon = make_state(1, cut, [(((1, 0),), 1.0)])
-            sim_f = fidelity(sim.canonical_state, photon)
-            stats["qs"].record(
-                abs(sim.total_probability - ana.probability), abs(sim_f - ana.fidelity)
-            )
+            num = PrepResult(sim.total_probability, fidelity(sim.canonical_state, photon))
+            stats["qs"].record(*compare(ana, num))
         except analytics.DegenerateParameterError as exc:
             stats["qs"].skipped.append(f"{tag}: {exc}")
 
@@ -182,10 +187,8 @@ def run_verify(
             )
             sim = scissors(state, 0, knob, herald_first=True)
             ana = closed_form(sqs[(1, 0)], sqs[(0, 1)], sqs[(0, 0)], sqs[(1, 1)], knob)
-            stats[f"{method}-random"].record(
-                abs(sim.total_probability - ana.probability),
-                abs(fidelity(sim.canonical_state, ideal) - ana.fidelity),
-            )
+            num = PrepResult(sim.total_probability, fidelity(sim.canonical_state, ideal))
+            stats[f"{method}-random"].record(*compare(ana, num))
             _check_pipelines(stats, tag, method, delta, phi, t0, knob, parts)
 
     checks = tuple(stats[name] for name in CHECK_NAMES)
@@ -242,6 +245,7 @@ def run_spot(name: str) -> tuple[list[str], bool]:
     ana = analytic_named(name, pt.delta, pt.phi, pt.t0, pt.knob)
     num = prepare_named(name, pt.delta, pt.phi, pt.t0, pt.knob)
     rate = analytics.count_rate(ana.probability, pt.repetition_rate)
+    dp = compare(ana, num)[0]
 
     def within(value: float, expect: float) -> bool:
         return abs(value - expect) <= pt.rel_tol * expect
@@ -255,8 +259,8 @@ def run_spot(name: str) -> tuple[list[str], bool]:
         (f"F_numeric  = {num.fidelity:.6f} > {pt.min_fidelity}", num.fidelity > pt.min_fidelity),
         (f"count rate = {rate:.1f} Hz within {pt.rel_tol:.0%} of {pt.expect_rate:.0f} Hz",
          within(rate, pt.expect_rate)),
-        (f"|P_num - P_ana| = {abs(num.probability - ana.probability):.3e} <= 1e-8",
-         abs(num.probability - ana.probability) <= 1e-8),
+        # the text spells DEFAULT_BUDGET as the spot goldens do; f"{DEFAULT_BUDGET}" reads 1e-08
+        (f"|P_num - P_ana| = {dp:.3e} <= 1e-8", dp <= DEFAULT_BUDGET),
     ]
     lines = [f"spot point {name}: delta={pt.delta} phi={pt.phi} t0={pt.t0} knob={pt.knob}"]
     ok = True

@@ -348,6 +348,11 @@ WRITER_GRIDS = {
     "fine": ExperimentConfig("bell-pqs1", AxisSpec("delta", 0.5, 2.0, 50), AxisSpec("t", 0.5, 0.98, 50)),
 }
 
+# backend both at the degenerate corner: the delta = 0 rows vanish at phi = pi
+BOTH_CORNER = ExperimentConfig(
+    "bell-pqs1", AxisSpec("delta", 0.0, 1.0, 3), AxisSpec("t", 0.5, 0.9, 2), backend="both", phi=math.pi
+)
+
 
 class TestSweep:
     def test_row_count_and_columns(self):
@@ -559,6 +564,31 @@ class TestSweep:
             with pytest.raises(ValueError, match="8 rows, not 3 x 3"):
                 writer(short)
 
+    @pytest.mark.parametrize("corner", [False, True], ids=["knob-first-both", "degenerate-corner"])
+    def test_footer_is_the_max_over_the_ok_rows(self, corner):
+        # at phi = pi the delta = 0 rows are degenerate: their nan errors stay out of the footer
+        config = BOTH_CORNER if corner else WRITER_GRIDS["knob-first-both"]
+        grid = run_sweep(config)
+        i_p, i_f = grid.columns.index("abs_err_P"), grid.columns.index("abs_err_F")
+        oks = [row for row in grid.rows if row[-1] == "ok"]
+        assert oks and (len(oks) < len(grid.rows)) == corner
+        assert grid.max_abs_err_p == max(row[i_p] for row in oks)
+        assert grid.max_abs_err_f == max(row[i_f] for row in oks)
+
+    def test_an_all_degenerate_both_grid_has_no_footer(self):
+        grid = run_sweep(dataclasses.replace(BOTH_CORNER, axis1=AxisSpec("delta", 0.0, 0.0, 2)))
+        assert {row[-1] for row in grid.rows} == {"degenerate"}
+        assert grid.max_abs_err_p is None and grid.max_abs_err_f is None
+        assert "# summary" not in grid_to_csv(grid)
+        assert json.loads(grid_to_json(grid))["summary"] == {"max_abs_err_F": None, "max_abs_err_P": None}
+
+    @pytest.mark.parametrize(
+        "row,cells", [("1.0,2.0", 2), ("3.0,4.0,ok,extra", 4)], ids=["short", "long"]
+    )
+    def test_csv_row_with_the_wrong_cell_count_is_refused(self, row, cells):
+        with pytest.raises(ValueError, match=f"has {cells} cells, not the header's 3"):
+            grid_from_csv(f"delta,t,status\n{row}\n")
+
 
 class TestVerify:
     def test_small_run_passes(self):
@@ -641,6 +671,42 @@ class TestVerify:
         passed = all(max(c.max_dp, c.max_df) <= report.budget for c in checks)
         expected = VerifyReport(seed, samples, report.budget, checks, passed)
         assert report.lines() == expected.lines()
+
+    @pytest.mark.parametrize("sample", [0, 2], ids=["first", "last"])
+    def test_a_nan_deviation_fails_its_check(self, monkeypatch, sample):
+        # ``max`` would drop a NaN that arrives after a number; the check must keep it
+        closed_form, calls = analytics.pf_bell, []
+
+        def nan_once(method, *args):
+            pf = closed_form(method, *args)
+            if method == "pqs1":
+                calls.append(method)
+                if len(calls) == sample + 1:
+                    return analytics.AnalyticPF(math.nan, pf.fidelity)
+            return pf
+
+        monkeypatch.setattr(analytics, "pf_bell", nan_once)
+        report = run_verify(1, 3)
+        checks = {c.name: c for c in report.checks}
+        assert len(calls) == 3 and checks["bell-pqs1"].samples == 3
+        assert math.isnan(checks["bell-pqs1"].max_dp) and checks["bell-pqs1"].max_df <= 1e-10
+        assert not report.passed
+        lines = report.lines()
+        assert [line.split()[-2] for line in lines if line.startswith("bell-pqs1")] == ["nan"]
+        assert lines[-1] == "result: FAIL (worst deviation nan)"
+
+    @pytest.mark.parametrize("at", [0, 2], ids=["first", "last"])
+    def test_record_keeps_a_nan(self, at):
+        stat = CheckStat("x")
+        for i in range(3):
+            stat.record(math.nan if i == at else 1e-12 * (i + 1), math.nan if i == at else 0.0)
+        assert math.isnan(stat.max_dp) and math.isnan(stat.max_df) and stat.samples == 3
+
+    def test_an_unknown_range_is_refused(self):
+        with pytest.raises(ValueError, match=r"unknown ranges \['detla'\]"):
+            run_verify(1, 1, ranges={"gamma_abs": (0.05, 0.06), "detla": (5.0, 5.0)})
+        with pytest.raises(ValueError, match=r"unknown ranges \['gamma'\]"):
+            run_verify(1, 1, ranges={"gamma": (0.5, 0.6)})
 
 
 def _bell_chain(method, delta, phi, t0, knob):

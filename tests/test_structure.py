@@ -256,3 +256,35 @@ def test_the_simulator_raises_no_degenerate_parameter_error():
         )
     ]
     assert hits == []
+
+
+def test_one_function_compares_the_routes():
+    # ``preparations.compare`` is the one analytic-minus-numeric comparison,
+    # and ``preparations.DEFAULT_BUDGET`` the one budget
+    from polscissors import preparations, verify
+
+    outcomes = {"probability", "fidelity", "total_probability"}
+    inside, sites, budgets = 0, [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        compare = {
+            node
+            for f in ast.walk(tree)
+            if path.name == "preparations.py" and isinstance(f, ast.FunctionDef) and f.name == "compare"
+            for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                if {getattr(node.left, "attr", None), getattr(node.right, "attr", None)} & outcomes:
+                    if node in compare:
+                        inside += 1
+                    else:
+                        sites.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Constant) and node.value == preparations.DEFAULT_BUDGET:
+                budgets.append(f"{path.name}:{node.lineno}")
+    assert inside == 2 and sites == []
+    assert len(budgets) == 1 and budgets[0].startswith("preparations.py:")
+    assert verify.DEFAULT_BUDGET is preparations.DEFAULT_BUDGET
+    # the spot text spells the budget by hand; it must read as the constant
+    lines, _ = verify.run_spot("bell-pqs1")
+    assert float(lines[-2].rsplit("<= ", 1)[1]) == preparations.DEFAULT_BUDGET
