@@ -18,8 +18,9 @@ The beam splitter and the squeezer take an optional ``herald``: the output
 occupations the photon-number projection that follows accepts on their
 modes.  Given one, each runs its one loop and stores only those output keys,
 bit for bit and in the order the full expansion holds them, so the
-projection's result is unchanged.  The squeezer's loop also skips the keys
-and rows that cannot reach its herald.
+projection's result is unchanged.  Each loop also skips what cannot reach
+the herald: the beam splitter the input pairs whose (H, V) photon totals no
+accepted pair has, the squeezer the keys and rows past its occupation.
 """
 
 from __future__ import annotations
@@ -155,6 +156,7 @@ def apply_bs(
     ``herald``, when given, lists the ``(occ_a, occ_b)`` output pairs the
     following projection accepts on the two modes; no other output key is
     formed.  The kept keys are bitwise those of the full output, in its order.
+    An input pair whose (H, V) photon totals no accepted pair has is skipped.
     """
     _check_mode(state, spec.mode_a)
     _check_mode(state, spec.mode_b)
@@ -167,8 +169,10 @@ def apply_bs(
     rows_of: dict[tuple[Occupation, Occupation], list] = {}
     cols_of: dict[tuple[int, int, int, int], list] = {}
     if herald is not None:
-        # the H output pairs of the accepted patterns
+        # the accepted patterns' H output pairs and (H, V) photon totals, which
+        # each pair term keeps: an input pair with other totals reaches none
         herald_h = {(occ_a[0], occ_b[0]) for occ_a, occ_b in herald}
+        totals = {(occ_a[0] + occ_b[0], occ_a[1] + occ_b[1]) for occ_a, occ_b in herald}
 
     amps: dict[OccKey, complex] = {}
     setdefault = amps.setdefault
@@ -178,6 +182,8 @@ def apply_bs(
         if rows is None:
             (pah, pav), (pbh, pbv) = pair
             rows = rows_of[pair] = []
+            if herald is not None and (pah + pbh, pav + pbv) not in totals:
+                continue
             for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, min(cutoff, pah + pbh)):
                 if herald is not None and (nah, nbh) not in herald_h:
                     continue
@@ -190,6 +196,8 @@ def apply_bs(
                     ]
                 if cols:
                     rows.append((wh, cols))
+        if not rows:
+            continue
         new = list(key)
         for wh, cols in rows:
             amp_h = amp * wh

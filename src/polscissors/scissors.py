@@ -28,9 +28,9 @@ product state.  Running the circuit on the whole joint state and projecting
 it (expand-then-project) stays the oracle the tables are tested against.
 
 Every circuit takes ``herald_first``: the element in front of the detectors
-then forms only the components they accept (``elements`` ``herald``), so it
-projects while it expands.  The result is bitwise the one of the full
-expansion, which stays the default.
+then forms only the components they accept, from the inputs whose photon
+totals can reach them (``elements`` ``herald``), so it projects while it
+expands.  The result is bitwise the one of the full expansion, the default.
 """
 
 from __future__ import annotations
@@ -88,16 +88,21 @@ def _kept_mode_back(state: PureState, mode: int) -> PureState:
     return permute_modes(state, order)
 
 
+def _qs_channel(pol: str, t: float, cutoff: int) -> PureState:
+    """The ancilla photon of ``pol`` and its vacuum partner, split on ``BeamSplitterSpec(t, 0, 1)``."""
+    single = (1, 0) if pol == H else (0, 1)
+    return apply_bs(make_state(2, cutoff, [((single, (0, 0)), 1.0)]), BeamSplitterSpec(t, 0, 1))
+
+
 def _qs_branches(
-    state: PureState, mode: int, pol: str, t: float, *, herald_first: bool = False
+    state: PureState, mode: int, pol: str, t: float, *, herald_first: bool = False,
+    channel: PureState | None = None,
 ) -> list[tuple[float, PureState | None]]:
     """Run one scissors module; return each pattern's probability and corrected component.
 
-    The ancilla photon and its vacuum partner are split on the
-    ``BeamSplitterSpec(t, 0, 1)`` beam splitter as a two-mode state of at most two keys,
-    which is tensored onto the input once.  The state the detectors project is
-    bitwise the one of tensoring the ancilla and the vacuum onto the input and
-    splitting them there: same keys, same insertion order, same amplitudes.
+    ``channel``, ``_qs_channel``'s state of at most two keys unless given, is
+    tensored onto the input once: the detectors project bitwise the state of
+    tensoring the ancilla and the vacuum onto the input and splitting them there.
 
     The kept output mode is moved back to ``mode``, so branch states have the
     same mode layout as the input.  Probabilities are squared norms of the
@@ -111,7 +116,7 @@ def _qs_branches(
         raise FockError(f"mode {mode} out of range")
     n = state.mode_count
     single = (1, 0) if pol == H else (0, 1)
-    channel = apply_bs(make_state(2, state.cutoff, [((single, (0, 0)), 1.0)]), BeamSplitterSpec(t, 0, 1))
+    channel = _qs_channel(pol, t, state.cutoff) if channel is None else channel
     patterns = ((single, (0, 0), False), ((0, 0), single, True))
     accepted = {(d1, d2) for d1, d2, _ in patterns} if herald_first else None
     work = apply_bs(tensor(state, channel), BeamSplitterSpec(0.5, mode, n + 1), herald=accepted)
@@ -150,12 +155,13 @@ def pqs1_apply(
 
     The mode is split by polarization, each arm passes its own scissors
     module, and the arms are merged back; the spare arm is verified to end in
-    vacuum before being dropped.
+    vacuum before being dropped.  Both H branches' V modules share one channel.
     """
     if mode < 0 or mode >= state.mode_count:
         raise FockError(f"mode {mode} out of range")
     n = state.mode_count
     work = apply_pbs(tensor(state, vacuum(1, state.cutoff)), mode, n)
+    channel = _qs_channel(V, t, state.cutoff)
 
     branches = []
     for _, st_h in _qs_branches(work, mode, H, t, herald_first=herald_first):
@@ -163,7 +169,7 @@ def pqs1_apply(
             # both V patterns of a dead H branch are dead too
             branches += [(0.0, None)] * 2
             continue
-        for prob_v, st_v in _qs_branches(st_h, n, V, t, herald_first=herald_first):
+        for prob_v, st_v in _qs_branches(st_h, n, V, t, herald_first=herald_first, channel=channel):
             if st_v is None:
                 branches.append((prob_v, None))
                 continue
@@ -229,8 +235,9 @@ class TransferTable:
         if missing:
             self.cutoff = max(self.cutoff, *(max(occ) for occ in missing))
             side = self.cutoff + 1
-            probe = [((divmod(i, side), occ), 1.0) for i, occ in enumerate(missing)]
-            result = self.circuit(make_state(2, self.cutoff, probe), 1)
+            # its keys are valid by construction: no ``make_state`` checks
+            probe = PureState(2, self.cutoff, {(divmod(i, side), occ): 1 + 0j for i, occ in enumerate(missing)})
+            result = self.circuit(probe, 1)
             self.patterns = len(result.outcomes)
             rows: list[list[tuple[int, Occupation, complex]]] = [[] for _ in missing]
             for p, outcome in enumerate(result.outcomes):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import analytics
 from .config import ExperimentConfig, config_echo
-from .fock import CutoffError
+from .fock import CutoffError, FockError
 from .preparations import KNOB_AXES, TransferTables, closed_form_halves, compare, prepare_stages, required_cutoff
 
 STATUS_OK = "ok"
@@ -110,6 +110,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                         pipeline, delta, phi, t0, params, config.omega_split_ts, cutoffs[delta, t0],
                         config.tail_bound, tables, parts,
                     )[-1]
+                    if math.isnan(num.probability) or math.isnan(num.fidelity):
+                        raise FockError(f"numeric P or F is NaN at {columns[0]} = {v1!r}, {columns[1]} = {v2!r}")
                     if num.probability == 0.0:
                         raise analytics._zero_probability(delta, *(params[a] for a in knob_axes))
                     values += [num.probability, num.fidelity]

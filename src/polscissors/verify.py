@@ -27,6 +27,7 @@ from .preparations import (
     compare,
     prepare_named,
     prepare_stages,
+    required_cutoff,
 )
 from .scissors import pqs1_apply, pqs2_apply, qs_apply
 from .sources import coherent
@@ -84,17 +85,10 @@ class VerifyReport:
 
 def _random_polarized_input(rng: random.Random, cutoff: int):
     """Random normalized single-mode polarized state with occupations <= 2."""
-    entries = []
-    coeffs = {}
-    for nh in range(3):
-        for nv in range(3):
-            amp = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-            entries.append((((nh, nv),), amp))
-            coeffs[(nh, nv)] = amp
-    state = normalize(make_state(1, cutoff, entries))
+    coeffs = {(nh, nv): complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for nh in range(3) for nv in range(3)}
+    state = normalize(make_state(1, cutoff, [((occ,), amp) for occ, amp in coeffs.items()]))
     norm = math.sqrt(sum(abs(a) ** 2 for a in coeffs.values()))
-    coeffs = {k: a / norm for k, a in coeffs.items()}
-    return state, coeffs
+    return state, {k: a / norm for k, a in coeffs.items()}
 
 
 def _check_pipelines(
@@ -106,18 +100,20 @@ def _check_pipelines(
     t0: float,
     knob: float,
     parts: dict,
+    cutoff: int,
 ) -> None:
     """Record the hybrid and Bell checks of one method from one Bell chain.
 
     The hybrid arms ``(1,)`` are the first stage of the Bell arms ``(1, 0)``,
     so each check reads the chain's stage at its own arm count.  The sample's
-    chains share ``parts``.  A degenerate source skips both checks with the
-    same reason; a degenerate closed form skips only its own check.
+    chains share ``parts`` and ``cutoff``, its one ``required_cutoff``.  A
+    degenerate source skips both checks with the same reason; a degenerate
+    closed form skips only its own check.
     """
     names = [name for name, pipeline in PIPELINES.items() if pipeline.method == method]
     bell = Pipeline((method, method), BELL_ARMS)
     try:
-        stages = prepare_stages(bell, delta, phi, t0, {KNOB_AXES[method]: knob}, parts=parts)
+        stages = prepare_stages(bell, delta, phi, t0, {KNOB_AXES[method]: knob}, cutoff=cutoff, parts=parts)
     except analytics.DegenerateParameterError as exc:
         for name in names:
             stats[name].skipped.append(f"{tag}: {exc}")
@@ -179,7 +175,7 @@ def run_verify(
         ideal = normalize(make_state(1, 8, [(((1, 0),), coeffs[(1, 0)]), (((0, 1),), coeffs[(0, 1)])]))
 
         # per method: that input, then the named preparations' full pipelines
-        parts = {}
+        parts, cutoff = {}, required_cutoff(delta, t0)
         for method, knob in (("pqs1", t), ("pqs2", gamma)):
             # looked up at call time, so a patched or traced closed form is the one used
             scissors, closed_form = (
@@ -189,7 +185,7 @@ def run_verify(
             ana = closed_form(sqs[(1, 0)], sqs[(0, 1)], sqs[(0, 0)], sqs[(1, 1)], knob)
             num = PrepResult(sim.total_probability, fidelity(sim.canonical_state, ideal))
             stats[f"{method}-random"].record(*compare(ana, num))
-            _check_pipelines(stats, tag, method, delta, phi, t0, knob, parts)
+            _check_pipelines(stats, tag, method, delta, phi, t0, knob, parts, cutoff)
 
     checks = tuple(stats[name] for name in CHECK_NAMES)
     passed = all(c.max_dp <= budget and c.max_df <= budget for c in checks)

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -329,7 +330,7 @@ def _reference_matrix(grid):
 
 
 WRITER_GRIDS = {
-    # degenerate at delta 0, underflow at delta 20, and a count_rate column
+    # ok at delta 0 (bell-pqs1 at phi 0 heralds a nonzero P), underflow at delta 20, and a count_rate column
     "edges-rate": ExperimentConfig(
         "bell-pqs1", AxisSpec("delta", -0.0, 20.0, 3), AxisSpec("t", 0.5, 0.9, 3), repetition_rate=6.4e6
     ),
@@ -338,7 +339,8 @@ WRITER_GRIDS = {
         "bell-pqs2", AxisSpec("gamma_abs", 0.02, 0.08, 3), AxisSpec("delta", -0.0, 1.0, 3),
         backend="both", repetition_rate=1e6,
     ),
-    # a phi axis from -0.0, and one that ends there, so a row's axis text is signed
+    # a phi axis from -0.0, and one that ends there, so a row's axis text is signed;
+    # the degenerate rows: hybrid-pqs2 at phi pi and delta 0
     "phi-from-zero": ExperimentConfig(
         "hybrid-pqs2", AxisSpec("phi", -0.0, math.pi, 4), AxisSpec("delta", 0.0, 1.2, 3), gamma_abs=0.05
     ),
@@ -476,6 +478,28 @@ class TestSweep:
         with pytest.raises(FockError, match="simulator bug"):
             run_sweep(parse_config_text(text, {"backend": "numeric"}))
 
+    @pytest.mark.parametrize("value", ["probability", "fidelity"], ids=["P", "F"])
+    @pytest.mark.parametrize("cell", [0, 5], ids=["first", "last"])
+    def test_a_nan_numeric_result_is_an_internal_error(self, monkeypatch, cell, value):
+        # ``== 0.0`` misses a NaN: the cell must raise, naming itself, not read ok
+        from polscissors.fock import FockError
+
+        stages, calls = sweep.prepare_stages, []
+
+        def nan_once(*args, **kwargs):
+            results = stages(*args, **kwargs)
+            calls.append(args)
+            if len(calls) == cell + 1:
+                return results[:-1] + (dataclasses.replace(results[-1], **{value: math.nan}),)
+            return results
+
+        monkeypatch.setattr(sweep, "prepare_stages", nan_once)
+        config = parse_config_text(BELL_CONFIG)
+        v1, v2 = [(v1, v2) for v1 in config.axis1.values() for v2 in config.axis2.values()][cell]
+        with pytest.raises(FockError, match=re.escape(f"NaN at delta = {v1!r}, t = {v2!r}") + "$"):
+            run_sweep(config)
+        assert len(calls) == cell + 1
+
     def test_omega_sweep_honours_tail_bound(self):
         # the configured bound picks the cutoff; the source and target must use it too
         text = BELL_CONFIG.replace(
@@ -552,6 +576,8 @@ class TestSweep:
         grids = {name: run_sweep(config) for name, config in WRITER_GRIDS.items()}
         statuses = {row[-1] for grid in grids.values() for row in grid.rows}
         assert statuses == {"ok", "degenerate", "underflow"}
+        degenerate = {name for name, grid in grids.items() if any(row[-1] == "degenerate" for row in grid.rows)}
+        assert degenerate == {"phi-from-zero"}
         assert "count_rate" in grids["edges-rate"].columns
         assert grids["knob-first-both"].max_abs_err_p is not None
         assert len(grids["fine"].rows) == 2500
@@ -885,25 +911,35 @@ class TestCli:
         assert capsys.readouterr().err == f"configuration error: degenerate parameters ({rule})\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,code",
         [
-            ["state", "--prep", "xi-circuit:delta=6"],
-            ["state", "--prep", "hybrid-pqs1:delta=10,t=0.5"],
-            ["sweep", "--config", "big.ini"],
+            (["state", "--prep", "xi-circuit:delta=6"], 3),
+            (["state", "--prep", "hybrid-pqs1:delta=10,t=0.5"], 2),
+            (["sweep", "--config", "big.ini"], 0),
         ],
         ids=["xi-circuit", "hybrid-pqs1", "sweep"],
     )
-    def test_beam_splitter_past_the_float_range_exit_3(self, argv, tmp_path, capsys):
-        # past about 170 photons a pair's factorials leave the float range
+    def test_beam_splitter_past_the_float_range_exit_3(self, argv, code, tmp_path, capsys):
+        # past about 170 photons a pair's factorials leave the float range; the
+        # source circuit's full expansion forms such pairs, but a heralded beam
+        # splitter skips every pair whose photon totals reach no detector
+        # pattern, so at delta 10 the scissors herald an underflowing 0.0
         config = tmp_path / "big.ini"
         config.write_text(
             BELL_CONFIG.replace("bell-pqs1", "hybrid-pqs1")
             .replace("start = 0.6\nstop = 1.0", "start = 9.9\nstop = 10.0")
             .replace("t0 = 0.5", "t0 = 0.5\nmax_cutoff = 400")
         )
-        assert cli.main([str(config) if arg == "big.ini" else arg for arg in argv]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numeric infeasibility: beam splitter terms of photon pair (")
+        assert cli.main([str(config) if arg == "big.ini" else arg for arg in argv]) == code
+        out, err = capsys.readouterr()
+        if code == 3:
+            assert err.startswith("numeric infeasibility: beam splitter terms of photon pair (")
+        elif code == 2:
+            rule = analytics._zero_probability(10.0, 0.5)
+            assert err == f"configuration error: degenerate parameters ({rule})\n"
+        else:
+            _, rows = grid_from_csv(out)
+            assert len(rows) == 6 and {row[-1] for row in rows} == {"underflow"}
 
     @pytest.mark.parametrize("prep", ["coherent:gamma=1e200", "cat:delta=1e200", "xi:delta=1e200"])
     def test_state_past_the_float_range_of_gamma_squared_exit_3(self, prep):

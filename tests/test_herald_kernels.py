@@ -14,9 +14,9 @@ import random
 
 import pytest
 
-from polscissors import preparations, scissors
+from polscissors import elements, preparations, scissors
 from polscissors.elements import BeamSplitterSpec, SqueezerSpec, apply_bs, apply_squeezer_exact
-from polscissors.fock import FockError, PureState, make_state, permute_modes, tensor, vacuum
+from polscissors.fock import CutoffError, FockError, PureState, make_state, permute_modes, tensor, vacuum
 from polscissors.preparations import BELL_ARMS, KNOB_AXES, Pipeline, TransferTable, prepare_stages
 
 from conftest import random_state
@@ -76,6 +76,41 @@ class TestBeamSplitterHerald:
                     got = apply_bs(split, BeamSplitterSpec(0.5, 1, 3), herald=herald)
                     want = kept(full, lambda key: (key[1], key[3]) in herald)
                     assert want and hex_items(got) == want
+
+    def test_pairs_whose_totals_reach_no_pattern_form_no_terms(self, monkeypatch):
+        # a pair term keeps each polarization's photon total, so only the pair
+        # with totals (1, 0) can reach these patterns; no other is expanded
+        calls = []
+        kept_pair_terms = elements._kept_pair_terms
+
+        def spy(p, q, t, cutoff):
+            calls.append((p, q))
+            return kept_pair_terms(p, q, t, cutoff)
+
+        monkeypatch.setattr(elements, "_kept_pair_terms", spy)
+        keys = [((2, 1), (0, 0)), ((0, 0), (0, 0)), ((1, 0), (0, 0)), ((3, 0), (1, 1)), ((0, 1), (1, 0))]
+        state = make_state(2, 4, [(key, 0.3 + 0.1j * i) for i, key in enumerate(keys)])
+        herald = {((1, 0), (0, 0)), ((0, 0), (1, 0))}
+        spec = BeamSplitterSpec(0.37, 0, 1)
+        got = apply_bs(state, spec, herald=herald)
+        assert set(calls) == {(1, 0), (0, 0)}
+        calls.clear()
+        full = apply_bs(state, spec)
+        assert {(2, 0), (1, 0), (3, 1), (0, 1)} <= set(calls)
+        assert hex_items(got) == kept(full, lambda key: (key[0], key[1]) in herald)
+
+    def test_a_pair_past_the_float_range_that_reaches_no_pattern(self):
+        # 201 photons overflow a float in the full expansion; the herald-first
+        # split never forms them, and keeps the accepted keys of the other pair
+        herald = {((1, 0), (0, 0)), ((0, 0), (1, 0))}
+        spec = BeamSplitterSpec(0.5, 0, 1)
+        small = [(((1, 0), (0, 0)), 0.6 + 0.2j)]
+        state = make_state(2, 201, [(((200, 0), (1, 0)), 0.7 + 0j), *small])
+        with pytest.raises(CutoffError, match=r"photon pair \(200, 1\) overflow"):
+            apply_bs(state, spec)
+        got = apply_bs(state, spec, herald=herald)
+        want = kept(apply_bs(make_state(2, 201, small), spec), lambda key: (key[0], key[1]) in herald)
+        assert want and hex_items(got) == want
 
 
 def squeezer_input(rng, mode_count, cutoff, max_photons):
