@@ -89,7 +89,10 @@ def l_alpha(alpha: float, phi: float) -> float:
 
 def m_n(amplitudes: tuple[float, ...], phi: float) -> float:
     """Normalization of the n-arm two-branch coherent superposition."""
-    return _branch_norm(sum(a * a for a in amplitudes), phi)
+    exponent = 0.0
+    for a in amplitudes:
+        exponent += a * a
+    return _branch_norm(exponent, phi)
 
 
 def cat_norm(delta: float, phi: float) -> float:

@@ -71,7 +71,10 @@ class PureState:
     amplitudes: dict[OccKey, complex]
 
     def norm_squared(self) -> float:
-        return sum(a.real * a.real + a.imag * a.imag for a in self.amplitudes.values())
+        total = 0.0
+        for a in self.amplitudes.values():
+            total += a.real * a.real + a.imag * a.imag
+        return total
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
@@ -269,10 +272,8 @@ def permute_modes(state: PureState, order: Sequence[int]) -> PureState:
     """Reorder modes: output mode ``i`` holds input mode ``order[i]``."""
     if sorted(order) != list(range(state.mode_count)):
         raise FockError(f"{order} is not a permutation of 0..{state.mode_count - 1}")
-    order = tuple(order)
-    amps = {
-        tuple(key[m] for m in order): amp for key, amp in state.amplitudes.items()
-    }
+    reorder = itemgetter(*order) if len(order) > 1 else tuple
+    amps = {reorder(key): amp for key, amp in state.amplitudes.items()}
     return PureState(state.mode_count, state.cutoff, amps)
 
 
@@ -332,13 +333,21 @@ def coherent_tail_weight(gamma: float, cutoff: int) -> float:
 
 
 def min_cutoff(gamma: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
-    """Smallest cutoff whose coherent tail weight is at or below ``tail_bound``."""
-    c = 0
-    while coherent_tail_weight(gamma, c) > tail_bound:
-        c += 1
-        if c > MAX_CUTOFF:
-            raise CutoffError(f"no feasible cutoff for amplitude {gamma}")
-    return c
+    """Smallest cutoff whose coherent tail weight is at or below ``tail_bound``.
+
+    Bisects [0, ``MAX_CUTOFF``], as the tail falls with the cutoff; ``CutoffError``
+    when ``MAX_CUTOFF`` keeps too much tail or ``gamma`` is NaN (tail 0.0 at any cutoff).
+    """
+    if math.isnan(gamma) or coherent_tail_weight(gamma, MAX_CUTOFF) > tail_bound:
+        raise CutoffError(f"no feasible cutoff for amplitude {gamma}")
+    lo, hi = 0, MAX_CUTOFF
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if coherent_tail_weight(gamma, mid) > tail_bound:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def format_key(key: OccKey) -> str:

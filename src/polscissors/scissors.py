@@ -31,6 +31,11 @@ Every circuit takes ``herald_first``: the element in front of the detectors
 then forms only the components they accept, from the inputs whose photon
 totals can reach them (``elements`` ``herald``), so it projects while it
 expands.  The result is bitwise the one of the full expansion, the default.
+Herald-first ``pqs1_apply`` also drops, before its first PBS, the input keys
+with two or more photons of a polarization in ``mode``, which no module can
+herald; the H module's skip misses the V ones, which the PBS has moved away.
+``qs_apply`` and ``pqs2_apply`` need no drop: their one heralded element skips
+those keys.  A NaN on a dropped key still raises ``FockError``.
 """
 
 from __future__ import annotations
@@ -137,7 +142,9 @@ def _qs_branches(
 def _assemble(branches: list[tuple[float, PureState | None]]) -> ScissorsResult:
     outcomes = tuple(ProjectionOutcome(prob, state) for prob, state in branches)
     first = next((state for _, state in branches if state is not None), None)
-    total = sum(prob for prob, _ in branches)
+    total = 0.0
+    for prob, _ in branches:
+        total += prob
     return ScissorsResult(outcomes, total, None if first is None else normalize(first))
 
 
@@ -160,7 +167,10 @@ def pqs1_apply(
     if mode < 0 or mode >= state.mode_count:
         raise FockError(f"mode {mode} out of range")
     n = state.mode_count
-    work = apply_pbs(tensor(state, vacuum(1, state.cutoff)), mode, n)
+    work = tensor(state, vacuum(1, state.cutoff))  # raises on a NaN amplitude, dropped or not
+    if herald_first:  # no module heralds two photons of one polarization
+        work = PureState(n + 1, state.cutoff, {k: a for k, a in work.amplitudes.items() if max(k[mode]) < 2})
+    work = apply_pbs(work, mode, n)
     channel = _qs_channel(V, t, state.cutoff)
 
     branches = []
@@ -173,11 +183,8 @@ def pqs1_apply(
             if st_v is None:
                 branches.append((prob_v, None))
                 continue
-            merged = apply_pbs(st_v, mode, n)
-            final = project_number(merged, [(n, (0, 0))])
-            if final.state is None:
-                branches.append((0.0, None))
-                continue
+            # (0.0, None) when no key leaves the spare in vacuum
+            final = project_number(apply_pbs(st_v, mode, n), [(n, (0, 0))])
             branches.append((final.probability, final.state))
     return _assemble(branches)
 

@@ -246,24 +246,31 @@ def _with(per_arm: tuple, arm: int, entry) -> tuple:
     return per_arm[:arm] + (entry,) + per_arm[arm + 1 :]
 
 
+def _dot(fb: Factor, fk: Factor) -> complex:
+    """<fb|fk> of two factors, summed from 0j over ``fb``'s occupations in their order."""
+    total, get = 0j, fk.get
+    for occ, a in fb.items():
+        if (b := get(occ)) is not None:
+            total += a.conjugate() * b
+    return total
+
+
 def _gram(bras, kets) -> tuple[tuple[complex, ...], ...]:
-    """One arm's Gram matrix: <bras[i]|kets[j]> of its factors, bra branch by ket branch."""
-    return tuple(
-        tuple(sum((fb[occ].conjugate() * fk[occ] for occ in fb if occ in fk), 0j) for fk in kets)
-        for fb in bras
-    )
+    """One arm's Gram matrix: ``_dot`` of its factors, bra branch by ket branch."""
+    return tuple(tuple([_dot(fb, fk) for fk in kets]) for fb in bras)
 
 
 def _overlap(bra, ket, grams) -> complex:
     """<bra|ket> of two sums of products: their coefficients and ``grams``, per arm the ``_gram``."""
-    return sum(
-        (
-            cb.conjugate() * ck * math.prod(gram[i][j] for gram in grams)
-            for i, (cb, _) in enumerate(bra)
-            for j, (ck, _) in enumerate(ket)
-        ),
-        0j,
-    )
+    total = 0j
+    for i, (cb, _) in enumerate(bra):
+        cb = cb.conjugate()
+        for j, (ck, _) in enumerate(ket):
+            product = 1  # int, as ``math.prod`` starts: 1 * z can turn a -0.0 part into +0.0
+            for gram in grams:
+                product *= gram[i][j]
+            total += cb * ck * product
+    return total
 
 
 def herald_arm(state, grams, arm: int, apply) -> tuple:

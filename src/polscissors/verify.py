@@ -87,7 +87,10 @@ def _random_polarized_input(rng: random.Random, cutoff: int):
     """Random normalized single-mode polarized state with occupations <= 2."""
     coeffs = {(nh, nv): complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for nh in range(3) for nv in range(3)}
     state = normalize(make_state(1, cutoff, [((occ,), amp) for occ, amp in coeffs.items()]))
-    norm = math.sqrt(sum(abs(a) ** 2 for a in coeffs.values()))
+    weight = 0.0
+    for a in coeffs.values():
+        weight += abs(a) ** 2
+    norm = math.sqrt(weight)
     return state, {k: a / norm for k, a in coeffs.items()}
 
 

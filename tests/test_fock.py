@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from polscissors.fock import (
     DEFAULT_TOL,
+    MAX_CUTOFF,
     CutoffError,
     FockError,
     PureState,
@@ -284,6 +286,38 @@ class TestTailWeights:
         assert coherent_tail_weight(1e200, 5) == 1.0
         with pytest.raises(CutoffError):
             min_cutoff(1e200)
+
+    def test_bisection_finds_the_cutoff_of_a_linear_scan(self):
+        # the reference is the scan from cutoff 0 that ``min_cutoff`` replaced:
+        # the first cutoff whose tail is at or below the bound, else CutoffError
+        rng = random.Random(20)
+        root = math.sqrt(MAX_CUTOFF)
+        gammas = [0.0, 5e-324, 1e-150, 1e-8, 0.3, -1.7, 30.0, 1e200, math.inf]
+        gammas += [root - 4.5, root - 1.0, root + 0.5]  # cutoffs just below MAX_CUTOFF, or none
+        gammas += [rng.uniform(0.0, 12.0) for _ in range(12)] + [math.exp(rng.uniform(-20, 4)) for _ in range(6)]
+        bounds = [1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9]
+        bounds += [10 ** rng.uniform(-18, math.log10(0.9)) for _ in range(8)]
+        outcomes = set()
+        for gamma in gammas:
+            weights = []  # one scan per gamma serves every bound: it stops once the smallest is met
+            while len(weights) <= MAX_CUTOFF and (not weights or weights[-1] > min(bounds)):
+                weights.append(coherent_tail_weight(gamma, len(weights)))
+            for bound in bounds:
+                want = next((c for c, w in enumerate(weights) if not w > bound), None)
+                outcomes.add(want is None)
+                if want is None:
+                    with pytest.raises(CutoffError, match=f"^no feasible cutoff for amplitude {re.escape(str(gamma))}$"):
+                        min_cutoff(gamma, bound)
+                else:
+                    assert min_cutoff(gamma, bound) == want, (gamma, bound)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("gamma", [math.nan, -math.nan])
+    def test_a_nan_amplitude_has_no_cutoff(self, gamma):
+        # its tail weight reads 0.0 at every cutoff, which a scan took for cutoff 0
+        assert coherent_tail_weight(gamma, 0) == 0.0
+        with pytest.raises(CutoffError, match="^no feasible cutoff for amplitude nan$"):
+            min_cutoff(gamma)
 
 
 class TestPermute:

@@ -124,3 +124,74 @@ def test_the_numeric_source_is_the_dumped_lambda(monkeypatch):
             grams = tuple(sources._gram(pair, pair) for pair in zip(th, tv))
             norms.append(sources._overlap(target, target, grams).real.hex())
         assert [x.hex() for x in part.target_norms[: len(stages)]] == norms
+
+
+def _gram_reference(bras, kets):
+    """The generator form ``_gram`` replaced: ``sum`` from 0j over the bra's occupations."""
+    return tuple(
+        tuple(sum((fb[occ].conjugate() * fk[occ] for occ in fb if occ in fk), 0j) for fk in kets)
+        for fb in bras
+    )
+
+
+def _overlap_reference(bra, ket, grams):
+    """The generator form ``_overlap`` replaced: ``math.prod`` of the Gram entries, ``sum`` from 0j."""
+    return sum(
+        (
+            cb.conjugate() * ck * math.prod(gram[i][j] for gram in grams)
+            for i, (cb, _) in enumerate(bra)
+            for j, (ck, _) in enumerate(ket)
+        ),
+        0j,
+    )
+
+
+def _signed_part(rng):
+    return rng.choice([-0.0, 0.0, rng.gauss(0.0, 1.0), -rng.random() * 1e-8])
+
+
+def _random_factor(rng):
+    """A seeded factor: a PHOTONS factor, or up to 6 occupations with -0.0 parts among them."""
+    if rng.random() < 0.2:
+        return rng.choice(sources.PHOTONS)
+    occupations = rng.sample([(nh, nv) for nh in range(3) for nv in range(3)], rng.randint(1, 6))
+    return {occ: complex(_signed_part(rng), _signed_part(rng)) for occ in occupations}
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_gram_and_overlap_keep_the_bits_of_their_generator_forms(seed):
+    rng = random.Random(seed)
+    arms = rng.randint(1, 4)
+    bra, ket = (
+        tuple((complex(_signed_part(rng), _signed_part(rng)), [_random_factor(rng) for _ in range(arms)])
+              for _ in range(rng.randint(1, 2)))
+        for _ in range(2)
+    )
+    grams = []
+    for arm in range(arms):
+        bras, kets = [f[arm] for _, f in bra], [f[arm] for _, f in ket]
+        gram = sources._gram(bras, kets)
+        assert [[_hex(z) for z in row] for row in gram] == [
+            [_hex(z) for z in row] for row in _gram_reference(bras, kets)
+        ]
+        grams.append(gram)
+    assert _hex(sources._overlap(bra, ket, grams)) == _hex(_overlap_reference(bra, ket, grams))
+    # a sum from 0j holds no -0.0 part; given one, or an infinite one, math.prod's int 1 start shows:
+    # 1 * z can turn a -0.0 part into +0.0, and forms 0 * inf = nan
+    part = lambda: rng.choice([_signed_part(rng), math.inf, -math.inf])
+    signed = [tuple(tuple(complex(part(), part()) for _ in ket) for _ in bra) for _ in range(arms)]
+    assert _hex(sources._overlap(bra, ket, signed)) == _hex(_overlap_reference(bra, ket, signed))
+
+
+def test_disjoint_factors_have_a_positive_zero_gram():
+    h, v = sources.PHOTONS
+    negative = {(2, 0): complex(-0.0, -1.0), (0, 2): complex(-1.0, -0.0)}
+    gram = sources._gram([h, negative], [v, {(1, 1): -1 - 1j}])
+    assert [_hex(z) for row in gram for z in row] == [_hex(0j)] * 4
+    bra, ket = ((complex(-1.0, -0.0), [negative]),), ((complex(-0.0, -2.0), [v]),)
+    grams = [sources._gram([negative], [v])]
+    assert _hex(sources._overlap(bra, ket, grams)) == _hex(_overlap_reference(bra, ket, grams)) == _hex(0j)

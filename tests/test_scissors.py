@@ -1,11 +1,13 @@
 import cmath
 import math
+import random
 
 import pytest
 
 from polscissors import analytics, scissors
 from polscissors.fock import (
     FockError,
+    PureState,
     _raw_state,
     fidelity,
     make_state,
@@ -19,6 +21,7 @@ from polscissors.sources import SourceParams, coherent, xi_direct
 
 import conftest
 from conftest import apply_table, pattern_agreement, random_polarized_coeffs, random_state
+from test_kernel_oracles import hex_items
 
 
 def ket(key, cutoff=6):
@@ -417,3 +420,54 @@ def test_table_application_normalizes_one_branch_and_compares_none(method, knob,
         (k, a.real.hex(), a.imag.hex()) for k, a in want.canonical_state.amplitudes.items()
     ]
     assert got.outcomes == () and pattern_agreement(got) == 1.0
+
+
+def _hex_result(result):
+    """Every outcome's probability and component, the total and the canonical state, in exact hex."""
+    outcomes = [(o.probability.hex(), hex_items(o.state)) for o in result.outcomes]
+    return outcomes, result.total_probability.hex(), hex_items(result.canonical_state)
+
+
+class TestHeraldFirst:
+    """Herald-first circuits give bitwise the full expansion's result, and a NaN stays loud."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pqs1_drops_only_keys_that_cannot_herald(self, seed):
+        # up to 3 photons per polarization, so the early drop removes keys of the scissored mode
+        rng = random.Random(seed)
+        modes = rng.randint(1, 3)
+        state = random_state(rng, modes, 4, max_photons=3)
+        mode = rng.randrange(modes)
+        for t in (0.0, 1.0, rng.uniform(0.05, 0.95)):
+            full = pqs1_apply(state, mode, t)
+            assert _hex_result(pqs1_apply(state, mode, t, herald_first=True)) == _hex_result(full)
+            assert full.total_probability > 0.0 or t in (0.0, 1.0)
+
+    def test_pqs1_drops_every_key_with_two_photons_of_a_polarization_before_its_first_pbs(self, monkeypatch):
+        firsts = []
+        pbs = scissors.apply_pbs
+
+        def recording(state, *args):
+            firsts.append(state.amplitudes.keys() if not firsts else None)
+            return pbs(state, *args)
+
+        monkeypatch.setattr(scissors, "apply_pbs", recording)
+        occupations = [(0, 2), (1, 1), (2, 0), (0, 0), (1, 3), (3, 1), (0, 1), (2, 2)]
+        state = make_state(2, 4, [(((i % 3, 1), occ), 0.3 + 0.1j * i) for i, occ in enumerate(occupations)])
+        pqs1_apply(state, 1, 0.6, herald_first=True)
+        assert [key[1] for key in firsts[0]] == [(1, 1), (0, 0), (0, 1)]
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            lambda state: qs_apply(state, 0, "H", 0.6, herald_first=True),
+            lambda state: pqs1_apply(state, 0, 0.6, herald_first=True),
+            lambda state: pqs2_apply(state, 0, 0.07, herald_first=True),
+        ],
+        ids=["qs", "pqs1", "pqs2"],
+    )
+    def test_a_nan_on_a_key_that_cannot_herald_raises(self, circuit):
+        # (2, 3) reaches no accepted pattern; a drop that never read its amplitude would report a finite P
+        state = PureState(1, 4, {((0, 0),): 0.6 + 0j, ((1, 0),): 0.8 + 0j, ((2, 3),): complex(math.nan, 0.0)})
+        with pytest.raises(FockError, match=r"^NaN amplitude at key \(\(2, 3\), "):
+            circuit(state)

@@ -48,6 +48,19 @@ def test_rows_depend_on_neither_the_probe_batch_nor_the_cutoff(method, knob):
     assert any(batch.rows[occ] for occ in OCCUPATIONS)
 
 
+@pytest.mark.parametrize("method,knob", KNOBS + [("pqs1", 0.0), ("pqs1", 1.0), ("pqs2", 0.0)])
+def test_herald_first_rows_are_the_full_expansion_rows(method, knob):
+    # pqs1's herald-first probe drops the occupations with two photons of a polarization early
+    occupations = OCCUPATIONS + [(1, 2), (2, 2), (3, 1)]
+    tables = {}
+    for herald_first in (True, False):
+        tables[herald_first] = TransferTable(partial(preparations._scissors, method, knob, herald_first=herald_first), 2)
+        tables[herald_first].fill(occupations)
+    for occ in occupations:
+        assert _hex_row(tables[True].rows[occ]) == _hex_row(tables[False].rows[occ]), occ
+    assert tables[True].patterns == tables[False].patterns
+
+
 def _configs():
     """Grids over delta (so the cutoff changes from cell to cell) and a knob, in both axis orders."""
     delta_up, delta_down = AxisSpec("delta", 0.4, 2.0, 6), AxisSpec("delta", 2.0, 0.4, 6)
