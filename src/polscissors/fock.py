@@ -335,19 +335,14 @@ def coherent_tail_weight(gamma: float, cutoff: int) -> float:
 def min_cutoff(gamma: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
     """Smallest cutoff whose coherent tail weight is at or below ``tail_bound``.
 
-    Bisects [0, ``MAX_CUTOFF``], as the tail falls with the cutoff; ``CutoffError``
-    when ``MAX_CUTOFF`` keeps too much tail or ``gamma`` is NaN (tail 0.0 at any cutoff).
+    ``CutoffError`` past ``MAX_CUTOFF``, and for a NaN ``gamma``, whose tail reads 0.0.
     """
-    if math.isnan(gamma) or coherent_tail_weight(gamma, MAX_CUTOFF) > tail_bound:
-        raise CutoffError(f"no feasible cutoff for amplitude {gamma}")
-    lo, hi = 0, MAX_CUTOFF
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if coherent_tail_weight(gamma, mid) > tail_bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    c = 0
+    while math.isnan(gamma) or coherent_tail_weight(gamma, c) > tail_bound:
+        c += 1
+        if c > MAX_CUTOFF:
+            raise CutoffError(f"no feasible cutoff for amplitude {gamma}")
+    return c
 
 
 def format_key(key: OccKey) -> str:

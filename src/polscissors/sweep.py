@@ -13,7 +13,7 @@ cell still gives, bit for bit, the result of running it alone. A ``both``
 cell's ``abs_err_*`` are ``preparations.compare``'s pair, gated nowhere; the
 footer is their max over the ``ok`` cells. The writers format each axis
 value once per grid. The 625-cell ``--reference bell-pqs1 --backend both``
-grid runs in about 0.08 s in process and bell-pqs2's in 0.05 s (best of 7;
+grid runs in about 0.10 s in process and bell-pqs2's in 0.07 s (best of 21;
 Python 3.11.7, 2 shared vCPUs). ``run_sweep`` accepts ``jobs`` only so that
 existing callers keep working, and ignores it.
 """

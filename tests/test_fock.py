@@ -287,9 +287,9 @@ class TestTailWeights:
         with pytest.raises(CutoffError):
             min_cutoff(1e200)
 
-    def test_bisection_finds_the_cutoff_of_a_linear_scan(self):
-        # the reference is the scan from cutoff 0 that ``min_cutoff`` replaced:
-        # the first cutoff whose tail is at or below the bound, else CutoffError
+    def test_min_cutoff_is_the_first_cutoff_within_the_bound(self):
+        # the reference any faster search must keep: the first cutoff whose
+        # tail is at or below the bound, else CutoffError past MAX_CUTOFF
         rng = random.Random(20)
         root = math.sqrt(MAX_CUTOFF)
         gammas = [0.0, 5e-324, 1e-150, 1e-8, 0.3, -1.7, 30.0, 1e200, math.inf]
@@ -302,7 +302,7 @@ class TestTailWeights:
             weights = []  # one scan per gamma serves every bound: it stops once the smallest is met
             while len(weights) <= MAX_CUTOFF and (not weights or weights[-1] > min(bounds)):
                 weights.append(coherent_tail_weight(gamma, len(weights)))
-            for bound in bounds:
+            for bound in bounds + weights[1:3]:  # a bound equal to a tail weight pins "at or below"
                 want = next((c for c, w in enumerate(weights) if not w > bound), None)
                 outcomes.add(want is None)
                 if want is None:
@@ -314,7 +314,7 @@ class TestTailWeights:
 
     @pytest.mark.parametrize("gamma", [math.nan, -math.nan])
     def test_a_nan_amplitude_has_no_cutoff(self, gamma):
-        # its tail weight reads 0.0 at every cutoff, which a scan took for cutoff 0
+        # its tail weight reads 0.0 at every cutoff, which the scan alone would take for cutoff 0
         assert coherent_tail_weight(gamma, 0) == 0.0
         with pytest.raises(CutoffError, match="^no feasible cutoff for amplitude nan$"):
             min_cutoff(gamma)
