@@ -5,9 +5,11 @@ functions, fully independent of the circuit simulator, so the two routes can
 cross-validate each other.  The specialized forms for the two-branch coherent
 input are thin wrappers over the generic coefficient formulas.
 
-``pf_hybrid`` and ``pf_bell`` are each a source half (``*_source``: all that
-reads only method, delta, phi and t0) then a knob half (``*_knob``: the rest, at
-t or |gamma|); a sweep shares one source half per source point, bit for bit.
+``pf_hybrid`` and ``pf_bell`` are each a source half (``*_source``: all that reads only
+method, delta, phi and t0), then knob factors (``knob_factors``: all that reads only
+method and t or |gamma|, as ``pf_pqs1`` and ``pf_pqs2`` do), then a combination (``*_pf``:
+the arithmetic mixing the two; ``*_knob`` is the last two).  A sweep shares one source
+half per source point and one set of knob factors per knob value, bit for bit.
 """
 
 from __future__ import annotations
@@ -143,27 +145,43 @@ def pf_qs(c0_sq: float, c1_sq: float, t: float) -> AnalyticPF:
     return AnalyticPF(p, t * c1_sq / p)
 
 
-def pf_pqs1(
-    c10_sq: float, c01_sq: float, c00_sq: float, c11_sq: float, t: float
-) -> AnalyticPF:
+def knob_factors(method: str, knob: float) -> tuple:
+    """(knob, hybrid factors, Bell arm factors): all the closed forms read of the knob alone.
+
+    pqs1 at t: ((1 - t)t, (1 - t)^2, t t) and (sqrt((1 - t)t), 1 - t, 2(1 - t)t, (1 - t)^2); pqs2
+    at g = |gamma|: (k_1^2, g^2, k_2^2, k_0^2) and (k_1 g, k_0 g g, 2 k_1^2 g^2, k_0^2 g^2 g^2).
+    """
+    if method == "pqs1":
+        u = 1.0 - knob
+        return knob, (u * knob, u**2, knob * knob), (math.sqrt(u * knob), u, 2.0 * u * knob, u**2)
+    g2, k1, k0 = knob * knob, k_n(knob, 1), k_n(knob, 0)
+    hybrid = (k1**2, g2, k_n(knob, 2) ** 2, k0**2)
+    return knob, hybrid, (k1 * knob, k0 * knob * knob, 2.0 * k1**2 * g2, k0**2 * g2 * g2)
+
+
+def _sector_pf(method: str, c10_sq: float, c01_sq: float, c00_sq: float, c11_sq: float, factors: tuple) -> tuple:
+    """Combination of ``pf_pqs1`` or ``pf_pqs2``: (P, F) from the sector weights and hybrid knob factors."""
+    if method == "pqs1":
+        pair, spill, both = factors
+        single = pair * (c10_sq + c01_sq)
+        p = single + spill * c00_sq + both * c11_sq
+    else:
+        k1_sq, g2, k2_sq, k0_sq = factors
+        single = (c10_sq + c01_sq) * k1_sq * g2
+        p = single + c11_sq * k2_sq + c00_sq * k0_sq * g2 * g2
+    if p <= 0.0:
+        raise DegenerateParameterError("zero heralding probability")
+    return p, single / p
+
+
+def pf_pqs1(c10_sq: float, c01_sq: float, c00_sq: float, c11_sq: float, t: float) -> AnalyticPF:
     """Linear-optics polarized scissors on a mode with the given sector weights."""
-    single = (1.0 - t) * t * (c10_sq + c01_sq)
-    p = single + (1.0 - t) ** 2 * c00_sq + t * t * c11_sq
-    if p <= 0.0:
-        raise DegenerateParameterError("zero heralding probability")
-    return AnalyticPF(p, single / p)
+    return AnalyticPF(*_sector_pf("pqs1", c10_sq, c01_sq, c00_sq, c11_sq, knob_factors("pqs1", t)[1]))
 
 
-def pf_pqs2(
-    c10_sq: float, c01_sq: float, c00_sq: float, c11_sq: float, gamma_abs: float
-) -> AnalyticPF:
+def pf_pqs2(c10_sq: float, c01_sq: float, c00_sq: float, c11_sq: float, gamma_abs: float) -> AnalyticPF:
     """Squeezer-based polarized scissors on a mode with the given sector weights."""
-    g2 = gamma_abs * gamma_abs
-    single = (c10_sq + c01_sq) * k_n(gamma_abs, 1) ** 2 * g2
-    p = single + c11_sq * k_n(gamma_abs, 2) ** 2 + c00_sq * k_n(gamma_abs, 0) ** 2 * g2 * g2
-    if p <= 0.0:
-        raise DegenerateParameterError("zero heralding probability")
-    return AnalyticPF(p, single / p)
+    return AnalyticPF(*_sector_pf("pqs2", c10_sq, c01_sq, c00_sq, c11_sq, knob_factors("pqs2", gamma_abs)[1]))
 
 
 def _check_method(method: str) -> str:
@@ -183,13 +201,17 @@ def hybrid_source(method: str, delta: float, phi: float, t0: float) -> SourceHal
     return SourceHalf(method, delta, (abs(c.c10) ** 2, abs(c.c01) ** 2, abs(c.c00) ** 2))
 
 
-def hybrid_knob(source: SourceHalf, knob: float) -> AnalyticPF:
-    """Knob half of ``pf_hybrid``: the generic formula on the source's sector weights."""
-    closed_form = pf_pqs1 if source.method == "pqs1" else pf_pqs2
+def hybrid_pf(source: SourceHalf, factors: tuple) -> tuple[float, float]:
+    """Combination of ``pf_hybrid``: (P, F) of the generic formula on the source's sector weights."""
     try:
-        return closed_form(*source.weights, 0.0, knob)
+        return _sector_pf(source.method, *source.weights, 0.0, factors[1])
     except DegenerateParameterError:
-        raise _zero_probability(source.delta, knob) from None
+        raise _zero_probability(source.delta, factors[0]) from None
+
+
+def hybrid_knob(source: SourceHalf, knob: float) -> AnalyticPF:
+    """Knob half of ``pf_hybrid``: its knob factors, then its combination."""
+    return AnalyticPF(*hybrid_pf(source, knob_factors(source.method, knob)))
 
 
 def pf_hybrid(method: str, delta: float, phi: float, t0: float, knob: float) -> AnalyticPF:
@@ -208,24 +230,21 @@ def bell_source(method: str, delta: float, phi: float, t0: float) -> SourceHalf:
     return SourceHalf(method, delta, (n0(delta, phi, t0), f_n(b, 1), f_n(b, 0)) + alpha_weights)
 
 
-def bell_knob(source: SourceHalf, knob: float) -> AnalyticPF:
-    """Knob half of ``pf_bell``: the weights w1, w0 left on the first arm, then P and F."""
+def bell_pf(source: SourceHalf, factors: tuple) -> tuple[float, float]:
+    """Combination of ``pf_bell``: the weights w1, w0 left on the first arm, then (P, F)."""
     norm, f1b, f0b, f1a_sq, f0a_sq, vac_weight = source.weights
-    if source.method == "pqs1":
-        w1 = math.sqrt((1.0 - knob) * knob) * norm * f1b
-        w0 = (1.0 - knob) * norm * f0b
-        keep = 2.0 * (1.0 - knob) * knob * f1a_sq
-        spill = (1.0 - knob) ** 2 * f0a_sq
-    else:
-        g2, k1, k0 = knob * knob, k_n(knob, 1), k_n(knob, 0)
-        w1 = k1 * knob * norm * f1b
-        w0 = k0 * knob * knob * norm * f0b
-        keep = 2.0 * k1**2 * g2 * f1a_sq
-        spill = k0**2 * g2 * g2 * f0a_sq
+    a1, a0, keep, spill = factors[2]
+    w1, w0 = a1 * norm * f1b, a0 * norm * f0b
+    keep, spill = keep * f1a_sq, spill * f0a_sq
     p = keep * (w1 * w1 + w0 * w0) + spill * (2.0 * w1 * w1 + vac_weight * w0 * w0)
     if p <= 0.0:
-        raise _zero_probability(source.delta, knob)
-    return AnalyticPF(p, keep * w1 * w1 / p)
+        raise _zero_probability(source.delta, factors[0])
+    return p, keep * w1 * w1 / p
+
+
+def bell_knob(source: SourceHalf, knob: float) -> AnalyticPF:
+    """Knob half of ``pf_bell``: its knob factors, then its combination."""
+    return AnalyticPF(*bell_pf(source, knob_factors(source.method, knob)))
 
 
 def pf_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> AnalyticPF:

@@ -25,7 +25,7 @@ from .sources import (
     lambda_state,
     target_omega,
 )
-from .sweep import grid_to_csv, grid_to_json, grid_to_matrix, run_sweep
+from .sweep import STATUS_MISMATCH, grid_to_csv, grid_to_json, grid_to_matrix, run_sweep
 from .verify import SPOT_POINTS, run_spot, run_verify
 
 EXIT_OK = 0
@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
             grid = run_sweep(config)
             writer = {"csv": grid_to_csv, "matrix": grid_to_matrix, "json": grid_to_json}
             _write(writer[args.format](grid), args.out)
-            return EXIT_OK
+            return EXIT_VERIFY_FAIL if any(row[-1] == STATUS_MISMATCH for row in grid.rows) else EXIT_OK
         if args.command == "verify":
             samples = read_value("samples", args.samples)
             report = run_verify(args.seed, samples, read_value("budget", args.budget))

@@ -4,18 +4,20 @@ Grid cells are independent pure computations, and every sweep evaluates them
 in process, in grid order: a numeric cell costs a few milliseconds, less than
 a worker process's start-up, pickling and cold caches. A sweep decides once
 what depends on the config alone: the pipeline, which routes run, the closed
-form's halves, the columns and the fixed parameters. Its cells share one
-closed-form source half and one numeric source part (the coherent factors,
-Gram matrices and target norms) per (delta, phi, t0), one cutoff per
-(delta, t0), computed from the cells before the first, and one transfer table
-per scissors method and knob, whose one probe covers the largest cutoff; each
-cell still gives, bit for bit, the result of running it alone. A ``both``
-cell's ``abs_err_*`` are ``preparations.compare``'s pair, gated nowhere; the
-footer is their max over the ``ok`` cells. The writers format each axis
-value once per grid. The 625-cell ``--reference bell-pqs1 --backend both``
-grid runs in about 0.10 s in process and bell-pqs2's in 0.07 s (best of 21;
-Python 3.11.7, 2 shared vCPUs). ``run_sweep`` accepts ``jobs`` only so that
-existing callers keep working, and ignores it.
+form's parts, the columns, the fixed parameters and one set of knob factors
+per knob value. Its cells share one closed-form source half and one numeric
+source part (the coherent factors, Gram matrices and target norms) per
+(delta, phi, t0), one cutoff per (delta, t0), computed from the cells before
+the first, and one transfer table per scissors method and knob, whose one
+probe covers the largest cutoff; each cell still gives, bit for bit, the
+result of running it alone. A ``both`` cell's ``abs_err_*`` are
+``preparations.compare``'s pair; past ``DEFAULT_BUDGET`` the cell reads
+``mismatch``, and the footer is their max over the ``ok`` and ``mismatch``
+cells. The writers format each axis value once per grid. The 625-cell
+``--reference bell-pqs1`` grid runs in process in about 0.6 ms with
+``--backend analytic`` (best of 201) and 0.07 s with ``both`` (best of 21),
+bell-pqs2's in 0.6 ms and 0.05 s (Python 3.11.7, 2 shared vCPUs).
+``run_sweep`` accepts ``jobs`` only so that existing callers keep working, and ignores it.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from dataclasses import dataclass
 from . import analytics
 from .config import ExperimentConfig, config_echo
 from .fock import CutoffError, FockError
-from .preparations import KNOB_AXES, TransferTables, closed_form_halves, compare, prepare_stages, required_cutoff
+from .preparations import DEFAULT_BUDGET, KNOB_AXES, TransferTables, closed_form_halves, compare, prepare_stages
+from .preparations import required_cutoff
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
 STATUS_UNDERFLOW = "underflow"
+STATUS_MISMATCH = "mismatch"  # a ``both`` cell whose ``compare`` pair exceeds ``DEFAULT_BUDGET`` or is NaN
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
 
     What depends on the config alone is decided once, before the first cell:
     the pipeline, whether the closed form and the simulator run, the closed
-    form's halves and knob axis, the columns, the repetition rate, and the
-    fixed parameters each cell starts from (``config.cell_parameters``).  So
-    is each numeric cell's cutoff, one ``required_cutoff`` call per distinct
+    form's parts and knob factors, the columns, the repetition rate, and the
+    fixed parameters each row's one dict starts from (``config.cell_parameters``).
+    So is each numeric cell's cutoff, one ``required_cutoff`` call per distinct
     (delta, t0), in grid order; if the largest exceeds ``max_cutoff``, no
     cell runs.  The cells share the source halves, source parts, cutoffs and
     transfer tables of the module docstring, which live as long as this call;
@@ -87,15 +91,19 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
         tables = TransferTables(cutoff)
 
     if analytic:
-        # the closed form's halves depend on the preparation alone
-        source_half, knob_half = closed_form_halves(config.preparation)
+        # the closed form's parts depend on the preparation alone
+        source_half, knob_factors, combine = closed_form_halves(config.preparation)
         method, knob_axis = pipeline.method, pipeline.knob_axis
+        # one set of knob factors per knob value, read by the knob's axis position (2: fixed)
+        knob_at = (config.axis1.name, config.axis2.name, knob_axis).index(knob_axis)
+        knobs = [knob_factors(method, k) for k in (v1s, v2s, [getattr(config, knob_axis)])[knob_at]]
     knob_axes = {KNOB_AXES[m] for m in pipeline.methods}
-    rate, width = config.repetition_rate, len(columns)
-    rows, errs = [], []
-    for v1 in v1s:
-        for v2 in v2s:
-            params = config.cell_parameters(v1, v2)
+    rate, width, name2 = config.repetition_rate, len(columns), config.axis2.name
+    rows, errs, status = [], [], STATUS_OK  # a ``both`` cell sets its own
+    for i, v1 in enumerate(v1s):
+        params = config.cell_parameters(v1, v2s[0])  # one dict per row, its axis2 value set per cell
+        for j, v2 in enumerate(v2s):
+            params[name2] = v2
             delta, phi, t0 = params["delta"], params["phi"], params["t0"]
             values: list = [v1, v2]
             try:
@@ -103,8 +111,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                     half = halves.get((delta, phi, t0))
                     if half is None:
                         half = halves[delta, phi, t0] = source_half(method, delta, phi, t0)
-                    ana = knob_half(half, params[knob_axis])
-                    values += [ana.probability, ana.fidelity]
+                    ana = combine(half, knobs[(i, j, 0)[knob_at]])
+                    values += ana
                 if numeric:
                     num = prepare_stages(
                         pipeline, delta, phi, t0, params, config.omega_split_ts, cutoffs[delta, t0],
@@ -116,8 +124,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                         raise analytics._zero_probability(delta, *(params[a] for a in knob_axes))
                     values += [num.probability, num.fidelity]
                 if analytic and numeric:
-                    errs.append(compare(ana, num))  # nothing after it raises, so the cell is ok
+                    errs.append(compare(analytics.AnalyticPF(*ana), num))  # nothing after it raises
                     values += errs[-1]
+                    status = STATUS_OK if all(e <= DEFAULT_BUDGET for e in errs[-1]) else STATUS_MISMATCH
             except analytics.DegenerateParameterError as exc:
                 values += [math.nan] * (width - 1 - len(values))
                 underflow = isinstance(exc, analytics.ProbabilityUnderflowError)
@@ -126,7 +135,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                 if rate is not None:
                     # the rate follows the first probability column: the closed form when there is one
                     values.append(analytics.count_rate(values[2], rate))
-                values.append(STATUS_OK)
+                values.append(status)
             rows.append(tuple(values))
     max_p, max_f = map(max, zip(*errs)) if errs else (None, None)
     return SweepGrid(config, tuple(columns), tuple(rows), max_p, max_f)

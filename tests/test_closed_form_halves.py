@@ -1,12 +1,13 @@
 """Each named closed form is a source half then a knob half, and a sweep shares the source halves.
 
 ``analytics.pf_hybrid`` and ``pf_bell`` read the source (method, delta, phi,
-t0) in their source half and the scissors knob in their knob half.  Here the
-halves, called apart, must give the one-call forms and the forms as they were
-written in one piece (``one_piece_hybrid``, ``one_piece_bell``) bit for bit,
-and raise the same errors.  A sweep evaluates one source half per source
-point and one cutoff per (delta, t0), keeps neither past its return, and a
-source half that raises is asked again by each of its cells.
+t0) in their source half and the scissors knob in their knob half, which is
+the knob factors then the combination.  Here the halves, called apart, must
+give the one-call forms and the forms as they were written in one piece
+(``one_piece_hybrid``, ``one_piece_bell``) bit for bit, and raise the same
+errors.  A sweep evaluates one source half per source point, one set of knob
+factors per knob value and one cutoff per (delta, t0), keeps none of them past
+its return, and a source half that raises is asked again by each of its cells.
 """
 
 import gc
@@ -32,9 +33,26 @@ from polscissors.preparations import PIPELINES, analytic_named, closed_form_halv
 from polscissors.sweep import STATUS_DEGENERATE, STATUS_OK, STATUS_UNDERFLOW, run_sweep
 
 
+def one_piece_pqs1(c10_sq, c01_sq, c00_sq, c11_sq, t):
+    single = (1.0 - t) * t * (c10_sq + c01_sq)
+    p = single + (1.0 - t) ** 2 * c00_sq + t * t * c11_sq
+    if p <= 0.0:
+        raise DegenerateParameterError("zero heralding probability")
+    return analytics.AnalyticPF(p, single / p)
+
+
+def one_piece_pqs2(c10_sq, c01_sq, c00_sq, c11_sq, gamma_abs):
+    g2 = gamma_abs * gamma_abs
+    single = (c10_sq + c01_sq) * k_n(gamma_abs, 1) ** 2 * g2
+    p = single + c11_sq * k_n(gamma_abs, 2) ** 2 + c00_sq * k_n(gamma_abs, 0) ** 2 * g2 * g2
+    if p <= 0.0:
+        raise DegenerateParameterError("zero heralding probability")
+    return analytics.AnalyticPF(p, single / p)
+
+
 def one_piece_hybrid(method, delta, phi, t0, knob):
     c = xi_coefficients(delta, phi, t0)
-    closed_form = analytics.pf_pqs1 if method == "pqs1" else analytics.pf_pqs2
+    closed_form = one_piece_pqs1 if method == "pqs1" else one_piece_pqs2
     try:
         return closed_form(abs(c.c10) ** 2, abs(c.c01) ** 2, abs(c.c00) ** 2, 0.0, knob)
     except DegenerateParameterError:
@@ -117,6 +135,22 @@ def test_halves_equal_the_one_call_and_one_piece_forms(kind):
     assert {ProbabilityUnderflowError, DegenerateParameterError} <= errors
 
 
+@pytest.mark.parametrize(
+    "form,one_piece,top",
+    [(analytics.pf_pqs1, one_piece_pqs1, 1.0), (analytics.pf_pqs2, one_piece_pqs2, 0.99)],
+    ids=["pqs1", "pqs2"],
+)
+def test_the_sector_forms_equal_their_one_piece_forms(form, one_piece, top):
+    # knob factors plus combination: the same float operations in the same order, on any sector weights
+    rng = random.Random(3)
+    weights = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (1e-300, 0.0, 1e-300, 0.0)]
+    weights += [tuple(rng.choice([0.0, rng.random(), rng.random() ** 8]) for _ in range(4)) for _ in range(300)]
+    for w in weights:
+        for knob in [0.0, -0.0, top, 5e-324] + [rng.uniform(0.0, top) for _ in range(3)]:
+            assert _outcome(form, *w, knob) == _outcome(one_piece, *w, knob)
+    assert _outcome(form, 0.5, 0.5, 0.0, 0.0, 1.0)[0] is (DegenerateParameterError if top == 1.0 else ValueError)
+
+
 @pytest.mark.parametrize("kind", sorted(FORMS))
 def test_bad_method_and_t0_raise_before_the_knob_is_read(kind):
     one_call, source_half, _, _ = FORMS[kind]
@@ -128,14 +162,18 @@ def test_bad_method_and_t0_raise_before_the_knob_is_read(kind):
         assert (type(half.value), str(half.value)) == (type(whole.value), str(whole.value))
 
 
+def _parts(source_half, knob_factors, combine, method, delta, phi, t0, knob):
+    return analytics.AnalyticPF(*combine(source_half(method, delta, phi, t0), knob_factors(method, knob)))
+
+
 @pytest.mark.parametrize("name", sorted(PIPELINES))
 def test_the_sweep_halves_are_the_named_closed_form(name):
-    source_half, knob_half = closed_form_halves(name)
+    parts = closed_form_halves(name)
     method = PIPELINES[name].method
     for _, delta, phi, t0, knobs in _points(seed=7, count=10):
         for knob in knobs[2:]:
             expected = _outcome(analytic_named, name, delta, phi, t0, knob)
-            assert _outcome(_halves, source_half, knob_half, method, delta, phi, t0, knob) == expected
+            assert _outcome(_parts, *parts, method, delta, phi, t0, knob) == expected
 
 
 @pytest.fixture
@@ -179,6 +217,53 @@ def test_a_sweep_makes_one_source_half_per_source_point_and_keeps_none(name, sou
         assert len(source_halves) - before == 4  # one per delta, shared by the five knobs
         gc.collect()
         assert [point for point, ref in source_halves if ref() is not None] == []
+
+
+@pytest.fixture
+def knob_factor_sets(monkeypatch):
+    """Every set of knob factors made, as (method, knob, weak reference)."""
+    made = []
+
+    class Recorded(list):
+        pass
+
+    def knob_factors(method, knob):
+        factors = Recorded(original(method, knob))
+        made.append((method, knob, weakref.ref(factors)))
+        return factors
+
+    original = analytics.knob_factors
+    monkeypatch.setattr(analytics, "knob_factors", knob_factors)
+    return made
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_a_sweep_makes_one_set_of_knob_factors_per_knob_value_and_keeps_none(name, knob_factor_sets):
+    method, axis = PIPELINES[name].method, PIPELINES[name].knob_axis
+    knob = AxisSpec(axis, 0.03, 0.07, 5)
+    delta, phi = AxisSpec("delta", 0.6, 1.4, 4), AxisSpec("phi", 0.0, 3.0, 3)
+    grids = [  # the knob as axis2, as axis1, and fixed
+        (_grid(name, delta, knob, phi=0.7), knob.values()),
+        (_grid(name, knob, delta, phi=0.7), knob.values()),
+        (_grid(name, phi, delta, **{axis: 0.05}), [0.05]),
+    ]
+    for config, knobs in grids:
+        before = len(knob_factor_sets)
+        grid = run_sweep(config)
+        assert {row[-1] for row in grid.rows} == {STATUS_OK}
+        assert [(m, k) for m, k, _ in knob_factor_sets[before:]] == [(method, k) for k in knobs]
+        gc.collect()
+        assert [knob for _, knob, ref in knob_factor_sets if ref() is not None] == []
+
+
+@pytest.mark.parametrize("name", ["hybrid-pqs2", "bell-pqs2"])  # the config domain keeps t in (0, 1)
+def test_knob_factors_keyed_by_position_keep_signed_zeros_apart(name, knob_factor_sets):
+    # 0.0 == -0.0, yet a knob axis from 0.0 to -0.0 makes one set of factors per position
+    axis = PIPELINES[name].knob_axis
+    config = _grid(name, AxisSpec("delta", 0.6, 1.0, 2), AxisSpec(axis, 0.0, -0.0, 2), phi=0.7)
+    grid = run_sweep(config)
+    assert [str(knob) for _, knob, _ in knob_factor_sets] == ["0.0", "-0.0"]
+    assert [row[-1] for row in grid.rows] == [STATUS_DEGENERATE] * 4
 
 
 def test_a_source_point_per_cell_makes_a_source_half_per_cell(source_halves):

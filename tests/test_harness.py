@@ -24,12 +24,16 @@ from polscissors.config import (
 )
 from polscissors.preparations import (
     BELL_ARMS,
+    DEFAULT_BUDGET,
     KNOB_AXES,
     PIPELINES,
     PREPARATIONS,
     Pipeline,
     PrepResult,
+    analytic_named,
+    compare,
     omega_pipeline,
+    prepare_named,
     prepare_stages,
 )
 from polscissors.sweep import (
@@ -356,6 +360,48 @@ BOTH_CORNER = ExperimentConfig(
 )
 
 
+# knob first, backend analytic and both, with a count_rate column; at phi pi the delta 0 rows are degenerate
+KNOB_FIRST = {
+    (name, backend): ExperimentConfig(
+        name, AxisSpec(PIPELINES[name].knob_axis, *((0.5, 0.9) if name.endswith("pqs1") else (0.03, 0.07)), 3),
+        AxisSpec("delta", 0.0, 1.2, 3), backend=backend, phi=math.pi, repetition_rate=1e6,
+    )
+    for name in PREPARATIONS
+    for backend in ("analytic", "both")
+}
+
+
+def _cell_row(config, v1, v2):
+    """The sweep row of one cell built alone: ``analytic_named``, then ``prepare_named`` and ``compare``."""
+    params = config.cell_parameters(v1, v2)
+    knob = params[PIPELINES[config.preparation].knob_axis]
+    point = (config.preparation, params["delta"], params["phi"], params["t0"], knob)
+    values, status = [v1, v2], "ok"
+    try:
+        if config.backend != "numeric":
+            ana = analytic_named(*point)
+            values += [ana.probability, ana.fidelity]
+        if config.backend != "analytic":
+            num = prepare_named(*point, tail_bound=config.tail_bound)
+            if num.probability == 0.0:
+                raise analytics._zero_probability(params["delta"], knob)
+            values += [num.probability, num.fidelity]
+        if config.backend == "both":
+            values += compare(ana, num)
+            status = "ok" if all(e <= DEFAULT_BUDGET for e in values[-2:]) else "mismatch"  # NaN: mismatch
+    except DegenerateStateError as exc:
+        pairs = 3 if config.backend == "both" else 1  # (P, F) columns: each route's, then abs_err_*
+        values += [math.nan] * (2 + 2 * pairs + (config.repetition_rate is not None) - len(values))
+        return tuple(values + ["underflow" if isinstance(exc, analytics.ProbabilityUnderflowError) else "degenerate"])
+    if config.repetition_rate is not None:
+        values.append(analytics.count_rate(values[2], config.repetition_rate))
+    return tuple(values + [status])
+
+
+def _hex(row):
+    return [v.hex() if isinstance(v, float) else v for v in row]
+
+
 class TestSweep:
     def test_row_count_and_columns(self):
         grid = run_sweep(parse_config_text(BELL_CONFIG))
@@ -600,6 +646,50 @@ class TestSweep:
         assert oks and (len(oks) < len(grid.rows)) == corner
         assert grid.max_abs_err_p == max(row[i_p] for row in oks)
         assert grid.max_abs_err_f == max(row[i_f] for row in oks)
+
+    @pytest.mark.parametrize(
+        "config",
+        list(WRITER_GRIDS.values()) + [BOTH_CORNER] + list(KNOB_FIRST.values()),
+        ids=list(WRITER_GRIDS) + ["both-corner"] + [f"{n}-{b}-knob-first" for n, b in KNOB_FIRST],
+    )
+    def test_every_row_is_the_row_of_its_cell_run_alone(self, config):
+        # the shared source halves, knob factors and row dicts change no bit of any row
+        grid = run_sweep(config)
+        cells = [_cell_row(config, v1, v2) for v1 in config.axis1.values() for v2 in config.axis2.values()]
+        assert [_hex(row) for row in grid.rows] == [_hex(row) for row in cells]
+
+    def test_the_row_kinds_of_the_per_cell_grids(self):
+        statuses = {row[-1] for config in KNOB_FIRST.values() for row in run_sweep(config).rows}
+        assert statuses == {"ok", "degenerate"}
+
+    def test_a_cell_past_the_budget_is_a_mismatch_and_the_sweep_exits_1(self, monkeypatch, tmp_path):
+        # one numeric P off by 1e-6 relative, |dP| about 5e-8: that cell reads mismatch,
+        # the footer shows it, the whole grid is written, and the run exits 1
+        calls = []
+
+        def skewed(*args):
+            stages = prepare_stages(*args)
+            calls.append(args[1:4])  # the cell's (delta, phi, t0)
+            if len(calls) == 3:
+                last = dataclasses.replace(stages[-1], probability=stages[-1].probability * (1 + 1e-6))
+                return stages[:-1] + (last,)
+            return stages
+
+        monkeypatch.setattr(sweep, "prepare_stages", skewed)
+        config = tmp_path / "exp.ini"
+        config.write_text(BELL_CONFIG.replace("bell-pqs1", "hybrid-pqs1"))
+        out = tmp_path / "grid.csv"
+        assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == cli.EXIT_VERIFY_FAIL
+        text = out.read_text()
+        columns, rows = grid_from_csv(text)
+        assert [row[-1] for row in rows] == ["ok", "ok", "mismatch", "ok", "ok", "ok"]
+        i_p = columns.index("abs_err_P")
+        assert rows[2][i_p] > DEFAULT_BUDGET >= max(row[i_p] for row in rows if row[-1] == "ok")
+        assert f"# summary: max_abs_err_P = {rows[2][i_p]:.17e}\n" in text
+        assert rows[2][columns.index("count_rate")] == rows[2][2] * 6.4e6
+        calls.clear()
+        grid = run_sweep(parse_config_text(BELL_CONFIG.replace("bell-pqs1", "hybrid-pqs1")))
+        assert grid.rows == tuple(rows) and grid.max_abs_err_p == rows[2][i_p]
 
     def test_an_all_degenerate_both_grid_has_no_footer(self):
         grid = run_sweep(dataclasses.replace(BOTH_CORNER, axis1=AxisSpec("delta", 0.0, 0.0, 2)))

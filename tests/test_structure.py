@@ -256,6 +256,26 @@ def test_one_rule_tells_underflow_from_degenerate():
     assert ruled == 1 and sites == []
 
 
+def test_the_squeezer_prefactors_are_read_in_the_knob_factors_alone():
+    # ``analytics.knob_factors`` is the one home of the pqs2 factor expressions:
+    # every closed form reads k_n(|gamma|, n) through it
+    inside, sites = 0, []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        home = {
+            node
+            for f in ast.walk(tree)
+            if path.name == "analytics.py" and isinstance(f, ast.FunctionDef) and f.name == "knob_factors"
+            for node in ast.walk(f)
+        }
+        for call in _calls_named(tree, "k_n"):
+            if call in home:
+                inside += 1
+            else:
+                sites.append(f"{path.name}:{call.lineno}")
+    assert inside == 3 and sites == []
+
+
 def test_the_simulator_raises_no_degenerate_parameter_error():
     # a degenerate parameter is the closed forms' and the rule's to report
     hits = [
