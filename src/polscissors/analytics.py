@@ -8,8 +8,8 @@ input are thin wrappers over the generic coefficient formulas.
 ``pf_hybrid`` and ``pf_bell`` are each a source half (``*_source``: all that reads only
 method, delta, phi and t0), then knob factors (``knob_factors``: all that reads only
 method and t or |gamma|, as ``pf_pqs1`` and ``pf_pqs2`` do), then a combination (``*_pf``:
-the arithmetic mixing the two; ``*_knob`` is the last two).  A sweep shares one source
-half per source point and one set of knob factors per knob value, bit for bit.
+the arithmetic mixing the two).  A sweep shares one source half per source point and one
+set of knob factors per knob value, bit for bit.
 """
 
 from __future__ import annotations
@@ -152,6 +152,8 @@ def knob_factors(method: str, knob: float) -> tuple:
     at g = |gamma|: (k_1^2, g^2, k_2^2, k_0^2) and (k_1 g, k_0 g g, 2 k_1^2 g^2, k_0^2 g^2 g^2).
     """
     if method == "pqs1":
+        if knob < 0.0 or knob > 1.0:  # a NaN t passes, to a NaN P and F
+            raise ValueError(f"t = {knob} outside [0, 1]")
         u = 1.0 - knob
         return knob, (u * knob, u**2, knob * knob), (math.sqrt(u * knob), u, 2.0 * u * knob, u**2)
     g2, k1, k0 = knob * knob, k_n(knob, 1), k_n(knob, 0)
@@ -209,17 +211,12 @@ def hybrid_pf(source: SourceHalf, factors: tuple) -> tuple[float, float]:
         raise _zero_probability(source.delta, factors[0]) from None
 
 
-def hybrid_knob(source: SourceHalf, knob: float) -> AnalyticPF:
-    """Knob half of ``pf_hybrid``: its knob factors, then its combination."""
-    return AnalyticPF(*hybrid_pf(source, knob_factors(source.method, knob)))
-
-
 def pf_hybrid(method: str, delta: float, phi: float, t0: float, knob: float) -> AnalyticPF:
     """Single-arm truncation of the entangled input: photon-qubit vs coherent arm.
 
     ``knob`` is the transmissivity for pqs1 or |gamma| for pqs2.
     """
-    return hybrid_knob(hybrid_source(method, delta, phi, t0), knob)
+    return AnalyticPF(*hybrid_pf(hybrid_source(method, delta, phi, t0), knob_factors(method, knob)))
 
 
 def bell_source(method: str, delta: float, phi: float, t0: float) -> SourceHalf:
@@ -242,11 +239,6 @@ def bell_pf(source: SourceHalf, factors: tuple) -> tuple[float, float]:
     return p, keep * w1 * w1 / p
 
 
-def bell_knob(source: SourceHalf, knob: float) -> AnalyticPF:
-    """Knob half of ``pf_bell``: its knob factors, then its combination."""
-    return AnalyticPF(*bell_pf(source, knob_factors(source.method, knob)))
-
-
 def pf_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> AnalyticPF:
     """Double truncation down to the polarization Bell pair.
 
@@ -254,7 +246,7 @@ def pf_bell(method: str, delta: float, phi: float, t0: float, knob: float) -> An
     vacuum branch of the second stage carries the coherent interference weight
     ``|1 + e^(i phi)|^2`` on its vacuum component.
     """
-    return bell_knob(bell_source(method, delta, phi, t0), knob)
+    return AnalyticPF(*bell_pf(bell_source(method, delta, phi, t0), knob_factors(method, knob)))
 
 
 def count_rate(probability: float, repetition_rate: float) -> float:

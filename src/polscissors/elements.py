@@ -255,11 +255,6 @@ def apply_pol_phase(state: PureState, mode: int, pol: str, phase: float) -> Pure
     return PureState(state.mode_count, state.cutoff, amps)
 
 
-@lru_cache(maxsize=None)
-def _sqrt_binom(n: int, k: int) -> float:
-    return math.sqrt(math.comb(n, k))
-
-
 def apply_squeezer_exact(
     state: PureState, spec: SqueezerSpec, herald: Occupation | None = None
 ) -> PureState:
@@ -305,7 +300,7 @@ def apply_squeezer_exact(
     for _ in range(cutoff):
         pows.append(pows[-1] * mig)
     binom_rows = [
-        [_sqrt_binom(n + k, n) for k in range(cutoff - n + 1)] for n in range(max(sh, sv) + 1)
+        [math.sqrt(math.comb(n + k, n)) for k in range(cutoff - n + 1)] for n in range(max(sh, sv) + 1)
     ]
     # occ[i][j] = (i, j): the signal and idle occupations, built once per call
     occ = [[(i, j) for j in range(cutoff + 1)] for i in range(max(sh, sv) + 1)]

@@ -253,7 +253,7 @@ def compare(analytic, numeric) -> tuple[float, float]:
 
 
 def closed_form_halves(name: str) -> tuple:
-    """The (source half, knob factors, combination) of ``analytic_named``'s closed form for ``name``."""
+    """What ``analytic_named``'s closed form for ``name`` has of its own: (source half, combination)."""
     if PIPELINES[name].arms == BELL_ARMS:
-        return analytics.bell_source, analytics.knob_factors, analytics.bell_pf
-    return analytics.hybrid_source, analytics.knob_factors, analytics.hybrid_pf
+        return analytics.bell_source, analytics.bell_pf
+    return analytics.hybrid_source, analytics.hybrid_pf

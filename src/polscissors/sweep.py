@@ -50,10 +50,10 @@ class SweepGrid:
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
     """Fill the grid in process, in grid order; ``jobs`` is accepted and ignored.
 
-    What depends on the config alone is decided once, before the first cell:
-    the pipeline, whether the closed form and the simulator run, the closed
-    form's parts and knob factors, the columns, the repetition rate, and the
-    fixed parameters each row's one dict starts from (``config.cell_parameters``).
+    What depends on the config alone is decided once, before the first cell: the
+    pipeline, whether the closed form and the simulator run, its ``closed_form_halves``
+    and one set of ``analytics.knob_factors`` per knob value, the columns, the repetition
+    rate, and the fixed parameters each row's one dict starts from (``config.cell_parameters``).
     So is each numeric cell's cutoff, one ``required_cutoff`` call per distinct
     (delta, t0), in grid order; if the largest exceeds ``max_cutoff``, no
     cell runs.  The cells share the source halves, source parts, cutoffs and
@@ -92,11 +92,11 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
 
     if analytic:
         # the closed form's parts depend on the preparation alone
-        source_half, knob_factors, combine = closed_form_halves(config.preparation)
+        source_half, combine = closed_form_halves(config.preparation)
         method, knob_axis = pipeline.method, pipeline.knob_axis
         # one set of knob factors per knob value, read by the knob's axis position (2: fixed)
         knob_at = (config.axis1.name, config.axis2.name, knob_axis).index(knob_axis)
-        knobs = [knob_factors(method, k) for k in (v1s, v2s, [getattr(config, knob_axis)])[knob_at]]
+        knobs = [analytics.knob_factors(method, k) for k in (v1s, v2s, [getattr(config, knob_axis)])[knob_at]]
     knob_axes = {KNOB_AXES[m] for m in pipeline.methods}
     rate, width, name2 = config.repetition_rate, len(columns), config.axis2.name
     rows, errs, status = [], [], STATUS_OK  # a ``both`` cell sets its own

@@ -177,13 +177,11 @@ def run_verify(
         sqs = {k: abs(v) ** 2 for k, v in coeffs.items()}
         ideal = normalize(make_state(1, 8, [(((1, 0),), coeffs[(1, 0)]), (((0, 1),), coeffs[(0, 1)])]))
 
-        # per method: that input, then the named preparations' full pipelines
+        # per method: that input, then the named preparations' full pipelines; the circuits and
+        # closed forms are looked up per sample, so a patched or traced one is the one used
         parts, cutoff = {}, required_cutoff(delta, t0)
-        for method, knob in (("pqs1", t), ("pqs2", gamma)):
-            # looked up at call time, so a patched or traced closed form is the one used
-            scissors, closed_form = (
-                (pqs1_apply, analytics.pf_pqs1) if method == "pqs1" else (pqs2_apply, analytics.pf_pqs2)
-            )
+        methods = (("pqs1", t, pqs1_apply, analytics.pf_pqs1), ("pqs2", gamma, pqs2_apply, analytics.pf_pqs2))
+        for method, knob, scissors, closed_form in methods:
             sim = scissors(state, 0, knob, herald_first=True)
             ana = closed_form(sqs[(1, 0)], sqs[(0, 1)], sqs[(0, 0)], sqs[(1, 1)], knob)
             num = PrepResult(sim.total_probability, fidelity(sim.canonical_state, ideal))

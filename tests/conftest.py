@@ -78,7 +78,8 @@ def prepare_hybrid(
 def g_coefficients(delta: float, phi: float, t0: float, t: float) -> tuple[float, float]:
     """Single-photon / vacuum weights left on the first arm after a pqs1 stage.
 
-    Formed from ``analytics.bell_source`` as ``analytics.bell_knob`` forms them.
+    Formed from ``analytics.bell_source`` and the pqs1 ``analytics.knob_factors`` as
+    ``analytics.bell_pf`` forms them.
     """
     norm, f1b, f0b = analytics.bell_source("pqs1", delta, phi, t0).weights[:3]
     g1 = math.sqrt((1.0 - t) * t) * norm * f1b

@@ -1,9 +1,9 @@
-"""Each named closed form is a source half then a knob half, and a sweep shares the source halves.
+"""Each named closed form is a source half, knob factors and a combination, and a sweep shares them.
 
 ``analytics.pf_hybrid`` and ``pf_bell`` read the source (method, delta, phi,
-t0) in their source half and the scissors knob in their knob half, which is
-the knob factors then the combination.  Here the halves, called apart, must
-give the one-call forms and the forms as they were written in one piece
+t0) in their source half and the scissors knob in ``analytics.knob_factors``;
+their combination mixes the two.  Here the parts, called apart, must give the
+one-call forms and the forms as they were written in one piece
 (``one_piece_hybrid``, ``one_piece_bell``) bit for bit, and raise the same
 errors.  A sweep evaluates one source half per source point, one set of knob
 factors per knob value and one cutoff per (delta, t0), keeps none of them past
@@ -83,8 +83,8 @@ def one_piece_bell(method, delta, phi, t0, knob):
 
 
 FORMS = {
-    "hybrid": (analytics.pf_hybrid, analytics.hybrid_source, analytics.hybrid_knob, one_piece_hybrid),
-    "bell": (analytics.pf_bell, analytics.bell_source, analytics.bell_knob, one_piece_bell),
+    "hybrid": (analytics.pf_hybrid, analytics.hybrid_source, analytics.hybrid_pf, one_piece_hybrid),
+    "bell": (analytics.pf_bell, analytics.bell_source, analytics.bell_pf, one_piece_bell),
 }
 
 
@@ -111,13 +111,18 @@ def _outcome(form, *args):
     return pf.probability.hex(), pf.fidelity.hex()
 
 
-def _halves(source_half, knob_half, method, delta, phi, t0, knob):
-    return knob_half(source_half(method, delta, phi, t0), knob)
+def _knob_half(combine, source, knob):
+    """All that reads the knob, given the source half: the knob factors, then the combination."""
+    return analytics.AnalyticPF(*combine(source, analytics.knob_factors(source.method, knob)))
+
+
+def _parts(source_half, combine, method, delta, phi, t0, knob):
+    return _knob_half(combine, source_half(method, delta, phi, t0), knob)
 
 
 @pytest.mark.parametrize("kind", sorted(FORMS))
 def test_halves_equal_the_one_call_and_one_piece_forms(kind):
-    one_call, source_half, knob_half, one_piece = FORMS[kind]
+    one_call, source_half, combine, one_piece = FORMS[kind]
     errors = set()
     for method, delta, phi, t0, knobs in _points():
         try:
@@ -127,9 +132,9 @@ def test_halves_equal_the_one_call_and_one_piece_forms(kind):
         for knob in knobs:
             expected = _outcome(one_piece, method, delta, phi, t0, knob)
             assert _outcome(one_call, method, delta, phi, t0, knob) == expected
-            assert _outcome(_halves, source_half, knob_half, method, delta, phi, t0, knob) == expected
+            assert _outcome(_parts, source_half, combine, method, delta, phi, t0, knob) == expected
             if not isinstance(source, Exception):  # the one source half serves every knob
-                assert _outcome(knob_half, source, knob) == expected
+                assert _outcome(_knob_half, combine, source, knob) == expected
             if isinstance(expected[0], type):
                 errors.add(expected[0])
     assert {ProbabilityUnderflowError, DegenerateParameterError} <= errors
@@ -151,6 +156,19 @@ def test_the_sector_forms_equal_their_one_piece_forms(form, one_piece, top):
     assert _outcome(form, 0.5, 0.5, 0.0, 0.0, 1.0)[0] is (DegenerateParameterError if top == 1.0 else ValueError)
 
 
+@pytest.mark.parametrize("t", [1.5, -0.1])
+@pytest.mark.parametrize("kind", ["pqs1", "hybrid", "bell"])
+def test_a_t_outside_the_unit_interval_raises_a_named_error(kind, t):
+    if kind == "pqs1":
+        form, one_piece, args = analytics.pf_pqs1, one_piece_pqs1, (0.3, 0.3, 0.2, 0.2)
+    else:
+        form, _, _, one_piece = FORMS[kind]
+        args = ("pqs1", 1.0, 0.3, 0.5)
+    assert _outcome(form, *args, t) == (ValueError, f"t = {t} outside [0, 1]")
+    for edge in (math.nan, -0.0, 0.0, 1.0):  # at the edges and at NaN, no error and the same bits
+        assert _outcome(form, *args, edge) == _outcome(one_piece, *args, edge)
+
+
 @pytest.mark.parametrize("kind", sorted(FORMS))
 def test_bad_method_and_t0_raise_before_the_knob_is_read(kind):
     one_call, source_half, _, _ = FORMS[kind]
@@ -160,10 +178,6 @@ def test_bad_method_and_t0_raise_before_the_knob_is_read(kind):
         with pytest.raises(ValueError) as half:
             source_half(*args)
         assert (type(half.value), str(half.value)) == (type(whole.value), str(whole.value))
-
-
-def _parts(source_half, knob_factors, combine, method, delta, phi, t0, knob):
-    return analytics.AnalyticPF(*combine(source_half(method, delta, phi, t0), knob_factors(method, knob)))
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINES))
@@ -280,7 +294,7 @@ def test_a_raising_source_half_is_asked_again_by_each_of_its_cells(source_halves
     grid = run_sweep(config)
     statuses = [row[-1] for row in grid.rows]
     assert statuses[:3] == [STATUS_DEGENERATE] * 3  # delta 0 at phi pi: the source half raises
-    assert {STATUS_OK, STATUS_UNDERFLOW} <= set(statuses[3:])  # the knob half raises
+    assert {STATUS_OK, STATUS_UNDERFLOW} <= set(statuses[3:])  # the combination raises
     assert [ref for point, ref in source_halves if point[0] == 0.0] == [None] * 3
     assert len(source_halves) == 3 + 4  # the other four deltas once each
 

@@ -69,6 +69,26 @@ def test_the_package_declares_no_global():
     assert hits == []
 
 
+def test_every_lru_cache_names_a_finite_size():
+    # a module-level cache outlives every call, so it may hold only a bounded number of entries:
+    # each ``lru_cache`` (or ``cache``) is called with a maxsize, and that maxsize is not None
+    caches, hits = 0, []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sizes = {
+            call.func: call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+        }
+        for node in ast.walk(tree):
+            if {getattr(node, "id", None), getattr(node, "attr", None)} & {"lru_cache", "cache"}:
+                caches += 1
+                size = (sizes.get(node) or [None])[0]  # a bare or empty call names no size
+                if size is None or (isinstance(size, ast.Constant) and size.value is None):
+                    hits.append(f"{path.name}:{node.lineno}")
+    assert caches >= 1 and hits == []
+
+
 def test_the_package_calls_no_id():
     # an object's id is reused once it dies, so no cache may key on one
     hits = [
