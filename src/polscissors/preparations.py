@@ -5,7 +5,7 @@ one scissors method per arm; ``prepare_stages`` simulates any of them.  The
 named pipelines are two-arm cases: truncating the second arm gives the hybrid
 photon-qubit vs coherent-arm entanglement, then the first as well the
 polarization Bell pair.  They also have an analytic route (closed forms); the
-two must agree within ``DEFAULT_BUDGET``, as ``compare`` measures them.
+two must agree within ``DEFAULT_BUDGET`` by ``compare``; ``worst`` ranks a NaN top.
 
 The simulation never forms a joint state.  The source is a sum of two
 products, c_H (x)_k |+gamma_k, H> + c_V (x)_k |-gamma_k, V>, and every scissors
@@ -250,6 +250,11 @@ def analytic_named(name: str, delta: float, phi: float, t0: float, knob: float) 
 def compare(analytic, numeric) -> tuple[float, float]:
     """The one analytic-minus-numeric comparison: (|dP|, |dF|), NaN where either side is NaN."""
     return abs(numeric.probability - analytic.probability), abs(numeric.fidelity - analytic.fidelity)
+
+
+def worst(*deviations: float) -> float:
+    """The largest of ``compare``'s deviations, a NaN above any number; of equal ones, the first."""
+    return max(deviations, key=lambda d: (math.isnan(d), d))
 
 
 def closed_form_halves(name: str) -> tuple:

@@ -12,12 +12,12 @@ the first, and one transfer table per scissors method and knob, whose one
 probe covers the largest cutoff; each cell still gives, bit for bit, the
 result of running it alone. A ``both`` cell's ``abs_err_*`` are
 ``preparations.compare``'s pair; past ``DEFAULT_BUDGET`` the cell reads
-``mismatch``, and the footer is their max over the ``ok`` and ``mismatch``
-cells. The writers format each axis value once per grid. The 625-cell
-``--reference bell-pqs1`` grid runs in process in about 0.6 ms with
-``--backend analytic`` (best of 201) and 0.07 s with ``both`` (best of 21),
-bell-pqs2's in 0.6 ms and 0.05 s (Python 3.11.7, 2 shared vCPUs).
-``run_sweep`` accepts ``jobs`` only so that existing callers keep working, and ignores it.
+``mismatch``. The footer is their ``preparations.worst`` over the ``ok`` and
+``mismatch`` cells, which keeps a NaN from any. The writers format each axis
+value once per grid. The 625-cell ``--reference bell-pqs1`` grid runs in
+process in about 0.6 ms with ``--backend analytic`` (best of 201) and 0.07 s
+with ``both`` (best of 21), bell-pqs2's in 0.6 ms and 0.05 s (Python 3.11.7,
+2 shared vCPUs). ``run_sweep`` ignores ``jobs``, kept for existing callers.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import analytics
 from .config import ExperimentConfig, config_echo
 from .fock import CutoffError, FockError
 from .preparations import DEFAULT_BUDGET, KNOB_AXES, TransferTables, closed_form_halves, compare, prepare_stages
-from .preparations import required_cutoff
+from .preparations import required_cutoff, worst
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -137,7 +137,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                     values.append(analytics.count_rate(values[2], rate))
                 values.append(status)
             rows.append(tuple(values))
-    max_p, max_f = map(max, zip(*errs)) if errs else (None, None)
+    max_p, max_f = (worst(*column) for column in zip(*errs)) if errs else (None, None)
     return SweepGrid(config, tuple(columns), tuple(rows), max_p, max_f)
 
 
@@ -215,14 +215,14 @@ def grid_to_matrix(grid: SweepGrid) -> str:
 
 
 def grid_to_json(grid: SweepGrid) -> str:
-    """The grid as strict JSON (RFC 8259 has no NaN): a ``nan`` cell is written as ``null``."""
+    """The grid as strict JSON (RFC 8259 has no NaN): a ``nan`` cell or summary value is written as ``null``."""
+    def null(v):
+        return None if isinstance(v, float) and math.isnan(v) else v
+
     payload = {
         "config": config_echo(grid.config),
         "columns": list(grid.columns),
-        "rows": [[None if isinstance(v, float) and math.isnan(v) else v for v in r] for r in grid.rows],
-        "summary": {
-            "max_abs_err_P": grid.max_abs_err_p,
-            "max_abs_err_F": grid.max_abs_err_f,
-        },
+        "rows": [[null(v) for v in r] for r in grid.rows],
+        "summary": {"max_abs_err_P": null(grid.max_abs_err_p), "max_abs_err_F": null(grid.max_abs_err_f)},
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -1,10 +1,10 @@
 """Seeded analytic-vs-numeric cross-validation and named operating points.
 
 ``run_verify`` draws reproducible random parameter tuples, runs every
-preparation through both the full circuit simulation and the closed forms,
-and reports the worst ``preparations.compare`` deviations per closed-form
-family against a budget; a NaN one fails.  ``run_spot`` checks the frozen
-operating points' envelopes (count-rate level) and |dP| at ``DEFAULT_BUDGET``.
+preparation through the circuit simulation and the closed forms, and reports
+per check the ``preparations.worst`` of its ``compare`` deviations against a
+budget; a NaN fails, and a circuit that heralds nothing scores fidelity 0.0.
+``run_spot`` checks the frozen points' envelopes and |dP| at ``DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .preparations import (
     prepare_named,
     prepare_stages,
     required_cutoff,
+    worst,
 )
-from .scissors import pqs1_apply, pqs2_apply, qs_apply
+from .scissors import ScissorsResult, pqs1_apply, pqs2_apply, qs_apply
 from .sources import coherent
 
 DEFAULT_RANGES = {
@@ -45,6 +46,8 @@ CHECK_NAMES = ("qs", "pqs1-random", "pqs2-random") + PREPARATIONS
 
 @dataclass
 class CheckStat:
+    """One check's largest ``compare`` pair by ``preparations.worst``, so a NaN stays, and its skips."""
+
     name: str
     max_dp: float = 0.0
     max_df: float = 0.0
@@ -52,9 +55,8 @@ class CheckStat:
     skipped: list[str] = field(default_factory=list)
 
     def record(self, dp: float, df: float) -> None:
-        # ``max`` keeps a NaN it holds but drops a new one, so a NaN is kept by hand
-        self.max_dp = math.nan if math.isnan(dp) else max(self.max_dp, dp)
-        self.max_df = math.nan if math.isnan(df) else max(self.max_df, df)
+        self.max_dp = worst(self.max_dp, dp)
+        self.max_df = worst(self.max_df, df)
         self.samples += 1
 
 
@@ -77,9 +79,8 @@ class VerifyReport:
                 f"{c.max_dp:>12.3e} {c.max_df:>12.3e}"
             )
             out.extend(f"  skipped: {reason}" for reason in c.skipped)
-        deviations = [d for c in self.checks for d in (c.max_dp, c.max_df)]
-        worst = max(deviations, key=lambda d: (math.isnan(d), d))  # a NaN is the worst
-        out.append(f"result: {'PASS' if self.passed else 'FAIL'} (worst deviation {worst:.3e})")
+        top = worst(*(d for c in self.checks for d in (c.max_dp, c.max_df)))
+        out.append(f"result: {'PASS' if self.passed else 'FAIL'} (worst deviation {top:.3e})")
         return out
 
 
@@ -92,6 +93,12 @@ def _random_polarized_input(rng: random.Random, cutoff: int):
         weight += abs(a) ** 2
     norm = math.sqrt(weight)
     return state, {k: a / norm for k, a in coeffs.items()}
+
+
+def _scored(sim: ScissorsResult, target) -> PrepResult:
+    """``sim``'s probability and fidelity to ``target``: 0.0 when it heralds nothing, as in ``prepare_stages``."""
+    state = sim.canonical_state
+    return PrepResult(sim.total_probability, 0.0 if state is None else fidelity(state, target))
 
 
 def _check_pipelines(
@@ -146,9 +153,7 @@ def run_verify(
     unknown = sorted(set(ranges or ()) - set(DEFAULT_RANGES))
     if unknown:
         raise ValueError(f"unknown ranges {unknown}; have {sorted(DEFAULT_RANGES)}")
-    spans = dict(DEFAULT_RANGES)
-    if ranges:
-        spans.update(ranges)
+    spans = {**DEFAULT_RANGES, **(ranges or {})}
     rng = random.Random(seed)
     stats = {name: CheckStat(name) for name in CHECK_NAMES}
 
@@ -167,8 +172,7 @@ def run_verify(
             sim = qs_apply(coh, 0, H, t, herald_first=True)
             ana = analytics.pf_qs(analytics.f_n(delta, 0) ** 2, analytics.f_n(delta, 1) ** 2, t)
             photon = make_state(1, cut, [(((1, 0),), 1.0)])
-            num = PrepResult(sim.total_probability, fidelity(sim.canonical_state, photon))
-            stats["qs"].record(*compare(ana, num))
+            stats["qs"].record(*compare(ana, _scored(sim, photon)))
         except analytics.DegenerateParameterError as exc:
             stats["qs"].skipped.append(f"{tag}: {exc}")
 
@@ -184,8 +188,7 @@ def run_verify(
         for method, knob, scissors, closed_form in methods:
             sim = scissors(state, 0, knob, herald_first=True)
             ana = closed_form(sqs[(1, 0)], sqs[(0, 1)], sqs[(0, 0)], sqs[(1, 1)], knob)
-            num = PrepResult(sim.total_probability, fidelity(sim.canonical_state, ideal))
-            stats[f"{method}-random"].record(*compare(ana, num))
+            stats[f"{method}-random"].record(*compare(ana, _scored(sim, ideal)))
             _check_pipelines(stats, tag, method, delta, phi, t0, knob, parts, cutoff)
 
     checks = tuple(stats[name] for name in CHECK_NAMES)

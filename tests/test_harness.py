@@ -22,6 +22,7 @@ from polscissors.config import (
     parse_config_text,
     reference_grid,
 )
+from polscissors.fock import H, min_cutoff
 from polscissors.preparations import (
     BELL_ARMS,
     DEFAULT_BUDGET,
@@ -36,6 +37,7 @@ from polscissors.preparations import (
     prepare_named,
     prepare_stages,
 )
+from polscissors.scissors import qs_apply
 from polscissors.sweep import (
     grid_from_csv,
     grid_to_csv,
@@ -691,6 +693,43 @@ class TestSweep:
         grid = run_sweep(parse_config_text(BELL_CONFIG.replace("bell-pqs1", "hybrid-pqs1")))
         assert grid.rows == tuple(rows) and grid.max_abs_err_p == rows[2][i_p]
 
+    @pytest.mark.parametrize("cell", [0, 1, 3], ids=["first", "middle", "last"])
+    def test_a_nan_deviation_in_any_cell_is_the_footers(self, monkeypatch, cell):
+        # the footer is ``preparations.worst`` over the ok and mismatch cells, so a NaN from any
+        # cell is kept (``max`` kept one only from the first), and JSON writes it as null
+        config = ExperimentConfig(
+            "bell-pqs1", AxisSpec("delta", 0.6, 0.8, 2), AxisSpec("t", 0.6, 0.8, 2), backend="both"
+        )
+        clean, halves, calls = run_sweep(config), sweep.closed_form_halves, []
+
+        def nan_in_one_cell(name):
+            source_half, combine = halves(name)
+
+            def combined(half, knob):
+                calls.append(knob)
+                p, f = combine(half, knob)
+                return (math.nan if len(calls) == cell + 1 else p), f
+
+            return source_half, combined
+
+        monkeypatch.setattr(sweep, "closed_form_halves", nan_in_one_cell)
+        grid = run_sweep(config)
+        assert len(calls) == 4
+        expected = [list(row) for row in clean.rows]
+        expected[cell][2] = expected[cell][grid.columns.index("abs_err_P")] = math.nan
+        expected[cell][-1] = "mismatch"
+        assert {row[-1] for row in clean.rows} == {"ok"}
+        assert [_hex(row) for row in grid.rows] == [_hex(row) for row in expected]
+        assert math.isnan(grid.max_abs_err_p) and grid.max_abs_err_f == clean.max_abs_err_f
+        assert "# summary: max_abs_err_P = nan\n" in grid_to_csv(grid)
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads(grid_to_json(grid), parse_constant=strict)
+        assert payload["summary"] == {"max_abs_err_P": None, "max_abs_err_F": clean.max_abs_err_f}
+        assert payload["rows"][cell][2] is None and payload["rows"][cell][-1] == "mismatch"
+
     def test_an_all_degenerate_both_grid_has_no_footer(self):
         grid = run_sweep(dataclasses.replace(BOTH_CORNER, axis1=AxisSpec("delta", 0.0, 0.0, 2)))
         assert {row[-1] for row in grid.rows} == {"degenerate"}
@@ -817,6 +856,17 @@ class TestVerify:
         for i in range(3):
             stat.record(math.nan if i == at else 1e-12 * (i + 1), math.nan if i == at else 0.0)
         assert math.isnan(stat.max_dp) and math.isnan(stat.max_df) and stat.samples == 3
+
+    def test_a_circuit_that_heralds_nothing_fails_its_check(self):
+        # at delta 8.5 the coherent input, compacted at fock.DEFAULT_TOL, has lost the vacuum and
+        # one-photon amplitudes the scissors keep: qs heralds nothing, which scores fidelity 0.0
+        # (as ``prepare_stages`` scores such a stage) and fails the check instead of raising
+        coh = sources.coherent(8.5, H, max(4, min_cutoff(8.5)))
+        assert qs_apply(coh, 0, H, 0.5, herald_first=True).canonical_state is None
+        report = run_verify(1, 2, ranges={"delta": (8.5, 8.6), "t0": (0.5, 0.5)})
+        qs = report.checks[CHECK_NAMES.index("qs")]
+        assert qs.samples == 2 and not qs.skipped and qs.max_df > 0.9
+        assert not report.passed and report.lines()[-1].startswith("result: FAIL")
 
     def test_an_unknown_range_is_refused(self):
         with pytest.raises(ValueError, match=r"unknown ranges \['detla'\]"):

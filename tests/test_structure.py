@@ -342,3 +342,16 @@ def test_one_function_compares_the_routes():
     # the spot text spells the budget by hand; it must read as the constant
     lines, _ = verify.run_spot("bell-pqs1")
     assert float(lines[-2].rsplit("<= ", 1)[1]) == preparations.DEFAULT_BUDGET
+
+
+def test_one_rule_ranks_a_nan_deviation_worst():
+    # ``preparations.worst`` is the one NaN-aware max: verify keeps no NaN rule
+    # of its own, and no other module hands ``max`` a key that reads ``isnan``
+    keyed = [
+        f"{path.name}:{call.lineno}"
+        for path in MODULES
+        for call in _calls_named(ast.parse(path.read_text(encoding="utf-8")), "max")
+        if any(k.arg == "key" and _calls_named(k.value, "isnan") for k in call.keywords)
+    ]
+    assert len(keyed) == 1 and keyed[0].startswith("preparations.py:")
+    assert _calls_named(ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8")), "isnan") == []
