@@ -336,8 +336,9 @@ def min_cutoff(gamma: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
     """Smallest cutoff whose coherent tail weight is at or below ``tail_bound``.
 
     ``CutoffError`` past ``MAX_CUTOFF``, and for a NaN ``gamma``, whose tail reads 0.0.
+    A Poisson median is at least gamma^2 - ln 2, so a bound up to 1/4 fails every cutoff up to gamma^2 - 2.
     """
-    c = 0
+    c = max(0, int(gamma * gamma) - 1) if tail_bound <= 0.25 and gamma * gamma < MAX_CUTOFF else 0
     while math.isnan(gamma) or coherent_tail_weight(gamma, c) > tail_bound:
         c += 1
         if c > MAX_CUTOFF:

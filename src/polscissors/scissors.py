@@ -28,9 +28,10 @@ product state.  Running the circuit on the whole joint state and projecting
 it (expand-then-project) stays the oracle the tables are tested against.
 
 Every circuit takes ``herald_first``: the element in front of the detectors
-then forms only the components they accept, from the inputs whose photon
-totals can reach them (``elements`` ``herald``), so it projects while it
-expands.  The result is bitwise the one of the full expansion, the default.
+forms only the components they accept, from the inputs whose photon totals
+can reach them (``elements`` ``herald``), and one pass per pattern detects,
+moves the kept mode back and applies the feed-forward phase (``_detect``,
+``_spare_vacuum``): bitwise the full expansion's result, the default.
 Herald-first ``pqs1_apply`` also drops, before its first PBS, the input keys
 with two or more photons of a polarization in ``mode``, which no module can
 herald; the H module's skip misses the V ones, which the PBS has moved away.
@@ -40,6 +41,7 @@ those keys.  A NaN on a dropped key still raises ``FockError``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -93,6 +95,39 @@ def _kept_mode_back(state: PureState, mode: int) -> PureState:
     return permute_modes(state, order)
 
 
+def _detect(
+    work: PureState, mode: int, n: int, occ: Occupation, pol: str | None = None
+) -> tuple[float, PureState | None]:
+    """One pattern's probability and component, in one pass over a herald-first output.
+
+    Bitwise ``project_number`` onto the keys with ``occ`` at ``mode`` (the output holds only
+    accepted patterns, and they differ there), ``_kept_mode_back`` of mode ``n`` (modes past it are
+    measured) and, given ``pol``, the feed-forward ``apply_pol_phase`` by pi, after the probability.
+    """
+    idx = 0 if pol == H else 1
+    amps, prob = {}, 0.0
+    for key, amp in work.amplitudes.items():
+        if key[mode] != occ:
+            continue
+        prob += amp.real * amp.real + amp.imag * amp.imag
+        if pol is not None and (m := key[n][idx]):
+            amp = amp * cmath.exp(1j * math.pi * m)
+        amps[key[:mode] + (key[n],) + key[mode + 1 : n]] = amp
+    return prob, PureState(n, work.cutoff, amps) if amps else None
+
+
+def _spare_vacuum(state: PureState, mode: int, n: int) -> tuple[float, PureState | None]:
+    """``project_number(apply_pbs(state, mode, n), [(n, (0, 0))])`` in one pass, ``n`` the last mode."""
+    amps, prob = {}, 0.0
+    for key, amp in state.amplitudes.items():
+        (h, v), (h_spare, v_spare) = key[mode], key[n]
+        if v or h_spare:
+            continue
+        prob += amp.real * amp.real + amp.imag * amp.imag
+        amps[key[:mode] + ((h, v_spare),) + key[mode + 1 : n]] = amp
+    return prob, PureState(n, state.cutoff, amps) if amps else None
+
+
 def _qs_channel(pol: str, t: float, cutoff: int) -> PureState:
     """The ancilla photon of ``pol`` and its vacuum partner, split on ``BeamSplitterSpec(t, 0, 1)``."""
     single = (1, 0) if pol == H else (0, 1)
@@ -114,8 +149,8 @@ def _qs_branches(
     projected components (linear in the input's squared norm).
 
     With ``herald_first`` the Bell-measurement beam splitter forms only the
-    two detector patterns the projections accept; every projection result is
-    bitwise the one of the full expansion.
+    two detector patterns the projections accept, and ``_detect`` reads each in
+    one pass; every result is bitwise the one of the full expansion.
     """
     if mode < 0 or mode >= state.mode_count:
         raise FockError(f"mode {mode} out of range")
@@ -125,15 +160,14 @@ def _qs_branches(
     patterns = ((single, (0, 0), False), ((0, 0), single, True))
     accepted = {(d1, d2) for d1, d2, _ in patterns} if herald_first else None
     work = apply_bs(tensor(state, channel), BeamSplitterSpec(0.5, mode, n + 1), herald=accepted)
+    if herald_first:
+        return [_detect(work, mode, n, d1, pol if flip else None) for d1, _, flip in patterns]
 
     branches = []
     for d1, d2, flip in patterns:
         outcome = project_number(work, [(mode, d1), (n + 1, d2)])
-        if outcome.state is None:
-            branches.append((outcome.probability, None))
-            continue
-        kept = _kept_mode_back(outcome.state, mode)
-        if flip:
+        kept = None if outcome.state is None else _kept_mode_back(outcome.state, mode)
+        if flip and kept is not None:
             kept = apply_pol_phase(kept, mode, pol, math.pi)
         branches.append((outcome.probability, kept))
     return branches
@@ -184,8 +218,11 @@ def pqs1_apply(
                 branches.append((prob_v, None))
                 continue
             # (0.0, None) when no key leaves the spare in vacuum
-            final = project_number(apply_pbs(st_v, mode, n), [(n, (0, 0))])
-            branches.append((final.probability, final.state))
+            if herald_first:
+                branches.append(_spare_vacuum(st_v, mode, n))
+            else:
+                final = project_number(apply_pbs(st_v, mode, n), [(n, (0, 0))])
+                branches.append((final.probability, final.state))
     return _assemble(branches)
 
 
@@ -204,6 +241,8 @@ def pqs2_apply(
     work = tensor(state, vacuum(1, state.cutoff))
     signal = (1, 1)
     work = apply_squeezer_exact(work, SqueezerSpec(gamma, mode, n), herald=signal if herald_first else None)
+    if herald_first:
+        return _assemble([_detect(work, mode, n, signal)])
     outcome = project_number(work, [(mode, signal)])
     kept = None if outcome.state is None else _kept_mode_back(outcome.state, mode)
     return _assemble([(outcome.probability, kept)])

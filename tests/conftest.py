@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from polscissors import analytics, preparations
+from polscissors import analytics, preparations, scissors
 from polscissors.fock import FockError, OccKey, ShapeMismatchError, _raw_state, fidelity, make_state, normalize
 from polscissors.preparations import HYBRID_ARMS, KNOB_AXES, Pipeline, prepare_stages, required_cutoff
 from polscissors.scissors import ScissorsResult, TransferTable
@@ -21,6 +21,23 @@ def random_state(rng: random.Random, mode_count: int, cutoff: int, max_photons: 
         )
         entries.append((key, complex(rng.gauss(0, 1), rng.gauss(0, 1))))
     return normalize(make_state(mode_count, cutoff, entries))
+
+
+def record_detector_reads(monkeypatch) -> dict[str, list[int]]:
+    """From now on, per scissors detector, the key count of every state it reads.
+
+    ``project_number`` detects on the full expansion; ``_detect`` and
+    ``_spare_vacuum`` are the one-pass detectors of the herald-first circuits.
+    """
+    reads: dict[str, list[int]] = {"project_number": [], "_detect": [], "_spare_vacuum": []}
+    for name, counts in reads.items():
+
+        def recording(state, *args, detector=getattr(scissors, name), counts=counts):
+            counts.append(len(state.amplitudes))
+            return detector(state, *args)
+
+        monkeypatch.setattr(scissors, name, recording)
+    return reads
 
 
 def random_polarized_coeffs(rng: random.Random, max_photons: int = 2):

@@ -14,12 +14,12 @@ import random
 
 import pytest
 
-from polscissors import elements, preparations, scissors
+from polscissors import elements, preparations
 from polscissors.elements import BeamSplitterSpec, SqueezerSpec, apply_bs, apply_squeezer_exact
 from polscissors.fock import CutoffError, FockError, PureState, make_state, permute_modes, tensor, vacuum
 from polscissors.preparations import BELL_ARMS, KNOB_AXES, Pipeline, TransferTable, prepare_stages
 
-from conftest import random_state
+from conftest import random_state, record_detector_reads
 
 
 def hex_items(state):
@@ -218,20 +218,14 @@ def test_table_fill_projects_ten_times_fewer_keys(method, knob, monkeypatch):
 
             super().__init__(recorded, cutoff)
 
-    keys_in = []
-    project = scissors.project_number
-
-    def counting(state, targets):
-        keys_in.append(len(state.amplitudes))
-        return project(state, targets)
-
     monkeypatch.setattr(preparations, "TransferTable", Recording)
-    monkeypatch.setattr(scissors, "project_number", counting)
+    reads = record_detector_reads(monkeypatch)
     filled = prepare_stages(Pipeline((method, method), BELL_ARMS), 2.0, 0.0, 0.5, {KNOB_AXES[method]: knob})
-    table_keys = sum(keys_in)
-    keys_in.clear()
+    # the herald-first probes read their detectors in one pass
+    table_keys = sum(reads["_detect"] + reads["_spare_vacuum"])
+    assert table_keys > 0 and not reads["project_number"]
     expanded = [preparations._scissors(method, knob, probe, mode) for probe, mode in probes]
-    full_keys = sum(keys_in)
+    full_keys = sum(reads["project_number"])
     assert probes and filled[-1].state is not None
     assert full_keys >= 10 * table_keys
     assert all(result.total_probability > 0.0 for result in expanded)

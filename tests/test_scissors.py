@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -428,6 +429,16 @@ def _hex_result(result):
     return outcomes, result.total_probability.hex(), hex_items(result.canonical_state)
 
 
+def _signed_zero_state(rng, modes, cutoff):
+    """A random state whose every amplitude has a signed-zero real or imaginary part; no compaction."""
+    amps = {}
+    for _ in range(3 * modes + 4):
+        key = tuple((rng.randint(0, 2), rng.randint(0, 2)) for _ in range(modes))
+        x = rng.gauss(0.0, 1.0)
+        amps[key] = rng.choice([complex(-0.0, x), complex(x, -0.0), complex(0.0, -x), complex(-x, 0.0)])
+    return PureState(modes, cutoff, amps)
+
+
 class TestHeraldFirst:
     """Herald-first circuits give bitwise the full expansion's result, and a NaN stays loud."""
 
@@ -442,6 +453,69 @@ class TestHeraldFirst:
             full = pqs1_apply(state, mode, t)
             assert _hex_result(pqs1_apply(state, mode, t, herald_first=True)) == _hex_result(full)
             assert full.total_probability > 0.0 or t in (0.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_qs_and_pqs2_on_every_mode_equal_the_full_expansion(self, seed):
+        # random and signed-zero states, so a probability summed after the feed-forward flip, a flip
+        # read on the other polarization or a kept mode left last changes some bit
+        rng = random.Random(700 + seed)
+        modes = rng.randint(2, 3)
+        t = (0.0, 1.0, rng.uniform(0.05, 0.95))[seed % 3]
+        gamma = cmath.rect(rng.uniform(0.01, 0.6), rng.uniform(0.0, 2 * math.pi))
+        heralded = []
+        for state in (random_state(rng, modes, 4, max_photons=3), _signed_zero_state(rng, modes, 4)):
+            for mode in range(modes):
+                for run in (
+                    partial(qs_apply, state, mode, "H", t),
+                    partial(qs_apply, state, mode, "V", t),
+                    partial(pqs2_apply, state, mode, gamma),
+                ):
+                    full = run()
+                    assert _hex_result(run(herald_first=True)) == _hex_result(full)
+                    heralded.append(full.total_probability > 0.0)
+        assert heralded.count(True) > len(heralded) // 2
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            # a vacuum input and an ancilla that t = 1 sends wholly to the kept mode: no detector clicks
+            partial(qs_apply, PureState(2, 3, {((2, 1), (0, 0)): 1 + 0j}), 1, "H", 1.0),
+            partial(qs_apply, PureState(2, 3, {((1, 2), (0, 0)): 1 + 0j}), 1, "V", 1.0),
+            partial(pqs1_apply, PureState(2, 3, {((0, 1), (0, 0)): 1 + 0j}), 1, 1.0),
+            # the squeezer never lowers the signal's (2, 0) to (1, 1)
+            partial(pqs2_apply, PureState(2, 3, {((0, 1), (2, 0)): 1 + 0j}), 1, 0.3),
+        ],
+        ids=["qs-H", "qs-V", "pqs1", "pqs2"],
+    )
+    def test_a_pattern_that_heralds_nothing_reads_none(self, run):
+        result = run(herald_first=True)
+        assert [(o.probability, o.state) for o in result.outcomes] == [(0.0, None)] * len(result.outcomes)
+        assert result.total_probability == 0.0 and result.canonical_state is None
+        assert _hex_result(result) == _hex_result(run())
+
+    def test_herald_first_circuits_read_their_detectors_in_one_pass(self, monkeypatch):
+        # no projection, mode permutation or phase plate; the full expansion still projects, which
+        # perfbench's herald-waste check counts
+        calls = {"project_number": 0, "permute_modes": 0, "apply_pol_phase": 0}
+        for name in calls:
+
+            def counting(*args, step=getattr(scissors, name), name=name):
+                calls[name] += 1
+                return step(*args)
+
+            monkeypatch.setattr(scissors, name, counting)
+        state = random_state(random.Random(9), 3, 4)
+        runs = [
+            *(partial(qs_apply, state, mode, pol, 0.6) for mode in range(3) for pol in "HV"),
+            *(partial(pqs1_apply, state, mode, 0.6) for mode in range(3)),
+            *(partial(pqs2_apply, state, mode, 0.07) for mode in range(3)),
+        ]
+        results = [run(herald_first=True) for run in runs]
+        assert calls == {"project_number": 0, "permute_modes": 0, "apply_pol_phase": 0}
+        assert all(result.total_probability > 0.0 for result in results)
+        for run in runs:
+            run()
+        assert calls["project_number"] > 0 and calls["permute_modes"] > 0 and calls["apply_pol_phase"] > 0
 
     def test_pqs1_drops_every_key_with_two_photons_of_a_polarization_before_its_first_pbs(self, monkeypatch):
         firsts = []

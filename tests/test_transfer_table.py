@@ -6,8 +6,8 @@ circuit built on a small probe.  Applied to a whole joint state (the tests'
 state of running the same circuit on that state and projecting it.  Along
 whole preparation chains, ``prepare_stages``, which keeps the state as a sum
 of two products, must agree at every stage with the tables applied to the
-full joint source (``joint_stages``); and it must never send a joint state
-into ``project_number``.
+full joint source (``joint_stages``); and its detectors must never read a
+joint state.
 """
 
 import math
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polscissors import scissors
 from polscissors.fock import fidelity, make_state
 from polscissors.preparations import (
     BELL_ARMS,
@@ -31,7 +30,7 @@ from polscissors.preparations import (
 from polscissors.scissors import TransferTable, pqs1_apply, pqs2_apply
 from polscissors.sources import SourceParams, lambda_state
 
-from conftest import apply_table, joint_stages, random_state
+from conftest import apply_table, joint_stages, random_state, record_detector_reads
 
 
 def _circuit(method, knob):
@@ -176,18 +175,6 @@ def test_prepare_stages_matches_the_joint_route_near_the_degenerate_point(seed):
     _assert_stages_agree(prepare_stages(*args), joint_stages(*args), 1e-10)
 
 
-def _projected_sizes(monkeypatch):
-    sizes = []
-    project = scissors.project_number
-
-    def recording(state, targets):
-        sizes.append(len(state.amplitudes))
-        return project(state, targets)
-
-    monkeypatch.setattr(scissors, "project_number", recording)
-    return sizes
-
-
 @pytest.mark.parametrize("method,knob", [("pqs1", 0.9), ("pqs2", 0.07)])
 def test_prepare_stages_projects_no_state_larger_than_the_probe(method, knob, monkeypatch):
     delta, phi, t0 = 2.0, 0.3, 0.5
@@ -195,13 +182,15 @@ def test_prepare_stages_projects_no_state_larger_than_the_probe(method, knob, mo
     source = lambda_state(SourceParams(delta, phi, t0, (), cutoff), 2)
     inputs = sorted({key[1] for key in source.amplitudes})
     probe = make_state(2, cutoff, [((divmod(i, cutoff + 1), occ), 1.0) for i, occ in enumerate(inputs)])
-    sizes = _projected_sizes(monkeypatch)
+    reads = record_detector_reads(monkeypatch)
     _circuit(method, knob)(probe, 1)
-    bound = max(sizes)
-    sizes.clear()
+    bound = max(reads["project_number"])
+    for counts in reads.values():
+        counts.clear()
     prepare_stages(Pipeline((method, method), BELL_ARMS), delta, phi, t0, {KNOB_AXES[method]: knob})
-    assert sizes and max(sizes) <= bound
+    # the tables' herald-first probes read their detectors in one pass
+    one_pass = reads["_detect"] + reads["_spare_vacuum"]
+    assert one_pass and max(one_pass) <= bound and not reads["project_number"]
     # the guard has teeth: expand-then-project projects far larger states
-    sizes.clear()
     prepare_bell(method, delta, phi, t0, knob)
-    assert max(sizes) > 10 * bound
+    assert max(reads["project_number"]) > 10 * bound
