@@ -114,11 +114,9 @@ def _descriptor_state(name: str, kw: dict[str, str]):
 
     delta, phi, t0 = _pop(kw, "delta"), _pop(kw, "phi", 0.0), _pop(kw, "t0", 0.5)
     if name in ("xi", "xi-circuit", "lambda", "lambda-circuit", "target-omega"):
-        split_keys = sorted(
-            (k for k in kw if k.startswith("t") and k[1:].isdigit()),
-            key=lambda k: int(k[1:]),
-        )
-        split_ts = tuple(read_value("omega_split_ts", kw.pop(k)) for k in split_keys)
+        split_ts = ()  # t1, t2, ... in turn: a t3 without t2, or a t01, stays unused
+        while (key := f"t{len(split_ts) + 1}") in kw:
+            split_ts += (read_value("omega_split_ts", kw.pop(key)),)
         cutoff = _pop(kw, "cutoff", max(1, min_cutoff(delta * 2.0**0.5, tail)))
         params = SourceParams(delta, phi, t0, split_ts, cutoff)
         n = 2 if name in ("xi", "xi-circuit") else _pop(kw, "n", 2 + len(split_ts))
@@ -157,8 +155,11 @@ def dump_state(descriptor: str, min_amplitude: float = 1e-10) -> str:
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
 

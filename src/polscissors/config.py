@@ -3,7 +3,7 @@
 Config files are flat ``key = value`` text with bracketed section headers
 (INI style).  The ``[experiment]`` section holds the preparation name, fixed
 parameters and backend; ``[axis1]`` and ``[axis2]`` define the sweep grid.
-CLI flags override file values.
+Anything else would be ignored, so it is refused.  CLI flags override file values.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .preparations import KNOB_AXES, PIPELINES, PREPARATIONS, Pipeline, omega_pi
 
 AXIS_NAMES = ("delta", "t", "gamma_abs", "phi", "t0")
 BACKENDS = ("analytic", "numeric", "both")
+SECTIONS = ("experiment", "axis1", "axis2")
+AXIS_KEYS = ("name", "start", "stop", "steps")
 PREPARATION_NAMES = PREPARATIONS + ("omega",)
 OMEGA_KEYS = ("omega_n", "omega_j", "omega_scissors", "omega_split_ts")
 
@@ -168,15 +170,16 @@ class ExperimentConfig:
             given = [name for name in OMEGA_KEYS if getattr(self, name) not in (None, ())]
             if given:
                 raise ConfigError(f"{', '.join(given)} given, but preparation {self.preparation} is not omega")
-        for axis in (self.axis1, self.axis2):
-            if axis.name in KNOB_AXES.values() and axis.name not in self._needed_parameters():
-                raise ConfigError(f"axis {axis.name!r} is no knob of {self.preparation}")
+        axis_names = {self.axis1.name, self.axis2.name}
+        for name in KNOB_AXES.values():  # a knob the preparation never reads would be ignored
+            where = "axis" if name in axis_names else "[experiment] key" if getattr(self, name) is not None else ""
+            if where and name not in self._needed_parameters():
+                raise ConfigError(f"{where} {name!r} is no knob of {self.preparation}")
         numbers = [(f.name, getattr(self, f.name)) for f in fields(self)]
         numbers += [("omega_split_ts", t) for t in self.omega_split_ts]
         for name, value in numbers:
             if isinstance(value, (int, float)):
                 check_domain(name, value)
-        axis_names = {self.axis1.name, self.axis2.name}
         for name in self._needed_parameters():
             if name not in axis_names and getattr(self, name) is None:
                 raise ConfigError(
@@ -205,13 +208,18 @@ class ExperimentConfig:
         return {**self._fixed_parameters, self.axis1.name: v1, self.axis2.name: v2}
 
 
+def _check_names(what: str, given, known, required=()) -> None:
+    """Refuse an item of ``given`` not ``known`` (it would be ignored) and a missing ``required`` one."""
+    for problem, names in (("unknown", set(given) - set(known)), ("missing", set(required) - set(given))):
+        if names:
+            raise ConfigError(f"{problem} {what}: {sorted(names)}")
+
+
 def _axis_from_section(section: configparser.SectionProxy) -> AxisSpec:
-    try:
-        name = section["name"].strip()
-        start, stop = read_value(name, section["start"]), read_value(name, section["stop"])
-        return AxisSpec(name, start, stop, read_value("steps", section["steps"]))
-    except KeyError as exc:
-        raise ConfigError(f"axis section missing key {exc}") from None
+    _check_names(f"[{section.name}] keys", section, AXIS_KEYS, AXIS_KEYS)
+    name = section["name"].strip()
+    start, stop = read_value(name, section["start"]), read_value(name, section["stop"])
+    return AxisSpec(name, start, stop, read_value("steps", section["steps"]))
 
 
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -221,14 +229,12 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
-    if "experiment" not in parser or "axis1" not in parser or "axis2" not in parser:
-        raise ConfigError("config needs [experiment], [axis1] and [axis2] sections")
+    # configparser copies [DEFAULT]'s keys into every section
+    _check_names("sections", parser.sections() + ["DEFAULT"] * bool(parser.defaults()), SECTIONS, SECTIONS)
     exp = dict(parser["experiment"])
     if overrides:
         exp.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(exp) - ({f.name for f in fields(ExperimentConfig)} - {"axis1", "axis2"})
-    if unknown:
-        raise ConfigError(f"unknown [experiment] keys: {sorted(unknown)}")
+    _check_names("[experiment] keys", exp, {f.name for f in fields(ExperimentConfig)} - {"axis1", "axis2"})
     # only the keys given reach ExperimentConfig, so its defaults are the only
     # ones; a missing preparation reads as "" and fails its check
     values: dict[str, object] = {"preparation": ""}

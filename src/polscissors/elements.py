@@ -169,9 +169,8 @@ def apply_bs(
     rows_of: dict[tuple[Occupation, Occupation], list] = {}
     cols_of: dict[tuple[int, int, int, int], list] = {}
     if herald is not None:
-        # the accepted patterns' H output pairs and (H, V) photon totals, which
-        # each pair term keeps: an input pair with other totals reaches none
-        herald_h = {(occ_a[0], occ_b[0]) for occ_a, occ_b in herald}
+        # the accepted patterns' (H, V) photon totals, which each pair term
+        # keeps: an input pair with other totals reaches none
         totals = {(occ_a[0] + occ_b[0], occ_a[1] + occ_b[1]) for occ_a, occ_b in herald}
 
     amps: dict[OccKey, complex] = {}
@@ -185,8 +184,6 @@ def apply_bs(
             if herald is not None and (pah + pbh, pav + pbv) not in totals:
                 continue
             for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, min(cutoff, pah + pbh)):
-                if herald is not None and (nah, nbh) not in herald_h:
-                    continue
                 cols = cols_of.get((nah, nbh, pav, pbv))
                 if cols is None:
                     cols = cols_of[nah, nbh, pav, pbv] = [

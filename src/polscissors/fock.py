@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 H = "H"
@@ -235,45 +234,39 @@ def project_number(
     """Project the listed modes onto exact polarized occupations.
 
     Measured modes are removed from the projected component, so its mode
-    count drops by ``len(targets)``.  Matching keys keep their input order and
-    amplitudes, and the probability sums their squared magnitudes in that
-    order, so it equals the component's ``norm_squared()`` bit for bit.
+    count drops by ``len(targets)``; with every mode measured it is None.
+    Matching keys keep their input order and amplitudes, and the probability
+    sums their squared magnitudes in that order, so it equals the
+    component's ``norm_squared()`` bit for bit.
     """
     if not targets:
         raise FockError("no projection targets given")
-    seen: set[int] = set()
     wanted: dict[int, Occupation] = {}
     for mode, occ in targets:
         if mode < 0 or mode >= state.mode_count:
             raise FockError(f"mode {mode} out of range")
-        if mode in seen:
+        if mode in wanted:
             raise FockError(f"duplicate projection target on mode {mode}")
-        seen.add(mode)
         wanted[mode] = (int(occ[0]), int(occ[1]))
-    if len(wanted) == state.mode_count:
-        amp = state.amplitude(tuple(wanted[m] for m in range(state.mode_count)))
-        return ProjectionOutcome(abs(amp) ** 2, None)
-
     keep = tuple(m for m in range(state.mode_count) if m not in wanted)
-    measured = itemgetter(*wanted)
-    expected = tuple(wanted.values()) if len(wanted) > 1 else next(iter(wanted.values()))
-    reduce_key = itemgetter(*keep) if len(keep) > 1 else (lambda key, m=keep[0]: (key[m],))
+    measured = tuple(wanted.items())
     amps: dict[OccKey, complex] = {}
     prob = 0.0
     for key, amp in state.amplitudes.items():
-        if measured(key) != expected:
-            continue
-        prob += amp.real * amp.real + amp.imag * amp.imag
-        amps[reduce_key(key)] = amp
-    return ProjectionOutcome(prob, PureState(len(keep), state.cutoff, amps) if amps else None)
+        for m, occ in measured:
+            if key[m] != occ:
+                break
+        else:
+            prob += amp.real * amp.real + amp.imag * amp.imag
+            amps[tuple([key[m] for m in keep])] = amp
+    return ProjectionOutcome(prob, PureState(len(keep), state.cutoff, amps) if keep and amps else None)
 
 
 def permute_modes(state: PureState, order: Sequence[int]) -> PureState:
     """Reorder modes: output mode ``i`` holds input mode ``order[i]``."""
     if sorted(order) != list(range(state.mode_count)):
         raise FockError(f"{order} is not a permutation of 0..{state.mode_count - 1}")
-    reorder = itemgetter(*order) if len(order) > 1 else tuple
-    amps = {reorder(key): amp for key, amp in state.amplitudes.items()}
+    amps = {tuple([key[m] for m in order]): amp for key, amp in state.amplitudes.items()}
     return PureState(state.mode_count, state.cutoff, amps)
 
 

@@ -1,0 +1,76 @@
+"""Print one sha256 per contract output, to show a change leaves them byte-identical.
+
+Each output is a ``polscissors`` command run in process through ``cli.main``;
+its digest covers its stdout, its stderr and its exit code.  Run it on two
+trees and diff what it prints:
+
+    PYTHONPATH=src python tests/contract_digest.py > after.txt
+
+The 68 outputs are ``verify --seed 1..5 --samples 100``, both ``spot``
+points, each reference sweep under ``analytic`` and ``both`` in every
+format, each golden config under every backend it accepts, and 11 ``state``
+dumps, one per descriptor kind plus the golden ones.  This is a script, not
+a test module: pytest does not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from polscissors import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+PREPARATIONS = ("hybrid-pqs1", "hybrid-pqs2", "bell-pqs1", "bell-pqs2")
+STATES = (
+    "coherent:gamma=0.8,pol=V",
+    "cat:delta=1.1,phi=0.6",
+    "xi:delta=0.9,phi=0.7,t0=0.4",
+    "xi-circuit:delta=0.9,phi=0.7,t0=0.4",
+    "lambda:delta=0.6,phi=0.3,n=3,t1=0.5",
+    "lambda-circuit:delta=0.6,phi=0.3,n=3,t1=0.5",
+    "target-omega:delta=1,phi=0.7,n=3,j=2,t1=0.4",
+    "bell-pqs1:delta=0.8,phi=0.7,t0=0.45,t=0.9",
+    "bell-pqs2:delta=0.9,phi=1.3,t0=0.5,gamma_abs=0.06",
+    "hybrid-pqs1:delta=1.1,phi=0.4,t0=0.55,t=0.8",
+    "hybrid-pqs2:delta=1.4,phi=2.1,t0=0.6,gamma_abs=0.07",
+)
+
+
+def commands():
+    for seed in range(1, 6):
+        yield ["verify", "--seed", str(seed), "--samples", "100"]
+    for point in ("bell-pqs1", "bell-pqs2"):
+        yield ["spot", "--point", point]
+    for prep in PREPARATIONS:
+        for backend in ("analytic", "both"):
+            for fmt in ("csv", "json", "matrix"):
+                yield ["sweep", "--reference", prep, "--backend", backend, "--format", fmt]
+    for ini in sorted(GOLDEN.glob("*.ini")):
+        backends = ("numeric",) if ini.stem.startswith("omega") else ("analytic", "numeric", "both")
+        for backend in backends:
+            yield ["sweep", "--config", str(ini), "--backend", backend]
+    for descriptor in STATES:
+        yield ["state", "--min-amplitude", "0", "--prep", descriptor]
+
+
+def digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    blob = f"{out.getvalue()}\0{err.getvalue()}\0{code}".encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def main():
+    for argv in commands():
+        label = " ".join(argv).replace(str(GOLDEN), "golden")
+        sys.stdout.write(f"{digest(argv)}  {label}\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
 """Rules on the package source as a whole, checked by parsing it."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -355,3 +356,106 @@ def test_one_rule_ranks_a_nan_deviation_worst():
     ]
     assert len(keyed) == 1 and keyed[0].startswith("preparations.py:")
     assert _calls_named(ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8")), "isnan") == []
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# the traffic: every CLI command, one call at least per documented exit code
+TRAFFIC = [
+    (["verify", "--seed", "1", "--samples", "2"], 0),
+    (["verify", "--seed", "1", "--samples", "1", "--budget", "1e-30"], 1),
+    (["spot", "--point", "bell-pqs1"], 0),
+    (["spot", "--point", "bell-pqs2"], 0),
+    (["sweep", "--reference", "hybrid-pqs1", "--backend", "both"], 0),
+    (["sweep", "--reference", "bell-pqs2", "--format", "json"], 0),
+    (["sweep", "--reference", "bell-pqs1", "--format", "matrix"], 0),
+    *((["sweep", "--config", str(ini)], 0) for ini in sorted(GOLDEN.glob("*.ini"))),
+    *(
+        (["state", "--prep", descriptor], 0)
+        for descriptor in (
+            "coherent:gamma=0.8,pol=V",
+            "cat:delta=1.1,phi=0.6",
+            "xi:delta=0.9,phi=0.7",
+            "xi-circuit:delta=0.9,phi=0.7",
+            "lambda:delta=0.6,n=3,t1=0.5",
+            "lambda-circuit:delta=0.6,n=3,t1=0.5",
+            "target-omega:delta=1,phi=0.7,n=3,j=2,t1=0.4",
+            "hybrid-pqs1:delta=1.1,t=0.8",
+            "hybrid-pqs2:delta=1.4,gamma_abs=0.07",
+            "bell-pqs1:delta=0.8,t=0.9",
+            "bell-pqs2:delta=0.9,gamma_abs=0.06",
+        )
+    ),
+    (["state", "--prep", "bell-pqs2:delta=0.8,gamma_abs=0"], 2),
+    (["state", "--prep", "xi-circuit:delta=1,cutoff=3"], 3),
+]
+# what the traffic never enters, each with its reason
+UNTRAVELLED = {
+    # the expand-then-project oracle route: it moves to the tests once the
+    # benchmark's herald-waste probe stops counting its keys
+    "elements.apply_pol_phase": "oracle route",
+    "fock.permute_modes": "oracle route",
+    "fock.project_number": "oracle route",
+    "preparations._run_stages": "oracle route",
+    "preparations.prepare_bell": "oracle route",
+    "scissors._kept_mode_back": "oracle route",
+    # read by the benchmark's source-circuits workload and CSV round-trip gate
+    "sources.xi_direct": "benchmark only",
+    "sweep.grid_from_csv": "benchmark only",
+    # a public accessor the tests read
+    "fock.PureState.amplitude": "tests only",
+}
+
+
+def _package_functions():
+    """(file, first line) -> name of every module function and class method of the package.
+
+    A decorated function's code starts at its first decorator.
+    """
+    found = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(path.stem, tree.body)]
+        scopes += [(f"{path.stem}.{node.name}", node.body) for node in tree.body if isinstance(node, ast.ClassDef)]
+        for prefix, body in scopes:
+            for node in body:
+                if isinstance(node, ast.FunctionDef):
+                    line = node.decorator_list[0].lineno if node.decorator_list else node.lineno
+                    found[str(path), line] = f"{prefix}.{node.name}"
+    return found
+
+
+def _own_modules():
+    return {name: module for name, module in sys.modules.items() if name.partition(".")[0] == "polscissors"}
+
+
+def test_the_package_holds_no_function_its_traffic_never_enters(capsys):
+    # code in ``src/`` that only the tests or the benchmark run is listed, each
+    # name with its reason; a new one needs a deliberate edit here
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    # a fresh import, so that no cache an earlier test filled hides a function
+    saved = _own_modules()
+    for name in saved:
+        del sys.modules[name]
+    previous = sys.getprofile()
+    try:
+        cli = importlib.import_module("polscissors.cli")
+        sys.setprofile(record)
+        codes = [(argv, expected, cli.main(argv)) for argv, expected in TRAFFIC]
+    finally:
+        sys.setprofile(previous)
+        for name in _own_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    capsys.readouterr()
+    assert [(argv, code) for argv, expected, code in codes if code != expected] == []
+    functions = _package_functions()
+    for code in entered:
+        functions.pop((code.co_filename, code.co_firstlineno), None)
+    never = set(functions.values())
+    # (never entered but not listed, listed but entered)
+    assert (sorted(never - UNTRAVELLED.keys()), sorted(UNTRAVELLED.keys() - never)) == ([], [])
