@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .analytics import DegenerateParameterError, _zero_probability
 from .config import ConfigError, load_config, read_value, reference_grid
@@ -98,6 +99,7 @@ def _pop(kw: dict[str, str], key: str, *default: float) -> float:
 
 
 def _descriptor_state(name: str, kw: dict[str, str]):
+    """Pop and read every value of descriptor ``name``; return its state's builder, not yet run."""
     if name in ("coherent", "cat"):  # the states with a polarization
         pol = kw.pop("pol", "H").upper()
         if pol not in ("H", "V"):
@@ -106,11 +108,11 @@ def _descriptor_state(name: str, kw: dict[str, str]):
     if name == "coherent":
         gamma = _pop(kw, "gamma")  # an amplitude: either sign
         cutoff = _pop(kw, "cutoff", max(1, min_cutoff(abs(gamma), tail)))
-        return coherent(gamma, pol, cutoff, tail)
+        return partial(coherent, gamma, pol, cutoff, tail)
     if name == "cat":
         delta, phi = read_value("cat delta", kw.pop("delta")), _pop(kw, "phi", 0.0)
         cutoff = _pop(kw, "cutoff", max(1, min_cutoff(abs(delta), tail)))
-        return cat(delta, phi, pol, cutoff, tail)
+        return partial(cat, delta, phi, pol, cutoff, tail)
 
     delta, phi, t0 = _pop(kw, "delta"), _pop(kw, "phi", 0.0), _pop(kw, "t0", 0.5)
     if name in ("xi", "xi-circuit", "lambda", "lambda-circuit", "target-omega"):
@@ -126,31 +128,35 @@ def _descriptor_state(name: str, kw: dict[str, str]):
             )
         if name != "target-omega":
             builder = lambda_state if name in ("xi", "lambda") else lambda_circuit
-            return builder(params, n, tail)
+            return partial(builder, params, n, tail)
         j = _pop(kw, "j")
         if not 1 <= j <= n:
             raise ConfigError(f"j = {j} outside 1..{n}")
-        return target_omega(n, j, params, tail)
+        return partial(target_omega, n, j, params, tail)
     if name in PIPELINES:
         knob = _pop(kw, PIPELINES[name].knob_axis)
         cutoff = _pop(kw, "cutoff") if "cutoff" in kw else None
-        result = prepare_named(name, delta, phi, t0, knob, cutoff=cutoff, tail_bound=tail)
-        if result.state is None:
-            raise _zero_probability(delta, knob)
-        return result.state
+
+        def heralded():
+            result = prepare_named(name, delta, phi, t0, knob, cutoff=cutoff, tail_bound=tail)
+            if result.state is None:
+                raise _zero_probability(delta, knob)
+            return result.state
+
+        return heralded
     raise ConfigError(f"unknown state descriptor {name!r}")
 
 
 def dump_state(descriptor: str, min_amplitude: float = 1e-10) -> str:
-    """Canonical text dump of the state named by a descriptor string."""
+    """Canonical text dump of the state named by a descriptor string; unused keys refuse it unbuilt."""
     name, kwargs = _parse_descriptor(descriptor)
     try:
-        state = _descriptor_state(name, kwargs)
+        build = _descriptor_state(name, kwargs)
     except KeyError as exc:
         raise ConfigError(f"descriptor {name!r} missing parameter {exc}") from None
     if kwargs:
         raise ConfigError(f"unused descriptor parameters: {sorted(kwargs)}")
-    return "\n".join(dump_lines(state, min_amplitude)) + "\n"
+    return "\n".join(dump_lines(build(), min_amplitude)) + "\n"
 
 
 def _write(text: str, out: str | None) -> None:

@@ -115,11 +115,12 @@ def _bs_pair_terms(p: int, q: int, t: float) -> list[tuple[int, int, float]]:
         raise CutoffError(f"beam splitter terms of photon pair ({p}, {q}) overflow a float") from None
 
 
-# Bound on the (p, q, t, cutoff) entries of the pair-term cache.  A 100-sample
-# verify run fills about 1,600 (each sample draws its own t).  ``apply_bs``
-# passes ``min(cutoff, p + q)``, so a pair that its cutoff does not cut shares
-# one entry across cutoffs: the source circuits' t = 0.5 splitter, run at many
-# cutoffs, misses only on pairs it has not met.  At a new t0 or split ratio
+# Bound on the (p, q, t, cutoff) entries of the pair-term cache.  ``verify
+# --seed 1 --samples 100`` fills 203 (each sample draws its own t), seeds 1-5
+# in one process fill 1,003 and the four ``--backend both`` reference sweeps
+# 51.  ``apply_bs`` passes ``min(cutoff, p + q)``, so a pair that its cutoff
+# does not cut shares one entry across cutoffs: the source circuits' t = 0.5
+# splitter, run at many cutoffs, misses only on pairs it has not met.  At a new t0 or split ratio
 # every pair misses, and ``_bs_pair_terms`` builds its powers once per call.
 # The bound keeps a longer run from growing without limit.
 PAIR_TERM_CACHE_SIZE = 4096

@@ -125,17 +125,6 @@ def _scissors(
     return pqs2_apply(state, mode, complex(knob), herald_first=herald_first)
 
 
-class TransferTables(dict):
-    """Each (method, knob)'s ``TransferTable``, made on first use; its first probe reaches ``cutoff``."""
-
-    def __init__(self, cutoff: int) -> None:
-        self.cutoff = cutoff
-
-    def __missing__(self, key: tuple[str, float]) -> TransferTable:
-        table = self[key] = TransferTable(partial(_scissors, *key, herald_first=True), self.cutoff)
-        return table
-
-
 def prepare_stages(
     pipeline: Pipeline,
     delta: float,
@@ -145,7 +134,7 @@ def prepare_stages(
     split_ts: tuple[float, ...] = (),
     cutoff: int | None = None,
     tail_bound: float = DEFAULT_TAIL_BOUND,
-    tables: TransferTables | None = None,
+    tables: dict | None = None,
     parts: dict | None = None,
 ) -> tuple[PrepResult, ...]:
     """Run ``pipeline`` by circuit simulation; one result per stage run.
@@ -162,19 +151,20 @@ def prepare_stages(
 
     A ``SourcePart`` reads its source point and arms alone and a
     ``TransferTable`` its method and knob, so ``run_sweep`` passes one ``parts``
-    dict and one ``tables`` to every cell, its tables' first probes at the
-    sweep's largest cutoff; by default a call makes its own.
+    dict and one ``tables`` dict to every cell; by default a call makes its own.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
-    tables = TransferTables(cutoff) if tables is None else tables
+    tables = {} if tables is None else tables
     parts = {} if parts is None else parts
     key = (SourceParams(delta, phi, t0, split_ts, cutoff), pipeline.n, pipeline.arms, tail_bound)
     part = parts.get(key) or parts.setdefault(key, SourcePart(*key))
     arms, state, grams, probability, stages = pipeline.arms, part.source, part.grams, 1.0, []
     for count, (arm, method) in enumerate(zip(arms, pipeline.methods), 1):
-        table = tables[method, knobs[KNOB_AXES[method]]]
-        total, state, grams = sources.herald_arm(state, grams, arm, table.apply)
+        key = method, knobs[KNOB_AXES[method]]
+        if key not in tables:
+            tables[key] = TransferTable(partial(_scissors, *key, herald_first=True))
+        total, state, grams = sources.herald_arm(state, grams, arm, tables[key].apply)
         probability *= total
         if state is None:
             stages.append(PrepResult(probability, 0.0))

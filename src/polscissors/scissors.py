@@ -32,11 +32,6 @@ forms only the components they accept, from the inputs whose photon totals
 can reach them (``elements`` ``herald``), and one pass per pattern detects,
 moves the kept mode back and applies the feed-forward phase (``_detect``,
 ``_spare_vacuum``): bitwise the full expansion's result, the default.
-Herald-first ``pqs1_apply`` also drops, before its first PBS, the input keys
-with two or more photons of a polarization in ``mode``, which no module can
-herald; the H module's skip misses the V ones, which the PBS has moved away.
-``qs_apply`` and ``pqs2_apply`` need no drop: their one heralded element skips
-those keys.  A NaN on a dropped key still raises ``FockError``.
 """
 
 from __future__ import annotations
@@ -201,10 +196,7 @@ def pqs1_apply(
     if mode < 0 or mode >= state.mode_count:
         raise FockError(f"mode {mode} out of range")
     n = state.mode_count
-    work = tensor(state, vacuum(1, state.cutoff))  # raises on a NaN amplitude, dropped or not
-    if herald_first:  # no module heralds two photons of one polarization
-        work = PureState(n + 1, state.cutoff, {k: a for k, a in work.amplitudes.items() if max(k[mode]) < 2})
-    work = apply_pbs(work, mode, n)
+    work = apply_pbs(tensor(state, vacuum(1, state.cutoff)), mode, n)
     channel = _qs_channel(V, t, state.cutoff)
 
     branches = []
@@ -248,57 +240,37 @@ def pqs2_apply(
     return _assemble([(outcome.probability, kept)])
 
 
+# One ancilla photon feeds Pegg's output; the squeezer only adds signal photons and heralds on (1, 1).
+SECTOR = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
 class TransferTable:
     """A scissors circuit's heralded map on one mode, row by row.
 
     Row ``(nh, nv)`` lists, per accepted pattern ``p`` in the circuit's outcome
     order, the kept occupations and coefficients: the amplitudes of pattern
-    ``p``'s corrected component for the input ``|nh, nv>``.  A row depends on
-    the circuit and the occupation alone, not on the occupations that shared
-    its probe or on the probe's cutoff, so one table serves every cutoff and
-    every caller that holds it; a sweep shares one per method and knob across
-    its cells.
-
-    ``fill`` is the one way rows are built.  Missing rows come from one
-    ``circuit(probe, 1)`` call at ``cutoff``, first raised to the largest
-    occupation asked for: probe mode 0 holds label ``divmod(i, cutoff + 1)``,
-    mode 1 input ``i``.  The first probe also fills every row (m, 0) and
-    (0, m) up to ``cutoff``, all a coherent factor holds, so a table made at a
-    sweep's largest cutoff is probed once.  ``apply`` maps factors through the
-    rows; ``prepare_stages`` passes it the truncated arm's factor of every
-    branch at once, so one probe fills the rows they all need.
+    ``p``'s corrected component for the input ``|nh, nv>``.  A scissors
+    heralds no input with two photons of one polarization, so the rows are
+    those of ``SECTOR``, built by one ``circuit(probe, 1)`` call at cutoff 1
+    whose mode 0 labels the input in mode 1; any other occupation heralds
+    nothing.  A table serves every cutoff and every caller that holds it.
     """
 
-    def __init__(self, circuit: Callable[[PureState, int], ScissorsResult], cutoff: int) -> None:
-        self.circuit, self.cutoff, self.patterns = circuit, cutoff, 0
-        self.rows: dict[Occupation, list[tuple[int, Occupation, complex]]] = {}
-
-    def fill(self, inputs: list[Occupation]) -> None:
-        """Fill the rows of ``inputs`` the table lacks, from one probe."""
-        if not self.rows:
-            inputs = [*inputs, *(occ for m in range(self.cutoff + 1) for occ in ((m, 0), (0, m)))]
-        missing = list(dict.fromkeys(occ for occ in inputs if occ not in self.rows))
-        if missing:
-            self.cutoff = max(self.cutoff, *(max(occ) for occ in missing))
-            side = self.cutoff + 1
-            # its keys are valid by construction: no ``make_state`` checks
-            probe = PureState(2, self.cutoff, {(divmod(i, side), occ): 1 + 0j for i, occ in enumerate(missing)})
-            result = self.circuit(probe, 1)
-            self.patterns = len(result.outcomes)
-            rows: list[list[tuple[int, Occupation, complex]]] = [[] for _ in missing]
-            for p, outcome in enumerate(result.outcomes):
-                amplitudes = {} if outcome.state is None else outcome.state.amplitudes
-                for ((lh, lv), out), amp in amplitudes.items():
-                    rows[lh * side + lv].append((p, out, amp))
-            self.rows.update(zip(missing, rows))
+    def __init__(self, circuit: Callable[[PureState, int], ScissorsResult]) -> None:
+        # its keys are valid by construction: no ``make_state`` checks
+        result = circuit(PureState(2, 1, {(occ, occ): 1 + 0j for occ in SECTOR}), 1)
+        self.patterns = len(result.outcomes)
+        self.rows: dict[Occupation, list[tuple[int, Occupation, complex]]] = {occ: [] for occ in SECTOR}
+        for p, outcome in enumerate(result.outcomes):
+            for (label, out), amp in ({} if outcome.state is None else outcome.state.amplitudes).items():
+                self.rows[label].append((p, out, amp))
 
     def apply(self, factors: list[Factor]) -> list[list[Factor]]:
         """Per accepted pattern, the image of each of ``factors``, in their order."""
-        self.fill([occ for factor in factors for occ in factor])
         images: list[list[Factor]] = [[{} for _ in factors] for _ in range(self.patterns)]
         for i, factor in enumerate(factors):
             for occ, amp in factor.items():
-                for p, out, coeff in self.rows[occ]:
+                for p, out, coeff in self.rows.get(occ, ()):
                     image = images[p][i]
                     image[out] = image.get(out, 0j) + amp * coeff
         return images

@@ -8,13 +8,12 @@ form's parts, the columns, the fixed parameters and one set of knob factors
 per knob value. Its cells share one closed-form source half and one numeric
 source part (the coherent factors, Gram matrices and target norms) per
 (delta, phi, t0), one cutoff per (delta, t0), computed from the cells before
-the first, and one transfer table per scissors method and knob, whose one
-probe covers the largest cutoff; each cell still gives, bit for bit, the
-result of running it alone. A ``both`` cell's ``abs_err_*`` are
-``preparations.compare``'s pair; past ``DEFAULT_BUDGET`` the cell reads
-``mismatch``. The footer is their ``preparations.worst`` over the ``ok`` and
-``mismatch`` cells, which keeps a NaN from any. The writers format each axis
-value once per grid. The 625-cell ``--reference bell-pqs1`` grid runs in
+the first, and one transfer table per scissors method and knob; each cell
+still gives, bit for bit, the result of running it alone. A ``both`` cell's
+``abs_err_*`` are ``preparations.compare``'s pair; past ``DEFAULT_BUDGET`` the
+cell reads ``mismatch``. The footer is their ``preparations.worst`` over the
+``ok`` and ``mismatch`` cells, which keeps a NaN from any. The writers format
+each axis value once per grid. The 625-cell ``--reference bell-pqs1`` grid runs in
 process in about 0.6 ms with ``--backend analytic`` (best of 201) and 0.07 s
 with ``both`` (best of 21), bell-pqs2's in 0.6 ms and 0.05 s (Python 3.11.7,
 2 shared vCPUs). ``run_sweep`` ignores ``jobs``, kept for existing callers.
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from . import analytics
 from .config import ExperimentConfig, config_echo
 from .fock import CutoffError, FockError
-from .preparations import DEFAULT_BUDGET, KNOB_AXES, TransferTables, closed_form_halves, compare, prepare_stages
+from .preparations import DEFAULT_BUDGET, KNOB_AXES, closed_form_halves, compare, prepare_stages
 from .preparations import required_cutoff, worst
 
 STATUS_OK = "ok"
@@ -75,7 +74,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
     columns.append("status")
 
     v1s, v2s = config.axis1.values(), config.axis2.values()
-    halves, cutoffs, parts = {}, {}, {}
+    halves, cutoffs, parts, tables = {}, {}, {}, {}
     if numeric:
         # an infeasible cutoff fails the sweep before any cell runs
         for v1 in v1s:
@@ -88,7 +87,6 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
         (delta, _), cutoff = max(cutoffs.items(), key=lambda item: (item[1], item[0][0]))
         if cutoff > config.max_cutoff:
             raise CutoffError(f"delta = {delta} needs cutoff {cutoff} > max_cutoff {config.max_cutoff}")
-        tables = TransferTables(cutoff)
 
     if analytic:
         # the closed form's parts depend on the preparation alone

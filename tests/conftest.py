@@ -115,27 +115,40 @@ def h_coefficients(delta: float, phi: float, t0: float, gamma_abs: float) -> tup
 def apply_table(table: TransferTable, state, mode: int) -> ScissorsResult:
     """``table``'s map applied to the joint ``state`` on ``mode``, in one pass over its keys.
 
-    The oracle of the factored stage: it fills the occupations the state
-    holds, in the order its keys first show them, normalizes the first
-    non-empty pattern branch and lists no outcomes.
+    The oracle of the factored stage: an occupation without a row heralds
+    nothing; it normalizes the first non-empty pattern branch and lists no
+    outcomes.
     """
-    if state.cutoff != table.cutoff or not 0 <= mode < state.mode_count:
-        raise ShapeMismatchError(f"mode {mode} or cutoff {state.cutoff} does not fit the table")
-    table.fill(list(dict.fromkeys(k[mode] for k in state.amplitudes)))
+    if not 0 <= mode < state.mode_count:
+        raise ShapeMismatchError(f"mode {mode} does not fit the state")
     branches: list[dict[OccKey, complex]] = [{} for _ in range(table.patterns)]
     for key, amp in state.amplitudes.items():
-        for p, out, coeff in table.rows[key[mode]]:
+        for p, out, coeff in table.rows.get(key[mode], ()):
             new = key[:mode] + (out,) + key[mode + 1 :]
             branches[p][new] = branches[p].get(new, 0j) + amp * coeff
     total, canonical = 0.0, None
     for branch in branches:
         if not branch:
             continue
-        kept = _raw_state(state.mode_count, table.cutoff, branch)
+        kept = _raw_state(state.mode_count, state.cutoff, branch)
         total += kept.norm_squared()
         if canonical is None:
             canonical = normalize(kept)
     return ScissorsResult((), total, canonical)
+
+
+def probe_row(circuit, occ) -> list:
+    """The table row of ``occ`` read off ``circuit``'s own output on a probe of ``occ`` alone.
+
+    The probe holds ``|occ>`` in mode 1, beside a vacuum spectator, at cutoff
+    max(2, occ): the test-side oracle of ``TransferTable``'s one sector probe.
+    """
+    result = circuit(make_state(2, max(2, *occ), [(((0, 0), occ), 1.0)]), 1)
+    row = []
+    for p, outcome in enumerate(result.outcomes):
+        for (_, out), amp in ({} if outcome.state is None else outcome.state.amplitudes).items():
+            row.append((p, out, amp))
+    return row
 
 
 def pattern_agreement(result: ScissorsResult) -> float:
@@ -152,7 +165,7 @@ def joint_stages(pipeline, delta, phi, t0, knobs, split_ts=()):
     def herald(method, knob, state, mode):
         if (method, knob) not in tables:
             circuit = partial(preparations._scissors, method, knob, herald_first=True)
-            tables[method, knob] = TransferTable(circuit, params.cutoff)
+            tables[method, knob] = TransferTable(circuit)
         return apply_table(tables[method, knob], state, mode)
 
     source = lambda_state(params, pipeline.n)

@@ -6,10 +6,11 @@ trees and diff what it prints:
 
     PYTHONPATH=src python tests/contract_digest.py > after.txt
 
-The 68 outputs are ``verify --seed 1..5 --samples 100``, both ``spot``
+The 70 outputs are ``verify --seed 1..5 --samples 100``, both ``spot``
 points, each reference sweep under ``analytic`` and ``both`` in every
-format, each golden config under every backend it accepts, and 11 ``state``
-dumps, one per descriptor kind plus the golden ones.  This is a script, not
+format, each golden config under every backend it accepts, and 13 ``state``
+dumps: one per descriptor kind, the golden ones and the two Bell points of
+the benchmark's herald-waste probe.  This is a script, not
 a test module: pytest does not collect it.
 """
 
@@ -35,6 +36,9 @@ STATES = (
     "bell-pqs2:delta=0.9,phi=1.3,t0=0.5,gamma_abs=0.06",
     "hybrid-pqs1:delta=1.1,phi=0.4,t0=0.55,t=0.8",
     "hybrid-pqs2:delta=1.4,phi=2.1,t0=0.6,gamma_abs=0.07",
+    # the herald-waste points: cutoff 25, past every reference sweep's
+    "bell-pqs1:delta=2.0,t=0.9",
+    "bell-pqs2:delta=2.0,gamma_abs=0.07",
 )
 
 

@@ -1,7 +1,7 @@
 """Bitwise oracles for the heralding and source kernels.
 
 The scissors module splits its ancilla on a two-mode state and tensors that
-onto the input once, ``project_number`` matches keys with ``itemgetter``,
+onto the input once, ``project_number`` checks its targets in one plain loop,
 ``apply_bs`` caches its pair terms across calls and builds them from hoisted
 powers, the entangled sources and a preparation's state are expanded in one
 pass, and ``inner_product`` reads each common key once.  Each must leave every

@@ -109,6 +109,30 @@ def test_descriptor_split_keys_are_t1_t2_in_turn(descriptor, unused, capsys):
 
 
 @pytest.mark.parametrize(
+    "descriptor,extra,builder",
+    [
+        ("xi-circuit:delta=6", "t2=0.5", "lambda_circuit"),
+        ("lambda:delta=1,n=6,t1=0.5,t2=0.5,t3=0.5,t4=0.5", "bogus=1", "lambda_state"),
+    ],
+    ids=["xi-circuit", "lambda"],
+)
+def test_an_unused_descriptor_key_exits_2_before_the_state_is_built(descriptor, extra, builder, monkeypatch, capsys):
+    # built, the first overflows a beam splitter and the second exceeds the source size limit: exit 3
+    class Built(Exception):
+        pass
+
+    def spy(*args):
+        raise Built
+
+    monkeypatch.setattr(cli, builder, spy)
+    assert cli.main(["state", "--prep", f"{descriptor},{extra}"]) == 2
+    unused = extra.partition("=")[0]
+    assert capsys.readouterr().err == f"configuration error: unused descriptor parameters: [{unused!r}]\n"
+    with pytest.raises(Built):  # without the extra key, the spied builder is what runs
+        cli.main(["state", "--prep", descriptor])
+
+
+@pytest.mark.parametrize(
     "argv",
     [["sweep", "--reference", "bell-pqs1"], ["state", "--prep", "coherent:gamma=0.5"]],
     ids=["sweep", "state"],

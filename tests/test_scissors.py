@@ -367,9 +367,9 @@ def test_prepare_stages_dispatches_each_stage_to_its_method():
     pipeline = Pipeline(("pqs2", "pqs1"), (1, 0))
     stages = prepare_stages(pipeline, delta, phi, t0, {"t": t, "gamma_abs": gamma})
     cutoff = required_cutoff(delta, t0)
-    squeezer = TransferTable(lambda state, mode: pqs2_apply(state, mode, complex(gamma)), cutoff)
+    squeezer = TransferTable(lambda state, mode: pqs2_apply(state, mode, complex(gamma)))
     first = apply_table(squeezer, xi_direct(SourceParams(delta, phi, t0, (), cutoff)), 1)
-    linear = TransferTable(lambda state, mode: pqs1_apply(state, mode, t), cutoff)
+    linear = TransferTable(lambda state, mode: pqs1_apply(state, mode, t))
     second = apply_table(linear, first.canonical_state, 0)
     assert [s.probability for s in stages] == pytest.approx(
         [first.total_probability, first.total_probability * second.total_probability], rel=1e-13, abs=0
@@ -380,7 +380,7 @@ def _assembled(table, state, mode):
     """Every pattern branch built from the table's rows, normalized and compared by ``_assemble``."""
     branches = [{} for _ in range(table.patterns)]
     for key, amp in state.amplitudes.items():
-        for p, out, coeff in table.rows[key[mode]]:
+        for p, out, coeff in table.rows.get(key[mode], ()):
             new = key[:mode] + (out,) + key[mode + 1 :]
             branches[p][new] = branches[p].get(new, 0j) + amp * coeff
     kept = [_raw_state(state.mode_count, state.cutoff, b) if b else None for b in branches]
@@ -397,11 +397,9 @@ def test_table_application_normalizes_one_branch_and_compares_none(method, knob,
         probes.append((pqs1_apply if method == "pqs1" else pqs2_apply)(state, mode, knob))
         return probes[-1]
 
-    cutoff = required_cutoff(0.9, 0.45)
-    table = TransferTable(circuit, cutoff)
-    source = xi_direct(SourceParams(0.9, 0.4, 0.45, (), cutoff))
-    apply_table(table, source, 1)  # fills every row the source needs
-    assert len(probes) == 1
+    table = TransferTable(circuit)
+    assert len(probes) == 1  # the table's one probe, at construction
+    source = xi_direct(SourceParams(0.9, 0.4, 0.45, (), required_cutoff(0.9, 0.45)))
     want = _assembled(table, source, 1)
     calls = {"normalize": 0}
 
@@ -444,7 +442,7 @@ class TestHeraldFirst:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_pqs1_drops_only_keys_that_cannot_herald(self, seed):
-        # up to 3 photons per polarization, so the early drop removes keys of the scissored mode
+        # up to 3 photons per polarization, so the scissored mode holds keys no module can herald
         rng = random.Random(seed)
         modes = rng.randint(1, 3)
         state = random_state(rng, modes, 4, max_photons=3)
@@ -516,20 +514,6 @@ class TestHeraldFirst:
         for run in runs:
             run()
         assert calls["project_number"] > 0 and calls["permute_modes"] > 0 and calls["apply_pol_phase"] > 0
-
-    def test_pqs1_drops_every_key_with_two_photons_of_a_polarization_before_its_first_pbs(self, monkeypatch):
-        firsts = []
-        pbs = scissors.apply_pbs
-
-        def recording(state, *args):
-            firsts.append(state.amplitudes.keys() if not firsts else None)
-            return pbs(state, *args)
-
-        monkeypatch.setattr(scissors, "apply_pbs", recording)
-        occupations = [(0, 2), (1, 1), (2, 0), (0, 0), (1, 3), (3, 1), (0, 1), (2, 2)]
-        state = make_state(2, 4, [(((i % 3, 1), occ), 0.3 + 0.1j * i) for i, occ in enumerate(occupations)])
-        pqs1_apply(state, 1, 0.6, herald_first=True)
-        assert [key[1] for key in firsts[0]] == [(1, 1), (0, 0), (0, 1)]
 
     @pytest.mark.parametrize(
         "circuit",

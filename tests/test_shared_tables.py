@@ -1,13 +1,14 @@
 """One transfer table per scissors method and knob, and one source part per source point, serve a whole sweep.
 
-A table row is the heralded map of one input occupation: it must not depend
-on the occupations that shared its probe or on the probe's cutoff, so a
+A table row is the heralded map of one input occupation, and only the four
+occupations of ``SECTOR`` herald: each row must equal, bit for bit, the row
+the circuit gives on a probe of that occupation alone at any cutoff, so a
 sweep can share one table per (method, knob) across cells of any delta and
-still give each cell, bit for bit, the result of running it alone.  Its
-first probe reaches the sweep's largest cutoff, so each table is probed
-once.  A source part holds what reads one (delta, phi, t0) alone, so the
-cells at one source point share it.  Tables and parts live for one
-``run_sweep`` (or one ``spot`` or ``state``) call and no longer.
+still give each cell, bit for bit, the result of running it alone.  Each
+table is probed once, when it is made.  A source part holds what reads one
+(delta, phi, t0) alone, so the cells at one source point share it.  Tables
+and parts live for one ``run_sweep`` (or one ``spot`` or ``state``) call and
+no longer.
 """
 
 import gc
@@ -19,46 +20,39 @@ import pytest
 from polscissors import cli, preparations, sources
 from polscissors.config import AxisSpec, ExperimentConfig
 from polscissors.preparations import prepare_stages, required_cutoff
-from polscissors.scissors import TransferTable
+from polscissors.scissors import SECTOR, TransferTable
 from polscissors.sweep import STATUS_OK, run_sweep
 from polscissors.verify import run_verify
+
+from conftest import probe_row
 
 # every single-polarization occupation up to 30, and two mixed ones
 OCCUPATIONS = [(n, 0) for n in range(31)] + [(0, n) for n in range(1, 31)] + [(1, 1), (2, 1)]
 KNOBS = [("pqs1", t) for t in (0.3, 0.6, 0.9, 0.98)] + [("pqs2", g) for g in (0.01, 0.07, 0.3, 0.6, 0.9)]
+EDGE_KNOBS = [("pqs1", 0.0), ("pqs1", 1.0), ("pqs2", 0.0), ("pqs2", 0.5j), ("pqs2", 0.3 + 0.4j)]
 
 
 def _hex_row(row):
     return [(p, out, amp.real.hex(), amp.imag.hex()) for p, out, amp in row]
 
 
-@pytest.mark.parametrize("method,knob", KNOBS)
-def test_rows_depend_on_neither_the_probe_batch_nor_the_cutoff(method, knob):
-    circuit = partial(preparations._scissors, method, knob, herald_first=True)
-    batch = TransferTable(circuit, 30)
-    batch.fill(OCCUPATIONS)
-    grown = TransferTable(circuit, 2)
-    for occ in OCCUPATIONS:
-        alone = TransferTable(circuit, max(2, *occ))
-        alone.fill([occ])
-        grown.fill([occ])
-        assert _hex_row(alone.rows[occ]) == _hex_row(batch.rows[occ]), occ
-        assert _hex_row(grown.rows[occ]) == _hex_row(batch.rows[occ]), occ
-    assert grown.cutoff == 30
-    assert any(batch.rows[occ] for occ in OCCUPATIONS)
-
-
-@pytest.mark.parametrize("method,knob", KNOBS + [("pqs1", 0.0), ("pqs1", 1.0), ("pqs2", 0.0)])
+@pytest.mark.parametrize("method,knob", KNOBS + EDGE_KNOBS)
 def test_herald_first_rows_are_the_full_expansion_rows(method, knob):
-    # pqs1's herald-first probe drops the occupations with two photons of a polarization early
-    occupations = OCCUPATIONS + [(1, 2), (2, 2), (3, 1)]
-    tables = {}
+    # each row is the circuit's own row for its occupation probed alone, at a cutoff the
+    # occupation sets, and only the sector heralds: the table's one probe is at cutoff 1
+    rows = {}
     for herald_first in (True, False):
-        tables[herald_first] = TransferTable(partial(preparations._scissors, method, knob, herald_first=herald_first), 2)
-        tables[herald_first].fill(occupations)
-    for occ in occupations:
-        assert _hex_row(tables[True].rows[occ]) == _hex_row(tables[False].rows[occ]), occ
-    assert tables[True].patterns == tables[False].patterns
+        circuit = partial(preparations._scissors, method, knob, herald_first=herald_first)
+        table = TransferTable(circuit)
+        assert list(table.rows) == list(SECTOR)
+        assert table.patterns == (4 if method == "pqs1" else 1)
+        for occ in OCCUPATIONS + [(1, 2), (2, 2), (3, 1)]:
+            alone = probe_row(circuit, occ)
+            assert _hex_row(table.rows.get(occ, [])) == _hex_row(alone), (herald_first, occ)
+            assert occ in SECTOR or not alone, (herald_first, occ)
+        rows[herald_first] = {occ: _hex_row(row) for occ, row in table.rows.items()}
+    assert rows[True] == rows[False]
+    assert any(rows[True].values()) or knob in (0.0, 1.0)
 
 
 def _configs():
@@ -166,7 +160,7 @@ def _counting(monkeypatch, module, name):
     ids=["bell-pqs1", "hybrid-pqs2"],
 )
 def test_a_sweep_probes_each_table_once_and_builds_each_source_once(preparation, knob, monkeypatch):
-    # delta ascends, so every later delta needs rows past the cutoffs before it
+    # delta ascends, so every cell has a larger cutoff than the cells before it
     config = ExperimentConfig(preparation, AxisSpec("delta", 0.6, 1.8, 4), knob, backend="both", phi=0.7)
     assert len({required_cutoff(d, config.t0) for d in config.axis1.values()}) == 4
     probes = _counting(monkeypatch, preparations, "_scissors")
@@ -205,7 +199,7 @@ def test_a_sweep_shares_one_table_per_knob_and_keeps_none(tables):
     assert len(tables) == 4  # one per t value, shared by the four deltas
     assert _alive(tables) == []
     run_sweep(config)
-    assert len(tables) == 8  # a later sweep fills its own
+    assert len(tables) == 8  # a later sweep makes its own
     assert _alive(tables) == []
 
 
@@ -223,6 +217,6 @@ def test_spot_and_state_keep_no_table(argv, tables, capsys):
     first = len(tables)
     assert first and _alive(tables) == []
     assert cli.main(argv) == 0
-    assert len(tables) == 2 * first  # the second call filled its own tables
+    assert len(tables) == 2 * first  # the second call made its own tables
     assert _alive(tables) == []
     capsys.readouterr()

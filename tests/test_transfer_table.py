@@ -66,7 +66,7 @@ def test_table_matches_expand_then_project_on_random_states(
         knob = 0.6 * knob * complex(math.cos(phase), math.sin(phase))
     state = random_state(random.Random(seed), mode_count, 4, max_photons)
     circuit = _circuit(method, knob)
-    table = TransferTable(circuit, state.cutoff)
+    table = TransferTable(circuit)
     for mode in range(mode_count):
         _assert_same_herald(apply_table(table, state, mode), circuit(state, mode))
 
@@ -76,7 +76,7 @@ def test_table_matches_expand_then_project_on_random_states(
 def test_table_heralds_nothing_where_the_circuit_heralds_nothing(method, knob, occupations):
     state = make_state(2, 4, [(((1, 0), occ), 1.0) for occ in occupations])
     circuit = _circuit(method, knob)
-    result = apply_table(TransferTable(circuit, 4), state, 1)
+    result = apply_table(TransferTable(circuit), state, 1)
     assert circuit(state, 1).canonical_state is None
     assert result.canonical_state is None
     assert result.total_probability == 0.0
@@ -84,10 +84,8 @@ def test_table_heralds_nothing_where_the_circuit_heralds_nothing(method, knob, o
 
 @pytest.mark.parametrize("method,knob", [("pqs1", 0.37), ("pqs1", 0.9), ("pqs2", 0.08), ("pqs2", 0.5j)])
 def test_corrected_pattern_rows_are_proportional(method, knob):
-    # a heralded map is one map only if every pattern's rows are the same up to one factor
-    cutoff = 4
-    table = TransferTable(_circuit(method, knob), cutoff)
-    table.fill([(nh, nv) for nh in range(cutoff + 1) for nv in range(cutoff + 1)])
+    # a heralded map is one map only if every pattern's sector rows are the same up to one factor
+    table = TransferTable(_circuit(method, knob))
     assert table.patterns == (4 if method == "pqs1" else 1)
     vectors = [{} for _ in range(table.patterns)]
     for occ, row in table.rows.items():
