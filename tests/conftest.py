@@ -137,13 +137,14 @@ def apply_table(table: TransferTable, state, mode: int) -> ScissorsResult:
     return ScissorsResult((), total, canonical)
 
 
-def probe_row(circuit, occ) -> list:
+def probe_row(circuit, occ, cutoff=None) -> list:
     """The table row of ``occ`` read off ``circuit``'s own output on a probe of ``occ`` alone.
 
-    The probe holds ``|occ>`` in mode 1, beside a vacuum spectator, at cutoff
-    max(2, occ): the test-side oracle of ``TransferTable``'s one sector probe.
+    The probe holds ``|occ>`` in mode 1, beside a vacuum spectator, at
+    ``cutoff`` (default max(2, occ)): the test-side oracle of
+    ``TransferTable``'s one sector probe.
     """
-    result = circuit(make_state(2, max(2, *occ), [(((0, 0), occ), 1.0)]), 1)
+    result = circuit(make_state(2, cutoff or max(2, *occ), [(((0, 0), occ), 1.0)]), 1)
     row = []
     for p, outcome in enumerate(result.outcomes):
         for (_, out), amp in ({} if outcome.state is None else outcome.state.amplitudes).items():

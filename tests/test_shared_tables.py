@@ -36,6 +36,19 @@ def _hex_row(row):
     return [(p, out, amp.real.hex(), amp.imag.hex()) for p, out, amp in row]
 
 
+@pytest.mark.parametrize("method,knob", KNOBS)
+def test_rows_depend_on_neither_the_probe_batch_nor_the_cutoff(method, knob):
+    # the sector's one batch at cutoff 1 gives each occupation the row it gets probed
+    # alone, and a probe alone gives the same row at its own cutoff and at 30
+    circuit = partial(preparations._scissors, method, knob, herald_first=True)
+    table = TransferTable(circuit)
+    for occ in OCCUPATIONS:
+        alone = probe_row(circuit, occ)
+        assert _hex_row(table.rows.get(occ, [])) == _hex_row(alone), occ
+        assert _hex_row(probe_row(circuit, occ, 30)) == _hex_row(alone), occ
+    assert any(table.rows.values())
+
+
 @pytest.mark.parametrize("method,knob", KNOBS + EDGE_KNOBS)
 def test_herald_first_rows_are_the_full_expansion_rows(method, knob):
     # each row is the circuit's own row for its occupation probed alone, at a cutoff the
