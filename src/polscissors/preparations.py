@@ -4,8 +4,8 @@ A ``Pipeline`` truncates arms of the n-arm entangled coherent source in order,
 one scissors method per arm; ``prepare_stages`` simulates any of them.  The
 named pipelines are two-arm cases: truncating the second arm gives the hybrid
 photon-qubit vs coherent-arm entanglement, then the first as well the
-polarization Bell pair.  They also have an analytic route (closed forms); the
-two must agree within ``DEFAULT_BUDGET`` by ``compare``; ``worst`` ranks a NaN top.
+polarization Bell pair.  They also have an analytic route (closed forms), and
+``compare`` alone judges if the two agree within a budget; ``worst`` ranks a NaN top.
 
 The simulation never forms a joint state.  The source is a sum of two
 products, c_H (x)_k |+gamma_k, H> + c_V (x)_k |-gamma_k, V>, and every scissors
@@ -36,6 +36,8 @@ HYBRID_ARMS = (1,)
 BELL_ARMS = (1, 0)
 
 DEFAULT_BUDGET = 1e-8  # the contract: the largest |dP| and |dF| between the two routes
+STATUS_OK, STATUS_MISMATCH = "ok", "mismatch"  # ``compare``'s verdicts on a compared point
+STATUS_DEGENERATE, STATUS_UNDERFLOW = "degenerate", "underflow"  # a sweep cell where a route raised the zero rule
 
 
 @dataclass(frozen=True)
@@ -237,9 +239,15 @@ def analytic_named(name: str, delta: float, phi: float, t0: float, knob: float) 
     return closed_form(pipeline.method, delta, phi, t0, knob)
 
 
-def compare(analytic, numeric) -> tuple[float, float]:
-    """The one analytic-minus-numeric comparison: (|dP|, |dF|), NaN where either side is NaN."""
-    return abs(numeric.probability - analytic.probability), abs(numeric.fidelity - analytic.fidelity)
+def compare(analytic, numeric, budget: float = DEFAULT_BUDGET) -> tuple[float, float, str]:
+    """The one analytic-minus-numeric comparison and its verdict: (|dP|, |dF|, status).
+
+    ``STATUS_OK`` when both are within ``budget``; a NaN, or a numeric P of 0.0
+    against a positive closed-form P, reads ``STATUS_MISMATCH`` at any budget.
+    """
+    dp, df = abs(numeric.probability - analytic.probability), abs(numeric.fidelity - analytic.fidelity)
+    lost = numeric.probability == 0.0 < analytic.probability
+    return dp, df, STATUS_OK if dp <= budget and df <= budget and not lost else STATUS_MISMATCH
 
 
 def worst(*deviations: float) -> float:

@@ -10,8 +10,8 @@ source part (the coherent factors, Gram matrices and target norms) per
 (delta, phi, t0), one cutoff per (delta, t0), computed from the cells before
 the first, and one transfer table per scissors method and knob; each cell
 still gives, bit for bit, the result of running it alone. A ``both`` cell's
-``abs_err_*`` are ``preparations.compare``'s pair; past ``DEFAULT_BUDGET`` the
-cell reads ``mismatch``. The footer is their ``preparations.worst`` over the
+``abs_err_*`` and status are ``preparations.compare``'s, which reads a numeric
+P of 0.0 ``mismatch``. The footer is the pairs' ``preparations.worst`` over the
 ``ok`` and ``mismatch`` cells, which keeps a NaN from any. The writers format
 each axis value once per grid. The 625-cell ``--reference bell-pqs1`` grid runs in
 process in about 0.6 ms with ``--backend analytic`` (best of 201) and 0.07 s
@@ -28,13 +28,8 @@ from dataclasses import dataclass
 from . import analytics
 from .config import ExperimentConfig, config_echo
 from .fock import CutoffError, FockError
-from .preparations import DEFAULT_BUDGET, KNOB_AXES, closed_form_halves, compare, prepare_stages
-from .preparations import required_cutoff, worst
-
-STATUS_OK = "ok"
-STATUS_DEGENERATE = "degenerate"
-STATUS_UNDERFLOW = "underflow"
-STATUS_MISMATCH = "mismatch"  # a ``both`` cell whose ``compare`` pair exceeds ``DEFAULT_BUDGET`` or is NaN
+from .preparations import KNOB_AXES, closed_form_halves, compare, prepare_stages, required_cutoff, worst
+from .preparations import STATUS_DEGENERATE, STATUS_MISMATCH, STATUS_OK, STATUS_UNDERFLOW  # read as sweep.STATUS_*
 
 
 @dataclass(frozen=True)
@@ -118,13 +113,13 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                     )[-1]
                     if math.isnan(num.probability) or math.isnan(num.fidelity):
                         raise FockError(f"numeric P or F is NaN at {columns[0]} = {v1!r}, {columns[1]} = {v2!r}")
-                    if num.probability == 0.0:
+                    if num.probability == 0.0 and not analytic:  # with a closed form, ``compare`` judges it
                         raise analytics._zero_probability(delta, *(params[a] for a in knob_axes))
                     values += [num.probability, num.fidelity]
                 if analytic and numeric:
-                    errs.append(compare(analytics.AnalyticPF(*ana), num))  # nothing after it raises
-                    values += errs[-1]
-                    status = STATUS_OK if all(e <= DEFAULT_BUDGET for e in errs[-1]) else STATUS_MISMATCH
+                    *err, status = compare(analytics.AnalyticPF(*ana), num)  # nothing after it raises
+                    errs.append(err)
+                    values += err
             except analytics.DegenerateParameterError as exc:
                 values += [math.nan] * (width - 1 - len(values))
                 underflow = isinstance(exc, analytics.ProbabilityUnderflowError)

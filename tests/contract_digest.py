@@ -6,7 +6,7 @@ trees and diff what it prints:
 
     PYTHONPATH=src python tests/contract_digest.py > after.txt
 
-The 70 outputs are ``verify --seed 1..5 --samples 100``, both ``spot``
+The 73 outputs are ``verify --seed 1..5 --samples 100``, both ``spot``
 points, each reference sweep under ``analytic`` and ``both`` in every
 format, each golden config under every backend it accepts, and 13 ``state``
 dumps: one per descriptor kind, the golden ones and the two Bell points of

@@ -385,12 +385,12 @@ def _cell_row(config, v1, v2):
             values += [ana.probability, ana.fidelity]
         if config.backend != "analytic":
             num = prepare_named(*point, tail_bound=config.tail_bound)
-            if num.probability == 0.0:
+            if num.probability == 0.0 and config.backend == "numeric":  # with a closed form, compare judges it
                 raise analytics._zero_probability(params["delta"], knob)
             values += [num.probability, num.fidelity]
         if config.backend == "both":
-            values += compare(ana, num)
-            status = "ok" if all(e <= DEFAULT_BUDGET for e in values[-2:]) else "mismatch"  # NaN: mismatch
+            *err, status = compare(ana, num)
+            values += err
     except DegenerateStateError as exc:
         pairs = 3 if config.backend == "both" else 1  # (P, F) columns: each route's, then abs_err_*
         values += [math.nan] * (2 + 2 * pairs + (config.repetition_rate is not None) - len(values))
@@ -819,6 +819,7 @@ class TestVerify:
                     named[name].record(
                         abs(num.probability - ana.probability),
                         abs(num.fidelity - ana.fidelity),
+                        "ok",  # unread: ``passed`` is rebuilt below
                     )
                 except (DegenerateStateError, analytics.DegenerateParameterError) as exc:
                     named[name].skipped.append(f"{tag}: {exc}")
@@ -854,7 +855,7 @@ class TestVerify:
     def test_record_keeps_a_nan(self, at):
         stat = CheckStat("x")
         for i in range(3):
-            stat.record(math.nan if i == at else 1e-12 * (i + 1), math.nan if i == at else 0.0)
+            stat.record(math.nan if i == at else 1e-12 * (i + 1), math.nan if i == at else 0.0, "ok")
         assert math.isnan(stat.max_dp) and math.isnan(stat.max_df) and stat.samples == 3
 
     def test_a_circuit_that_heralds_nothing_fails_its_check(self):
@@ -866,6 +867,17 @@ class TestVerify:
         report = run_verify(1, 2, ranges={"delta": (8.5, 8.6), "t0": (0.5, 0.5)})
         qs = report.checks[CHECK_NAMES.index("qs")]
         assert qs.samples == 2 and not qs.skipped and qs.max_df > 0.9
+        assert not report.passed and report.lines()[-1].startswith("result: FAIL")
+
+    def test_a_numeric_zero_fails_verify_as_it_fails_the_sweep(self):
+        # the numeric route reads P = 0.0 where the closed form's P is a normal float: ``compare``
+        # reads it ``mismatch`` for both harnesses, so the sweep's cells and verify agree
+        config = load_config(str(Path(__file__).parent / "golden" / "hybrid-pqs1-numeric-zero.ini"))
+        assert {row[-1] for row in run_sweep(config).rows} == {"mismatch"}
+        axes = {axis.name: (axis.start, axis.stop) for axis in (config.axis1, config.axis2)}
+        report = run_verify(1, 2, ranges={**axes, "phi": (config.phi,) * 2, "t0": (config.t0,) * 2})
+        hybrid = report.checks[CHECK_NAMES.index("hybrid-pqs1")]
+        assert hybrid.samples == 2 and not hybrid.ok and hybrid.max_dp < 1e-30 < 0.9 < hybrid.max_df
         assert not report.passed and report.lines()[-1].startswith("result: FAIL")
 
     def test_an_unknown_range_is_refused(self):
@@ -1055,15 +1067,19 @@ class TestCli:
         [
             (["state", "--prep", "xi-circuit:delta=6"], 3),
             (["state", "--prep", "hybrid-pqs1:delta=10,t=0.5"], 2),
-            (["sweep", "--config", "big.ini"], 0),
+            (["sweep", "--config", "big.ini"], 1),
+            (["sweep", "--config", str(Path(__file__).parent / "golden" / "hybrid-pqs1-numeric-zero.ini")], 1),
         ],
-        ids=["xi-circuit", "hybrid-pqs1", "sweep"],
+        ids=["xi-circuit", "hybrid-pqs1", "sweep", "sweep-numeric-zero"],
     )
     def test_beam_splitter_past_the_float_range_exit_3(self, argv, code, tmp_path, capsys):
         # past about 170 photons a pair's factorials leave the float range; the
         # source circuit's full expansion forms such pairs, but a heralded beam
         # splitter skips every pair whose photon totals reach no detector
-        # pattern, so at delta 10 the scissors herald an underflowing 0.0
+        # pattern, so at delta 10 the scissors herald an underflowing 0.0; a
+        # ``both`` sweep's closed form there still reads a positive P (about
+        # 1e-43 at delta 10, 3.9e-38 to 1.8e-32 at delta 6.5 to 7), so ``compare``
+        # reads each such cell ``mismatch`` and the sweep exits 1
         config = tmp_path / "big.ini"
         config.write_text(
             BELL_CONFIG.replace("bell-pqs1", "hybrid-pqs1")
@@ -1078,8 +1094,10 @@ class TestCli:
             rule = analytics._zero_probability(10.0, 0.5)
             assert err == f"configuration error: degenerate parameters ({rule})\n"
         else:
-            _, rows = grid_from_csv(out)
-            assert len(rows) == 6 and {row[-1] for row in rows} == {"underflow"}
+            columns, rows = grid_from_csv(out)
+            assert len(rows) in (4, 6) and {row[-1] for row in rows} == {"mismatch"}
+            assert {row[columns.index("P_numeric")] for row in rows} == {0.0}
+            assert all(row[columns.index("P_analytic")] > 0.0 for row in rows)
 
     @pytest.mark.parametrize("prep", ["coherent:gamma=1e200", "cat:delta=1e200", "xi:delta=1e200"])
     def test_state_past_the_float_range_of_gamma_squared_exit_3(self, prep):

@@ -64,7 +64,8 @@ def test_each_coherent_factor_is_built_once(pipeline, splits, monkeypatch):
 
 
 def test_degenerate_source_raises_before_the_first_table_fills():
-    # t = 0 would make the first table's probe raise FockError
+    # the source is checked before any stage runs, so a degenerate source raises
+    # even with a knob, t = 0, whose pqs1 table builds but heralds nothing
     with pytest.raises(analytics.DegenerateParameterError):
         prepare_stages(PIPELINES["bell-pqs1"], 1e-9, math.pi, 0.5, {"t": 0.0})
 

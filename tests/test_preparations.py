@@ -14,6 +14,7 @@ from polscissors.preparations import (
     Pipeline,
     PrepResult,
     analytic_named,
+    compare,
     prepare_bell,
     prepare_named,
     prepare_stages,
@@ -103,6 +104,22 @@ def test_bell_probability_independent_of_truncation_order():
     swapped = prepare_bell("pqs1", delta, phi, 1 - t0, t)
     assert forward.probability == pytest.approx(swapped.probability, rel=1e-10)
     assert forward.fidelity == pytest.approx(swapped.fidelity, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "analytic,numeric,budget,status",
+    [
+        ((0.5, 0.9), (0.5 + 1e-9, 0.9 - 1e-9), 1e-8, "ok"),
+        ((0.5, 0.9), (0.5 + 1e-9, 0.9), 1e-10, "mismatch"),
+        ((0.5, 0.9), (0.5, 0.9 + 2e-8), 1e-8, "mismatch"),
+        ((0.5, 0.9), (0.5, math.nan), 1e-8, "mismatch"),
+        # within any budget, but the numeric route lost a P the closed form keeps
+        ((1e-300, 0.9), (0.0, 0.9), 1e-8, "mismatch"),
+    ],
+    ids=["within", "past-a-given-budget", "past-on-F", "nan", "numeric-zero"],
+)
+def test_compare_is_the_one_verdict(analytic, numeric, budget, status):
+    assert compare(analytics.AnalyticPF(*analytic), PrepResult(*numeric), budget)[2] == status
 
 
 def test_required_cutoff_tracks_larger_arm():

@@ -314,12 +314,12 @@ def test_the_simulator_raises_no_degenerate_parameter_error():
 
 
 def test_one_function_compares_the_routes():
-    # ``preparations.compare`` is the one analytic-minus-numeric comparison,
-    # and ``preparations.DEFAULT_BUDGET`` the one budget
+    # ``preparations.compare`` is the one analytic-minus-numeric comparison and
+    # the one budget test, and ``preparations.DEFAULT_BUDGET`` the one budget
     from polscissors import preparations, verify
 
     outcomes = {"probability", "fidelity", "total_probability"}
-    inside, sites, budgets = 0, [], []
+    inside, sites, budgets, gates = 0, [], [], []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         compare = {
@@ -337,7 +337,11 @@ def test_one_function_compares_the_routes():
                         sites.append(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Constant) and node.value == preparations.DEFAULT_BUDGET:
                 budgets.append(f"{path.name}:{node.lineno}")
-    assert inside == 2 and sites == []
+            elif isinstance(node, ast.Compare) and node not in compare:
+                names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+                if names & {"budget", "DEFAULT_BUDGET"}:
+                    gates.append(f"{path.name}:{node.lineno}")
+    assert inside == 2 and sites == [] and gates == []
     assert len(budgets) == 1 and budgets[0].startswith("preparations.py:")
     assert verify.DEFAULT_BUDGET is preparations.DEFAULT_BUDGET
     # the spot text spells the budget by hand; it must read as the constant
@@ -368,7 +372,11 @@ TRAFFIC = [
     (["sweep", "--reference", "hybrid-pqs1", "--backend", "both"], 0),
     (["sweep", "--reference", "bell-pqs2", "--format", "json"], 0),
     (["sweep", "--reference", "bell-pqs1", "--format", "matrix"], 0),
-    *((["sweep", "--config", str(ini)], 0) for ini in sorted(GOLDEN.glob("*.ini"))),
+    # the numeric-zero golden's cells read ``mismatch``: a sweep's exit 1
+    *(
+        (["sweep", "--config", str(ini)], int(ini.stem.endswith("numeric-zero")))
+        for ini in sorted(GOLDEN.glob("*.ini"))
+    ),
     *(
         (["state", "--prep", descriptor], 0)
         for descriptor in (
