@@ -147,12 +147,11 @@ def apply_bs(
     The output is a pure function of the input: every amplitude is
     ``amp * w_H`` then times ``w_V``, summed into its output key in input-key
     order, so the float operations and the key insertion order do not depend
-    on earlier calls.  Single-polarization terms are cached per
-    (p, q, t, min(cutoff, p + q)), at most ``PAIR_TERM_CACHE_SIZE`` entries: a
-    cutoff of at least p + q cuts no term, so such pairs share one entry across
-    cutoffs.  Each term is summed with one dict probe: a new key stores
-    ``0j + term``, an existing one ``prev + term``, as ``get(key, 0j) + term``
-    would.
+    on earlier calls.  Each distinct (key[a], key[b]) pair looks up its cached
+    H terms and V terms once per call, and each output occupation (h, v) is
+    read from a per-call row.  Each term is summed with one dict probe: a new
+    key stores ``0j + term``, an existing one ``prev + term``, as
+    ``get(key, 0j) + term`` would.
 
     ``herald``, when given, lists the ``(occ_a, occ_b)`` output pairs the
     following projection accepts on the two modes; no other output key is
@@ -163,45 +162,43 @@ def apply_bs(
     _check_mode(state, spec.mode_b)
     a, b, t = spec.mode_a, spec.mode_b, spec.t
     cutoff = state.cutoff
-    # (key[a], key[b]) -> joint H x V rows, built once per call: per kept H
-    # term its weight and its V columns.  The columns, both output occupations
-    # and the V weight per kept V term, depend only on (nah, nbh, pav, pbv), so
-    # each list is built once per call and shared by the rows that need it.
-    rows_of: dict[tuple[Occupation, Occupation], list] = {}
-    cols_of: dict[tuple[int, int, int, int], list] = {}
     if herald is not None:
         # the accepted patterns' (H, V) photon totals, which each pair term
         # keeps: an input pair with other totals reaches none
         totals = {(occ_a[0] + occ_b[0], occ_a[1] + occ_b[1]) for occ_a, occ_b in herald}
+    # (key[a], key[b]) -> (kept H terms, kept V terms), or () when the totals
+    # skip it; occ[h][v] = (h, v), the output occupations, row h built when read
+    terms_of: dict[tuple[Occupation, Occupation], tuple] = {}
+    occ: list = [None] * (cutoff + 1)
 
     amps: dict[OccKey, complex] = {}
     setdefault = amps.setdefault
     for key, amp in state.amplitudes.items():
         pair = (key[a], key[b])
-        rows = rows_of.get(pair)
-        if rows is None:
+        terms = terms_of.get(pair)
+        if terms is None:
             (pah, pav), (pbh, pbv) = pair
-            rows = rows_of[pair] = []
-            if herald is not None and (pah + pbh, pav + pbv) not in totals:
-                continue
-            for nah, nbh, wh in _kept_pair_terms(pah, pbh, t, min(cutoff, pah + pbh)):
-                cols = cols_of.get((nah, nbh, pav, pbv))
-                if cols is None:
-                    cols = cols_of[nah, nbh, pav, pbv] = [
-                        ((nah, nav), (nbh, nbv), wv)
-                        for nav, nbv, wv in _kept_pair_terms(pav, pbv, t, min(cutoff, pav + pbv))
-                        if herald is None or ((nah, nav), (nbh, nbv)) in herald
-                    ]
-                if cols:
-                    rows.append((wh, cols))
-        if not rows:
+            skip = herald is not None and (pah + pbh, pav + pbv) not in totals
+            terms = terms_of[pair] = () if skip else (
+                _kept_pair_terms(pah, pbh, t, min(cutoff, pah + pbh)),
+                _kept_pair_terms(pav, pbv, t, min(cutoff, pav + pbv)),
+            )
+        if not terms:
             continue
+        h_terms, v_terms = terms
         new = list(key)
-        for wh, cols in rows:
+        for nah, nbh, wh in h_terms:
             amp_h = amp * wh
-            for occ_a, occ_b, wv in cols:
-                new[a] = occ_a
-                new[b] = occ_b
+            row_a, row_b = occ[nah], occ[nbh]
+            if row_a is None:
+                row_a = occ[nah] = [(nah, v) for v in range(cutoff + 1)]
+            if row_b is None:
+                row_b = occ[nbh] = [(nbh, v) for v in range(cutoff + 1)]
+            for nav, nbv, wv in v_terms:
+                new[a] = row_a[nav]
+                new[b] = row_b[nbv]
+                if herald is not None and (new[a], new[b]) not in herald:
+                    continue
                 nk = tuple(new)
                 term = amp_h * wv
                 first = 0j + term

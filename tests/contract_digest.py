@@ -6,12 +6,13 @@ trees and diff what it prints:
 
     PYTHONPATH=src python tests/contract_digest.py > after.txt
 
-The 73 outputs are ``verify --seed 1..5 --samples 100``, both ``spot``
+The 75 outputs are ``verify --seed 1..5 --samples 100``, both ``spot``
 points, each reference sweep under ``analytic`` and ``both`` in every
-format, each golden config under every backend it accepts, and 13 ``state``
-dumps: one per descriptor kind, the golden ones and the two Bell points of
-the benchmark's herald-waste probe.  This is a script, not
-a test module: pytest does not collect it.
+format, each golden config under every backend it accepts, and 15 ``state``
+dumps: one per descriptor kind, the golden ones, the two Bell points of
+the benchmark's herald-waste probe and two circuit sources at the
+source-circuits benchmark's cutoffs.  This is a script, not a test module:
+pytest does not collect it.
 """
 
 import contextlib
@@ -39,6 +40,9 @@ STATES = (
     # the herald-waste points: cutoff 25, past every reference sweep's
     "bell-pqs1:delta=2.0,t=0.9",
     "bell-pqs2:delta=2.0,gamma_abs=0.07",
+    # circuit sources at the delta levels of the source-circuits benchmark
+    "xi-circuit:delta=1.55,phi=0.7,t0=0.5",
+    "lambda-circuit:delta=1.1,phi=0.3,n=4,t1=0.5,t2=0.5",
 )
 
 

@@ -2,9 +2,10 @@
 
 The scissors module splits its ancilla on a two-mode state and tensors that
 onto the input once, ``project_number`` checks its targets in one plain loop,
-``apply_bs`` caches its pair terms across calls and builds them from hoisted
-powers, the entangled sources and a preparation's state are expanded in one
-pass, and ``inner_product`` reads each common key once.  Each must leave every
+``apply_bs`` caches its pair terms across calls, builds them from hoisted
+powers and reads its output occupations from per-call rows, the entangled
+sources and a preparation's state are expanded in one pass, and
+``inner_product`` reads each common key once.  Each must leave every
 state (and every inner product) bit for bit as the plain constructions below
 build it: same keys, same insertion order, same real and imaginary parts
 (compared with ``float.hex``, so even the sign of a zero counts).
@@ -248,6 +249,55 @@ class TestPairTermCache:
         assert elements._kept_pair_terms.cache_info().misses == misses
         want = apply_bs_reference(large, spec)
         assert hex_items(out) == [(k, v.real.hex(), v.imag.hex()) for k, v in want.items()]
+
+
+def reference_items(state, spec, herald=None):
+    """``apply_bs_reference``'s items in its order, cut to the herald's pairs when given."""
+    a, b = spec.mode_a, spec.mode_b
+    return [
+        (k, v.real.hex(), v.imag.hex())
+        for k, v in apply_bs_reference(state, spec).items()
+        if herald is None or (k[a], k[b]) in herald
+    ]
+
+
+class TestSourceCircuitShapes:
+    """The states the source circuits hand ``apply_bs``, against the plain loop.
+
+    Unlike the random states above, where input pairs repeat, the first
+    splitter of ``xi_circuit`` meets each (key[a], key[b]) pair once.
+    """
+
+    def test_xi_circuit_first_splitter(self):
+        delta = 1.55
+        cutoff = min_cutoff(delta * math.sqrt(2.0))
+        state = tensor(sources.cat(delta, 0.7, H, cutoff), coherent(delta, H, cutoff))
+        spec = BeamSplitterSpec(0.5, 0, 1)
+        pairs = {(key[0], key[1]) for key in state.amplitudes}
+        assert len(pairs) == len(state.amplitudes) > 700
+        assert hex_items(apply_bs(state, spec)) == reference_items(state, spec)
+
+    @pytest.fixture(scope="class")
+    def split_input(self):
+        """A circuit-built 3-arm source tensored with the vacuum, as ``lambda_circuit`` splits it."""
+        params = SourceParams(0.9, 0.3, 0.5, (0.45,), min_cutoff(0.9 * math.sqrt(2.0)))
+        return tensor(lambda_circuit(params, 3), vacuum(1, params.cutoff))
+
+    @pytest.mark.parametrize("modes", [(2, 3), (3, 2)])
+    def test_lambda_circuit_split_step(self, split_input, modes):
+        spec = BeamSplitterSpec(0.55, *modes)
+        assert hex_items(apply_bs(split_input, spec)) == reference_items(split_input, spec)
+
+    def test_heralded_call(self, split_input):
+        # every key holds H photons only or V photons only, so each pair's
+        # totals are (n, 0) or (0, n); the herald keeps two of the three
+        # patterns of totals (2, 0) and one of the two of totals (0, 1)
+        herald = {((2, 0), (0, 0)), ((1, 0), (1, 0)), ((0, 1), (0, 0))}
+        state = apply_bs(split_input, BeamSplitterSpec(0.55, 2, 3))
+        spec = BeamSplitterSpec(0.5, 3, 2)
+        want = reference_items(state, spec, herald)
+        assert {(k[3], k[2]) for k, *_ in want} == herald
+        assert hex_items(apply_bs(state, spec, herald=herald)) == want
 
 
 def bs_pair_terms_reference(p, q, t):
