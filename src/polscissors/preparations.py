@@ -154,13 +154,19 @@ def prepare_stages(
     A ``SourcePart`` reads its source point and arms alone and a
     ``TransferTable`` its method and knob, so ``run_sweep`` passes one ``parts``
     dict and one ``tables`` dict to every cell; by default a call makes its own.
+    A part's key is the plain tuple (delta, phi, t0, split_ts, cutoff, n, arms,
+    tail_bound); its ``SourceParams`` is built only when the key is missing, and
+    a source that raises is not kept, so each cell that asks for it raises again.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
     tables = {} if tables is None else tables
     parts = {} if parts is None else parts
-    key = (SourceParams(delta, phi, t0, split_ts, cutoff), pipeline.n, pipeline.arms, tail_bound)
-    part = parts.get(key) or parts.setdefault(key, SourcePart(*key))
+    key = delta, phi, t0, split_ts, cutoff, pipeline.n, pipeline.arms, tail_bound
+    part = parts.get(key)
+    if part is None:
+        params = SourceParams(delta, phi, t0, split_ts, cutoff)
+        part = parts[key] = SourcePart(params, pipeline.n, pipeline.arms, tail_bound)
     arms, state, grams, probability, stages = pipeline.arms, part.source, part.grams, 1.0, []
     for count, (arm, method) in enumerate(zip(arms, pipeline.methods), 1):
         key = method, knobs[KNOB_AXES[method]]

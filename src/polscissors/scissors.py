@@ -267,10 +267,13 @@ class TransferTable:
 
     def apply(self, factors: list[Factor]) -> list[list[Factor]]:
         """Per accepted pattern, the image of each of ``factors``, in their order."""
+        rows = self.rows
         images: list[list[Factor]] = [[{} for _ in factors] for _ in range(self.patterns)]
         for i, factor in enumerate(factors):
             for occ, amp in factor.items():
-                for p, out, coeff in self.rows.get(occ, ()):
+                if not (row := rows.get(occ)):  # no row, or one that heralds nothing
+                    continue
+                for p, out, coeff in row:
                     image = images[p][i]
                     image[out] = image.get(out, 0j) + amp * coeff
         return images

@@ -78,16 +78,14 @@ class SourceParams:
                 raise FockError(f"split transmissivity {t} outside [0, 1]")
 
 
-def coherent(
-    gamma: float,
-    pol: str,
-    cutoff: int,
-    tail_bound: float = DEFAULT_TAIL_BOUND,
-) -> PureState:
-    """Polarized coherent state |gamma_pol> truncated at the cutoff.
+def coherent_factor(gamma: float, pol: str, cutoff: int, tail_bound: float = DEFAULT_TAIL_BOUND) -> Factor:
+    """|gamma_pol> truncated at the cutoff, as a single-mode factor: the one coherent amplitude rule.
 
     Raises when the cutoff leaves more than ``tail_bound`` of probability in
-    the truncated tail, so downstream accuracy budgets are protected.
+    the truncated tail, so downstream accuracy budgets are protected.  Keeps,
+    in photon-number order, the amplitudes of at least ``DEFAULT_TOL``, as a
+    state's constructors compact, and raises ``FockError`` on a NaN, naming
+    its one-mode key.
     """
     tail = coherent_tail_weight(gamma, cutoff)
     if tail > tail_bound:
@@ -95,12 +93,20 @@ def coherent(
             f"cutoff {cutoff} keeps tail {tail:.2e} > {tail_bound:.0e} "
             f"for amplitude {gamma}"
         )
-    # the keys are valid by construction: make_state's values, without its key checks
-    amps = {
-        ((n, 0) if pol == H else (0, n),): 0j + complex(analytics.f_n(gamma, n))
-        for n in range(cutoff + 1)
-    }
-    return _raw_state(1, cutoff, amps)
+    factor: Factor = {}
+    for n in range(cutoff + 1):
+        occ = (n, 0) if pol == H else (0, n)
+        if abs(a := 0j + complex(analytics.f_n(gamma, n))) >= DEFAULT_TOL:
+            factor[occ] = a
+        elif cmath.isnan(a):
+            raise FockError(f"NaN amplitude at key {(occ,)}")
+    return factor
+
+
+def coherent(gamma: float, pol: str, cutoff: int, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:
+    """Polarized coherent state |gamma_pol> truncated at the cutoff: ``coherent_factor`` on one mode."""
+    factor = coherent_factor(gamma, pol, cutoff, tail_bound)
+    return _raw_state(1, cutoff, {(occ,): a for occ, a in factor.items()})
 
 
 def cat(
@@ -148,9 +154,9 @@ def arm_factors(
     """The H and V branches' single-mode factors of the n-arm source, one per arm.
 
     Arm k holds |gamma_k, H> in the H branch and |-gamma_k, V> in the V
-    branch, both from one ``coherent`` build: the V factor is the H factor
-    with its odd occupations negated.  Each of ``photon_arms`` holds a single
-    photon instead, the ``PHOTONS`` factor objects.  The branches'
+    branch, both from one ``coherent_factor`` build: the V factor is the H
+    factor with its odd occupations negated.  Each of ``photon_arms`` holds a
+    single photon instead, the ``PHOTONS`` factor objects.  The branches'
     coefficients are the caller's.
     """
     h_arms, v_arms = [], []
@@ -158,7 +164,7 @@ def arm_factors(
         if k in photon_arms:
             h, v = PHOTONS
         else:
-            h = {key[0]: a for key, a in coherent(g, H, params.cutoff, tail_bound).amplitudes.items()}
+            h = coherent_factor(g, H, params.cutoff, tail_bound)
             # f_n(-gamma) is (-1)^n f_n(gamma) bit for bit; the imaginary part stays +0.0
             v = {(0, m): complex(-a.real, a.imag) if m % 2 else a for (m, _), a in h.items()}
         h_arms.append(h)
@@ -246,18 +252,19 @@ def _with(per_arm: tuple, arm: int, entry) -> tuple:
     return per_arm[:arm] + (entry,) + per_arm[arm + 1 :]
 
 
-def _dot(fb: Factor, fk: Factor) -> complex:
-    """<fb|fk> of two factors, summed from 0j over ``fb``'s occupations in their order."""
-    total, get = 0j, fk.get
-    for occ, a in fb.items():
-        if (b := get(occ)) is not None:
-            total += a.conjugate() * b
-    return total
-
-
 def _gram(bras, kets) -> tuple[tuple[complex, ...], ...]:
-    """One arm's Gram matrix: ``_dot`` of its factors, bra branch by ket branch."""
-    return tuple(tuple([_dot(fb, fk) for fk in kets]) for fb in bras)
+    """One arm's Gram matrix, bra branch by ket branch, in one pass: <fb|fk> from 0j over ``fb`` in order."""
+    rows = []
+    for fb in bras:
+        row = []
+        for fk in kets:
+            total, get = 0j, fk.get
+            for occ, a in fb.items():
+                if (b := get(occ)) is not None:
+                    total += a.conjugate() * b
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _overlap(bra, ket, grams) -> complex:

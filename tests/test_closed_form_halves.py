@@ -17,7 +17,7 @@ import weakref
 
 import pytest
 
-from polscissors import analytics, sweep
+from polscissors import analytics, preparations, sweep
 from polscissors.analytics import (
     DegenerateParameterError,
     ProbabilityUnderflowError,
@@ -391,6 +391,28 @@ def test_a_sweep_looks_up_the_closed_form_halves_once(monkeypatch):
     config = _grid("bell-pqs2", AxisSpec("phi", 0.0, 3.0, 3), AxisSpec("delta", 0.6, 1.0, 3), gamma_abs=0.05)
     assert [row[-1] for row in run_sweep(config).rows] == [STATUS_OK] * 9
     assert calls == ["bell-pqs2"]
+
+
+def test_a_sweep_builds_one_source_point_per_part_and_again_for_each_raising_cell(monkeypatch):
+    # the stage loop keys its source parts by plain tuples: ``SourceParams`` is built
+    # only for a missing key, and a source that raises is never kept
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    original = preparations.SourceParams
+    monkeypatch.setattr(preparations, "SourceParams", counting)
+    knob = AxisSpec("t", 0.7, 0.95, 4)
+    config = ExperimentConfig("bell-pqs1", AxisSpec("delta", 0.6, 1.8, 4), knob, backend="both", phi=0.7)
+    assert [row[-1] for row in run_sweep(config).rows] == [STATUS_OK] * 16
+    assert len(built) == 4
+    built.clear()
+    config = ExperimentConfig("bell-pqs1", AxisSpec("delta", 0.0, 0.6, 2), knob, backend="numeric", phi=math.pi)
+    statuses = [row[-1] for row in run_sweep(config).rows]
+    assert statuses == [STATUS_DEGENERATE] * 4 + [STATUS_OK] * 4  # delta 0 at phi pi: the source raises
+    assert [args[0] for args in built] == [0.0] * 4 + [0.6]
 
 
 SPECIAL_FLOATS = [

@@ -63,6 +63,17 @@ def test_each_coherent_factor_is_built_once(pipeline, splits, monkeypatch):
     assert len(calls) <= pipeline.n
 
 
+@pytest.mark.parametrize(
+    "pipeline,splits",
+    [(PIPELINES["bell-pqs1"], ()), (omega_pipeline(4, 4, ("pqs1", "pqs2", "pqs1", "pqs2")), (0.3, 0.6))],
+)
+def test_the_one_factor_builder_runs_once_per_arm(pipeline, splits, monkeypatch):
+    # ``arm_factors`` calls the factor builder directly, not through ``coherent``
+    calls = _recording(monkeypatch, "coherent_factor")
+    prepare_stages(pipeline, 1.2, 0.4, 0.55, {"t": 0.9, "gamma_abs": 0.06}, splits)
+    assert len(calls) == pipeline.n
+
+
 def test_degenerate_source_raises_before_the_first_table_fills():
     # the source is checked before any stage runs, so a degenerate source raises
     # even with a knob, t = 0, whose pqs1 table builds but heralds nothing

@@ -7,7 +7,7 @@ import pytest
 
 from polscissors import analytics, sources
 from polscissors.analytics import DegenerateParameterError as DegenerateStateError
-from polscissors.fock import MAX_SOURCE_PRODUCTS, CutoffError, FockError, fidelity, min_cutoff
+from polscissors.fock import MAX_SOURCE_PRODUCTS, CutoffError, FockError, fidelity, make_state, min_cutoff
 from polscissors.sources import (
     SourceParams,
     cat,
@@ -19,6 +19,8 @@ from polscissors.sources import (
     xi_circuit,
     xi_direct,
 )
+
+from test_kernel_oracles import hex_items
 
 
 def poisson_amp(gamma, n):
@@ -63,6 +65,20 @@ class TestCoherent:
     def test_large_amplitude_at_tiny_cutoff_rejected(self):
         with pytest.raises(CutoffError):
             coherent(30.0, "H", 1)
+
+    @pytest.mark.parametrize("pol", ["H", "V"])
+    def test_the_factor_builder_keeps_the_compacted_amplitudes_bit_for_bit(self, pol):
+        # the reference: each ``0j + complex(f_n)`` through ``make_state``, which compacts
+        # below DEFAULT_TOL; gamma 12 reaches n >= 171, where f_n goes through log space
+        for gamma in (0.0, 1e-9, -1.3, 2.0, 12.0, -12.0):
+            cutoff = max(1, min_cutoff(abs(gamma))) + 5
+            occ = [(n, 0) if pol == "H" else (0, n) for n in range(cutoff + 1)]
+            want = make_state(1, cutoff, [((o,), 0j + complex(analytics.f_n(gamma, o[pol == "V"]))) for o in occ])
+            factor = sources.coherent_factor(gamma, pol, cutoff)
+            assert [((k,), a.real.hex(), a.imag.hex()) for k, a in factor.items()] == hex_items(want)
+            assert hex_items(coherent(gamma, pol, cutoff)) == hex_items(want)
+        with pytest.raises(FockError, match=r"^NaN amplitude at key \(\(0, 0\),\)$"):
+            coherent(math.nan, pol, 3)
 
 
 class TestCat:

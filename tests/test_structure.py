@@ -154,7 +154,7 @@ def test_only_sources_expands_a_sum_of_products():
 def test_the_sum_of_products_algebra_has_one_home():
     # one module knows the (coefficient, factors) layout: it builds a source
     # point, expands a sum of products and reads its Gram matrices
-    names = {"_dot", "_gram", "_overlap", "_with", "expand", "SourcePart"}
+    names = {"_gram", "_overlap", "_with", "expand", "SourcePart"}
     defined = sorted(
         f"{path.name} {node.name}"
         for path in MODULES
@@ -167,7 +167,7 @@ def test_the_sum_of_products_algebra_has_one_home():
 def test_only_sources_names_the_pieces_of_the_sum_of_products_algebra():
     # ``sources`` weighs, renormalizes, flips and scores each stage; no other
     # module names the pieces those steps are made of
-    pieces = {"PHOTONS", "_dot", "_gram", "_overlap", "_with"}
+    pieces = {"PHOTONS", "_gram", "_overlap", "_with"}
     hits = []
     for path in MODULES:
         if path.name == "sources.py":
