@@ -328,29 +328,15 @@ def coherent_tail_weight(gamma: float, cutoff: int) -> float:
 def min_cutoff(gamma: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
     """Smallest cutoff whose coherent tail weight is at or below ``tail_bound``.
 
-    ``CutoffError`` past ``MAX_CUTOFF``, and at once for a NaN ``gamma``, whose tail reads 0.0.
+    ``CutoffError`` past ``MAX_CUTOFF``, and for a NaN ``gamma``, whose tail reads 0.0.
     A Poisson median is at least gamma^2 - ln 2, so a bound up to 1/4 fails every cutoff up to gamma^2 - 2.
-    From there the search steps by one while the tail is above 1/2, then doubles its step until
-    a cutoff passes, and bisects between the last failing cutoff and the first passing one.
-    That returns the first passing cutoff of a scan: past the median each tail is below the one
-    before by a relative step of order 1/gamma or more (gamma < 64 wherever the search doubles),
-    far above rounding error, so the computed tails fall monotonically there.
     """
     c = max(0, int(gamma * gamma) - 1) if tail_bound <= 0.25 and gamma * gamma < MAX_CUTOFF else 0
-    # ``low`` fails (or is below the start); ``high`` passes, or is past MAX_CUTOFF until one does
-    low, high, step = c - 1, MAX_CUTOFF + 1, 1
-    while high - low > 1 and not math.isnan(gamma):
-        c = (low + high) // 2 if high <= MAX_CUTOFF else min(low + step, MAX_CUTOFF)
-        tail = coherent_tail_weight(gamma, c)
-        if not tail > tail_bound:
-            high = c
-        else:
-            low = c
-            if tail <= 0.5:
-                step *= 2
-    if high > MAX_CUTOFF:
-        raise CutoffError(f"no feasible cutoff for amplitude {gamma}")
-    return high
+    while math.isnan(gamma) or coherent_tail_weight(gamma, c) > tail_bound:
+        c += 1
+        if c > MAX_CUTOFF:
+            raise CutoffError(f"no feasible cutoff for amplitude {gamma}")
+    return c
 
 
 def format_key(key: OccKey) -> str:

@@ -40,6 +40,7 @@ from .fock import (
     FockError,
     OccKey,
     PureState,
+    _compact,
     _raw_state,
     add,
     coherent_tail_weight,
@@ -79,13 +80,12 @@ class SourceParams:
 
 
 def coherent_factor(gamma: float, pol: str, cutoff: int, tail_bound: float = DEFAULT_TAIL_BOUND) -> Factor:
-    """|gamma_pol> truncated at the cutoff, as a single-mode factor: the one coherent amplitude rule.
+    """|gamma_pol> truncated at the cutoff, as an uncompacted single-mode factor: the one coherent amplitude rule.
 
     Raises when the cutoff leaves more than ``tail_bound`` of probability in
-    the truncated tail, so downstream accuracy budgets are protected.  Keeps,
-    in photon-number order, the amplitudes of at least ``DEFAULT_TOL``, as a
-    state's constructors compact, and raises ``FockError`` on a NaN, naming
-    its one-mode key.
+    the truncated tail, so downstream accuracy budgets are protected.  Every
+    occupation 0..cutoff is kept, in order; its callers compact once, through
+    ``fock._compact``.
     """
     tail = coherent_tail_weight(gamma, cutoff)
     if tail > tail_bound:
@@ -93,18 +93,12 @@ def coherent_factor(gamma: float, pol: str, cutoff: int, tail_bound: float = DEF
             f"cutoff {cutoff} keeps tail {tail:.2e} > {tail_bound:.0e} "
             f"for amplitude {gamma}"
         )
-    factor: Factor = {}
-    for n in range(cutoff + 1):
-        occ = (n, 0) if pol == H else (0, n)
-        if abs(a := 0j + complex(analytics.f_n(gamma, n))) >= DEFAULT_TOL:
-            factor[occ] = a
-        elif cmath.isnan(a):
-            raise FockError(f"NaN amplitude at key {(occ,)}")
-    return factor
+    return {(n, 0) if pol == H else (0, n): 0j + complex(analytics.f_n(gamma, n)) for n in range(cutoff + 1)}
 
 
 def coherent(gamma: float, pol: str, cutoff: int, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:
     """Polarized coherent state |gamma_pol> truncated at the cutoff: ``coherent_factor`` on one mode."""
+    # the keys are valid by construction: make_state's values, without its key checks
     factor = coherent_factor(gamma, pol, cutoff, tail_bound)
     return _raw_state(1, cutoff, {(occ,): a for occ, a in factor.items()})
 
@@ -164,7 +158,7 @@ def arm_factors(
         if k in photon_arms:
             h, v = PHOTONS
         else:
-            h = coherent_factor(g, H, params.cutoff, tail_bound)
+            h = _compact(coherent_factor(g, H, params.cutoff, tail_bound))
             # f_n(-gamma) is (-1)^n f_n(gamma) bit for bit; the imaginary part stays +0.0
             v = {(0, m): complex(-a.real, a.imag) if m % 2 else a for (m, _), a in h.items()}
         h_arms.append(h)

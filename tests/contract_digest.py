@@ -12,8 +12,8 @@ format, each golden config under every backend it accepts, and 17 ``state``
 dumps: one per descriptor kind, the golden ones, the two Bell points of
 the benchmark's herald-waste probe, two circuit sources at the
 source-circuits benchmark's cutoffs and two coherent states whose
-cutoffs ``min_cutoff`` finds by stepping and by doubling its step.  This
-is a script, not a test module: pytest does not collect it.
+cutoffs ``min_cutoff`` scans for from 0 and from gamma^2 - 1.  This is a
+script, not a test module: pytest does not collect it.
 """
 
 import contextlib
@@ -44,7 +44,7 @@ STATES = (
     # circuit sources at the delta levels of the source-circuits benchmark
     "xi-circuit:delta=1.55,phi=0.7,t0=0.5",
     "lambda-circuit:delta=1.1,phi=0.3,n=4,t1=0.5,t2=0.5",
-    # the two regimes of the cutoff search: a bound above 1/4, and one it reaches by doubling its step
+    # the two starts of the cutoff scan: 0 for a bound above 1/4, gamma^2 - 1 for a tight one
     "coherent:gamma=3.7,tail_bound=0.3",
     "coherent:gamma=6.2,tail_bound=1e-15",
 )

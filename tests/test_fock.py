@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polscissors import fock
 from polscissors.fock import (
     DEFAULT_TOL,
     MAX_CUTOFF,
@@ -312,14 +311,6 @@ class TestTailWeights:
                 else:
                     assert min_cutoff(gamma, bound) == want, (gamma, bound)
         assert outcomes == {True, False}
-
-    def test_min_cutoff_doubles_its_step_past_the_median(self, monkeypatch):
-        # a scan from gamma^2 - 1 evaluates the 29 tails of cutoffs 7 to 35 here
-        evaluated = []
-        weight = fock.coherent_tail_weight
-        monkeypatch.setattr(fock, "coherent_tail_weight", lambda g, c: evaluated.append(c) or weight(g, c))
-        assert min_cutoff(2 * math.sqrt(2)) == 35
-        assert len(evaluated) <= 12
 
     @pytest.mark.parametrize("gamma", [math.nan, -math.nan])
     def test_a_nan_amplitude_has_no_cutoff(self, gamma):

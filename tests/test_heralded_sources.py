@@ -57,20 +57,9 @@ def test_verify_builds_no_joint_source(monkeypatch):
 def test_each_coherent_factor_is_built_once(pipeline, splits, monkeypatch):
     # one build per arm: the V branch's factor is the H branch's with its odd
     # occupations negated, and the targets reuse the source's factors
-    calls = _recording(monkeypatch, "coherent")
+    calls = _recording(monkeypatch, "coherent_factor")
     stages = prepare_stages(pipeline, 1.2, 0.4, 0.55, {"t": 0.9, "gamma_abs": 0.06}, splits)
     assert len(stages) == len(pipeline.arms)
-    assert len(calls) <= pipeline.n
-
-
-@pytest.mark.parametrize(
-    "pipeline,splits",
-    [(PIPELINES["bell-pqs1"], ()), (omega_pipeline(4, 4, ("pqs1", "pqs2", "pqs1", "pqs2")), (0.3, 0.6))],
-)
-def test_the_one_factor_builder_runs_once_per_arm(pipeline, splits, monkeypatch):
-    # ``arm_factors`` calls the factor builder directly, not through ``coherent``
-    calls = _recording(monkeypatch, "coherent_factor")
-    prepare_stages(pipeline, 1.2, 0.4, 0.55, {"t": 0.9, "gamma_abs": 0.06}, splits)
     assert len(calls) == pipeline.n
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from polscissors import analytics, sources
+from polscissors import analytics, fock, sources
 from polscissors.analytics import DegenerateParameterError as DegenerateStateError
 from polscissors.fock import MAX_SOURCE_PRODUCTS, CutoffError, FockError, fidelity, make_state, min_cutoff
 from polscissors.sources import (
@@ -75,6 +75,8 @@ class TestCoherent:
             occ = [(n, 0) if pol == "H" else (0, n) for n in range(cutoff + 1)]
             want = make_state(1, cutoff, [((o,), 0j + complex(analytics.f_n(gamma, o[pol == "V"]))) for o in occ])
             factor = sources.coherent_factor(gamma, pol, cutoff)
+            assert list(factor) == occ
+            factor = fock._compact(factor)
             assert [((k,), a.real.hex(), a.imag.hex()) for k, a in factor.items()] == hex_items(want)
             assert hex_items(coherent(gamma, pol, cutoff)) == hex_items(want)
         with pytest.raises(FockError, match=r"^NaN amplitude at key \(\(0, 0\),\)$"):

@@ -243,6 +243,7 @@ def test_the_listed_private_names_are_all_one_module_imports_from_another():
     assert sorted(crossings) == [
         "cli analytics._zero_probability",
         "elements fock._raw_state",
+        "sources fock._compact",
         "sources fock._raw_state",
         "sweep analytics._zero_probability",
     ]
