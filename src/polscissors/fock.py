@@ -297,11 +297,19 @@ def prune(state: PureState, weight_budget: float) -> PureState:
     return PureState(state.mode_count, state.cutoff, amps)
 
 
+def _first_tail_term(mean: float, cutoff: int) -> float:
+    """The Poisson(mean) weight at ``cutoff + 1`` photons: the first term of a coherent tail."""
+    n = cutoff + 1
+    return math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
+
+
 def coherent_tail_weight(gamma: float, cutoff: int) -> float:
     """Probability weight a coherent state of amplitude ``gamma`` loses to truncation.
 
     Equals the Poisson(gamma^2) tail beyond ``cutoff`` photons, summed directly
-    so tiny tails do not suffer cancellation.
+    so tiny tails do not suffer cancellation.  The sum starts from
+    ``_first_tail_term`` and adds only nonnegative terms, so a first term above
+    1e-320 bounds the tail from below: ``min_cutoff`` reads it to skip a cutoff.
     """
     if cutoff < 0:
         raise FockError("cutoff must be nonnegative")
@@ -310,8 +318,7 @@ def coherent_tail_weight(gamma: float, cutoff: int) -> float:
         return 0.0
     # term at n = cutoff + 1, then ratio recurrence
     n = cutoff + 1
-    log_term = -mean + n * math.log(mean) - math.lgamma(n + 1)
-    term = math.exp(log_term)
+    term = _first_tail_term(mean, cutoff)
     if not term > 1e-320 and n <= mean:
         # The first tail term underflowed below the Poisson mode, or is nan
         # because gamma^2 overflowed.  Terms rise up to the mode, so the kept
@@ -330,9 +337,18 @@ def min_cutoff(gamma: float, tail_bound: float = DEFAULT_TAIL_BOUND) -> int:
 
     ``CutoffError`` past ``MAX_CUTOFF``, and for a NaN ``gamma``, whose tail reads 0.0.
     A Poisson median is at least gamma^2 - ln 2, so a bound up to 1/4 fails every cutoff up to gamma^2 - 2.
+    A cutoff whose first tail term alone exceeds ``max(tail_bound, 1e-320)`` fails without its
+    tail sum: that sum starts at the term and only grows.  Below 1e-320 the sum may read 0.0.
     """
-    c = max(0, int(gamma * gamma) - 1) if tail_bound <= 0.25 and gamma * gamma < MAX_CUTOFF else 0
-    while math.isnan(gamma) or coherent_tail_weight(gamma, c) > tail_bound:
+    mean = gamma * gamma
+    c = max(0, int(mean) - 1) if tail_bound <= 0.25 and mean < MAX_CUTOFF else 0
+    floor = max(tail_bound, 1e-320)  # the underflow floor of ``coherent_tail_weight``'s sum
+    # a zero mean has no tail (and ln 0 raises); a NaN or underflowed first term rejects nothing
+    while (
+        math.isnan(gamma)
+        or (mean > 0.0 and _first_tail_term(mean, c) > floor)
+        or coherent_tail_weight(gamma, c) > tail_bound
+    ):
         c += 1
         if c > MAX_CUTOFF:
             raise CutoffError(f"no feasible cutoff for amplitude {gamma}")

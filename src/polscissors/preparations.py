@@ -138,6 +138,7 @@ def prepare_stages(
     tail_bound: float = DEFAULT_TAIL_BOUND,
     tables: dict | None = None,
     parts: dict | None = None,
+    last_only: bool = False,
 ) -> tuple[PrepResult, ...]:
     """Run ``pipeline`` by circuit simulation; one result per stage run.
 
@@ -157,6 +158,9 @@ def prepare_stages(
     A part's key is the plain tuple (delta, phi, t0, split_ts, cutoff, n, arms,
     tail_bound); its ``SourceParams`` is built only when the key is missing, and
     a source that raises is not kept, so each cell that asks for it raises again.
+
+    With ``last_only`` the result is the last one alone: every stage heralds
+    as without it, and a stage before the last is not scored.
     """
     if cutoff is None:
         cutoff = required_cutoff(delta, t0, tail_bound)
@@ -177,6 +181,8 @@ def prepare_stages(
         if state is None:
             stages.append(PrepResult(probability, 0.0))
             break
+        if last_only and count < len(arms):
+            continue
         flip = arms[0] if count % 2 else None
         stages.append(PrepResult(probability, *part.score(state, grams, count, flip), cutoff))
     return tuple(stages)
@@ -232,7 +238,7 @@ def prepare_named(
         raise ValueError(f"unknown preparation {name!r}")
     pipeline = PIPELINES[name]
     knobs = {pipeline.knob_axis: knob}
-    return prepare_stages(pipeline, delta, phi, t0, knobs, cutoff=cutoff, tail_bound=tail_bound)[-1]
+    return prepare_stages(pipeline, delta, phi, t0, knobs, cutoff=cutoff, tail_bound=tail_bound, last_only=True)[-1]
 
 
 def analytic_named(name: str, delta: float, phi: float, t0: float, knob: float) -> analytics.AnalyticPF:

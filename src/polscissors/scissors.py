@@ -266,13 +266,21 @@ class TransferTable:
                 self.rows[label].append((p, out, amp))
 
     def apply(self, factors: list[Factor]) -> list[list[Factor]]:
-        """Per accepted pattern, the image of each of ``factors``, in their order."""
+        """Per accepted pattern, the image of each of ``factors``, in their order.
+
+        A factor's scan stops once it has met every one of its occupations
+        that has a row, an empty row included: the rest of it heralds nothing.
+        """
         rows = self.rows
         images: list[list[Factor]] = [[{} for _ in factors] for _ in range(self.patterns)]
         for i, factor in enumerate(factors):
+            left = len(factor.keys() & rows.keys())
             for occ, amp in factor.items():
-                if not (row := rows.get(occ)):  # no row, or one that heralds nothing
+                if not left:
+                    break
+                if (row := rows.get(occ)) is None:
                     continue
+                left -= 1
                 for p, out, coeff in row:
                     image = images[p][i]
                     image[out] = image.get(out, 0j) + amp * coeff

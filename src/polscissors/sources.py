@@ -85,7 +85,8 @@ def coherent_factor(gamma: float, pol: str, cutoff: int, tail_bound: float = DEF
     Raises when the cutoff leaves more than ``tail_bound`` of probability in
     the truncated tail, so downstream accuracy budgets are protected.  Every
     occupation 0..cutoff is kept, in order; its callers compact once, through
-    ``fock._compact``.
+    ``fock._compact``.  Each amplitude is ``0j + f_n(gamma, n)``, bit for bit
+    ``0j + complex(f_n(gamma, n))``: the imaginary part is +0.0.
     """
     tail = coherent_tail_weight(gamma, cutoff)
     if tail > tail_bound:
@@ -93,7 +94,10 @@ def coherent_factor(gamma: float, pol: str, cutoff: int, tail_bound: float = DEF
             f"cutoff {cutoff} keeps tail {tail:.2e} > {tail_bound:.0e} "
             f"for amplitude {gamma}"
         )
-    return {(n, 0) if pol == H else (0, n): 0j + complex(analytics.f_n(gamma, n)) for n in range(cutoff + 1)}
+    f_n = analytics.f_n
+    if pol == H:
+        return {(n, 0): 0j + f_n(gamma, n) for n in range(cutoff + 1)}
+    return {(0, n): 0j + f_n(gamma, n) for n in range(cutoff + 1)}
 
 
 def coherent(gamma: float, pol: str, cutoff: int, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:

@@ -107,9 +107,10 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepGrid:
                     ana = combine(half, knobs[(i, j, 0)[knob_at]])
                     values += ana
                 if numeric:
+                    # last_only: the cell reads the preparation's result, so no earlier stage is scored
                     num = prepare_stages(
                         pipeline, delta, phi, t0, params, config.omega_split_ts, cutoffs[delta, t0],
-                        config.tail_bound, tables, parts,
+                        config.tail_bound, tables, parts, True,
                     )[-1]
                     if math.isnan(num.probability) or math.isnan(num.fidelity):
                         raise FockError(f"numeric P or F is NaN at {columns[0]} = {v1!r}, {columns[1]} = {v2!r}")

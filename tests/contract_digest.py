@@ -6,14 +6,15 @@ trees and diff what it prints:
 
     PYTHONPATH=src python tests/contract_digest.py > after.txt
 
-The 77 outputs are ``verify --seed 1..5 --samples 100``, both ``spot``
+The 78 outputs are ``verify --seed 1..5 --samples 100``, both ``spot``
 points, each reference sweep under ``analytic`` and ``both`` in every
-format, each golden config under every backend it accepts, and 17 ``state``
+format, each golden config under every backend it accepts, and 18 ``state``
 dumps: one per descriptor kind, the golden ones, the two Bell points of
 the benchmark's herald-waste probe, two circuit sources at the
-source-circuits benchmark's cutoffs and two coherent states whose
-cutoffs ``min_cutoff`` scans for from 0 and from gamma^2 - 1.  This is a
-script, not a test module: pytest does not collect it.
+source-circuits benchmark's cutoffs, two coherent states whose cutoffs
+``min_cutoff`` scans for from 0 and from gamma^2 - 1, and one whose bound
+lies below the 1e-320 floor of its first-term test.  This is a script,
+not a test module: pytest does not collect it.
 """
 
 import contextlib
@@ -47,6 +48,8 @@ STATES = (
     # the two starts of the cutoff scan: 0 for a bound above 1/4, gamma^2 - 1 for a tight one
     "coherent:gamma=3.7,tail_bound=0.3",
     "coherent:gamma=6.2,tail_bound=1e-15",
+    # a bound below 1e-320, where a first tail term that underflows makes the tail read 0.0
+    "coherent:gamma=1.0,tail_bound=1e-321",
 )
 
 

@@ -17,7 +17,7 @@ import weakref
 
 import pytest
 
-from polscissors import analytics, preparations, sweep
+from polscissors import analytics, preparations, sources, sweep
 from polscissors.analytics import (
     DegenerateParameterError,
     ProbabilityUnderflowError,
@@ -413,6 +413,21 @@ def test_a_sweep_builds_one_source_point_per_part_and_again_for_each_raising_cel
     statuses = [row[-1] for row in run_sweep(config).rows]
     assert statuses == [STATUS_DEGENERATE] * 4 + [STATUS_OK] * 4  # delta 0 at phi pi: the source raises
     assert [args[0] for args in built] == [0.0] * 4 + [0.6]
+
+
+def test_a_sweep_scores_each_cell_once(monkeypatch):
+    # a cell reads the preparation's result alone, so a Bell chain's first stage is not scored
+    counts, score = [], sources.SourcePart.score
+
+    def counting(self, state, grams, count, flip):
+        counts.append(count)
+        return score(self, state, grams, count, flip)
+
+    monkeypatch.setattr(sources.SourcePart, "score", counting)
+    knob = AxisSpec("t", 0.7, 0.95, 4)
+    config = ExperimentConfig("bell-pqs1", AxisSpec("delta", 0.6, 1.8, 4), knob, backend="both", phi=0.7)
+    assert [row[-1] for row in run_sweep(config).rows] == [STATUS_OK] * 16
+    assert counts == [2] * 16
 
 
 SPECIAL_FLOATS = [

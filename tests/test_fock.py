@@ -295,7 +295,7 @@ class TestTailWeights:
         gammas = [0.0, 5e-324, 1e-150, 1e-8, 0.3, -1.7, 30.0, 1e200, math.inf]
         gammas += [root - 4.5, root - 1.0, root + 0.5]  # cutoffs just below MAX_CUTOFF, or none
         gammas += [rng.uniform(0.0, 12.0) for _ in range(12)] + [math.exp(rng.uniform(-20, 4)) for _ in range(6)]
-        bounds = [1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9]
+        bounds = [5e-324, 1e-321, 1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9]
         bounds += [10 ** rng.uniform(-18, math.log10(0.9)) for _ in range(8)]
         outcomes = set()
         for gamma in gammas:

@@ -15,13 +15,14 @@ from polscissors.preparations import (
     PrepResult,
     analytic_named,
     compare,
+    omega_pipeline,
     prepare_bell,
     prepare_named,
     prepare_stages,
     required_cutoff,
 )
 from polscissors.scissors import pqs1_apply
-from polscissors.sources import SourceParams, xi_direct
+from polscissors.sources import SourceParams, SourcePart, xi_direct
 
 from conftest import prepare_hybrid
 
@@ -68,6 +69,40 @@ def test_a_stage_that_heralds_nothing_ends_the_chain():
     stages = prepare_stages(PIPELINES["bell-pqs2"], 1.3, 0.4, 0.6, {"gamma_abs": 0.0})
     assert stages == (PrepResult(0.0, 0.0),)
     assert stages[0].state is None
+
+
+def _result_bits(result):
+    branches = [
+        (c.real.hex(), c.imag.hex(), [[(occ, a.real.hex(), a.imag.hex()) for occ, a in f.items()] for f in factors])
+        for c, factors in result.branches
+    ]
+    return result.probability.hex(), result.fidelity.hex(), branches, result.cutoff
+
+
+@pytest.mark.parametrize(
+    "pipeline,knobs,splits",
+    [
+        (PIPELINES["hybrid-pqs1"], {"t": 0.8}, ()),
+        (PIPELINES["bell-pqs1"], {"t": 0.9}, ()),
+        (PIPELINES["bell-pqs2"], {"gamma_abs": 0.07}, ()),
+        (PIPELINES["bell-pqs2"], {"gamma_abs": 0.0}, ()),  # the first stage heralds nothing
+        (omega_pipeline(2, 2, ("pqs1", "pqs2")), {"t": 0.8, "gamma_abs": 0.0}, ()),  # the last heralds nothing
+        (omega_pipeline(3, 3, ("pqs1", "pqs2", "pqs1")), {"t": 0.7, "gamma_abs": 0.05}, (0.4,)),
+    ],
+)
+def test_last_only_is_the_last_result_bit_for_bit_and_scores_it_alone(pipeline, knobs, splits, monkeypatch):
+    every = prepare_stages(pipeline, 1.1, 0.4, 0.55, knobs, splits)
+    counts, score = [], SourcePart.score
+
+    def counting(self, state, grams, count, flip):
+        counts.append(count)
+        return score(self, state, grams, count, flip)
+
+    monkeypatch.setattr(SourcePart, "score", counting)
+    (last,) = prepare_stages(pipeline, 1.1, 0.4, 0.55, knobs, splits, last_only=True)
+    assert _result_bits(last) == _result_bits(every[-1])
+    # a stage that heralds nothing is not scored, with or without last_only
+    assert counts == ([len(every)] if every[-1].branches else [])
 
 
 def test_hybrid_reference_point_values():

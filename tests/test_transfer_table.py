@@ -100,6 +100,50 @@ def test_corrected_pattern_rows_are_proportional(method, knob):
         assert overlap >= (1 - 1e-14) * norms
 
 
+def _full_scan_apply(table, factors):
+    """The reference ``TransferTable.apply``: it reads every occupation of every factor."""
+    rows = table.rows
+    images = [[{} for _ in factors] for _ in range(table.patterns)]
+    for i, factor in enumerate(factors):
+        for occ, amp in factor.items():
+            if not (row := rows.get(occ)):  # no row, or one that heralds nothing
+                continue
+            for p, out, coeff in row:
+                image = images[p][i]
+                image[out] = image.get(out, 0j) + amp * coeff
+    return images
+
+
+def _hex_images(images):
+    return [[[(out, a.real.hex(), a.imag.hex()) for out, a in image.items()] for image in row] for row in images]
+
+
+# sector occupations out of SECTOR order, mixed with others, all absent, all four
+# present, no occupation at all, and a source-like factor of 19 H occupations
+FACTOR_OCCUPATIONS = [
+    [(1, 1), (0, 0), (0, 1)],
+    [(2, 0), (1, 0), (0, 3), (0, 0), (5, 5)],
+    [(2, 0), (0, 2), (3, 1), (1, 2)],
+    [(0, 1), (3, 0), (1, 1), (2, 2), (1, 0), (0, 0), (0, 4)],
+    [],
+    [(n, 0) for n in range(19)],
+]
+
+
+@pytest.mark.parametrize("method,knob", [("pqs1", 0.0), ("pqs1", 0.5), ("pqs1", 1.0), ("pqs2", 0j), ("pqs2", 0.07 + 0j)])
+def test_apply_is_the_full_scan_bit_for_bit(method, knob):
+    # t 0 and 1 and gamma 0 leave some rows empty: an empty row is met and adds nothing
+    table = TransferTable(_circuit(method, knob))
+    assert all(table.rows.values()) == (knob not in (0.0, 1.0))
+    rng = random.Random(45)
+    factors = [{occ: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for occ in occs} for occs in FACTOR_OCCUPATIONS]
+    want = _hex_images(_full_scan_apply(table, factors))
+    assert any(image for row in want for image in row)
+    assert _hex_images(table.apply(factors)) == want
+    for factor in factors:
+        assert _hex_images(table.apply([factor])) == _hex_images(_full_scan_apply(table, [factor]))
+
+
 CHAINS = [
     (Pipeline(("pqs1", "pqs1"), BELL_ARMS), {"t": 0.83}),
     (Pipeline(("pqs2", "pqs2"), BELL_ARMS), {"gamma_abs": 0.09}),
