@@ -1,10 +1,12 @@
 """Print one sha256 per contract output, to show a change leaves them byte-identical.
 
 Each output is a ``polscissors`` command run in process through ``cli.main``;
-its digest covers its stdout, its stderr and its exit code.  Run it on two
-trees and diff what it prints:
+its digest covers its stdout, its stderr and its exit code.  Its output is
+committed as ``contract_digests.txt``, which
+``test_contract_digests.py`` checks in tier-1; a change that moves an
+output by design rewrites that file in the same commit:
 
-    PYTHONPATH=src python tests/contract_digest.py > after.txt
+    PYTHONPATH=src python tests/contract_digest.py > tests/contract_digests.txt
 
 The 78 outputs are ``verify --seed 1..5 --samples 100``, both ``spot``
 points, each reference sweep under ``analytic`` and ``both`` in every
@@ -81,10 +83,15 @@ def digest(argv):
     return hashlib.sha256(blob).hexdigest()
 
 
-def main():
+def digests():
+    """(label, sha256) of each contract output, in the order ``main`` prints them."""
     for argv in commands():
-        label = " ".join(argv).replace(str(GOLDEN), "golden")
-        sys.stdout.write(f"{digest(argv)}  {label}\n")
+        yield " ".join(argv).replace(str(GOLDEN), "golden"), digest(argv)
+
+
+def main():
+    for label, sha in digests():
+        sys.stdout.write(f"{sha}  {label}\n")
 
 
 if __name__ == "__main__":
