@@ -90,17 +90,11 @@ def _bs_pair_terms(p: int, q: int, t: float) -> list[tuple[int, int, float]]:
     """
     st = math.sqrt(t)
     sr = math.sqrt(1.0 - t)
-    # the powers and the j row, each computed once, with the double loop's
-    # expressions: ci = C(p, i) st^i sr^(p-i), cj = C(q, j) sr^j (-st)^(q-j)
-    top = max(p, q) + 1
-    st_pow = [st**i for i in range(top)]
-    sr_pow = [sr**i for i in range(top)]
-    mst_pow = [(-st) ** i for i in range(top)]
     try:
-        cj_row = [math.comb(q, j) * sr_pow[j] * mst_pow[q - j] for j in range(q + 1)]
+        cj_row = [math.comb(q, j) * sr**j * (-st) ** (q - j) for j in range(q + 1)]
         terms = [0.0] * (p + q + 1)
         for i in range(p + 1):
-            ci = math.comb(p, i) * st_pow[i] * sr_pow[p - i]
+            ci = math.comb(p, i) * st**i * sr ** (p - i)
             for j, cj in enumerate(cj_row, i):
                 terms[j] += ci * cj
         base = math.sqrt(math.factorial(p) * math.factorial(q))
@@ -121,8 +115,7 @@ def _bs_pair_terms(p: int, q: int, t: float) -> list[tuple[int, int, float]]:
 # 51.  ``apply_bs`` passes ``min(cutoff, p + q)``, so a pair that its cutoff
 # does not cut shares one entry across cutoffs: the source circuits' t = 0.5
 # splitter, run at many cutoffs, misses only on pairs it has not met.  At a new t0 or split ratio
-# every pair misses, and ``_bs_pair_terms`` builds its powers once per call.
-# The bound keeps a longer run from growing without limit.
+# every pair misses.  The bound keeps a longer run from growing without limit.
 PAIR_TERM_CACHE_SIZE = 4096
 
 

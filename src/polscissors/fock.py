@@ -152,23 +152,13 @@ def _check_shapes(a: PureState, b: PureState) -> None:
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugating the first argument.
-
-    Sums over the smaller state's keys in its order, reading each common key
-    once from each state.
-    """
+    """<a|b>, conjugating the first argument: summed over ``a``'s keys in its order."""
     _check_shapes(a, b)
     total = 0.0 + 0.0j
-    if len(a.amplitudes) <= len(b.amplitudes):
-        get = b.amplitudes.get
-        for k, va in a.amplitudes.items():
-            if (vb := get(k)) is not None:
-                total += va.conjugate() * vb
-    else:
-        get = a.amplitudes.get
-        for k, vb in b.amplitudes.items():
-            if (va := get(k)) is not None:
-                total += va.conjugate() * vb
+    get = b.amplitudes.get
+    for k, va in a.amplitudes.items():
+        if (vb := get(k)) is not None:
+            total += va.conjugate() * vb
     return total
 
 

@@ -94,10 +94,7 @@ def coherent_factor(gamma: float, pol: str, cutoff: int, tail_bound: float = DEF
             f"cutoff {cutoff} keeps tail {tail:.2e} > {tail_bound:.0e} "
             f"for amplitude {gamma}"
         )
-    f_n = analytics.f_n
-    if pol == H:
-        return {(n, 0): 0j + f_n(gamma, n) for n in range(cutoff + 1)}
-    return {(0, n): 0j + f_n(gamma, n) for n in range(cutoff + 1)}
+    return {(n, 0) if pol == H else (0, n): 0j + analytics.f_n(gamma, n) for n in range(cutoff + 1)}
 
 
 def coherent(gamma: float, pol: str, cutoff: int, tail_bound: float = DEFAULT_TAIL_BOUND) -> PureState:

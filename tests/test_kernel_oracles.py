@@ -2,8 +2,8 @@
 
 The scissors module splits its ancilla on a two-mode state and tensors that
 onto the input once, ``project_number`` checks its targets in one plain loop,
-``apply_bs`` caches its pair terms across calls, builds them from hoisted
-powers and reads its output occupations from per-call rows, the entangled
+``apply_bs`` caches its pair terms across calls, builds each pair's j row
+once and reads its output occupations from per-call rows, the entangled
 sources and a preparation's state are expanded in one pass, and
 ``inner_product`` reads each common key once.  Each must leave every
 state (and every inner product) bit for bit as the plain constructions below
@@ -468,11 +468,10 @@ class TestPrepResultState:
 
 
 def inner_product_reference(a, b):
-    """Plain loop over the smaller state's keys: membership test, then two subscripts."""
-    small, other = (a, b) if len(a.amplitudes) <= len(b.amplitudes) else (b, a)
+    """Plain loop over the first state's keys: membership test, then two subscripts."""
     total = 0.0 + 0.0j
-    for k in small.amplitudes:
-        if k in other.amplitudes:
+    for k in a.amplitudes:
+        if k in b.amplitudes:
             total += a.amplitudes[k].conjugate() * b.amplitudes[k]
     return total
 
