@@ -1,10 +1,10 @@
 """Print one sha256 per contract output, to show a change leaves them byte-identical.
 
 Each output is a ``polscissors`` command run in process through ``cli.main``;
-its digest covers its stdout, its stderr and its exit code.  Its output is
-committed as ``contract_digests.txt``, which
-``test_contract_digests.py`` checks in tier-1; a change that moves an
-output by design rewrites that file in the same commit:
+its digest covers its stdout, its stderr and its exit code.  The output is
+committed as ``contract_digests.txt`` and checked by
+``test_contract_digests.py``; a change that moves an output by design
+rewrites that file in the same commit:
 
     PYTHONPATH=src python tests/contract_digest.py > tests/contract_digests.txt
 
