@@ -1,9 +1,8 @@
 """Rerun the contract digests under each installed Python 3.10-3.13; diff them with the committed file.
 
-    python tests/digests_across_pythons.py            # every pyenv interpreter 3.10-3.13
-    python tests/digests_across_pythons.py PYTHON...  # the named interpreters
+    python tests/digests_across_pythons.py
 
-With no arguments it runs each interpreter under ``$PYENV_ROOT/versions``
+It runs each interpreter under ``$PYENV_ROOT/versions``
 (``~/.pyenv/versions`` by default) whose version is 3.10 to 3.13.  Each runs
 ``contract_digest.py`` on this checkout's ``src``; one line per interpreter
 says whether its 78 digests equal ``contract_digests.txt``, with the diff
@@ -48,4 +47,4 @@ def main(pythons: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:] or pyenv_interpreters()))
+    sys.exit(main(pyenv_interpreters()))
